@@ -392,9 +392,6 @@ class CoupledMac:
                 probs.append(self.x_prior.prob(x) * (self.z_given_x[x].prob(z) if self.x_prior.prob(x) > 0 else 0.0))
         return ClassicalDistribution(tuple(syms), tuple(probs))
 
-    def state_zy(self, z, y) -> np.ndarray:
-        return self.states[(z, y)]
-
     def state_z(self, z) -> np.ndarray:
         return sum(self.y_prior.prob(y) * self.states[(z, y)] for y in self.y_prior.support)
 
@@ -420,11 +417,6 @@ class CoupledMac:
     def z_ensemble(self) -> CqEnsemble:
         zp = self.z_prior()
         return CqEnsemble(zp, {z: self.state_z(z) for z in zp.support})
-
-    def xz_ensemble(self) -> CqEnsemble:
-        dist = self.xz_dist()
-        states = {(x, z): self.state_z(z) for (x, z) in dist.support}
-        return CqEnsemble(dist, states)
 
     def labeled_state(self) -> LabeledCqState:
         syms, probs, states = [], [], {}

@@ -19,7 +19,7 @@ import numpy as np
 
 from . import verify as _verify
 from .channels import CcqMac, CoupledMac, CqChannel, InterferenceChannel, holevo_information
-from .decoders import monte_carlo_avg_error, sample_codebook
+from .decoders import _decoded_messages, monte_carlo_avg_error
 from .linalg import DimensionCapError
 from .regions import (
     Constraint,
@@ -160,11 +160,10 @@ def _resolve_rates(channel, rates: list[float]):
     return rates[0] if want == 1 else tuple(rates)
 
 
-def _resolve_order(spec: str, channel, rates, n: int, seed: int):
+def _resolve_order(spec: str, channel, rates, n: int, region: int | None):
     if spec == "lex":
         return None
-    probe = sample_codebook(channel, rates, n, (seed, 0))
-    messages = probe.messages()
+    messages = _decoded_messages(channel, rates, n, region)
     if spec == "reverse":
         return list(reversed(messages))
     if spec.startswith("random:"):
@@ -187,7 +186,7 @@ def _simulate_result(args, channel):
     rates = _resolve_rates(channel, args.rate)
     if args.region is not None and not isinstance(channel, CoupledMac):
         raise ValueError("--region applies only to cmg-mac channels")
-    order = _resolve_order(args.order, channel, rates, args.n, args.seed)
+    order = _resolve_order(args.order, channel, rates, args.n, args.region)
     return monte_carlo_avg_error(
         channel,
         rates,

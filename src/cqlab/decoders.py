@@ -2,15 +2,20 @@
 
 Encoders draw i.i.d. codewords from the channel input laws with one RNG
 stream per message, so enlarging a codebook never disturbs the codewords
-already drawn.  Decoders walk an ordered candidate list, conjugating the
-received state by each candidate projector (or its complement) and reading
-the surviving trace as an exact probability; every run reports the matching
-closed-form bound next to the simulated value.  A square-root-measurement
-decoder of the same interface is included for comparison.
+already drawn.  Decoding is one pipeline: a per-family builder returns each
+message's conditionally typical projectors (None when its codeword is not
+typical); the sequential decoders combine them into one candidate projector
+per message and walk the chain, conjugating the received state by each
+candidate (or its complement) and reading the surviving trace as an exact
+probability, while the square-root-measurement element builders combine the
+same parts into products for ``pgm_decode``.  Every run reports the matching
+closed-form bound next to the simulated value; ``_FAMILIES`` holds what
+differs per channel type.
 """
 
 from __future__ import annotations
 
+import functools
 import itertools
 import math
 import time
@@ -98,10 +103,7 @@ class Codebook:
 
     def messages(self) -> list:
         """All message indices or tuples, in lexicographic order."""
-        ranges = [range(1, c + 1) for c in self.counts]
-        if self.senders == 1:
-            return list(ranges[0])
-        return list(itertools.product(*ranges))
+        return _lex(self.counts)
 
     def sequences(self, message) -> tuple:
         """Per-sender codeword sequences backing ``message``.
@@ -121,12 +123,47 @@ class Codebook:
         return first + (self.codewords[2][message[2]],)
 
 
-def _iid_sequence(dist: ClassicalDistribution, n: int, rng: np.random.Generator) -> tuple:
-    return dist.sample_sequence(n, rng)
+def _lex(counts: Sequence[int]) -> list:
+    """Message indices (one sender) or index tuples, in lexicographic order."""
+    ranges = [range(1, c + 1) for c in counts]
+    if len(ranges) == 1:
+        return list(ranges[0])
+    return list(itertools.product(*ranges))
 
 
 def _conditional_sequence(rows: Mapping, xs: Sequence, rng: np.random.Generator) -> tuple:
     return tuple(rows[x].sample_sequence(1, rng)[0] for x in xs)
+
+
+def _rate_tuple(rates) -> tuple[float, ...]:
+    if isinstance(rates, (int, float)):
+        return (float(rates),)
+    return tuple(float(r) for r in rates)
+
+
+def _codebook_counts(dists: tuple, rates: tuple[float, ...], n: int) -> tuple[int, ...]:
+    """Messages per sender, refusing codebooks above CODEBOOK_CAP symbols."""
+    if len(rates) != len(dists):
+        raise ValueError(f"channel takes {len(dists)} rates, got {len(rates)}")
+    counts = tuple(_message_count(r, n) for r in rates)
+    storage = sum(c * n for c in counts)
+    if len(dists) == 3:
+        # the coupled sender stores one codeword per (m1, m2) pair
+        storage += (counts[0] * counts[1] - counts[1]) * n
+    if storage > CODEBOOK_CAP:
+        raise ValueError(
+            f"rates too large: codebook would store {storage} symbols, cap is {CODEBOOK_CAP}"
+        )
+    return counts
+
+
+def _decoded_messages(channel, rates, n: int, region: int | None = None) -> list:
+    """The messages a decoder of ``channel`` reports on, in lexicographic order.
+
+    Depends only on the message counts, so no codebook is drawn.
+    """
+    family = _family(channel)
+    return family.messages(_codebook_counts(family.laws(channel), _rate_tuple(rates), n), region)
 
 
 def sample_codebook(channel, rates, n: int, seed) -> Codebook:
@@ -141,30 +178,9 @@ def sample_codebook(channel, rates, n: int, seed) -> Codebook:
     if n < 1:
         raise ValueError("n must be at least 1")
     key = _seed_key(seed)
-    if isinstance(rates, (int, float)):
-        rates = (float(rates),)
-    rates = tuple(float(r) for r in rates)
-
-    if isinstance(channel, CqChannel):
-        dists: tuple = (channel.prior,)
-    elif isinstance(channel, CcqMac):
-        dists = (channel.x_prior, channel.y_prior)
-    elif isinstance(channel, CoupledMac):
-        dists = (channel.x_prior, None, channel.y_prior)
-    else:
-        raise TypeError(f"unsupported channel type {type(channel).__name__}")
-    if len(rates) != len(dists):
-        raise ValueError(f"channel takes {len(dists)} rates, got {len(rates)}")
-
-    counts = tuple(_message_count(r, n) for r in rates)
-    storage = sum(c * n for c in counts)
-    if len(dists) == 3:
-        # the coupled sender stores one codeword per (m1, m2) pair
-        storage += (counts[0] * counts[1] - counts[1]) * n
-    if storage > CODEBOOK_CAP:
-        raise ValueError(
-            f"rates too large: codebook would store {storage} symbols, cap is {CODEBOOK_CAP}"
-        )
+    rates = _rate_tuple(rates)
+    dists = _family(channel).laws(channel)
+    counts = _codebook_counts(dists, rates, n)
 
     books: list[dict] = []
     for s, dist in enumerate(dists):
@@ -172,7 +188,7 @@ def sample_codebook(channel, rates, n: int, seed) -> Codebook:
         if dist is not None:
             for m in range(1, counts[s] + 1):
                 rng = np.random.default_rng((*key, s, m))
-                book[m] = _iid_sequence(dist, n, rng)
+                book[m] = dist.sample_sequence(n, rng)
         else:
             for m1 in range(1, counts[0] + 1):
                 xs = books[0][m1]
@@ -247,12 +263,9 @@ class _Entry:
     state: np.ndarray
 
 
-def _stop_distribution(state: np.ndarray, entries: Sequence[_Entry], gate: Projector | None) -> list[float]:
+def _stop_distribution(state: np.ndarray, entries: Sequence[_Entry]) -> list[float]:
     """Probability of the chain halting at each candidate, in order."""
     current = as_matrix(state).astype(np.complex128)
-    if gate is not None:
-        g = gate.dense()
-        current = g @ current @ g
     stops: list[float] = []
     for ent in entries:
         p = ent.projector.dense()
@@ -277,7 +290,9 @@ def _run_sequential(
     and the success branch of its own projector (after the gate, when one
     is present).  With ``group_of`` set, the reported error counts a halt
     at any candidate of the sent message's group as a success, and the
-    exact own-chain errors move to details["joint_errors"].
+    exact own-chain errors move to details["joint_errors"].  Grouping is
+    only used without a gate.  details["candidate_ranks"] records each
+    message's candidate rank, so an all-empty candidate list shows.
     """
     details = dict(details or {})
     outcomes = []
@@ -300,7 +315,7 @@ def _run_sequential(
         if group_of is None:
             error = 1.0 - success
         else:
-            stops = _stop_distribution(ent.state, entries, gate)
+            stops = _stop_distribution(ent.state, entries)
             if abs(stops[k] - success) > 1e-8:
                 raise RuntimeError("halt accounting disagrees with the collapsed chain")
             mine = group_of(ent.message)
@@ -321,6 +336,7 @@ def _run_sequential(
     if group_of is not None:
         details["joint_errors"] = joint_errors
     details["order"] = tuple(e.message for e in entries)
+    details["candidate_ranks"] = {e.message: e.projector.rank for e in entries}
     average = float(np.mean([o.error for o in outcomes]))
     return DecodeReport(
         variant=variant,
@@ -330,6 +346,128 @@ def _run_sequential(
         elapsed_seconds=time.perf_counter() - started,
         details=details,
     )
+
+
+def _cq_parts(channel: CqChannel, codebook: Codebook, messages: list, delta: float, cap) -> dict:
+    """(Pi_x,) per message with a typical codeword, None otherwise."""
+    ens = channel.ensemble()
+    pi_x = functools.cache(lambda xs: cond_typical_projector(ens, xs, delta, cap=cap))
+    parts: dict = {}
+    for m in messages:
+        (xs,) = codebook.sequences(m)
+        parts[m] = (pi_x(xs),) if is_typical(channel.prior, xs, delta) else None
+    return parts
+
+
+def _mac_parts(channel: CcqMac, codebook: Codebook, messages: list, delta: float, cap) -> dict:
+    """(Pi_xy, Pi_y) at slacks delta and 6*delta per typical codeword pair, else None."""
+    pair_dist = channel.x_prior.product(channel.y_prior)
+    pair_ens = channel.pair_ensemble()
+    y_ens = channel.y_ensemble()
+    pi_xy = functools.cache(lambda seq: cond_typical_projector(pair_ens, seq, delta, cap=cap))
+    pi_y = functools.cache(lambda ys: cond_typical_projector(y_ens, ys, 6.0 * delta, cap=cap))
+    parts: dict = {}
+    for m in messages:
+        xs, ys = codebook.sequences(m)
+        pair_seq = tuple(zip(xs, ys))
+        parts[m] = (pi_xy(pair_seq), pi_y(ys)) if is_typical(pair_dist, pair_seq, delta) else None
+    return parts
+
+
+def _cmg_parts(channel: CoupledMac, codebook: Codebook, messages: list, delta: float, region: int, cap) -> dict:
+    """Parts per decoded message of a coupled channel, None when atypical.
+
+    Region 1: (Pi_zy, Pi_xy, Pi_y) at slacks delta, 6*delta, 6*delta per
+    typical codeword triple.  Region 2: (Pi_z,) at slack delta per typical
+    (x, z) codeword pair.
+    """
+    parts: dict = {}
+    if region == 2:
+        xz = channel.xz_dist()
+        z_ens = channel.z_ensemble()
+        pi_z = functools.cache(lambda zs: cond_typical_projector(z_ens, zs, delta, cap=cap))
+        for m in messages:
+            xs, zs = codebook.sequences(m)
+            parts[m] = (pi_z(zs),) if is_typical(xz, tuple(zip(xs, zs)), delta) else None
+        return parts
+
+    trip_dist = _triple_dist(channel)
+    zy_ens = channel.zy_ensemble()
+    xy_ens = channel.xy_ensemble()
+    y_ens = channel.y_ensemble()
+    pi_zy = functools.cache(lambda seq: cond_typical_projector(zy_ens, seq, delta, cap=cap))
+    pi_xy = functools.cache(lambda seq: cond_typical_projector(xy_ens, seq, 6.0 * delta, cap=cap))
+    pi_y = functools.cache(lambda ys: cond_typical_projector(y_ens, ys, 6.0 * delta, cap=cap))
+    for m in messages:
+        xs, zs, ys = codebook.sequences(m)
+        if is_typical(trip_dist, tuple(zip(xs, zs, ys)), delta):
+            parts[m] = (pi_zy(tuple(zip(zs, ys))), pi_xy(tuple(zip(xs, ys))), pi_y(ys))
+        else:
+            parts[m] = None
+    return parts
+
+
+def _states(channel, codebook: Codebook, state_fn: Callable | None, cap) -> Callable:
+    """message -> received state; a pair message on a three-sender codebook averages m3 out."""
+    ens, symbols = _family(channel).output(channel)
+
+    def received(seqs: tuple) -> np.ndarray:
+        if state_fn is not None:
+            return as_matrix(state_fn(*seqs))
+        return ens.sequence_state(symbols(*seqs), cap=cap)
+
+    def state(m) -> np.ndarray:
+        seqs = codebook.sequences(m)
+        if len(seqs) == codebook.senders:
+            return received(seqs)
+        dim = channel.dim**codebook.n
+        acc = np.zeros((dim, dim), dtype=np.complex128)
+        for m3 in range(1, codebook.counts[2] + 1):
+            acc += received(seqs + (codebook.codewords[2][m3],))
+        return acc / codebook.counts[2]
+
+    return state
+
+
+def _combine(parts: dict, build: Callable, empty) -> dict:
+    """Per message, ``build(*parts)`` made once per distinct parts; ``empty`` when atypical."""
+    built: dict = {}
+    out: dict = {}
+    for m, p in parts.items():
+        if p is None:
+            out[m] = empty
+            continue
+        if p not in built:
+            built[p] = build(*p)
+        out[m] = built[p]
+    return out
+
+
+def _typical(parts: dict) -> dict:
+    return {m: p is not None for m, p in parts.items()}
+
+
+def _leaks(parts: dict, states: dict, which: int, what: str) -> list[float]:
+    """1 - Tr[rho_m Pi] for part ``which`` of each typical message, in message order."""
+    return [1.0 - _clip01(p[which].trace_with(states[m]), what) for m, p in parts.items() if p is not None]
+
+
+def _dense_once() -> Callable:
+    """Projector -> dense matrix, materialised once per projector."""
+    return functools.cache(lambda p: p.dense())
+
+
+def _cmg_product(dense: Callable, p_zy: Projector, p_xy: Projector, p_y: Projector) -> np.ndarray:
+    """Pi_y Pi_xy Pi_zy Pi_xy Pi_y: the region-1 PGM element, and over
+    tau1*tau2 the envelope every region-1 candidate must lie under."""
+    yd, xyd = dense(p_y), dense(p_xy)
+    return yd @ xyd @ dense(p_zy) @ xyd @ yd
+
+
+def _chain(parts: dict, build: Callable, states: dict, dim: int) -> list[_Entry]:
+    """Chain entries in message order: built candidates, zero when atypical."""
+    candidates = _combine(parts, build, Projector.zero(dim))
+    return [_Entry(m, candidates[m], states[m]) for m in parts]
 
 
 def cq_sequential_decode(
@@ -352,32 +490,22 @@ def cq_sequential_decode(
     replace the product sequence states, e.g. with smoothed ones.
     """
     started = time.perf_counter()
-    ens = channel.ensemble()
     n = codebook.n
-    check_dim_cap(channel.dim**n, cap)
+    dim = channel.dim**n
+    check_dim_cap(dim, cap)
     messages = _resolve_order(codebook.messages(), order)
 
     gate = None
     if gated:
-        gate = typical_projector(ens.average_state(), n, 2.0 * delta, cap=cap)
+        gate = typical_projector(channel.ensemble().average_state(), n, 2.0 * delta, cap=cap)
 
-    proj_cache: dict = {}
-    typical_flags: dict = {}
-    entries = []
-    for m in messages:
-        (xs,) = codebook.sequences(m)
-        typical = is_typical(channel.prior, xs, delta)
-        typical_flags[m] = typical
-        if xs not in proj_cache:
-            if typical:
-                proj_cache[xs] = cond_typical_projector(ens, xs, delta, cap=cap)
-            else:
-                proj_cache[xs] = Projector.zero(channel.dim**n)
-        state = ens.sequence_state(xs, cap=cap) if state_fn is None else as_matrix(state_fn(xs))
-        entries.append(_Entry(m, proj_cache[xs], state))
+    parts = _cq_parts(channel, codebook, messages, delta, cap)
+    state_of = _states(channel, codebook, state_fn, cap)
+    states = {m: state_of(m) for m in messages}
 
     variant = "cq-sequential-gated" if gated else "cq-sequential"
-    details = {"delta": delta, "typical": typical_flags}
+    details = {"delta": delta, "typical": _typical(parts)}
+    entries = _chain(parts, lambda p_x: p_x, states, dim)
     return _run_sequential(entries, variant, gate=gate, details=details, started=started)
 
 
@@ -409,6 +537,10 @@ def _resolve_taus(tau, epsilon) -> tuple[list[str], Callable]:
     return notes, lambda stage, eps: _measured_tau(eps, notes, stage)
 
 
+def _mean_or_none(values: list[float]) -> float | None:
+    return float(np.mean(values)) if values else None
+
+
 def ccq_mac_sequential_decode(
     channel: CcqMac,
     codebook: Codebook,
@@ -432,60 +564,30 @@ def ccq_mac_sequential_decode(
     """
     started = time.perf_counter()
     n = codebook.n
-    check_dim_cap(channel.dim**n, cap)
-    pair_dist = channel.x_prior.product(channel.y_prior)
-    pair_ens = channel.pair_ensemble()
-    y_ens = channel.y_ensemble()
+    dim = channel.dim**n
+    check_dim_cap(dim, cap)
     messages = _resolve_order(codebook.messages(), order)
-
     notes, tau_of = _resolve_taus(tau, epsilon)
 
-    keyed: dict = {}
-    states: dict = {}
-    typical_flags: dict = {}
-    leaks: list[float] = []
-    y_cache: dict = {}
-    pair_cache: dict = {}
-    for msg in messages:
-        xs, ys = codebook.sequences(msg)
-        pair_seq = tuple(zip(xs, ys))
-        state = pair_ens.sequence_state(pair_seq, cap=cap) if state_fn is None else as_matrix(state_fn(xs, ys))
-        states[msg] = state
-        typical = is_typical(pair_dist, pair_seq, delta)
-        typical_flags[msg] = typical
-        keyed[msg] = (xs, ys, pair_seq, typical)
-        if typical:
-            if ys not in y_cache:
-                y_cache[ys] = cond_typical_projector(y_ens, ys, 6.0 * delta, cap=cap)
-            leaks.append(1.0 - _clip01(y_cache[ys].trace_with(state), "pair overlap"))
-
+    parts = _mac_parts(channel, codebook, messages, delta, cap)
+    state_of = _states(channel, codebook, state_fn, cap)
+    states = {m: state_of(m) for m in messages}
+    leaks = _leaks(parts, states, 1, "pair overlap")
     resolved_tau = tau_of("pair/y intersection", leaks)
 
-    tilde_cache: dict = {}
-    entries = []
-    for msg in messages:
-        xs, ys, pair_seq, typical = keyed[msg]
-        cache_key = (xs, ys)
-        if cache_key not in tilde_cache:
-            if not typical:
-                tilde_cache[cache_key] = Projector.zero(channel.dim**n)
-            else:
-                if pair_seq not in pair_cache:
-                    pair_cache[pair_seq] = cond_typical_projector(pair_ens, pair_seq, delta, cap=cap)
-                pa, pb = pair_cache[pair_seq], y_cache[ys]
-                if pa.rank == 0 or pb.rank == 0:
-                    tilde_cache[cache_key] = Projector.zero(channel.dim**n)
-                else:
-                    tilde_cache[cache_key] = intersection_projector(pa, pb, resolved_tau)
-        entries.append(_Entry(msg, tilde_cache[cache_key], states[msg]))
+    def narrow(p_xy: Projector, p_y: Projector) -> Projector:
+        if p_xy.rank == 0 or p_y.rank == 0:
+            return Projector.zero(dim)
+        return intersection_projector(p_xy, p_y, resolved_tau)
 
     details = {
         "delta": delta,
         "tau": resolved_tau,
-        "measured_epsilon": float(np.mean(leaks)) if leaks else None,
-        "typical": typical_flags,
+        "measured_epsilon": _mean_or_none(leaks),
+        "typical": _typical(parts),
         "warnings": tuple(notes),
     }
+    entries = _chain(parts, narrow, states, dim)
     return _run_sequential(entries, "ccq-mac-sequential", details=details, started=started)
 
 
@@ -498,6 +600,11 @@ def _triple_dist(channel: CoupledMac) -> ClassicalDistribution:
             symbols.append((x, z, y))
             probs.append(pairs.prob((x, z)) * channel.y_prior.prob(y))
     return ClassicalDistribution(tuple(symbols), tuple(probs))
+
+
+def _cmg_messages(counts: tuple[int, ...], region: int | None) -> list:
+    """Region 2 decodes (m1, m2) pairs; otherwise all three messages."""
+    return _lex(counts[:2] if region == 2 else counts)
 
 
 def cmg_sequential_decode(
@@ -533,92 +640,58 @@ def cmg_sequential_decode(
     if region not in (1, 2):
         raise ValueError("region must be 1 or 2")
     n = codebook.n
-    check_dim_cap(channel.dim**n, cap)
     dim = channel.dim**n
-    zy_ens = channel.zy_ensemble()
+    check_dim_cap(dim, cap)
+    messages = _resolve_order(_cmg_messages(codebook.counts, region), order)
+    parts = _cmg_parts(channel, codebook, messages, delta, region, cap)
+    state_of = _states(channel, codebook, state_fn, cap)
+    states = {m: state_of(m) for m in messages}
 
     if region == 2:
-        return _cmg_region2(
-            channel, codebook, delta, order, state_fn, cap, started, zy_ens, dim
-        )
-
-    xy_ens = channel.xy_ensemble()
-    y_ens = channel.y_ensemble()
-    trip_dist = _triple_dist(channel)
-    messages = _resolve_order(codebook.messages(), order)
+        r3 = codebook.rates[2]
+        threshold = channel.labeled_state().mutual_information("Y:B|Z")
+        if r3 < threshold - 1e-12:
+            warnings.warn(
+                f"region 2 requested with R3 = {r3:.6g} < I(Y:B|Z) = {threshold:.6g}; "
+                "such rate triples belong to region 1",
+                stacklevel=2,
+            )
+        details = {"delta": delta, "region": 2, "r3_threshold": threshold, "typical": _typical(parts)}
+        entries = _chain(parts, lambda p_z: p_z, states, dim)
+        return _run_sequential(entries, "cmg-sequential-region2", details=details, started=started)
 
     notes, tau_of = _resolve_taus(tau, epsilon)
-
-    keyed: dict = {}
-    states: dict = {}
-    typical_flags: dict = {}
-    xy_leaks: list[float] = []
-    y_leaks: list[float] = []
-    xy_cache: dict = {}
-    y_cache: dict = {}
-    zy_cache: dict = {}
-    for msg in messages:
-        xs, zs, ys = codebook.sequences(msg)
-        zy_seq = tuple(zip(zs, ys))
-        state = zy_ens.sequence_state(zy_seq, cap=cap) if state_fn is None else as_matrix(state_fn(xs, zs, ys))
-        states[msg] = state
-        typical = is_typical(trip_dist, tuple(zip(xs, zs, ys)), delta)
-        typical_flags[msg] = typical
-        keyed[msg] = (xs, zs, ys, typical)
-        if typical:
-            xy_seq = tuple(zip(xs, ys))
-            if xy_seq not in xy_cache:
-                xy_cache[xy_seq] = cond_typical_projector(xy_ens, xy_seq, 6.0 * delta, cap=cap)
-            if ys not in y_cache:
-                y_cache[ys] = cond_typical_projector(y_ens, ys, 6.0 * delta, cap=cap)
-            xy_leaks.append(1.0 - _clip01(xy_cache[xy_seq].trace_with(state), "xy overlap"))
-            y_leaks.append(1.0 - _clip01(y_cache[ys].trace_with(state), "y overlap"))
-
+    xy_leaks = _leaks(parts, states, 1, "xy overlap")
+    y_leaks = _leaks(parts, states, 2, "y overlap")
     tau1 = tau_of("zy/xy intersection", xy_leaks)
     tau2 = tau_of("tilde/y intersection", y_leaks)
 
-    tilde_cache: dict = {}
+    dense = _dense_once()
     chain_checks = 0
-    entries = []
-    for msg in messages:
-        xs, zs, ys, typical = keyed[msg]
-        cache_key = (xs, zs, ys)
-        if cache_key not in tilde_cache:
-            if not typical:
-                tilde_cache[cache_key] = Projector.zero(dim)
-            else:
-                zy_seq = tuple(zip(zs, ys))
-                xy_seq = tuple(zip(xs, ys))
-                if zy_seq not in zy_cache:
-                    zy_cache[zy_seq] = cond_typical_projector(zy_ens, zy_seq, delta, cap=cap)
-                p_zy, p_xy, p_y = zy_cache[zy_seq], xy_cache[xy_seq], y_cache[ys]
-                if p_zy.rank == 0 or p_xy.rank == 0:
-                    tilde = Projector.zero(dim)
-                else:
-                    inner = intersection_projector(p_zy, p_xy, tau1)
-                    if inner.rank == 0 or p_y.rank == 0:
-                        tilde = Projector.zero(dim)
-                    else:
-                        tilde = intersection_projector(inner, p_y, tau2)
-                if tilde.rank > 0:
-                    yd, xyd = p_y.dense(), p_xy.dense()
-                    envelope = yd @ xyd @ p_zy.dense() @ xyd @ yd / (tau1 * tau2)
-                    if not psd_leq(tilde.dense(), envelope, tol=1e-8):
-                        raise RuntimeError("tilde projector escapes its product envelope")
-                    chain_checks += 1
-                tilde_cache[cache_key] = tilde
-        entries.append(_Entry(msg, tilde_cache[cache_key], states[msg]))
 
+    def narrow_twice(p_zy: Projector, p_xy: Projector, p_y: Projector) -> Projector:
+        nonlocal chain_checks
+        if p_zy.rank == 0 or p_xy.rank == 0:
+            return Projector.zero(dim)
+        inner = intersection_projector(p_zy, p_xy, tau1)
+        if inner.rank == 0 or p_y.rank == 0:
+            return Projector.zero(dim)
+        tilde = intersection_projector(inner, p_y, tau2)
+        if tilde.rank > 0:
+            envelope = _cmg_product(dense, p_zy, p_xy, p_y) / (tau1 * tau2)
+            if not psd_leq(tilde.dense(), envelope, tol=1e-8):
+                raise RuntimeError("tilde projector escapes its product envelope")
+            chain_checks += 1
+        return tilde
+
+    entries = _chain(parts, narrow_twice, states, dim)
     details = {
         "delta": delta,
         "region": 1,
         "tau": (tau1, tau2),
-        "measured_epsilon": (
-            float(np.mean(xy_leaks)) if xy_leaks else None,
-            float(np.mean(y_leaks)) if y_leaks else None,
-        ),
+        "measured_epsilon": (_mean_or_none(xy_leaks), _mean_or_none(y_leaks)),
         "chain_checks": chain_checks,
-        "typical": typical_flags,
+        "typical": _typical(parts),
         "warnings": tuple(notes),
     }
     return _run_sequential(
@@ -630,92 +703,24 @@ def cmg_sequential_decode(
     )
 
 
-def _cmg_region2(channel, codebook, delta, order, state_fn, cap, started, zy_ens, dim) -> DecodeReport:
-    r3 = codebook.rates[2]
-    threshold = channel.labeled_state().mutual_information("Y:B|Z")
-    if r3 < threshold - 1e-12:
-        warnings.warn(
-            f"region 2 requested with R3 = {r3:.6g} < I(Y:B|Z) = {threshold:.6g}; "
-            "such rate triples belong to region 1",
-            stacklevel=3,
-        )
-
-    z_ens = channel.z_ensemble()
-    xz = channel.xz_dist()
-    pairs = [
-        (m1, m2)
-        for m1 in range(1, codebook.counts[0] + 1)
-        for m2 in range(1, codebook.counts[1] + 1)
-    ]
-    pairs = _resolve_order(pairs, order)
-    m3_count = codebook.counts[2]
-
-    proj_cache: dict = {}
-    typical_flags: dict = {}
-    entries = []
-    for pair in pairs:
-        xs, zs = codebook.sequences(pair)
-        typical = is_typical(xz, tuple(zip(xs, zs)), delta)
-        typical_flags[pair] = typical
-        cache_key = (xs, zs)
-        if cache_key not in proj_cache:
-            if typical:
-                proj_cache[cache_key] = cond_typical_projector(z_ens, zs, delta, cap=cap)
-            else:
-                proj_cache[cache_key] = Projector.zero(dim)
-        acc = np.zeros((dim, dim), dtype=np.complex128)
-        for m3 in range(1, m3_count + 1):
-            ys = codebook.codewords[2][m3]
-            if state_fn is None:
-                acc += zy_ens.sequence_state(tuple(zip(zs, ys)), cap=cap)
-            else:
-                acc += as_matrix(state_fn(xs, zs, ys))
-        entries.append(_Entry(pair, proj_cache[cache_key], acc / m3_count))
-
-    details = {
-        "delta": delta,
-        "region": 2,
-        "r3_threshold": threshold,
-        "typical": typical_flags,
-    }
-    return _run_sequential(entries, "cmg-sequential-region2", details=details, started=started)
-
-
 def cq_pgm_elements(channel: CqChannel, codebook: Codebook, delta: float, *, cap: int | None = None) -> dict:
     """Conditional typical projectors as measurement elements, zero when atypical."""
-    ens = channel.ensemble()
-    n = codebook.n
-    out: dict = {}
-    for m in codebook.messages():
-        (xs,) = codebook.sequences(m)
-        if is_typical(channel.prior, xs, delta):
-            out[m] = cond_typical_projector(ens, xs, delta, cap=cap).dense()
-        else:
-            out[m] = np.zeros((channel.dim**n, channel.dim**n))
-    return out
+    parts = _cq_parts(channel, codebook, codebook.messages(), delta, cap)
+    dim = channel.dim**codebook.n
+    return _combine(parts, _dense_once(), np.zeros((dim, dim)))
 
 
 def mac_pgm_elements(channel: CcqMac, codebook: Codebook, delta: float, *, cap: int | None = None) -> dict:
     """Elements Pi_y Pi_xy Pi_y (slacks 6*delta and delta), zero when atypical."""
-    pair_dist = channel.x_prior.product(channel.y_prior)
-    pair_ens = channel.pair_ensemble()
-    y_ens = channel.y_ensemble()
-    n = codebook.n
-    dim = channel.dim**n
-    y_cache: dict = {}
-    out: dict = {}
-    for msg in codebook.messages():
-        xs, ys = codebook.sequences(msg)
-        pair_seq = tuple(zip(xs, ys))
-        if not is_typical(pair_dist, pair_seq, delta):
-            out[msg] = np.zeros((dim, dim))
-            continue
-        if ys not in y_cache:
-            y_cache[ys] = cond_typical_projector(y_ens, ys, 6.0 * delta, cap=cap).dense()
-        yd = y_cache[ys]
-        pxy = cond_typical_projector(pair_ens, pair_seq, delta, cap=cap).dense()
-        out[msg] = yd @ pxy @ yd
-    return out
+    parts = _mac_parts(channel, codebook, codebook.messages(), delta, cap)
+    dim = channel.dim**codebook.n
+    dense = _dense_once()
+
+    def element(p_xy: Projector, p_y: Projector) -> np.ndarray:
+        yd = dense(p_y)
+        return yd @ dense(p_xy) @ yd
+
+    return _combine(parts, element, np.zeros((dim, dim)))
 
 
 def cmg_pgm_elements(
@@ -724,41 +729,11 @@ def cmg_pgm_elements(
     """Region 1: Py Pxy Pzy Pxy Py per typical triple; region 2: Pi_z per typical pair."""
     if region not in (1, 2):
         raise ValueError("region must be 1 or 2")
-    n = codebook.n
-    dim = channel.dim**n
-    out: dict = {}
-    if region == 2:
-        z_ens = channel.z_ensemble()
-        xz = channel.xz_dist()
-        for m1 in range(1, codebook.counts[0] + 1):
-            for m2 in range(1, codebook.counts[1] + 1):
-                xs, zs = codebook.sequences((m1, m2))
-                if is_typical(xz, tuple(zip(xs, zs)), delta):
-                    out[(m1, m2)] = cond_typical_projector(z_ens, zs, delta, cap=cap).dense()
-                else:
-                    out[(m1, m2)] = np.zeros((dim, dim))
-        return out
-
-    zy_ens = channel.zy_ensemble()
-    xy_ens = channel.xy_ensemble()
-    y_ens = channel.y_ensemble()
-    trip_dist = _triple_dist(channel)
-    y_cache: dict = {}
-    xy_cache: dict = {}
-    for msg in codebook.messages():
-        xs, zs, ys = codebook.sequences(msg)
-        if not is_typical(trip_dist, tuple(zip(xs, zs, ys)), delta):
-            out[msg] = np.zeros((dim, dim))
-            continue
-        if ys not in y_cache:
-            y_cache[ys] = cond_typical_projector(y_ens, ys, 6.0 * delta, cap=cap).dense()
-        xy_seq = tuple(zip(xs, ys))
-        if xy_seq not in xy_cache:
-            xy_cache[xy_seq] = cond_typical_projector(xy_ens, xy_seq, 6.0 * delta, cap=cap).dense()
-        pzy = cond_typical_projector(zy_ens, tuple(zip(zs, ys)), delta, cap=cap).dense()
-        yd, xyd = y_cache[ys], xy_cache[xy_seq]
-        out[msg] = yd @ xyd @ pzy @ xyd @ yd
-    return out
+    parts = _cmg_parts(channel, codebook, _cmg_messages(codebook.counts, region), delta, region, cap)
+    dim = channel.dim**codebook.n
+    dense = _dense_once()
+    element = dense if region == 2 else functools.partial(_cmg_product, dense)
+    return _combine(parts, element, np.zeros((dim, dim)))
 
 
 def _pinv_sqrt(m: np.ndarray) -> np.ndarray:
@@ -767,34 +742,6 @@ def _pinv_sqrt(m: np.ndarray) -> np.ndarray:
     cut = max(top * 1e-10, 1e-14)
     inv = np.where(w > cut, 1.0 / np.sqrt(np.where(w > cut, w, 1.0)), 0.0)
     return (v * inv) @ v.conj().T
-
-
-def _message_state(channel, codebook: Codebook, message, state_fn: Callable | None, cap) -> np.ndarray:
-    """Sequence state for a message; pair messages on a coupled channel average m3 out."""
-    if isinstance(channel, CqChannel):
-        (xs,) = codebook.sequences(message)
-        return channel.ensemble().sequence_state(xs, cap=cap) if state_fn is None else as_matrix(state_fn(xs))
-    if isinstance(channel, CcqMac):
-        xs, ys = codebook.sequences(message)
-        if state_fn is not None:
-            return as_matrix(state_fn(xs, ys))
-        return channel.pair_ensemble().sequence_state(tuple(zip(xs, ys)), cap=cap)
-    xs, zs = codebook.sequences(message)[:2]
-    zy_ens = channel.zy_ensemble()
-    if len(message) == 3:
-        ys = codebook.codewords[2][message[2]]
-        if state_fn is not None:
-            return as_matrix(state_fn(xs, zs, ys))
-        return zy_ens.sequence_state(tuple(zip(zs, ys)), cap=cap)
-    dim = channel.dim**codebook.n
-    acc = np.zeros((dim, dim), dtype=np.complex128)
-    for m3 in range(1, codebook.counts[2] + 1):
-        ys = codebook.codewords[2][m3]
-        if state_fn is not None:
-            acc += as_matrix(state_fn(xs, zs, ys))
-        else:
-            acc += zy_ens.sequence_state(tuple(zip(zs, ys)), cap=cap)
-    return acc / codebook.counts[2]
 
 
 def pgm_decode(
@@ -842,9 +789,10 @@ def pgm_decode(
     if float(np.max(np.abs(total - support))) > 1e-8:
         raise RuntimeError("measurement operators fail to resolve the element support")
 
+    state_of = _states(channel, codebook, state_fn, cap)
     outcomes = []
     for m in messages:
-        rho = _message_state(channel, codebook, m, state_fn, cap)
+        rho = state_of(m)
         upsilon = root @ dense_ops[m] @ root
         success = _clip01(float(np.real(np.trace(upsilon @ rho))), "measurement success")
         own = float(np.real(np.trace(dense_ops[m] @ rho)))
@@ -944,6 +892,58 @@ def smoothed_state_lookup(smoothed: SmoothedEnsemble) -> Callable:
     return lookup
 
 
+@dataclass(frozen=True)
+class _Family:
+    """What the pipeline needs to know about one channel type.
+
+    ``sequential`` and ``elements`` name this module's public decoder and
+    element builder; they are looked up when a decode runs.
+    """
+
+    laws: Callable  # channel -> input law per sender, None for a coupled sender
+    output: Callable  # channel -> (output ensemble, sender sequences -> its symbol sequence)
+    sequential: str
+    elements: str
+    messages: Callable = lambda counts, region: _lex(counts)  # decoded messages, lexicographic
+    variants: tuple[str, ...] = ("seq", "pgm")
+    tunable: bool = False  # the sequential decoder takes tau and epsilon
+    regions: bool = False  # both decoders take region 1 or 2
+
+
+_FAMILIES: dict[type, _Family] = {
+    CqChannel: _Family(
+        laws=lambda ch: (ch.prior,),
+        output=lambda ch: (ch.ensemble(), lambda xs: xs),
+        sequential="cq_sequential_decode",
+        elements="cq_pgm_elements",
+        variants=("seq", "seq-gated", "pgm"),
+    ),
+    CcqMac: _Family(
+        laws=lambda ch: (ch.x_prior, ch.y_prior),
+        output=lambda ch: (ch.pair_ensemble(), lambda xs, ys: tuple(zip(xs, ys))),
+        sequential="ccq_mac_sequential_decode",
+        elements="mac_pgm_elements",
+        tunable=True,
+    ),
+    CoupledMac: _Family(
+        laws=lambda ch: (ch.x_prior, None, ch.y_prior),
+        output=lambda ch: (ch.zy_ensemble(), lambda xs, zs, ys: tuple(zip(zs, ys))),
+        messages=_cmg_messages,
+        sequential="cmg_sequential_decode",
+        elements="cmg_pgm_elements",
+        tunable=True,
+        regions=True,
+    ),
+}
+
+
+def _family(channel) -> _Family:
+    for cls in type(channel).__mro__:
+        if cls in _FAMILIES:
+            return _FAMILIES[cls]
+    raise TypeError(f"unsupported channel type {type(channel).__name__}")
+
+
 def monte_carlo_avg_error(
     channel,
     rates,
@@ -972,35 +972,22 @@ def monte_carlo_avg_error(
         raise ValueError("trials must be at least 1")
     key = _seed_key(seed)
 
-    def run(book: Codebook) -> DecodeReport:
-        if isinstance(channel, CqChannel):
-            if variant == "seq":
-                return cq_sequential_decode(channel, book, delta, order, cap=cap)
-            if variant == "seq-gated":
-                return cq_sequential_decode(channel, book, delta, order, gated=True, cap=cap)
-            if variant == "pgm":
-                return pgm_decode(channel, book, cq_pgm_elements(channel, book, delta, cap=cap), cap=cap)
-        elif isinstance(channel, CcqMac):
-            if variant == "seq":
-                return ccq_mac_sequential_decode(
-                    channel, book, delta, order, tau=tau, epsilon=epsilon, cap=cap
-                )
-            if variant == "pgm":
-                return pgm_decode(channel, book, mac_pgm_elements(channel, book, delta, cap=cap), cap=cap)
-        elif isinstance(channel, CoupledMac):
-            if region not in (1, 2):
-                raise ValueError("a coupled three-sender channel needs region 1 or 2")
-            if variant == "seq":
-                return cmg_sequential_decode(
-                    channel, book, delta, region, order=order, tau=tau, epsilon=epsilon, cap=cap
-                )
-            if variant == "pgm":
-                return pgm_decode(
-                    channel, book, cmg_pgm_elements(channel, book, delta, region, cap=cap), cap=cap
-                )
-        else:
-            raise TypeError(f"unsupported channel type {type(channel).__name__}")
+    family = _family(channel)
+    if family.regions and region not in (1, 2):
+        raise ValueError("a coupled three-sender channel needs region 1 or 2")
+    if variant not in family.variants:
         raise ValueError(f"decoder variant {variant!r} is not available for this channel")
+    where = {"region": region} if family.regions else {}
+    options = {**where, "gated": True} if variant == "seq-gated" else dict(where)
+    if family.tunable:
+        options.update(tau=tau, epsilon=epsilon)
+
+    def run(book: Codebook) -> DecodeReport:
+        # looked up by name on every call, so a wrapper bound in this module is honoured
+        if variant == "pgm":
+            elements = globals()[family.elements](channel, book, delta, cap=cap, **where)
+            return pgm_decode(channel, book, elements, cap=cap)
+        return globals()[family.sequential](channel, book, delta, order=order, cap=cap, **options)
 
     averages: list[float] = []
     bound_means: list[float] = []

@@ -197,11 +197,6 @@ class DensityOperator:
         return hermitian_eig(self.matrix)
 
 
-def state_matrix(state) -> np.ndarray:
-    """Extract the raw matrix from a DensityOperator or array-like."""
-    return as_matrix(state)
-
-
 class Projector:
     """Orthogonal projector, dense or diagonal in a known product eigenbasis.
 

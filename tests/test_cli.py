@@ -292,18 +292,26 @@ class TestCliSimulate:
         assert first[0] == "0" and first[1] == "1" and first[2] == "1" and first[3] == ""
 
     def test_order_flags(self, tmp_path):
-        spec = write_doc(tmp_path, bb84_doc())
-        argv = [
-            "simulate", "--spec", spec,
-            "--n", "4", "--delta", "0.99", "--rate", "0.25", "--seed", "7",
-        ]
-        assert main(argv + ["--out", str(tmp_path / "lex")]) == 0
-        assert main(argv + ["--out", str(tmp_path / "rev"), "--order", "reverse"]) == 0
-        assert main(argv + ["--out", str(tmp_path / "rnd"), "--order", "random:3"]) == 0
-        lex = (tmp_path / "lex" / "per_message.csv").read_text()
-        rev = (tmp_path / "rev" / "per_message.csv").read_text()
-        assert lex != rev
-        assert main(argv + ["--out", str(tmp_path / "bad"), "--order", "sideways"]) == 2
+        # region 2 orders (m1, m2) pairs, not the codebook's triples
+        inputs = {
+            "cq": (bb84_doc(), ["--rate", "0.25"]),
+            "cmg-r2": (cmg_doc(), ["--rate", "0.25", "--rate", "0.25", "--rate", "0.0", "--region", "2"]),
+        }
+        for label, (doc, rates) in inputs.items():
+            spec = write_doc(tmp_path, doc, name=f"{label}.json")
+            argv = [
+                "simulate", "--spec", spec,
+                "--n", "4", "--delta", "0.99", "--seed", "7", *rates,
+            ]
+            out = tmp_path / label
+            assert main(argv + ["--out", str(out / "lex")]) == 0
+            assert main(argv + ["--out", str(out / "rev"), "--order", "reverse"]) == 0
+            assert main(argv + ["--out", str(out / "rnd"), "--order", "random:3"]) == 0
+            lex = (out / "lex" / "per_message.csv").read_text()
+            rev = (out / "rev" / "per_message.csv").read_text()
+            assert lex != rev
+            assert sorted(lex.splitlines()[2:]) == sorted(rev.splitlines()[2:])
+            assert main(argv + ["--out", str(out / "bad"), "--order", "sideways"]) == 2
 
     def test_cmg_regions_decode_through_cli(self, tmp_path):
         spec = write_doc(tmp_path, cmg_doc())

@@ -226,6 +226,18 @@ class TestCqSequentialDecoder:
         assert report.outcomes[0].error == 1.0
         assert report.outcomes[1].error < 1.0
 
+    def test_empty_candidates_are_reported(self):
+        # typical codewords whose candidates are all empty: the error is 1.0
+        # while every (negative) floor holds, and the ranks say why
+        noisy = 0.05 * np.eye(2)
+        chan = CqChannel(UNIF, {0: 0.9 * KET0 + noisy, 1: 0.9 * PLUS + noisy})
+        book = sample_codebook(chan, 0.5, 6, (7, 0))
+        report = cq_sequential_decode(chan, book, 0.99)
+        assert sum(report.details["typical"].values()) == 6
+        assert report.average_error == 1.0
+        assert report.all_bounds_satisfied
+        assert report.details["candidate_ranks"] == {m: 0 for m in book.messages()}
+
     def test_duplicate_codeword_loses_to_first_occurrence(self):
         chan = bit_channel()
         words = {1: (0, 0, 1, 1), 2: (0, 0, 1, 1)}
@@ -606,15 +618,130 @@ class TestPrettyGoodMeasurement:
             pgm_decode(chan, book, bad)
 
 
+# [DERIVED] (message, error, bound) per family-table entry at delta = 0.99,
+# recorded from the per-family decoder bodies that preceded the shared
+# candidate pipeline; see TestMonteCarlo.test_single_trial_equals_direct_decode.
+PINNED_ROWS = {
+    ('cq', 'seq', None): [
+        (1, 8.881784197001252e-16, 0.9999999578531515),
+        (2, 1.0, -1.0),
+        (3, 1.0, -1.4494897427831779),
+        (4, 0.43750000000000044, -0.41421356237309537),
+    ],
+    ('cq', 'seq-gated', None): [
+        (1, 0.19885553409355783, 0.28213192169043666),
+        (2, 1.0, -0.9970925977992099),
+        (3, 1.0, -1.5203362323789271),
+        (4, 0.6035135291010363, -0.726535446900207),
+    ],
+    ('cq', 'pgm', None): [
+        (1, 0.5229379273840344, 4.999999999999999),
+        (2, 0.5229379273840344, 4.999999999999999),
+        (3, 1.0, 4.999999999999998),
+        (4, 0.09175170953613754, 2.0),
+    ],
+    ('ccq-mac', 'seq', None): [
+        ((1, 1), 0.0, 1.0),
+        ((1, 2), 1.0, -1.1213203435596424),
+        ((2, 1), 1.0, -1.0),
+        ((2, 2), 1.0, -1.2360679774997898),
+    ],
+    ('ccq-mac', 'pgm', None): [
+        ((1, 1), 0.5000000000000004, 3.999999999999999),
+        ((1, 2), 1.0, 2.9999999999999996),
+        ((2, 1), 0.5000000000000004, 3.999999999999999),
+        ((2, 2), 1.0, 2.9999999999999996),
+    ],
+    ('cmg-mac', 'seq', 1): [
+        ((1, 1, 1), 0.0, 1.0000000000000013),
+        ((1, 2, 1), 1.0, -1.025058085078405),
+        ((1, 3, 1), 0.049794324619781505, 0.6824149752563644),
+        ((2, 1, 1), 1.0, -1.122784729636022),
+        ((2, 2, 1), 0.21943810100119843, 0.2885121164939781),
+        ((2, 3, 1), 1.0, -1.5460221290313467),
+        ((3, 1, 1), 0.40536193058719483, -0.06835624108400884),
+        ((3, 2, 1), 0.5073259270259314, -0.2504555888365838),
+        ((3, 3, 1), 0.4168567869808405, -0.22284619228769187),
+    ],
+    ('cmg-mac', 'pgm', 1): [
+        ((1, 1, 1), 0.07196800203349418, 1.4953528099925082),
+        ((1, 2, 1), 1.0, 6.277900305242207),
+        ((1, 3, 1), 0.07196800203349407, 1.4953528099925075),
+        ((2, 1, 1), 1.0, 4.664832661025617),
+        ((2, 2, 1), 0.07196800203349463, 1.4953528099925095),
+        ((2, 3, 1), 1.0, 5.471366483133916),
+        ((3, 1, 1), 0.09625115695435449, 1.8167466838405877),
+        ((3, 2, 1), 0.09625115695435449, 1.8167466838405864),
+        ((3, 3, 1), 0.07196800203349496, 1.495352809992509),
+    ],
+    ('cmg-mac', 'seq', 2): [
+        ((1, 1), 0.0, 1.0000000000000013),
+        ((1, 2), 1.0, -1.025058085078405),
+        ((1, 3), 0.049794324619780395, 0.6824149752563684),
+        ((2, 1), 1.0, -1.1227847296360225),
+        ((2, 2), 0.21943810100119854, 0.28851211649397857),
+        ((2, 3), 1.0, -1.5460221290313472),
+        ((3, 1), 0.40536193058719405, -0.06835624108400795),
+        ((3, 2), 0.5073259270259308, -0.2504555888365829),
+        ((3, 3), 0.4168567869808405, -0.2228461922876923),
+    ],
+    ('cmg-mac', 'pgm', 2): [
+        ((1, 1), 0.07196800203349385, 1.4953528099925073),
+        ((1, 2), 1.0, 6.277900305242241),
+        ((1, 3), 0.07196800203349407, 1.4953528099925077),
+        ((2, 1), 1.0, 4.66483266102564),
+        ((2, 2), 0.0719680020334944, 1.4953528099925086),
+        ((2, 3), 1.0, 5.471366483133945),
+        ((3, 1), 0.09625115695435493, 1.8167466838405888),
+        ((3, 2), 0.09625115695435471, 1.816746683840588),
+        ((3, 3), 0.0719680020334943, 1.4953528099925089),
+    ],
+}
+
+
 class TestMonteCarlo:
     def test_single_trial_equals_direct_decode(self):
-        chan = bb84_channel()
-        result = monte_carlo_avg_error(chan, 0.25, 4, 1, 11, "seq", delta=0.99)
-        book = sample_codebook(chan, 0.25, 4, (11, 0))
-        direct = cq_sequential_decode(chan, book, 0.99)
-        assert result["mean_error"] == direct.average_error
-        assert result["standard_error"] == 0.0
-        assert result["trials"] == 1
+        # every family-table entry: one Monte Carlo trial is the direct public
+        # call on codebook (seed, 0), and matches the pinned rows to 1e-12
+        configs = {  # family -> (channel, rates, n, seed)
+            "cq": (bb84_channel(), 0.5, 4, 5),
+            "ccq-mac": (crossover_mac(), (0.25, 0.25), 4, 5),
+            "cmg-mac": (coupled_channel_for_tests(), (0.25, 0.25, 0.0), 5, 8),
+        }
+        direct = {
+            ("cq", "seq", None): lambda ch, bk: cq_sequential_decode(ch, bk, 0.99),
+            ("cq", "seq-gated", None): lambda ch, bk: cq_sequential_decode(ch, bk, 0.99, gated=True),
+            ("cq", "pgm", None): lambda ch, bk: pgm_decode(ch, bk, cq_pgm_elements(ch, bk, 0.99)),
+            ("ccq-mac", "seq", None): lambda ch, bk: ccq_mac_sequential_decode(ch, bk, 0.99),
+            ("ccq-mac", "pgm", None): lambda ch, bk: pgm_decode(ch, bk, mac_pgm_elements(ch, bk, 0.99)),
+        }
+        for region in (1, 2):
+            direct[("cmg-mac", "seq", region)] = (
+                lambda ch, bk, r=region: cmg_sequential_decode(ch, bk, 0.99, r)
+            )
+            direct[("cmg-mac", "pgm", region)] = (
+                lambda ch, bk, r=region: pgm_decode(ch, bk, cmg_pgm_elements(ch, bk, 0.99, r))
+            )
+        assert set(direct) == set(PINNED_ROWS)
+        for (family, variant, region), decode in direct.items():
+            chan, rates, n, seed = configs[family]
+            result = monte_carlo_avg_error(
+                chan, rates, n, 1, seed, variant, delta=0.99, region=region, keep_reports=True
+            )
+            report = decode(chan, sample_codebook(chan, rates, n, (seed, 0)))
+            rows = [(o.message, o.error, o.bound) for o in report.outcomes]
+            assert [(o.message, o.error, o.bound) for o in result["reports"][0].outcomes] == rows
+            assert result["mean_error"] == report.average_error
+            assert result["standard_error"] == 0.0
+            assert result["trials"] == 1
+            pinned = PINNED_ROWS[(family, variant, region)]
+            assert [m for m, _, _ in rows] == [m for m, _, _ in pinned]
+            for (_, err, bnd), (_, err0, bnd0) in zip(rows, pinned):
+                assert abs(err - err0) <= 1e-12 and abs(bnd - bnd0) <= 1e-12
+            # not every candidate is empty, so the pins test real chains
+            assert min(err for _, err, _ in rows) < 1.0
+            if report.bound_kind == "success-floor":
+                assert max(report.details["candidate_ranks"].values()) > 0
 
     def test_repeat_runs_are_identical(self):
         chan = bb84_channel()
@@ -652,3 +779,30 @@ class TestMonteCarlo:
         coupled = coupled_channel_for_tests()
         with pytest.raises(ValueError, match="needs region"):
             monte_carlo_avg_error(coupled, (0.25, 0.25, 0.0), 4, 1, 1, "seq", delta=0.25)
+        with pytest.raises(ValueError, match="not available"):
+            monte_carlo_avg_error(coupled, (0.25, 0.25, 0.0), 4, 1, 1, "seq-gated", delta=0.25, region=1)
+        with pytest.raises(ValueError, match="channel takes 3 rates, got 2"):
+            monte_carlo_avg_error(coupled, (0.25, 0.25), 4, 1, 1, "seq", delta=0.25, region=1)
+        with pytest.raises(TypeError, match="unsupported channel type CqEnsemble"):
+            monte_carlo_avg_error(chan.ensemble(), 0.25, 4, 1, 1, "seq", delta=0.99)
+        with pytest.raises(TypeError, match="unsupported channel type CqEnsemble"):
+            sample_codebook(chan.ensemble(), 0.25, 4, 1)
+
+
+def test_public_surface_is_unchanged():
+    import cqlab
+
+    assert sorted(cqlab.__all__) == [
+        "CcqMac", "ClassicalDistribution", "Codebook", "CoupledMac", "CqChannel", "CqEnsemble",
+        "DIM_CAP", "DecodeReport", "DensityOperator", "DimensionCapError", "InterferenceChannel",
+        "Projector", "RateRegion", "SmoothedEnsemble", "SpecError", "TypicalityParams",
+        "__version__", "ccq_mac_region", "ccq_mac_sequential_decode", "cmg_pgm_elements",
+        "cmg_sequential_decode", "cond_typical_projector", "cq_pgm_elements",
+        "cq_sequential_decode", "dump_channel", "entropy_bits", "hermitian_eig",
+        "holevo_information", "intersection_projector", "is_typical", "jordan_decompose",
+        "load_channel", "mac_pgm_elements", "monte_carlo_avg_error", "orthonormal_basis",
+        "parse_channel", "pgm_decode", "psd_leq", "region_mask", "run_suite", "run_suites",
+        "sample_codebook", "seq_success_lower_bound", "sequential_collapse",
+        "serialize_channel", "smoothed_state_lookup", "smoothed_states", "tensor_product",
+        "trace_distance", "typical_projector", "typical_set",
+    ]
