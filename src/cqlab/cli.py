@@ -253,6 +253,13 @@ def cmd_simulate(args) -> int:
         f"(SE {result['standard_error']:.6f}) over {args.trials} trial(s); "
         f"bounds {'ok' if result['all_bounds_satisfied'] else 'VIOLATED'}"
     )
+    degenerate = [t for t, report in enumerate(result["reports"]) if "degenerate" in report.details]
+    if degenerate:
+        print(
+            f"warning: all candidates empty in {len(degenerate)} of {args.trials} trial(s) "
+            f"(first: trial {degenerate[0]}); the errors measure no decoding",
+            file=sys.stderr,
+        )
     return EXIT_OK
 
 

@@ -5,12 +5,13 @@ stream per message, so enlarging a codebook never disturbs the codewords
 already drawn.  Decoding is one pipeline: a per-family builder returns each
 message's conditionally typical projectors (None when its codeword is not
 typical); the sequential decoders combine them into one candidate projector
-per message and walk the chain, conjugating the received state by each
-candidate (or its complement) and reading the surviving trace as an exact
-probability, while the square-root-measurement element builders combine the
-same parts into products for ``pgm_decode``.  Every run reports the matching
-closed-form bound next to the simulated value; ``_FAMILIES`` holds what
-differs per channel type.
+per message and walk the chain once with a single failure operator, reading
+every success probability as an exact trace (``_run_sequential``, checked
+on each run against one full ``sequential_collapse``), while the
+square-root-measurement element builders combine the same parts into
+products for ``pgm_decode``.  Every run reports the matching closed-form
+bound next to the simulated value; ``_FAMILIES`` holds what differs per
+channel type.
 """
 
 from __future__ import annotations
@@ -263,16 +264,9 @@ class _Entry:
     state: np.ndarray
 
 
-def _stop_distribution(state: np.ndarray, entries: Sequence[_Entry]) -> list[float]:
-    """Probability of the chain halting at each candidate, in order."""
-    current = as_matrix(state).astype(np.complex128)
-    stops: list[float] = []
-    for ent in entries:
-        p = ent.projector.dense()
-        stops.append(float(np.real(np.trace(p @ current @ p))))
-        comp = np.eye(current.shape[0]) - p
-        current = comp @ current @ comp
-    return stops
+def _trace_product(a: np.ndarray, b: np.ndarray) -> float:
+    """Re Tr[a b] in O(D^2), without forming the product."""
+    return float(np.real(np.einsum("ij,ji->", a, b)))
 
 
 def _run_sequential(
@@ -288,48 +282,79 @@ def _run_sequential(
 
     Message k's chain takes the failure branch of every earlier candidate
     and the success branch of its own projector (after the gate, when one
-    is present).  With ``group_of`` set, the reported error counts a halt
-    at any candidate of the sent message's group as a success, and the
-    exact own-chain errors move to details["joint_errors"].  Grouping is
-    only used without a gate.  details["candidate_ranks"] records each
-    message's candidate rank, so an all-empty candidate list shows.
+    is present).  One failure operator B, the product of the gate and the
+    complements passed so far, carries the chain: candidate j halts it with
+    operator O_j = B^dag P_j B, so message j succeeds with Tr[O_j rho_j], and
+    B becomes (I - P_j) B.  That costs one D^3 product per non-empty
+    candidate and one O(D^2) trace per (candidate, state) pair read.  The
+    last message's chain is collapsed once in full by
+    ``sequential_collapse`` and must agree to 1e-8.
+
+    With ``group_of`` set, the reported error counts a halt at any candidate
+    of the sent message's group as a success, and the exact own-chain
+    errors move to details["joint_errors"].  Grouping is only used without
+    a gate.  details["candidate_ranks"] records each message's candidate
+    rank, and details["degenerate"] says when every candidate is empty.
     """
     details = dict(details or {})
-    outcomes = []
-    joint_errors: dict = {}
-    for k, ent in enumerate(entries):
-        steps: list = [] if gate is None else [SeqStep(gate, "success")]
-        steps += [SeqStep(entries[i].projector, "failure") for i in range(k)]
-        steps.append(SeqStep(ent.projector, "success"))
-        chain = sequential_collapse(ent.state, steps)
-        success = _clip01(chain.success_probability, "chain success")
-
+    dim = entries[0].projector.dim
+    failure = np.eye(dim, dtype=np.complex128) if gate is None else gate.dense()
+    peers: dict = {}  # message -> every entry of its group, itself included
+    if group_of is not None:
+        by_group: dict = {}
+        for ent in entries:
+            peers[ent.message] = by_group.setdefault(group_of(ent.message), [])
+            peers[ent.message].append(ent)
+    success: dict = {}
+    grouped: dict = {ent.message: 0.0 for ent in entries}
+    bounds: dict = {}
+    hostile: list[Projector] = []
+    for ent in entries:
+        own = ent.projector
+        success[ent.message] = 0.0
+        if own.rank > 0:
+            passed = own.dense() @ failure
+            halt = passed.conj().T @ passed
+            failure = failure - passed
+            success[ent.message] = _trace_product(halt, ent.state)
+            for peer in peers.get(ent.message, ()):
+                grouped[peer.message] += _trace_product(halt, peer.state)
         if gate is None:
             base = ent.state
         else:
             g = gate.dense()
             base = g @ as_matrix(ent.state) @ g
-        bound = seq_success_lower_bound(base, [entries[i].projector for i in range(k)], ent.projector)
-        satisfied = success >= max(0.0, bound) - BOUND_TOL
+        # every non-empty candidate is dense by now, so the floor's traces take
+        # the dense path; empty hostile candidates would add exactly 0.0
+        bounds[ent.message] = seq_success_lower_bound(base, hostile, own)
+        if own.rank > 0:
+            hostile.append(own)
 
+    last = entries[-1]
+    steps = [] if gate is None else [SeqStep(gate, "success")]
+    steps += [SeqStep(ent.projector, "failure") for ent in entries[:-1]]
+    steps.append(SeqStep(last.projector, "success"))
+    collapsed = sequential_collapse(last.state, steps).success_probability
+    if abs(collapsed - success[last.message]) > 1e-8:
+        raise RuntimeError("failure-operator chain disagrees with the collapsed chain")
+
+    outcomes = []
+    joint_errors: dict = {}
+    for ent in entries:
+        own_success = _clip01(success[ent.message], "chain success")
+        bound = bounds[ent.message]
         if group_of is None:
-            error = 1.0 - success
+            error = 1.0 - own_success
         else:
-            stops = _stop_distribution(ent.state, entries)
-            if abs(stops[k] - success) > 1e-8:
-                raise RuntimeError("halt accounting disagrees with the collapsed chain")
-            mine = group_of(ent.message)
-            grouped = sum(s for e2, s in zip(entries, stops) if group_of(e2.message) == mine)
-            error = 1.0 - _clip01(grouped, "grouped success")
-            joint_errors[ent.message] = 1.0 - success
-
+            error = 1.0 - _clip01(grouped[ent.message], "grouped success")
+            joint_errors[ent.message] = 1.0 - own_success
         outcomes.append(
             MessageOutcome(
                 message=ent.message,
                 error=_clip01(error, "error"),
-                success=success,
+                success=own_success,
                 bound=bound,
-                bound_satisfied=satisfied,
+                bound_satisfied=own_success >= max(0.0, bound) - BOUND_TOL,
             )
         )
 
@@ -337,6 +362,8 @@ def _run_sequential(
         details["joint_errors"] = joint_errors
     details["order"] = tuple(e.message for e in entries)
     details["candidate_ranks"] = {e.message: e.projector.rank for e in entries}
+    if not any(details["candidate_ranks"].values()):
+        details["degenerate"] = "all candidates empty"
     average = float(np.mean([o.error for o in outcomes]))
     return DecodeReport(
         variant=variant,
@@ -785,21 +812,23 @@ def pgm_decode(
     sigma = sum(dense_ops[m] for m in messages)
     root = _pinv_sqrt(sigma)
     support = root @ sigma @ root
-    total = sum(root @ dense_ops[m] @ root for m in messages)
+    state_of = _states(channel, codebook, state_fn, cap)
+    total = np.zeros_like(support)
+    traces = []  # (message, Tr[Upsilon_m rho_m], Tr[E_m rho_m], Tr[sigma rho_m])
+    for m in messages:
+        upsilon = root @ dense_ops[m] @ root
+        total += upsilon
+        rho = state_of(m)
+        traces.append(
+            (m, _trace_product(upsilon, rho), _trace_product(dense_ops[m], rho), _trace_product(sigma, rho))
+        )
     if float(np.max(np.abs(total - support))) > 1e-8:
         raise RuntimeError("measurement operators fail to resolve the element support")
 
-    state_of = _states(channel, codebook, state_fn, cap)
     outcomes = []
-    for m in messages:
-        rho = state_of(m)
-        upsilon = root @ dense_ops[m] @ root
-        success = _clip01(float(np.real(np.trace(upsilon @ rho))), "measurement success")
-        own = float(np.real(np.trace(dense_ops[m] @ rho)))
-        cross = sum(
-            float(np.real(np.trace(dense_ops[i] @ rho))) for i in messages if i != m
-        )
-        bound = 2.0 * (1.0 - own) + 4.0 * cross
+    for m, hit, own, overall in traces:
+        success = _clip01(hit, "measurement success")
+        bound = 2.0 * (1.0 - own) + 4.0 * (overall - own)
         error = 1.0 - success
         outcomes.append(
             MessageOutcome(

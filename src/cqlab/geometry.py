@@ -312,6 +312,12 @@ def seq_success_lower_bound(rho, hostile: Sequence, target) -> float:
 
     Equals Tr[rho] - 2*sqrt(sum_i Tr[rho P_i] + Tr[rho (I - T)]); may be
     negative, in which case it is vacuous but still valid.
+
+    The floor is ill-conditioned near leak = 0, where its slope
+    -1/sqrt(leak) is unbounded: with a leak of order 1e-16, which is pure
+    rounding, 1e-16 more rounding moves the floor by about 1e-8.  Floors
+    that must repeat to the bit need every trace in the leak formed the
+    same way.
     """
     r = as_matrix(rho)
     leak = 0.0

@@ -203,16 +203,18 @@ class Projector:
     The structured form stores one unitary per tensor position (columns are
     local basis vectors) plus the set of kept multi-indices.  It densifies
     lazily; traces against states diagonal in the same product basis never
-    need the dense form at all.
+    need the dense form at all.  Support columns are built once and kept
+    read-only.
     """
 
-    __slots__ = ("dim", "_dense", "_factors", "_indices", "meta")
+    __slots__ = ("dim", "_dense", "_factors", "_indices", "_cols", "meta")
 
     def __init__(self, *, dim, dense=None, factors=None, indices=None, meta=None):
         self.dim = int(dim)
         self._dense = dense
         self._factors = factors
         self._indices = indices
+        self._cols = None
         self.meta = dict(meta or {})
 
     # -- constructors -------------------------------------------------
@@ -288,14 +290,21 @@ class Projector:
         return self._dense
 
     def support_columns(self) -> np.ndarray:
-        """Orthonormal columns spanning the range, in a deterministic order."""
-        if self._indices is not None:
-            cols = np.empty((self.dim, len(self._indices)), dtype=np.complex128)
-            for k, t in enumerate(self._indices):
-                cols[:, k] = kron_vectors([f[:, i] for f, i in zip(self._factors, t)])
-            return cols
-        w, v = hermitian_eig(self._dense)
-        return v[:, w > 0.5]
+        """Orthonormal columns spanning the range, in a deterministic order.
+
+        Built on the first call; every call returns the same read-only array.
+        """
+        if self._cols is None:
+            if self._indices is not None:
+                cols = np.empty((self.dim, len(self._indices)), dtype=np.complex128)
+                for k, t in enumerate(self._indices):
+                    cols[:, k] = kron_vectors([f[:, i] for f, i in zip(self._factors, t)])
+            else:
+                w, v = hermitian_eig(self._dense)
+                cols = v[:, w > 0.5]
+            cols.flags.writeable = False
+            self._cols = cols
+        return self._cols
 
     def complement_dense(self) -> np.ndarray:
         return np.eye(self.dim, dtype=np.complex128) - self.dense()

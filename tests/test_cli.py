@@ -380,6 +380,34 @@ class TestCliSimulate:
             )
         assert exc_info.value.code == 2
 
+    def test_all_empty_candidates_warn_on_stderr(self, tmp_path, capsys):
+        # mixed qubits 0.9|0><0| + 0.05 I and 0.9|+><+| + 0.05 I at n = 6:
+        # every candidate of codebook (7, 0) is empty, yet every floor holds
+        doc = {
+            "kind": "cq",
+            "input": {"symbols": ["0", "1"], "probs": [0.5, 0.5]},
+            "states": {
+                "0": [[[0.95, 0.0], [0.0, 0.0]], [[0.0, 0.0], [0.05, 0.0]]],
+                "1": [[[0.5, 0.0], [0.45, 0.0]], [[0.45, 0.0], [0.5, 0.0]]],
+            },
+        }
+        spec = write_doc(tmp_path, doc)
+        argv = ["simulate", "--spec", spec, "--n", "6", "--delta", "0.99", "--rate", "0.5", "--seed", "7"]
+        assert main(argv + ["--out", str(tmp_path / "a")]) == 0
+        captured = capsys.readouterr()
+        assert "bounds ok" in captured.out
+        assert captured.err.splitlines() == [
+            "warning: all candidates empty in 1 of 1 trial(s) (first: trial 0); the errors measure no decoding"
+        ]
+        summary = json.loads((tmp_path / "a" / "summary.json").read_text())
+        assert summary["result"]["mean_error"] == 1.0
+        assert "degenerate" not in json.dumps(summary)
+        # a run with a non-empty candidate stays silent
+        bb84 = write_doc(tmp_path, bb84_doc(), "bb84.json")
+        assert main(["simulate", "--spec", bb84, "--n", "4", "--delta", "0.99", "--rate", "0.5",
+                     "--seed", "5", "--out", str(tmp_path / "b")]) == 0
+        assert capsys.readouterr().err == ""
+
 
 class TestCliSweep:
     def test_trend_column_and_summary(self, tmp_path):

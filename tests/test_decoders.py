@@ -228,15 +228,18 @@ class TestCqSequentialDecoder:
 
     def test_empty_candidates_are_reported(self):
         # typical codewords whose candidates are all empty: the error is 1.0
-        # while every (negative) floor holds, and the ranks say why
+        # while every (negative) floor holds; the ranks say why and the
+        # report flags the run as degenerate, gated or not
         noisy = 0.05 * np.eye(2)
         chan = CqChannel(UNIF, {0: 0.9 * KET0 + noisy, 1: 0.9 * PLUS + noisy})
         book = sample_codebook(chan, 0.5, 6, (7, 0))
-        report = cq_sequential_decode(chan, book, 0.99)
-        assert sum(report.details["typical"].values()) == 6
-        assert report.average_error == 1.0
-        assert report.all_bounds_satisfied
-        assert report.details["candidate_ranks"] == {m: 0 for m in book.messages()}
+        for gated in (False, True):
+            report = cq_sequential_decode(chan, book, 0.99, gated=gated)
+            assert sum(report.details["typical"].values()) == 6
+            assert report.average_error == 1.0
+            assert report.all_bounds_satisfied
+            assert report.details["candidate_ranks"] == {m: 0 for m in book.messages()}
+            assert report.details["degenerate"] == "all candidates empty"
 
     def test_duplicate_codeword_loses_to_first_occurrence(self):
         chan = bit_channel()
@@ -742,6 +745,7 @@ class TestMonteCarlo:
             assert min(err for _, err, _ in rows) < 1.0
             if report.bound_kind == "success-floor":
                 assert max(report.details["candidate_ranks"].values()) > 0
+                assert "degenerate" not in report.details
 
     def test_repeat_runs_are_identical(self):
         chan = bb84_channel()

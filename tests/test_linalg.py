@@ -210,6 +210,33 @@ def test_projector_structured_nontrivial_basis():
     assert abs(p.trace_with(rho2) - (w[0] ** 2 + w[1] ** 2)) < 1e-12
 
 
+def test_support_columns_are_built_once_and_read_only():
+    # the cached columns and the dense form equal those of a fresh projector
+    # on the same factors and indices, and the kron-per-index oracle
+    rng = np.random.default_rng(3)
+    factors = [np.linalg.qr(rng.normal(size=(2, 2)) + 1j * rng.normal(size=(2, 2)))[0] for _ in range(3)]
+    indices = [(0, 1, 1), (1, 0, 1), (0, 0, 0)]
+    p = Projector.from_product_basis(factors, indices)
+    cols = p.support_columns()
+    assert p.support_columns() is cols
+    assert not cols.flags.writeable
+    with pytest.raises(ValueError):
+        cols[0, 0] = 1.0
+    fresh = Projector.from_product_basis(factors, indices)
+    assert np.array_equal(p.dense(), fresh.dense())
+    assert np.array_equal(cols, fresh.support_columns())
+    oracle = np.column_stack(
+        [np.kron(np.kron(factors[0][:, a], factors[1][:, b]), factors[2][:, c]) for a, b, c in sorted(indices)]
+    )
+    assert np.array_equal(cols, oracle)
+    # dense-mode projectors keep the eigenvectors of their first decomposition
+    q = Projector.from_matrix(p.dense())
+    qcols = q.support_columns()
+    assert q.support_columns() is qcols and not qcols.flags.writeable
+    w, v = hermitian_eig(p.dense())
+    assert np.array_equal(qcols, v[:, w > 0.5])
+
+
 def test_projector_zero_and_identity():
     z = Projector.zero(3)
     assert z.rank == 0 and z.trace() == 0.0
