@@ -324,8 +324,7 @@ def _run_sequential(
         else:
             g = gate.dense()
             base = g @ as_matrix(ent.state) @ g
-        # every non-empty candidate is dense by now, so the floor's traces take
-        # the dense path; empty hostile candidates would add exactly 0.0
+        # empty hostile candidates would add exactly 0.0
         bounds[ent.message] = seq_success_lower_bound(base, hostile, own)
         if own.rank > 0:
             hostile.append(own)
@@ -479,16 +478,11 @@ def _leaks(parts: dict, states: dict, which: int, what: str) -> list[float]:
     return [1.0 - _clip01(p[which].trace_with(states[m]), what) for m, p in parts.items() if p is not None]
 
 
-def _dense_once() -> Callable:
-    """Projector -> dense matrix, materialised once per projector."""
-    return functools.cache(lambda p: p.dense())
-
-
-def _cmg_product(dense: Callable, p_zy: Projector, p_xy: Projector, p_y: Projector) -> np.ndarray:
+def _cmg_product(p_zy: Projector, p_xy: Projector, p_y: Projector) -> np.ndarray:
     """Pi_y Pi_xy Pi_zy Pi_xy Pi_y: the region-1 PGM element, and over
     tau1*tau2 the envelope every region-1 candidate must lie under."""
-    yd, xyd = dense(p_y), dense(p_xy)
-    return yd @ xyd @ dense(p_zy) @ xyd @ yd
+    yd, xyd = p_y.dense(), p_xy.dense()
+    return yd @ xyd @ p_zy.dense() @ xyd @ yd
 
 
 def _chain(parts: dict, build: Callable, states: dict, dim: int) -> list[_Entry]:
@@ -693,7 +687,6 @@ def cmg_sequential_decode(
     tau1 = tau_of("zy/xy intersection", xy_leaks)
     tau2 = tau_of("tilde/y intersection", y_leaks)
 
-    dense = _dense_once()
     chain_checks = 0
 
     def narrow_twice(p_zy: Projector, p_xy: Projector, p_y: Projector) -> Projector:
@@ -705,7 +698,7 @@ def cmg_sequential_decode(
             return Projector.zero(dim)
         tilde = intersection_projector(inner, p_y, tau2)
         if tilde.rank > 0:
-            envelope = _cmg_product(dense, p_zy, p_xy, p_y) / (tau1 * tau2)
+            envelope = _cmg_product(p_zy, p_xy, p_y) / (tau1 * tau2)
             if not psd_leq(tilde.dense(), envelope, tol=1e-8):
                 raise RuntimeError("tilde projector escapes its product envelope")
             chain_checks += 1
@@ -734,18 +727,17 @@ def cq_pgm_elements(channel: CqChannel, codebook: Codebook, delta: float, *, cap
     """Conditional typical projectors as measurement elements, zero when atypical."""
     parts = _cq_parts(channel, codebook, codebook.messages(), delta, cap)
     dim = channel.dim**codebook.n
-    return _combine(parts, _dense_once(), np.zeros((dim, dim)))
+    return _combine(parts, Projector.dense, np.zeros((dim, dim)))
 
 
 def mac_pgm_elements(channel: CcqMac, codebook: Codebook, delta: float, *, cap: int | None = None) -> dict:
     """Elements Pi_y Pi_xy Pi_y (slacks 6*delta and delta), zero when atypical."""
     parts = _mac_parts(channel, codebook, codebook.messages(), delta, cap)
     dim = channel.dim**codebook.n
-    dense = _dense_once()
 
     def element(p_xy: Projector, p_y: Projector) -> np.ndarray:
-        yd = dense(p_y)
-        return yd @ dense(p_xy) @ yd
+        yd = p_y.dense()
+        return yd @ p_xy.dense() @ yd
 
     return _combine(parts, element, np.zeros((dim, dim)))
 
@@ -758,8 +750,7 @@ def cmg_pgm_elements(
         raise ValueError("region must be 1 or 2")
     parts = _cmg_parts(channel, codebook, _cmg_messages(codebook.counts, region), delta, region, cap)
     dim = channel.dim**codebook.n
-    dense = _dense_once()
-    element = dense if region == 2 else functools.partial(_cmg_product, dense)
+    element = Projector.dense if region == 2 else _cmg_product
     return _combine(parts, element, np.zeros((dim, dim)))
 
 

@@ -315,9 +315,7 @@ def seq_success_lower_bound(rho, hostile: Sequence, target) -> float:
 
     The floor is ill-conditioned near leak = 0, where its slope
     -1/sqrt(leak) is unbounded: with a leak of order 1e-16, which is pure
-    rounding, 1e-16 more rounding moves the floor by about 1e-8.  Floors
-    that must repeat to the bit need every trace in the leak formed the
-    same way.
+    rounding, 1e-16 more rounding moves the floor by about 1e-8.
     """
     r = as_matrix(rho)
     leak = 0.0

@@ -2,7 +2,9 @@
 
 Everything operates on plain ``numpy`` arrays of ``complex128``.  Density
 operators and projectors get thin wrapper types that validate their defining
-invariants once at construction time; after that the code trusts them.
+invariants once at construction time; after that the code trusts them.  A
+projector has one form, orthonormal columns V, whose dense matrix V V^dag is
+formed on first use and cached.
 
 Eigendecompositions follow a fixed convention so repeated runs produce
 identical bases: eigenvalues are sorted in descending order and each
@@ -143,13 +145,6 @@ def tensor_product(factors: Sequence, cap: int | None = None) -> np.ndarray:
     return functools.reduce(np.kron, mats)
 
 
-def kron_vectors(vectors: Sequence[np.ndarray]) -> np.ndarray:
-    out = np.ones(1, dtype=np.complex128)
-    for v in vectors:
-        out = np.kron(out, v)
-    return out
-
-
 def orthonormal_basis(vectors: Iterable[np.ndarray], rank_tol: float = RANK_TOL) -> list[np.ndarray]:
     """Deterministic orthonormal basis for the span of the given vectors.
 
@@ -198,23 +193,23 @@ class DensityOperator:
 
 
 class Projector:
-    """Orthogonal projector, dense or diagonal in a known product eigenbasis.
+    """Orthogonal projector P = V V^dag held as orthonormal columns V.
 
-    The structured form stores one unitary per tensor position (columns are
-    local basis vectors) plus the set of kept multi-indices.  It densifies
-    lazily; traces against states diagonal in the same product basis never
-    need the dense form at all.  Support columns are built once and kept
-    read-only.
+    V (D x r, read-only) is the projector's one form; its rank is the column
+    count.  The dense matrix P is formed on first use and cached.  A
+    projector made from a matrix keeps that matrix as the dense cache and
+    derives V from it on the first ``support_columns`` call, so validating
+    a matrix costs no eigendecomposition until the columns are read.
     """
 
-    __slots__ = ("dim", "_dense", "_factors", "_indices", "_cols", "meta")
+    __slots__ = ("dim", "_cols", "_dense", "meta")
 
-    def __init__(self, *, dim, dense=None, factors=None, indices=None, meta=None):
+    def __init__(self, *, dim, cols=None, dense=None, meta=None):
+        if cols is not None:
+            cols.flags.writeable = False
         self.dim = int(dim)
+        self._cols = cols
         self._dense = dense
-        self._factors = factors
-        self._indices = indices
-        self._cols = None
         self.meta = dict(meta or {})
 
     # -- constructors -------------------------------------------------
@@ -235,73 +230,64 @@ class Projector:
         if not vecs:
             raise ValueError("cannot infer dimension from an empty vector list")
         u = np.column_stack(vecs)
-        return cls(dim=u.shape[0], dense=u @ u.conj().T, meta=meta)
+        return cls(dim=u.shape[0], cols=u, meta=meta)
 
     @classmethod
     def from_product_basis(cls, factors, indices, meta=None) -> "Projector":
+        """Span of the product-basis vectors named by the kept multi-indices.
+
+        ``factors[j]`` holds position j's local basis as columns; each row of
+        ``indices`` picks one column per position.  Rows are deduplicated and
+        sorted, and the columns are gathered one position at a time in the
+        left-to-right order of ``np.kron``.
+        """
         facs = [as_matrix(f) for f in factors]
-        dims = [f.shape[0] for f in facs]
-        total = int(np.prod(dims)) if dims else 1
-        idx = []
-        for t in indices:
-            t = tuple(int(i) for i in t)
-            if len(t) != len(facs):
-                raise ValueError("multi-index length does not match the factor count")
-            for i, d in zip(t, dims):
-                if not 0 <= i < d:
-                    raise ValueError(f"multi-index entry {i} out of range for dimension {d}")
-            idx.append(t)
-        return cls(dim=total, factors=facs, indices=tuple(sorted(set(idx))), meta=meta)
+        n = len(facs)
+        try:
+            idx = np.asarray(indices, dtype=np.intp).reshape(len(indices), n)
+        except ValueError:  # ragged rows, or rows of another length
+            raise ValueError("multi-index length does not match the factor count") from None
+        idx = np.unique(idx, axis=0)
+        dims = np.array([f.shape[0] for f in facs], dtype=np.intp)
+        bad = np.argwhere((idx < 0) | (idx >= dims))
+        if bad.size:
+            row, j = bad[0]
+            raise ValueError(f"multi-index entry {idx[row, j]} out of range for dimension {dims[j]}")
+        r = len(idx)
+        cols = np.ones((1, r), dtype=np.complex128)
+        # row-major output: BLAS products of a column-major V differ in the last bits
+        for f, column in zip(facs, idx.T):
+            cols = np.multiply(cols[:, None, :], f[None, :, column], order="C").reshape(len(cols) * len(f), r)
+        return cls(dim=cols.shape[0], cols=cols, meta=meta)
 
     @classmethod
     def zero(cls, dim: int) -> "Projector":
-        return cls(dim=dim, dense=np.zeros((dim, dim), dtype=np.complex128))
+        return cls(dim=dim, cols=np.zeros((dim, 0), dtype=np.complex128))
 
     @classmethod
     def identity(cls, dim: int) -> "Projector":
-        return cls(dim=dim, dense=np.eye(dim, dtype=np.complex128))
+        return cls(dim=dim, cols=np.eye(dim, dtype=np.complex128), dense=np.eye(dim, dtype=np.complex128))
 
     # -- inspection ---------------------------------------------------
     @property
-    def is_structured(self) -> bool:
-        return self._indices is not None
-
-    @property
-    def indices(self):
-        return self._indices
-
-    @property
-    def factors(self):
-        return self._factors
-
-    @property
     def rank(self) -> int:
-        if self._indices is not None:
-            return len(self._indices)
+        if self._cols is not None:
+            return self._cols.shape[1]
         return int(round(float(np.real(np.trace(self._dense)))))
 
     def dense(self) -> np.ndarray:
         if self._dense is None:
-            cols = self.support_columns()
-            if cols.shape[1] == 0:
-                self._dense = np.zeros((self.dim, self.dim), dtype=np.complex128)
-            else:
-                self._dense = cols @ cols.conj().T
+            self._dense = self._cols @ self._cols.conj().T
         return self._dense
 
     def support_columns(self) -> np.ndarray:
         """Orthonormal columns spanning the range, in a deterministic order.
 
-        Built on the first call; every call returns the same read-only array.
+        Every call returns the same read-only array.
         """
         if self._cols is None:
-            if self._indices is not None:
-                cols = np.empty((self.dim, len(self._indices)), dtype=np.complex128)
-                for k, t in enumerate(self._indices):
-                    cols[:, k] = kron_vectors([f[:, i] for f, i in zip(self._factors, t)])
-            else:
-                w, v = hermitian_eig(self._dense)
-                cols = v[:, w > 0.5]
+            w, v = hermitian_eig(self._dense)
+            cols = v[:, w > 0.5]
             cols.flags.writeable = False
             self._cols = cols
         return self._cols
@@ -313,29 +299,8 @@ class Projector:
         return float(self.rank)
 
     def trace_with(self, op) -> float:
-        """Tr[P op] for Hermitian ``op``."""
+        """Tr[P op] for Hermitian ``op``, from the dense form."""
         a = as_matrix(op)
         if a.shape[0] != self.dim:
             raise ValueError("dimension mismatch in trace_with")
-        if self._dense is not None or self._indices is None:
-            return float(np.real(np.trace(self.dense() @ a)))
-        if not self._indices:
-            return 0.0
-        cols = self.support_columns()
-        return float(np.real(np.einsum("ik,ij,jk->", cols.conj(), a, cols)))
-
-    def index_mass(self, probs_per_position: Sequence[np.ndarray]) -> float:
-        """Sum of product weights over the kept multi-indices.
-
-        Equals Tr[P rho] when rho is diagonal in the same product basis with
-        per-position eigenvalue vectors ``probs_per_position``.
-        """
-        if self._indices is None:
-            raise ValueError("index_mass requires the structured form")
-        total = 0.0
-        for t in self._indices:
-            w = 1.0
-            for probs, i in zip(probs_per_position, t):
-                w *= float(probs[i])
-            total += w
-        return total
+        return float(np.real(np.trace(self.dense() @ a)))

@@ -188,12 +188,10 @@ def test_projector_structured_round_trip():
     d = p.dense()
     assert np.allclose(d, np.diag([0.0, 1.0, 1.0, 0.0]))
     assert np.allclose(d @ d, d)
-    # trace against a diagonal product state, via the index fast path
+    # trace against a diagonal product state equals the analytic kept mass
     probs = [np.array([0.75, 0.25]), np.array([0.5, 0.5])]
-    mass = p.index_mass(probs)
-    assert abs(mass - (0.75 * 0.5 + 0.25 * 0.5)) < 1e-15
     rho = np.kron(np.diag(probs[0]), np.diag(probs[1])).astype(complex)
-    assert abs(p.trace_with(rho) - mass) < 1e-12
+    assert abs(p.trace_with(rho) - (0.75 * 0.5 + 0.25 * 0.5)) < 1e-15
 
 
 def test_projector_structured_nontrivial_basis():
@@ -220,6 +218,8 @@ def test_support_columns_are_built_once_and_read_only():
     cols = p.support_columns()
     assert p.support_columns() is cols
     assert not cols.flags.writeable
+    # row-major like the per-index kron build, so later BLAS products read the same bits
+    assert cols.flags.c_contiguous
     with pytest.raises(ValueError):
         cols[0, 0] = 1.0
     fresh = Projector.from_product_basis(factors, indices)
@@ -235,6 +235,22 @@ def test_support_columns_are_built_once_and_read_only():
     assert q.support_columns() is qcols and not qcols.flags.writeable
     w, v = hermitian_eig(p.dense())
     assert np.array_equal(qcols, v[:, w > 0.5])
+
+
+def test_from_product_basis_rejects_bad_multi_indices():
+    eye = np.eye(2, dtype=complex)
+    for bad in ([(0, 1, 0)], [(0, 1, 0, 1)], [(0,)], [(0, 1), (0,)]):
+        with pytest.raises(ValueError, match="multi-index length does not match the factor count"):
+            Projector.from_product_basis([eye, eye], bad)
+    with pytest.raises(ValueError, match="multi-index entry 2 out of range for dimension 2"):
+        Projector.from_product_basis([eye, eye], [(0, 1), (0, 2)])
+    with pytest.raises(ValueError, match="multi-index entry -1 out of range for dimension 3"):
+        Projector.from_product_basis([eye, np.eye(3)], [(1, -1)])
+    # repeated rows collapse, and no rows at all give the zero projector
+    assert Projector.from_product_basis([eye, eye], [(1, 0), (0, 1), (1, 0)]).rank == 2
+    empty = Projector.from_product_basis([eye, eye], [])
+    assert empty.rank == 0 and empty.support_columns().shape == (4, 0)
+    assert not np.any(empty.dense())
 
 
 def test_projector_zero_and_identity():

@@ -10,9 +10,13 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given
+from hypothesis import strategies as st
 
-from cqlab.linalg import DimensionCapError, hermitian_eig, tensor_product
+from cqlab.linalg import DimensionCapError, Projector, hermitian_eig, psd_leq, tensor_product
 from cqlab.typicality import (
+    _typical_count_windows,
+    _typical_indices,
     ClassicalDistribution,
     CqEnsemble,
     TypicalityParams,
@@ -147,16 +151,22 @@ def test_typical_projector_matches_enumeration_oracle():
         p = typical_projector(rho, n, delta)
         w, v = np.linalg.eigh(rho)
         w = w[::-1]
-        kept = {
+        kept = [
             t
             for t in itertools.product(range(2), repeat=n)
             if oracle_typical(w, t, delta)
-        }
-        assert set(p.indices) == kept
+        ]
+        # the projector is the sum of the kept product eigenprojectors
+        _, v = hermitian_eig(rho)
+        oracle = np.zeros((2**n, 2**n), dtype=complex)
+        for t in kept:
+            oracle += tensor_product([np.outer(v[:, i], v[:, i].conj()) for i in t])
+        assert np.allclose(p.dense(), oracle, atol=1e-12)
+        assert p.rank == len(kept)
         # eigenvalue sandwich holds on the support for every tested case
         h = -sum(x * math.log2(x) for x in w if x > 1e-14)
         c = delta * 1.0 - delta * math.log2(delta)
-        for t in p.indices:
+        for t in kept:
             mass = float(np.prod([w[i] for i in t]))
             assert 2.0 ** (-n * (h + c)) * (1 - 1e-9) <= mass
             assert mass <= 2.0 ** (-n * (h - c)) * (1 + 1e-9)
@@ -170,7 +180,8 @@ def test_typical_projector_monotone_in_delta():
     rho /= np.trace(rho).real
     p_small = typical_projector(rho, 3, 0.2)
     p_big = typical_projector(rho, 3, 0.6)
-    assert set(p_small.indices) <= set(p_big.indices)
+    assert p_small.rank <= p_big.rank
+    assert psd_leq(p_small.dense(), p_big.dense())
 
 
 def test_typical_projector_commutes_with_power():
@@ -234,9 +245,89 @@ def test_cond_typical_projector_permutation_covariant():
     permuted = tuple(seq[j] for j in perm)
     p1 = cond_typical_projector(ens, seq, 0.6)
     p2 = cond_typical_projector(ens, permuted, 0.6)
-    # permuting the inputs permutes the kept multi-indices the same way
-    expect = {tuple(t[j] for j in perm) for t in p1.indices}
-    assert set(p2.indices) == expect
+    # permuting the inputs permutes the tensor positions the same way
+    moved = p1.dense().reshape((2,) * 8).transpose(perm + [4 + j for j in perm]).reshape(16, 16)
+    assert np.allclose(p2.dense(), moved, atol=1e-12)
+
+
+def old_typical_indices(groups, n, delta):
+    """The earlier enumeration: every tuple of each group filtered by its
+    count windows, then the Cartesian product of the groups scattered back
+    to their positions and sorted."""
+    keeps = []
+    for pos, q in groups:
+        windows = _typical_count_windows(q, len(pos), delta)
+        kept = []
+        for t in itertools.product(range(len(q)), repeat=len(pos)):
+            counts = [t.count(i) for i in range(len(q))]
+            if all(lo <= c <= hi for c, (lo, hi) in zip(counts, windows)):
+                kept.append(t)
+        keeps.append(kept)
+    out = set()
+    for combo in itertools.product(*keeps):
+        full = [0] * n
+        for (pos, _), sub in zip(groups, combo):
+            for j, i in zip(pos, sub):
+                full[j] = i
+        out.add(tuple(full))
+    return sorted(out)
+
+
+# label weights: repeats give degenerate spectra, zeros give unused labels
+label_vectors = st.lists(st.sampled_from([0.0, 0.0, 1.0, 1.0, 2.0, 3.0, 5.0]), min_size=3, max_size=3).filter(any)
+
+
+@given(
+    d=st.integers(min_value=2, max_value=3),
+    n=st.integers(min_value=1, max_value=6),
+    delta=st.floats(min_value=0.01, max_value=1.99),
+    weights=st.lists(label_vectors, min_size=1, max_size=3),
+    data=st.data(),
+)
+def test_typical_indices_match_the_tuple_enumeration(d, n, delta, weights, data):
+    labels = []
+    for w in weights:
+        q = np.sort(np.asarray(w[:d]) / sum(w[:d]) if any(w[:d]) else np.full(d, 1.0 / d))[::-1]
+        labels.append(q)
+    owner = data.draw(st.lists(st.integers(0, len(labels) - 1), min_size=n, max_size=n))
+    groups = [([j for j in range(n) if owner[j] == g], labels[g]) for g in sorted(set(owner))]
+    kept = _typical_indices(groups, d, n, delta)
+    assert [tuple(int(i) for i in row) for row in kept] == old_typical_indices(groups, n, delta)
+    # in the computational basis the projector is diagonal on exactly the kept rows
+    p = Projector.from_product_basis([np.eye(d)] * n, kept)
+    diag = np.zeros(d**n)
+    diag[[np.ravel_multi_index(tuple(row), (d,) * n) for row in kept]] = 1.0
+    assert p.rank == len(kept)
+    assert np.array_equal(p.dense(), np.diag(diag).astype(complex))
+
+
+def test_empty_typical_set_gives_the_zero_projector():
+    # eigenvalues (0.9, 0.1) at n = 2: the 0.9-label window [1.62, 1.98] holds no count
+    p = typical_projector(np.diag([0.9, 0.1]).astype(complex), 2, 0.1)
+    assert p.rank == 0
+    assert p.support_columns().shape == (4, 0)
+    assert np.array_equal(p.dense(), np.zeros((4, 4), dtype=complex))
+    assert p.trace_with(np.eye(4) / 4) == 0.0
+
+
+def test_trace_with_does_not_depend_on_call_history():
+    # Tr[P rho] reads the same bits whether or not dense() was called first
+    rng = np.random.default_rng(1)
+    for _ in range(30):
+        states = {}
+        for s in (0, 1):
+            a = rng.normal(size=(2, 2)) + 1j * rng.normal(size=(2, 2))
+            m = a @ a.conj().T
+            states[s] = m / np.trace(m).real
+        ens = CqEnsemble(ClassicalDistribution((0, 1), (0.5, 0.5)), states)
+        seq = tuple(int(s) for s in rng.integers(0, 2, size=8))
+        g = rng.normal(size=(256, 256)) + 1j * rng.normal(size=(256, 256))
+        rho = g @ g.conj().T
+        rho /= np.trace(rho).real
+        p = cond_typical_projector(ens, seq, 0.5)
+        before = p.trace_with(rho)
+        p.dense()
+        assert p.trace_with(rho) == before
 
 
 def test_cond_typical_projector_commutes_with_sequence_state():
@@ -267,9 +358,7 @@ def test_verify_state_report():
     assert checks["rank"].passed
     assert checks["commutes"].passed
     assert checks["mass"].value == pytest.approx(
-        typical_projector(avg, 8, 0.8).index_mass(
-            [np.asarray(typical_projector(avg, 1, 0.8).meta["eigen_probs"])] * 8
-        )
+        typical_projector(avg, 8, 0.8).trace_with(tensor_product([avg] * 8))
     )
 
 
