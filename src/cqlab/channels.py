@@ -19,8 +19,7 @@ classical, via I(A:C|E) = H(AE) + H(CE) - H(ACE) - H(E).
 
 from __future__ import annotations
 
-import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import Mapping, Sequence
 
 import numpy as np
@@ -171,12 +170,8 @@ class LabeledCqState:
         return h_ae + h_ce - h_ace - h_e
 
 
-def conditional_mutual_information(state: LabeledCqState, expression: str) -> float:
-    return state.mutual_information(expression)
-
-
 def verify_conditional_entropy_identities(
-    state: LabeledCqState, systems: tuple[str, str, str], cond: str = "", tol: float = 1e-9
+    state: LabeledCqState, systems: tuple[str, str, str], cond: str = ""
 ) -> None:
     """Check H(B|ZY) = H(B|ZXY) and H(B|Z) = H(B|XZ) for (X, Z, Y) = systems.
 
@@ -195,7 +190,7 @@ def verify_conditional_entropy_identities(
     rhs1 = h(xs, zs, ys, cond, q) - h(xs, zs, ys, cond)
     lhs2 = h(zs, cond, q) - h(zs, cond)
     rhs2 = h(xs, zs, cond, q) - h(xs, zs, cond)
-    if abs(lhs1 - rhs1) > tol or abs(lhs2 - rhs2) > tol:
+    if abs(lhs1 - rhs1) > 1e-9 or abs(lhs2 - rhs2) > 1e-9:
         raise ValueError("conditional-entropy identities violated; channel wiring is inconsistent")
 
 
@@ -221,16 +216,6 @@ def _validate_states(states: Mapping, what: str) -> dict:
     if len(dims) > 1:
         raise ValueError(f"{what} states have inconsistent dimensions")
     return out
-
-
-def conditional_rows(table: Mapping, alphabet: Sequence, what: str) -> dict:
-    """Validate a family of conditional distributions sharing one alphabet."""
-    rows = {}
-    for key, row in table.items():
-        rows[key] = ClassicalDistribution(tuple(alphabet), tuple(row)) if not isinstance(row, ClassicalDistribution) else row
-        if rows[key].symbols != tuple(alphabet):
-            raise ValueError(f"{what} row {key!r} uses a different alphabet")
-    return rows
 
 
 @dataclass

@@ -374,10 +374,10 @@ def _run_sequential(
     )
 
 
-def _cq_parts(channel: CqChannel, codebook: Codebook, messages: list, delta: float, cap) -> dict:
+def _cq_parts(channel: CqChannel, codebook: Codebook, messages: list, delta: float) -> dict:
     """(Pi_x,) per message with a typical codeword, None otherwise."""
     ens = channel.ensemble()
-    pi_x = functools.cache(lambda xs: cond_typical_projector(ens, xs, delta, cap=cap))
+    pi_x = functools.cache(lambda xs: cond_typical_projector(ens, xs, delta))
     parts: dict = {}
     for m in messages:
         (xs,) = codebook.sequences(m)
@@ -385,13 +385,13 @@ def _cq_parts(channel: CqChannel, codebook: Codebook, messages: list, delta: flo
     return parts
 
 
-def _mac_parts(channel: CcqMac, codebook: Codebook, messages: list, delta: float, cap) -> dict:
+def _mac_parts(channel: CcqMac, codebook: Codebook, messages: list, delta: float) -> dict:
     """(Pi_xy, Pi_y) at slacks delta and 6*delta per typical codeword pair, else None."""
     pair_dist = channel.x_prior.product(channel.y_prior)
     pair_ens = channel.pair_ensemble()
     y_ens = channel.y_ensemble()
-    pi_xy = functools.cache(lambda seq: cond_typical_projector(pair_ens, seq, delta, cap=cap))
-    pi_y = functools.cache(lambda ys: cond_typical_projector(y_ens, ys, 6.0 * delta, cap=cap))
+    pi_xy = functools.cache(lambda seq: cond_typical_projector(pair_ens, seq, delta))
+    pi_y = functools.cache(lambda ys: cond_typical_projector(y_ens, ys, 6.0 * delta))
     parts: dict = {}
     for m in messages:
         xs, ys = codebook.sequences(m)
@@ -400,7 +400,7 @@ def _mac_parts(channel: CcqMac, codebook: Codebook, messages: list, delta: float
     return parts
 
 
-def _cmg_parts(channel: CoupledMac, codebook: Codebook, messages: list, delta: float, region: int, cap) -> dict:
+def _cmg_parts(channel: CoupledMac, codebook: Codebook, messages: list, delta: float, region: int) -> dict:
     """Parts per decoded message of a coupled channel, None when atypical.
 
     Region 1: (Pi_zy, Pi_xy, Pi_y) at slacks delta, 6*delta, 6*delta per
@@ -411,7 +411,7 @@ def _cmg_parts(channel: CoupledMac, codebook: Codebook, messages: list, delta: f
     if region == 2:
         xz = channel.xz_dist()
         z_ens = channel.z_ensemble()
-        pi_z = functools.cache(lambda zs: cond_typical_projector(z_ens, zs, delta, cap=cap))
+        pi_z = functools.cache(lambda zs: cond_typical_projector(z_ens, zs, delta))
         for m in messages:
             xs, zs = codebook.sequences(m)
             parts[m] = (pi_z(zs),) if is_typical(xz, tuple(zip(xs, zs)), delta) else None
@@ -421,9 +421,9 @@ def _cmg_parts(channel: CoupledMac, codebook: Codebook, messages: list, delta: f
     zy_ens = channel.zy_ensemble()
     xy_ens = channel.xy_ensemble()
     y_ens = channel.y_ensemble()
-    pi_zy = functools.cache(lambda seq: cond_typical_projector(zy_ens, seq, delta, cap=cap))
-    pi_xy = functools.cache(lambda seq: cond_typical_projector(xy_ens, seq, 6.0 * delta, cap=cap))
-    pi_y = functools.cache(lambda ys: cond_typical_projector(y_ens, ys, 6.0 * delta, cap=cap))
+    pi_zy = functools.cache(lambda seq: cond_typical_projector(zy_ens, seq, delta))
+    pi_xy = functools.cache(lambda seq: cond_typical_projector(xy_ens, seq, 6.0 * delta))
+    pi_y = functools.cache(lambda ys: cond_typical_projector(y_ens, ys, 6.0 * delta))
     for m in messages:
         xs, zs, ys = codebook.sequences(m)
         if is_typical(trip_dist, tuple(zip(xs, zs, ys)), delta):
@@ -433,14 +433,14 @@ def _cmg_parts(channel: CoupledMac, codebook: Codebook, messages: list, delta: f
     return parts
 
 
-def _states(channel, codebook: Codebook, state_fn: Callable | None, cap) -> Callable:
+def _states(channel, codebook: Codebook, state_fn: Callable | None) -> Callable:
     """message -> received state; a pair message on a three-sender codebook averages m3 out."""
     ens, symbols = _family(channel).output(channel)
 
     def received(seqs: tuple) -> np.ndarray:
         if state_fn is not None:
             return as_matrix(state_fn(*seqs))
-        return ens.sequence_state(symbols(*seqs), cap=cap)
+        return ens.sequence_state(symbols(*seqs))
 
     def state(m) -> np.ndarray:
         seqs = codebook.sequences(m)
@@ -499,7 +499,6 @@ def cq_sequential_decode(
     *,
     gated: bool = False,
     state_fn: Callable | None = None,
-    cap: int | None = None,
 ) -> DecodeReport:
     """Single-sender decode by candidate-projector elimination.
 
@@ -513,15 +512,15 @@ def cq_sequential_decode(
     started = time.perf_counter()
     n = codebook.n
     dim = channel.dim**n
-    check_dim_cap(dim, cap)
+    check_dim_cap(dim)
     messages = _resolve_order(codebook.messages(), order)
 
     gate = None
     if gated:
-        gate = typical_projector(channel.ensemble().average_state(), n, 2.0 * delta, cap=cap)
+        gate = typical_projector(channel.ensemble().average_state(), n, 2.0 * delta)
 
-    parts = _cq_parts(channel, codebook, messages, delta, cap)
-    state_of = _states(channel, codebook, state_fn, cap)
+    parts = _cq_parts(channel, codebook, messages, delta)
+    state_of = _states(channel, codebook, state_fn)
     states = {m: state_of(m) for m in messages}
 
     variant = "cq-sequential-gated" if gated else "cq-sequential"
@@ -571,7 +570,6 @@ def ccq_mac_sequential_decode(
     tau: float | None = None,
     epsilon: float | None = None,
     state_fn: Callable | None = None,
-    cap: int | None = None,
 ) -> DecodeReport:
     """Two-sender joint decode through near-intersection projectors.
 
@@ -586,12 +584,12 @@ def ccq_mac_sequential_decode(
     started = time.perf_counter()
     n = codebook.n
     dim = channel.dim**n
-    check_dim_cap(dim, cap)
+    check_dim_cap(dim)
     messages = _resolve_order(codebook.messages(), order)
     notes, tau_of = _resolve_taus(tau, epsilon)
 
-    parts = _mac_parts(channel, codebook, messages, delta, cap)
-    state_of = _states(channel, codebook, state_fn, cap)
+    parts = _mac_parts(channel, codebook, messages, delta)
+    state_of = _states(channel, codebook, state_fn)
     states = {m: state_of(m) for m in messages}
     leaks = _leaks(parts, states, 1, "pair overlap")
     resolved_tau = tau_of("pair/y intersection", leaks)
@@ -638,7 +636,6 @@ def cmg_sequential_decode(
     tau: float | None = None,
     epsilon: float | None = None,
     state_fn: Callable | None = None,
-    cap: int | None = None,
 ) -> DecodeReport:
     """Three-sender decode recovering the first two messages.
 
@@ -662,10 +659,10 @@ def cmg_sequential_decode(
         raise ValueError("region must be 1 or 2")
     n = codebook.n
     dim = channel.dim**n
-    check_dim_cap(dim, cap)
+    check_dim_cap(dim)
     messages = _resolve_order(_cmg_messages(codebook.counts, region), order)
-    parts = _cmg_parts(channel, codebook, messages, delta, region, cap)
-    state_of = _states(channel, codebook, state_fn, cap)
+    parts = _cmg_parts(channel, codebook, messages, delta, region)
+    state_of = _states(channel, codebook, state_fn)
     states = {m: state_of(m) for m in messages}
 
     if region == 2:
@@ -723,16 +720,16 @@ def cmg_sequential_decode(
     )
 
 
-def cq_pgm_elements(channel: CqChannel, codebook: Codebook, delta: float, *, cap: int | None = None) -> dict:
+def cq_pgm_elements(channel: CqChannel, codebook: Codebook, delta: float) -> dict:
     """Conditional typical projectors as measurement elements, zero when atypical."""
-    parts = _cq_parts(channel, codebook, codebook.messages(), delta, cap)
+    parts = _cq_parts(channel, codebook, codebook.messages(), delta)
     dim = channel.dim**codebook.n
     return _combine(parts, Projector.dense, np.zeros((dim, dim)))
 
 
-def mac_pgm_elements(channel: CcqMac, codebook: Codebook, delta: float, *, cap: int | None = None) -> dict:
+def mac_pgm_elements(channel: CcqMac, codebook: Codebook, delta: float) -> dict:
     """Elements Pi_y Pi_xy Pi_y (slacks 6*delta and delta), zero when atypical."""
-    parts = _mac_parts(channel, codebook, codebook.messages(), delta, cap)
+    parts = _mac_parts(channel, codebook, codebook.messages(), delta)
     dim = channel.dim**codebook.n
 
     def element(p_xy: Projector, p_y: Projector) -> np.ndarray:
@@ -742,13 +739,11 @@ def mac_pgm_elements(channel: CcqMac, codebook: Codebook, delta: float, *, cap: 
     return _combine(parts, element, np.zeros((dim, dim)))
 
 
-def cmg_pgm_elements(
-    channel: CoupledMac, codebook: Codebook, delta: float, region: int, *, cap: int | None = None
-) -> dict:
+def cmg_pgm_elements(channel: CoupledMac, codebook: Codebook, delta: float, region: int) -> dict:
     """Region 1: Py Pxy Pzy Pxy Py per typical triple; region 2: Pi_z per typical pair."""
     if region not in (1, 2):
         raise ValueError("region must be 1 or 2")
-    parts = _cmg_parts(channel, codebook, _cmg_messages(codebook.counts, region), delta, region, cap)
+    parts = _cmg_parts(channel, codebook, _cmg_messages(codebook.counts, region), delta, region)
     dim = channel.dim**codebook.n
     element = Projector.dense if region == 2 else _cmg_product
     return _combine(parts, element, np.zeros((dim, dim)))
@@ -768,7 +763,6 @@ def pgm_decode(
     elements,
     *,
     state_fn: Callable | None = None,
-    cap: int | None = None,
 ) -> DecodeReport:
     """Square-root measurement over per-message positive operators.
 
@@ -780,7 +774,7 @@ def pgm_decode(
     """
     started = time.perf_counter()
     n = codebook.n
-    check_dim_cap(channel.dim**n, cap)
+    check_dim_cap(channel.dim**n)
 
     if isinstance(elements, Mapping):
         messages = list(elements.keys())
@@ -803,7 +797,7 @@ def pgm_decode(
     sigma = sum(dense_ops[m] for m in messages)
     root = _pinv_sqrt(sigma)
     support = root @ sigma @ root
-    state_of = _states(channel, codebook, state_fn, cap)
+    state_of = _states(channel, codebook, state_fn)
     total = np.zeros_like(support)
     traces = []  # (message, Tr[Upsilon_m rho_m], Tr[E_m rho_m], Tr[sigma rho_m])
     for m in messages:
@@ -844,27 +838,22 @@ def pgm_decode(
 def trajectory_estimate(rho, steps: Sequence, trials: int, seed) -> dict:
     """Monte Carlo estimate of the probability that every step passes.
 
-    Recomputes the live-branch conditionals by direct conjugation (a failed
-    step ends a trajectory, so only the all-pass prefix states are ever
-    occupied) and samples the resulting cascade of Bernoulli outcomes.
+    Reads the live-branch conditionals off the all-pass chain of
+    ``sequential_collapse`` (a failed step ends a trajectory, so only the
+    all-pass prefix states are ever occupied), each step's trace over the
+    one before it, and samples the resulting cascade of Bernoulli outcomes.
     """
     if trials < 1:
         raise ValueError("trials must be at least 1")
-    current = as_matrix(rho).astype(np.complex128)
-    total = float(np.real(np.trace(current)))
+    total = float(np.real(np.trace(as_matrix(rho))))
     if abs(total - 1.0) > 1e-8:
         raise ValueError("trajectory sampling needs a unit-trace state")
 
-    conditionals: list[float] = []
-    for step in steps:
-        if not isinstance(step, SeqStep):
-            step = SeqStep(*step) if isinstance(step, tuple) else SeqStep(step)
-        e = step.effective()
-        nxt = e @ current @ e
-        before = float(np.real(np.trace(current)))
-        after = float(np.real(np.trace(nxt)))
-        conditionals.append(0.0 if before <= 0.0 else min(1.0, max(0.0, after / before)))
-        current = nxt
+    traces = sequential_collapse(rho, steps).step_traces
+    conditionals = [
+        0.0 if before <= 0.0 else min(1.0, max(0.0, after / before))
+        for before, after in zip([total, *traces], traces)
+    ]
 
     rng = np.random.default_rng(_seed_key(seed))
     qs = np.asarray(conditionals)
@@ -977,7 +966,6 @@ def monte_carlo_avg_error(
     order: Sequence | None = None,
     epsilon: float | None = None,
     tau: float | None = None,
-    cap: int | None = None,
     keep_reports: bool = False,
 ) -> dict:
     """Average decode error over independently seeded codebooks.
@@ -1005,9 +993,9 @@ def monte_carlo_avg_error(
     def run(book: Codebook) -> DecodeReport:
         # looked up by name on every call, so a wrapper bound in this module is honoured
         if variant == "pgm":
-            elements = globals()[family.elements](channel, book, delta, cap=cap, **where)
-            return pgm_decode(channel, book, elements, cap=cap)
-        return globals()[family.sequential](channel, book, delta, order=order, cap=cap, **options)
+            elements = globals()[family.elements](channel, book, delta, **where)
+            return pgm_decode(channel, book, elements)
+        return globals()[family.sequential](channel, book, delta, order=order, **options)
 
     averages: list[float] = []
     bound_means: list[float] = []

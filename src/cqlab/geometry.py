@@ -15,7 +15,7 @@ the closed-form lower bound on the final trace.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import Iterable, Sequence
 
 import numpy as np
@@ -23,8 +23,6 @@ import numpy as np
 from .linalg import (
     Projector,
     as_matrix,
-    hermitian_eig,
-    operator_norm,
     psd_leq,
     require_hermitian,
     trace_distance,

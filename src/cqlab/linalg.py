@@ -15,8 +15,7 @@ component (lowest index on ties) real and positive.
 from __future__ import annotations
 
 import functools
-import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import Iterable, Sequence
 
 import numpy as np
@@ -25,27 +24,29 @@ import numpy as np
 #: beyond this raise :class:`DimensionCapError` instead of thrashing memory.
 DIM_CAP = 4096
 
-HERMITIAN_RTOL = 1e-10
+#: Largest |a - a^dag| entry, relative to max(1, max |a|), still Hermitian.
+HERMITIAN_RTOL = 1e-9
+#: Per-dimension budget on a projector matrix's asymmetry and idempotence defects.
 PROJECTOR_TOL = 1e-9
+#: Singular values at or below this are dropped from a spanning set.
 RANK_TOL = 1e-10
 
 
 class DimensionCapError(Exception):
-    """A requested dense dimension exceeds the configured cap."""
+    """A requested dense dimension exceeds :data:`DIM_CAP`."""
 
-    def __init__(self, required: int, cap: int = DIM_CAP):
+    def __init__(self, required: int):
         super().__init__(
-            f"requested dense dimension {required} exceeds the cap {cap}; "
+            f"requested dense dimension {required} exceeds the cap {DIM_CAP}; "
             f"reduce the block length or the local dimensions"
         )
         self.required = required
-        self.cap = cap
+        self.cap = DIM_CAP
 
 
-def check_dim_cap(required: int, cap: int | None = None) -> None:
-    cap = DIM_CAP if cap is None else cap
-    if required > cap:
-        raise DimensionCapError(required, cap)
+def check_dim_cap(required: int) -> None:
+    if required > DIM_CAP:
+        raise DimensionCapError(required)
 
 
 def as_matrix(m) -> np.ndarray:
@@ -67,16 +68,16 @@ def operator_norm(m) -> float:
     return float(np.linalg.norm(a, 2))
 
 
-def is_hermitian(m, rtol: float = 1e-9) -> bool:
+def is_hermitian(m) -> bool:
     a = as_matrix(m)
     scale = max(1.0, float(np.max(np.abs(a)))) if a.size else 1.0
-    return bool(np.max(np.abs(a - a.conj().T)) <= rtol * scale) if a.size else True
+    return bool(np.max(np.abs(a - a.conj().T)) <= HERMITIAN_RTOL * scale) if a.size else True
 
 
-def require_hermitian(m, rtol: float = 1e-9, what: str = "matrix") -> np.ndarray:
+def require_hermitian(m, what: str = "matrix") -> np.ndarray:
     a = as_matrix(m)
-    if not is_hermitian(a, rtol):
-        raise ValueError(f"{what} is not Hermitian within tolerance {rtol}")
+    if not is_hermitian(a):
+        raise ValueError(f"{what} is not Hermitian within tolerance {HERMITIAN_RTOL}")
     return a
 
 
@@ -133,7 +134,7 @@ def psd_leq(a, b, tol: float = 1e-9) -> bool:
     return lo >= -tol * max(1.0, operator_norm(y))
 
 
-def tensor_product(factors: Sequence, cap: int | None = None) -> np.ndarray:
+def tensor_product(factors: Sequence) -> np.ndarray:
     """Kronecker product of the factors, guarded by the dimension cap."""
     mats = [as_matrix(f) for f in factors]
     if not mats:
@@ -141,14 +142,14 @@ def tensor_product(factors: Sequence, cap: int | None = None) -> np.ndarray:
     total = 1
     for f in mats:
         total *= f.shape[0]
-    check_dim_cap(total, cap)
+    check_dim_cap(total)
     return functools.reduce(np.kron, mats)
 
 
-def orthonormal_basis(vectors: Iterable[np.ndarray], rank_tol: float = RANK_TOL) -> list[np.ndarray]:
+def orthonormal_basis(vectors: Iterable[np.ndarray]) -> list[np.ndarray]:
     """Deterministic orthonormal basis for the span of the given vectors.
 
-    Singular directions with singular value <= ``rank_tol`` are dropped, so
+    Singular directions with singular value <= ``RANK_TOL`` are dropped, so
     linearly dependent inputs simply collapse.  Empty input gives [].
     """
     vecs = [np.asarray(v, dtype=np.complex128).reshape(-1) for v in vectors]
@@ -156,7 +157,7 @@ def orthonormal_basis(vectors: Iterable[np.ndarray], rank_tol: float = RANK_TOL)
         return []
     a = np.column_stack(vecs)
     u, s, _ = np.linalg.svd(a, full_matrices=False)
-    keep = s > rank_tol
+    keep = s > RANK_TOL
     u = _fix_phases(u[:, keep])
     return [u[:, k].copy() for k in range(u.shape[1])]
 
@@ -214,10 +215,10 @@ class Projector:
 
     # -- constructors -------------------------------------------------
     @classmethod
-    def from_matrix(cls, p, tol: float = PROJECTOR_TOL, meta=None) -> "Projector":
+    def from_matrix(cls, p, meta=None) -> "Projector":
         a = as_matrix(p)
         d = a.shape[0]
-        budget = tol * d
+        budget = PROJECTOR_TOL * d
         if np.max(np.abs(a - a.conj().T)) > budget:
             raise ValueError("projector matrix is not Hermitian within tolerance")
         if np.max(np.abs(a @ a - a)) > budget:

@@ -20,7 +20,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass, field
-from typing import Mapping, Sequence
+from typing import Sequence
 
 import numpy as np
 from scipy.optimize import linprog
@@ -475,28 +475,18 @@ class IcAchievability:
         q0, q1, q2, q3 = (float(v) for v in quadruple)
         return (q0 + q1, q2 + q3)
 
-    def quadruple_feasible(
-        self,
-        quadruple: Sequence[float],
-        margin: float = 1e-9,
-        zero_vacuous: bool = True,
-        first_parts_only: bool = False,
-    ) -> bool:
+    def quadruple_feasible(self, quadruple: Sequence[float], first_parts_only: bool = False) -> bool:
+        """Both receivers' triples inside their regions, under the zero-rate convention."""
         t1, t2 = self.triples(quadruple)
+        r1, r2 = self.receiver1, self.receiver2
         if first_parts_only:
-            return self.receiver1.parts[0].contains(t1, margin, zero_vacuous) and self.receiver2.parts[
-                0
-            ].contains(t2, margin, zero_vacuous)
-        return self.receiver1.contains(t1, margin, zero_vacuous) and self.receiver2.contains(
-            t2, margin, zero_vacuous
-        )
+            r1, r2 = r1.parts[0], r2.parts[0]
+        return r1.contains(t1, zero_vacuous=True) and r2.contains(t2, zero_vacuous=True)
 
 
 def ccqq_ic_region(
     ic: InterferenceChannel,
     step: float = 0.05,
-    margin: float = 1e-9,
-    zero_vacuous: bool = True,
     grid_max: float | None = None,
 ) -> IcAchievability:
     """Achievable (R1, R2) pairs of the two-pair configuration by grid search.
@@ -516,7 +506,7 @@ def ccqq_ic_region(
 
     def triple_table(region: RateRegion) -> np.ndarray:
         pts = np.stack(np.meshgrid(vals, vals, vals, indexing="ij"), axis=-1).reshape(-1, 3)
-        return region_mask(region, pts, margin, zero_vacuous).reshape(k, k, k)
+        return region_mask(region, pts, zero_vacuous=True).reshape(k, k, k)
 
     t1 = triple_table(r1)
     t2 = triple_table(r2)
@@ -547,7 +537,7 @@ class FawziWitness:
     receiver2_first_part: bool
 
 
-def fawzi_first_part_witness(ic: InterferenceChannel, quadruple: Sequence[float], margin: float = 1e-9) -> FawziWitness:
+def fawzi_first_part_witness(ic: InterferenceChannel, quadruple: Sequence[float]) -> FawziWitness:
     """Rewrite a feasible quadruple so both receivers use their first parts.
 
     If receiver 1 needs its second part (it cannot decode the other pair's
@@ -561,8 +551,8 @@ def fawzi_first_part_witness(ic: InterferenceChannel, quadruple: Sequence[float]
     r1 = receiver_region(ic, 1)
     r2 = receiver_region(ic, 2)
     t1, t2 = IcAchievability.triples((q0, q1, q2, q3))
-    in1 = [p.contains(t1, margin, zero_vacuous=True) for p in r1.parts]
-    in2 = [p.contains(t2, margin, zero_vacuous=True) for p in r2.parts]
+    in1 = [p.contains(t1, zero_vacuous=True) for p in r1.parts]
+    in2 = [p.contains(t2, zero_vacuous=True) for p in r2.parts]
     if not any(in1) or not any(in2):
         raise ValueError("quadruple is not feasible for both receivers")
     chan = ic
@@ -579,6 +569,6 @@ def fawzi_first_part_witness(ic: InterferenceChannel, quadruple: Sequence[float]
     n1 = receiver_region(chan, 1)
     n2 = receiver_region(chan, 2)
     nt1, nt2 = IcAchievability.triples(quad)
-    ok1 = n1.parts[0].contains(nt1, margin, zero_vacuous=True)
-    ok2 = n2.parts[0].contains(nt2, margin, zero_vacuous=True)
+    ok1 = n1.parts[0].contains(nt1, zero_vacuous=True)
+    ok2 = n2.parts[0].contains(nt2, zero_vacuous=True)
     return FawziWitness(chan, quad, tuple(fixed), ok1, ok2)

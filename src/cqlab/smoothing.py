@@ -41,7 +41,7 @@ __all__ = [
     "verify_smoothing_bounds",
 ]
 
-#: Default ceiling on full enumeration of (x^n, z^n, y^n) triples.
+#: Ceiling on full enumeration of (x^n, z^n, y^n) triples.
 TRIPLE_CAP = 2**16
 
 #: Below this trace the sandwich is treated as annihilating the state.
@@ -229,13 +229,11 @@ def smoothed_states(
     delta: float,
     *,
     triples: Sequence | None = None,
-    max_triples: int = TRIPLE_CAP,
-    cap: int | None = None,
 ) -> SmoothedEnsemble:
     """Build the primed family for a p(x)p(z|x)p(y) triple system.
 
     With ``triples=None`` every sequence triple over the support alphabet is
-    enumerated (count bounded by ``max_triples``) and the marginals are
+    enumerated (count bounded by ``TRIPLE_CAP``) and the marginals are
     assembled exactly; otherwise only the supplied (xs, zs, ys) triples are
     processed and the marginal fields stay empty.
     """
@@ -246,15 +244,15 @@ def smoothed_states(
     layers = triple_layers(system)
     d = system.dim
     dim = d**n
-    check_dim_cap(dim, cap)
+    check_dim_cap(dim)
     dist = system.dist
 
     complete = triples is None
     if complete:
         count = len(dist.support) ** n
-        if count > max_triples:
+        if count > TRIPLE_CAP:
             raise ValueError(
-                f"{count} sequence triples exceed the cap {max_triples}; "
+                f"{count} sequence triples exceed the cap {TRIPLE_CAP}; "
                 "pass an explicit triple list"
             )
         zipped_iter = itertools.product(dist.support, repeat=n)
@@ -263,7 +261,7 @@ def smoothed_states(
         zipped_iter = [_normalized_triple(t, n, known) for t in triples]
 
     mixed = np.eye(dim, dtype=np.complex128) / float(dim)
-    pi_avg = typical_projector(layers.rho_bar, n, 2.0 * delta, cap)
+    pi_avg = typical_projector(layers.rho_bar, n, 2.0 * delta)
     pi_avg_dense = pi_avg.dense()
     x_cache: dict = {}
     sandwich_cache: dict = {}
@@ -289,14 +287,12 @@ def smoothed_states(
             key = (xs, zs)
             if key not in sandwich_cache:
                 if xs not in x_cache:
-                    x_cache[xs] = cond_typical_projector(layers.x_ens, xs, 6.0 * delta, cap)
+                    x_cache[xs] = cond_typical_projector(layers.x_ens, xs, 6.0 * delta)
                 p_x = x_cache[xs]
-                p_xz = cond_typical_projector(
-                    layers.pair_ens, tuple(zip(xs, zs)), 6.0 * delta, cap
-                )
+                p_xz = cond_typical_projector(layers.pair_ens, tuple(zip(xs, zs)), 6.0 * delta)
                 sandwich_cache[key] = (p_x, p_xz, pi_avg_dense @ p_x.dense() @ p_xz.dense())
             p_x, p_xz, m = sandwich_cache[key]
-            rho_t = system.sequence_state(zipped, cap)
+            rho_t = system.sequence_state(zipped)
             failures = tuple(
                 min(1.0, max(0.0, 1.0 - proj.trace_with(rho_t)))
                 for proj in (pi_avg, p_x, p_xz)
@@ -397,6 +393,13 @@ def verify_smoothing_bounds(se: SmoothedEnsemble, epsilon: float | None = None) 
 
     checks: dict = {}
 
+    # one trace distance per record, read by both the l1-triple and l1-global rows
+    distances = [
+        trace_distance(r.state, se.system.sequence_state(r.zipped))
+        if r.typical or (se.complete and r.probability > 0)
+        else None
+        for r in se.records
+    ]
     typical = [r for r in se.records if r.typical]
     if typical:
         min_den = min(r.denominator for r in typical)
@@ -410,9 +413,9 @@ def verify_smoothing_bounds(se: SmoothedEnsemble, epsilon: float | None = None) 
             note=f"{len(typical)} typical triples",
         )
         worst = 0.0
-        for r in typical:
-            rho_t = se.system.sequence_state(r.zipped)
-            worst = max(worst, trace_distance(r.state, rho_t))
+        for r, dist in zip(se.records, distances):
+            if r.typical:
+                worst = max(worst, dist)
         l1_bound = 11.0 * root
         checks["l1-triple"] = Check(
             "l1-triple",
@@ -463,10 +466,9 @@ def verify_smoothing_bounds(se: SmoothedEnsemble, epsilon: float | None = None) 
             informative=informative,
         )
         total = 0.0
-        for r in se.records:
+        for r, dist in zip(se.records, distances):
             if r.probability > 0:
-                rho_t = se.system.sequence_state(r.zipped)
-                total += r.probability * trace_distance(r.state, rho_t)
+                total += r.probability * dist
         g_bound = 13.0 * root
         checks["l1-global"] = Check(
             "l1-global",

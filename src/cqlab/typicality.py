@@ -19,7 +19,6 @@ from typing import Hashable, Iterable, Mapping, Sequence
 import numpy as np
 
 from .linalg import (
-    DIM_CAP,
     Projector,
     as_matrix,
     check_dim_cap,
@@ -38,7 +37,7 @@ ZERO_EIGENVALUE_TOL = 1e-12
 #: frequencies) land inside rather than outside.
 WINDOW_SLACK = 1e-12
 
-#: Default ceiling on brute-force sequence enumeration.
+#: Ceiling on brute-force sequence enumeration.
 SEQUENCE_CAP = 2**20
 
 Symbol = Hashable
@@ -148,15 +147,13 @@ def is_typical(dist: ClassicalDistribution, seq: Sequence, delta: float) -> bool
     return True
 
 
-def typical_set(
-    dist: ClassicalDistribution, n: int, delta: float, cap: int = SEQUENCE_CAP
-) -> list[tuple]:
+def typical_set(dist: ClassicalDistribution, n: int, delta: float) -> list[tuple]:
     """All typical sequences of length n, by full enumeration over the support."""
     support = dist.support
     total = len(support) ** n
-    if total > cap:
+    if total > SEQUENCE_CAP:
         raise ValueError(
-            f"enumerating {total} sequences exceeds the cap {cap}; "
+            f"enumerating {total} sequences exceeds the cap {SEQUENCE_CAP}; "
             f"use is_typical for membership queries instead"
         )
     return [
@@ -166,9 +163,9 @@ def typical_set(
     ]
 
 
-def typical_mass(dist: ClassicalDistribution, n: int, delta: float, cap: int = SEQUENCE_CAP) -> float:
+def typical_mass(dist: ClassicalDistribution, n: int, delta: float) -> float:
     mass = 0.0
-    for seq in typical_set(dist, n, delta, cap):
+    for seq in typical_set(dist, n, delta):
         w = 1.0
         for s in seq:
             w *= dist.prob(s)
@@ -305,12 +302,7 @@ def _kept_masses(probs: Sequence[np.ndarray], kept: np.ndarray) -> tuple[list[fl
     return masses.tolist(), total
 
 
-def typical_projector(
-    rho,
-    n: int,
-    delta: float,
-    cap: int | None = None,
-) -> Projector:
+def typical_projector(rho, n: int, delta: float) -> Projector:
     """Typical projector of the n-th tensor power of ``rho``.
 
     The result is diagonal in the tensor-power eigenbasis of ``rho``
@@ -323,7 +315,7 @@ def typical_projector(
         raise ValueError("delta must be positive")
     a = as_matrix(rho)
     d = a.shape[0]
-    check_dim_cap(d**n, cap)
+    check_dim_cap(d**n)
     w, v = hermitian_eig(a)
     q, degenerate = _snap_eigenvalues(w)
     kept = _typical_indices([(range(n), q)], d, n, delta)
@@ -376,8 +368,8 @@ class CqEnsemble:
             total += self.dist.prob(s) * entropy_bits(w)
         return total
 
-    def sequence_state(self, seq: Sequence, cap: int | None = None) -> np.ndarray:
-        return tensor_product([self.state(s) for s in seq], cap=cap)
+    def sequence_state(self, seq: Sequence) -> np.ndarray:
+        return tensor_product([self.state(s) for s in seq])
 
     def q_min(self) -> float:
         """Smallest positive eigenvalue across the ensemble states."""
@@ -388,12 +380,7 @@ class CqEnsemble:
         return float(min(vals))
 
 
-def cond_typical_projector(
-    ensemble: CqEnsemble,
-    seq: Sequence,
-    delta: float,
-    cap: int | None = None,
-) -> Projector:
+def cond_typical_projector(ensemble: CqEnsemble, seq: Sequence, delta: float) -> Projector:
     """Conditional typical projector for the product state along ``seq``.
 
     Positions are grouped by symbol; each group contributes the typical
@@ -407,7 +394,7 @@ def cond_typical_projector(
     if n == 0:
         raise ValueError("empty sequence")
     d = ensemble.dim
-    check_dim_cap(d**n, cap)
+    check_dim_cap(d**n)
     factors, groups, degenerate = _conditional_basis(ensemble, seq)
     return Projector.from_product_basis(
         factors,
@@ -486,11 +473,9 @@ def _sandwich_check(
     )
 
 
-def verify_sequence_typicality(
-    dist: ClassicalDistribution, n: int, params: TypicalityParams, cap: int = SEQUENCE_CAP
-) -> dict:
+def verify_sequence_typicality(dist: ClassicalDistribution, n: int, params: TypicalityParams) -> dict:
     """Mass, per-sequence sandwich, and cardinality checks by enumeration."""
-    seqs = typical_set(dist, n, params.delta, cap)
+    seqs = typical_set(dist, n, params.delta)
     h = dist.entropy()
     c = params.c()
     masses = []
@@ -522,9 +507,9 @@ def verify_sequence_typicality(
     return checks
 
 
-def verify_state_typicality(rho, n: int, params: TypicalityParams, cap: int | None = None) -> dict:
+def verify_state_typicality(rho, n: int, params: TypicalityParams) -> dict:
     """Trace mass, support sandwich, and rank bound for a typical projector."""
-    proj = typical_projector(rho, n, params.delta, cap)
+    proj = typical_projector(rho, n, params.delta)
     q = np.asarray(proj.meta["eigen_probs"])
     h = float(proj.meta["entropy"])
     c = params.c()
@@ -559,16 +544,14 @@ def verify_state_typicality(rho, n: int, params: TypicalityParams, cap: int | No
     return checks
 
 
-def verify_conditional_typicality(
-    ensemble: CqEnsemble, seq: Sequence, params: TypicalityParams, cap: int | None = None
-) -> dict:
+def verify_conditional_typicality(ensemble: CqEnsemble, seq: Sequence, params: TypicalityParams) -> dict:
     """Conditional-projector checks for one input sequence.
 
     The mass and sandwich statements are promised only for typical input
     sequences; for atypical input the report flags every check informative.
     """
     n = len(seq)
-    check_dim_cap(ensemble.dim**n, cap)
+    check_dim_cap(ensemble.dim**n)
     _, groups, _ = _conditional_basis(ensemble, seq)
     kept = _typical_indices(groups, ensemble.dim, n, params.delta)
     rank = len(kept)
@@ -608,7 +591,6 @@ def verify_averaged_state_overlaps(
     xn: Sequence,
     yn: Sequence,
     params: TypicalityParams,
-    cap: int | None = None,
 ) -> dict:
     """Overlap of a pair-sequence state with the averaged-state projectors.
 
@@ -618,11 +600,11 @@ def verify_averaged_state_overlaps(
     jointly typical.
     """
     pairs = list(zip(xn, yn))
-    rho_pair = pair_ensemble.sequence_state(pairs, cap)
+    rho_pair = pair_ensemble.sequence_state(pairs)
     n = len(pairs)
     avg = pair_ensemble.average_state()
-    proj_avg = typical_projector(avg, n, 2.0 * params.delta, cap)
-    proj_cond = cond_typical_projector(x_ensemble, xn, 6.0 * params.delta, cap)
+    proj_avg = typical_projector(avg, n, 2.0 * params.delta)
+    proj_cond = cond_typical_projector(x_ensemble, xn, 6.0 * params.delta)
     t_avg = proj_avg.trace_with(rho_pair)
     t_cond = proj_cond.trace_with(rho_pair)
     jointly_typical = is_typical(pair_ensemble.dist, pairs, params.delta)
@@ -643,7 +625,7 @@ def verify_averaged_state_overlaps(
     }
 
 
-def verify_typicality_bounds(subject, n_or_seq, params: TypicalityParams, **kwargs) -> dict:
+def verify_typicality_bounds(subject, n_or_seq, params: TypicalityParams) -> dict:
     """Dispatch to the matching report builder.
 
     * ClassicalDistribution + block length: sequence-typicality checks.
@@ -651,7 +633,7 @@ def verify_typicality_bounds(subject, n_or_seq, params: TypicalityParams, **kwar
     * CqEnsemble + input sequence: conditional-projector checks.
     """
     if isinstance(subject, ClassicalDistribution):
-        return verify_sequence_typicality(subject, int(n_or_seq), params, **kwargs)
+        return verify_sequence_typicality(subject, int(n_or_seq), params)
     if isinstance(subject, CqEnsemble):
-        return verify_conditional_typicality(subject, n_or_seq, params, **kwargs)
-    return verify_state_typicality(subject, int(n_or_seq), params, **kwargs)
+        return verify_conditional_typicality(subject, n_or_seq, params)
+    return verify_state_typicality(subject, int(n_or_seq), params)

@@ -11,7 +11,6 @@ from cqlab.channels import (
     CqChannel,
     InterferenceChannel,
     LabeledCqState,
-    conditional_mutual_information,
     fix_public_layer,
     holevo_information,
     partial_trace,
@@ -182,7 +181,7 @@ def test_expression_errors():
         st.mutual_information("X:Y|B")
     with pytest.raises(ValueError):
         st.entropy(("W",))
-    assert conditional_mutual_information(st, "X:Y") == pytest.approx(0.0, abs=1e-12)
+    assert st.mutual_information("X:Y") == pytest.approx(0.0, abs=1e-12)
 
 
 def test_partial_trace_of_product():

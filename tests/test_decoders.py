@@ -23,8 +23,8 @@ from cqlab.decoders import (
     smoothed_state_lookup,
     trajectory_estimate,
 )
-from cqlab.geometry import intersection_projector
-from cqlab.linalg import DimensionCapError, hermitian_eig
+from cqlab.geometry import SeqStep, intersection_projector
+from cqlab.linalg import DimensionCapError, Projector, hermitian_eig
 from cqlab.smoothing import smoothed_states
 from cqlab.typicality import (
     ClassicalDistribution,
@@ -292,6 +292,30 @@ class TestCqSequentialDecoder:
         margin = 3.0 * result["standard_error"] + 1e-6
         assert abs(result["estimate"] - exact) <= margin
         assert result["trials"] == 100_000
+
+    def test_trajectory_conditionals_match_direct_conjugation(self):
+        # oracle: the per-step conjugation loop, each trace over the one before
+        rng = np.random.default_rng(11)
+        for _ in range(50):
+            d = int(rng.integers(2, 6))
+            g = rng.normal(size=(d, d)) + 1j * rng.normal(size=(d, d))
+            rho = g @ g.conj().T / np.real(np.trace(g @ g.conj().T))
+            steps = []
+            for _ in range(int(rng.integers(0, 5))):
+                rank = int(rng.integers(0, d + 1))
+                vecs = [rng.normal(size=d) + 1j * rng.normal(size=d) for _ in range(rank)]
+                proj = Projector.from_vectors(vecs) if rank else Projector.zero(d)
+                steps.append((proj, "failure" if rng.random() < 0.5 else "success"))
+            expected = []
+            current = rho.copy()
+            for proj, pass_on in steps:
+                e = SeqStep(proj, pass_on).effective()
+                nxt = e @ current @ e
+                before = float(np.real(np.trace(current)))
+                after = float(np.real(np.trace(nxt)))
+                expected.append(0.0 if before <= 0.0 else min(1.0, max(0.0, after / before)))
+                current = nxt
+            assert trajectory_estimate(rho, steps, 10, 3)["conditionals"] == tuple(expected)
 
     def test_trajectory_validates_inputs(self):
         with pytest.raises(ValueError, match="unit-trace"):

@@ -92,6 +92,10 @@ def test_hermitian_eig_rejects_bad_input():
         hermitian_eig(np.array([[0.0, 1.0], [0.0, 0.0]]))
     with pytest.raises(ValueError):
         hermitian_eig(np.ones((2, 3)))
+    # the Hermitian tolerance is 1e-9 relative to max(1, max |entry|)
+    hermitian_eig(np.array([[1.0, 5e-10], [0.0, 1.0]]))
+    with pytest.raises(ValueError, match="within tolerance 1e-09"):
+        hermitian_eig(np.array([[1.0, 2e-9], [0.0, 1.0]]))
 
 
 def test_trace_distance_known_value():
@@ -137,9 +141,6 @@ def test_tensor_product_values_and_cap():
         tensor_product([np.eye(2)] * 13)  # 2^13 = 8192 > 4096
     assert err.value.required == 8192
     assert err.value.cap == DIM_CAP
-    # per-call override
-    big = tensor_product([np.eye(2)] * 13, cap=10000)
-    assert big.shape == (8192, 8192)
 
 
 def test_orthonormal_basis_drops_dependent_vectors():

@@ -1,0 +1,133 @@
+"""Package-wide checks: the source imports only what it uses, the resource
+guards are fixed constants, and every dense entry point enforces DIM_CAP."""
+
+import ast
+import importlib
+import inspect
+import pathlib
+
+import numpy as np
+import pytest
+
+import cqlab
+from cqlab.channels import CcqMac, CoupledMac
+from cqlab.decoders import (
+    ccq_mac_sequential_decode,
+    cmg_sequential_decode,
+    mac_pgm_elements,
+    pgm_decode,
+    sample_codebook,
+)
+from cqlab.linalg import DIM_CAP, DimensionCapError
+from cqlab.smoothing import smoothed_states
+from cqlab.typicality import (
+    ClassicalDistribution,
+    CqEnsemble,
+    TypicalityParams,
+    verify_conditional_typicality,
+)
+
+SRC = pathlib.Path(cqlab.__file__).parent
+MODULES = sorted(p for p in SRC.glob("*.py") if p.name != "__init__.py")
+
+
+def unused_imports(source: str) -> list[str]:
+    """Names bound by import statements that the module never reads."""
+    tree = ast.parse(source)
+    imported: dict[str, int] = {}
+    for node in ast.walk(tree):
+        if isinstance(node, ast.Import):
+            imported.update({alias.asname or alias.name.split(".")[0]: node.lineno for alias in node.names})
+        elif isinstance(node, ast.ImportFrom) and node.module != "__future__":
+            imported.update({alias.asname or alias.name: node.lineno for alias in node.names})
+    used = {node.id for node in ast.walk(tree) if isinstance(node, ast.Name)}
+    return sorted(f"line {line}: {name}" for name, line in imported.items() if name not in used)
+
+
+def test_unused_import_check_sees_every_form():
+    source = (
+        "from __future__ import annotations\n"
+        "import math\n"
+        "import os.path\n"
+        "from typing import Mapping, Sequence\n"
+        "from .linalg import DIM_CAP as CAP, Projector\n"
+        "def f(x: Sequence) -> Projector:\n"
+        "    return os.path.sep\n"
+    )
+    assert unused_imports(source) == ["line 2: math", "line 4: Mapping", "line 5: CAP"]
+
+
+@pytest.mark.parametrize("path", MODULES, ids=lambda p: p.name)
+def test_module_has_no_unused_imports(path):
+    assert unused_imports(path.read_text()) == []
+
+
+REMOVED_OVERRIDES = {"cap", "max_triples", "rank_tol", "rtol"}
+
+
+def _public_callables():
+    for name in sorted(m.stem for m in MODULES):
+        module = importlib.import_module(f"cqlab.{name}")
+        for attr, obj in vars(module).items():
+            if attr.startswith("_") or getattr(obj, "__module__", None) != module.__name__:
+                continue
+            if inspect.isfunction(obj):
+                yield f"{name}.{attr}", obj
+            elif inspect.isclass(obj):
+                for meth, fn in vars(obj).items():
+                    fn = getattr(fn, "__func__", fn)
+                    if inspect.isfunction(fn) and (not meth.startswith("_") or meth == "__init__"):
+                        yield f"{name}.{attr}.{meth}", fn
+
+
+def test_no_public_callable_takes_a_guard_override():
+    """DIM_CAP, SEQUENCE_CAP, TRIPLE_CAP, RANK_TOL, PROJECTOR_TOL and
+    HERMITIAN_RTOL are fixed values, not per-call arguments."""
+    found = [
+        f"{where}({param})"
+        for where, fn in _public_callables()
+        for param in inspect.signature(fn).parameters
+        if param in REMOVED_OVERRIDES or (param == "tol" and where == "linalg.Projector.from_matrix")
+    ]
+    assert found == []
+
+
+def _qubit(theta: float) -> np.ndarray:
+    v = np.array([np.cos(theta), np.sin(theta)], dtype=complex)
+    return np.outer(v, v.conj())
+
+
+BITS = ClassicalDistribution((0, 1), (0.5, 0.5))
+MAC = CcqMac(BITS, BITS, {(x, y): _qubit(0.4 * x + 0.7 * y) for x in (0, 1) for y in (0, 1)})
+CMG = CoupledMac(BITS, {0: BITS, 1: BITS}, BITS, {(z, y): _qubit(0.5 * z + 0.7 * y) for z in (0, 1) for y in (0, 1)})
+N_OVER_CAP = 13  # 2^13 = 8192 > DIM_CAP
+TRIPLES = tuple((x, z, y) for x in (0, 1) for z in (0, 1) for y in (0, 1))
+TRIPLE_SYSTEM = CqEnsemble(
+    ClassicalDistribution(TRIPLES, (0.125,) * 8), {s: _qubit(0.3 * s[0] + 0.5 * s[1] + 0.7 * s[2]) for s in TRIPLES}
+)
+
+
+def _book(channel, senders: int):
+    return sample_codebook(channel, (0.1,) * senders, N_OVER_CAP, 1)
+
+
+DENSE_ENTRY_POINTS = {
+    "ccq_mac_sequential_decode": lambda: ccq_mac_sequential_decode(MAC, _book(MAC, 2), 0.5),
+    "cmg_sequential_decode": lambda: cmg_sequential_decode(CMG, _book(CMG, 3), 0.5, 1),
+    "mac_pgm_elements": lambda: mac_pgm_elements(MAC, _book(MAC, 2), 0.5),
+    "pgm_decode": lambda: pgm_decode(MAC, _book(MAC, 2), {(1, 1): np.eye(2)}),
+    "smoothed_states": lambda: smoothed_states(TRIPLE_SYSTEM, N_OVER_CAP, 0.5, triples=[]),
+    "verify_conditional_typicality": lambda: verify_conditional_typicality(
+        MAC.y_ensemble(),
+        (0, 1) * 6 + (0,),
+        TypicalityParams(delta=0.5, epsilon=0.1, context_dims=(2, 2)),
+    ),
+}
+
+
+@pytest.mark.parametrize("entry", sorted(DENSE_ENTRY_POINTS))
+def test_dense_entry_points_refuse_dimensions_over_the_cap(entry):
+    with pytest.raises(DimensionCapError) as err:
+        DENSE_ENTRY_POINTS[entry]()
+    assert err.value.required == 2**N_OVER_CAP
+    assert err.value.cap == DIM_CAP

@@ -268,6 +268,11 @@ def test_verify_bounds_guaranteed_rows():
         if r.probability > 0:
             manual += r.probability * trace_distance(r.state, system.sequence_state(r.zipped))
     assert abs(manual - checks["l1-global"].value) < 1e-12
+    # the triple row is the worst distance over the typical records only
+    worst = max(
+        trace_distance(r.state, system.sequence_state(r.zipped)) for r in se.records if r.typical
+    )
+    assert checks["l1-triple"].value == worst
 
 
 def test_verify_bounds_random_qubit_states():
@@ -358,7 +363,7 @@ def test_input_validation():
 
     system = diagonal_system()
     with pytest.raises(ValueError, match="cap"):
-        smoothed_states(system, 4, 0.25, max_triples=100)
+        smoothed_states(system, 9, 0.25)  # 4^9 triples > TRIPLE_CAP
     with pytest.raises(ValueError, match="delta"):
         smoothed_states(system, 2, 0.0)
     with pytest.raises(ValueError, match="length"):

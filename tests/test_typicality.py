@@ -98,8 +98,8 @@ def test_is_typical_long_sequence_no_enumeration():
     d = ClassicalDistribution((0, 1), (0.5, 0.5))
     seq = tuple([0, 1] * 25)
     assert is_typical(d, seq, 0.1)
-    with pytest.raises(ValueError):
-        typical_set(d, 50, 0.1, cap=2**10)
+    with pytest.raises(ValueError, match="exceeds the cap"):
+        typical_set(d, 50, 0.1)  # 2^50 sequences > SEQUENCE_CAP
 
 
 def test_threshold_worked_values():
