@@ -24,7 +24,7 @@ from typing import Mapping, Sequence
 
 import numpy as np
 
-from .linalg import as_matrix, require_hermitian
+from .linalg import as_matrix, is_hermitian, require_hermitian
 from .typicality import ClassicalDistribution, CqEnsemble, entropy_bits
 
 
@@ -203,8 +203,7 @@ def _validate_states(states: Mapping, what: str) -> dict:
     dims = set()
     for k, v in states.items():
         a = as_matrix(v)
-        scale = max(1.0, float(np.max(np.abs(a))))
-        if np.max(np.abs(a - a.conj().T)) > 1e-9 * scale:
+        if not is_hermitian(a):
             raise ValueError(f"{what} state {k!r} is not Hermitian")
         w = np.linalg.eigvalsh((a + a.conj().T) / 2)
         if float(np.min(w)) < -1e-9:

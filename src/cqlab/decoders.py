@@ -5,13 +5,21 @@ stream per message, so enlarging a codebook never disturbs the codewords
 already drawn.  Decoding is one pipeline: a per-family builder returns each
 message's conditionally typical projectors (None when its codeword is not
 typical); the sequential decoders combine them into one candidate projector
-per message and walk the chain once with a single failure operator, reading
-every success probability as an exact trace (``_run_sequential``, checked
-on each run against one full ``sequential_collapse``), while the
+per message and walk the chain once (``_run_sequential``, checked on each
+run against a collapse of the last message's state), while the
 square-root-measurement element builders combine the same parts into
-products for ``pgm_decode``.  Every run reports the matching closed-form
-bound next to the simulated value; ``_FAMILIES`` holds what differs per
-channel type.
+element factors for ``pgm_decode``.  Every run reports the matching
+closed-form bound next to the simulated value; ``_FAMILIES`` holds what
+differs per channel type.
+
+States and elements are held as factors: a received state as A with
+rho = A A^dag (for product states the Kronecker product of per-symbol
+factors), a measurement element as F with E = F F^dag.  With D the output
+dimension and r a candidate's rank, each chain step costs O(r D^2) and the
+square-root measurement one thin SVD of the stacked element factors.  Two
+quantities stay dense, one D^3 product per message each, because their
+rounding is pinned: the ungated floor's target leak (see
+``seq_success_lower_bound``) and the measured leaks that set tau.
 """
 
 from __future__ import annotations
@@ -27,12 +35,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .channels import CcqMac, CoupledMac, CqChannel
-from .geometry import (
-    SeqStep,
-    intersection_projector,
-    seq_success_lower_bound,
-    sequential_collapse,
-)
+from .geometry import intersection_projector, sequential_collapse
 from .linalg import Projector, as_matrix, check_dim_cap, hermitian_eig, psd_leq, require_hermitian
 from .smoothing import SmoothedEnsemble
 from .typicality import (
@@ -50,6 +53,8 @@ TAU_FLOOR = 1e-9
 BOUND_TOL = 1e-9
 
 _PROB_TOL = 1e-9
+# Eigenvalues at or below this fraction of the largest are rounding, not state.
+_EIG_CUT = 1e-13
 
 
 def _clip01(value: float, what: str = "probability") -> float:
@@ -261,12 +266,13 @@ def _resolve_order(messages: list, order) -> list:
 class _Entry:
     message: object
     projector: Projector
-    state: np.ndarray
+    factor: np.ndarray  # A with rho = A A^dag
+    state: Callable[[], np.ndarray]  # the dense rho, read only by the ungated floor
 
 
-def _trace_product(a: np.ndarray, b: np.ndarray) -> float:
-    """Re Tr[a b] in O(D^2), without forming the product."""
-    return float(np.real(np.einsum("ij,ji->", a, b)))
+def _sq(a: np.ndarray) -> float:
+    """Squared Frobenius norm."""
+    return float(np.vdot(a, a).real)
 
 
 def _run_sequential(
@@ -282,13 +288,18 @@ def _run_sequential(
 
     Message k's chain takes the failure branch of every earlier candidate
     and the success branch of its own projector (after the gate, when one
-    is present).  One failure operator B, the product of the gate and the
-    complements passed so far, carries the chain: candidate j halts it with
-    operator O_j = B^dag P_j B, so message j succeeds with Tr[O_j rho_j], and
-    B becomes (I - P_j) B.  That costs one D^3 product per non-empty
-    candidate and one O(D^2) trace per (candidate, state) pair read.  The
-    last message's chain is collapsed once in full by
-    ``sequential_collapse`` and must agree to 1e-8.
+    is present).  One dense failure operator B, the gate (or I) followed by
+    the complements passed so far, carries the chain: for candidate j with
+    columns V, X = V^dag B gives message j's success ||X A_j||^2 and B
+    becomes B - V X, so each non-empty candidate costs O(r D^2).
+
+    Each floor is ``seq_success_lower_bound`` with its hostile leaks summed
+    as ||V_i^dag A||^2 over the earlier candidates.  With a gate W it works
+    on the gated factor W (W^dag A) and its target leak is
+    ||A_g - V (V^dag A_g)||^2; without one the target leak stays the dense
+    Tr rho - Tr[P rho], whose rounding is pinned, at one D^3 product per
+    message.  The last message's factor is collapsed once through the gate
+    and the complements, A <- A - V (V^dag A), and must agree to 1e-8.
 
     With ``group_of`` set, the reported error counts a halt at any candidate
     of the sent message's group as a success, and the exact own-chain
@@ -299,6 +310,7 @@ def _run_sequential(
     details = dict(details or {})
     dim = entries[0].projector.dim
     failure = np.eye(dim, dtype=np.complex128) if gate is None else gate.dense()
+    gate_cols = None if gate is None else gate.support_columns()
     peers: dict = {}  # message -> every entry of its group, itself included
     if group_of is not None:
         by_group: dict = {}
@@ -308,32 +320,36 @@ def _run_sequential(
     success: dict = {}
     grouped: dict = {ent.message: 0.0 for ent in entries}
     bounds: dict = {}
-    hostile: list[Projector] = []
+    hostile: list[np.ndarray] = []  # columns of the non-empty candidates passed so far
     for ent in entries:
         own = ent.projector
+        cols = own.support_columns()
         success[ent.message] = 0.0
         if own.rank > 0:
-            passed = own.dense() @ failure
-            halt = passed.conj().T @ passed
-            failure = failure - passed
-            success[ent.message] = _trace_product(halt, ent.state)
+            x = cols.conj().T @ failure
+            success[ent.message] = _sq(x @ ent.factor)
             for peer in peers.get(ent.message, ()):
-                grouped[peer.message] += _trace_product(halt, peer.state)
+                grouped[peer.message] += _sq(x @ peer.factor)
+            failure = failure - cols @ x
         if gate is None:
-            base = ent.state
+            base = ent.factor
+            rho = ent.state()
+            total = float(np.real(np.trace(rho)))
+            target = total - own.trace_with(rho) if own.rank > 0 else total
         else:
-            g = gate.dense()
-            base = g @ as_matrix(ent.state) @ g
-        # empty hostile candidates would add exactly 0.0
-        bounds[ent.message] = seq_success_lower_bound(base, hostile, own)
+            base = gate_cols @ (gate_cols.conj().T @ ent.factor)
+            total = _sq(base)
+            target = _sq(base - cols @ (cols.conj().T @ base))
+        leak = sum(_sq(v.conj().T @ base) for v in hostile) + target
+        bounds[ent.message] = total - 2.0 * math.sqrt(max(0.0, leak))
         if own.rank > 0:
-            hostile.append(own)
+            hostile.append(cols)
 
     last = entries[-1]
-    steps = [] if gate is None else [SeqStep(gate, "success")]
-    steps += [SeqStep(ent.projector, "failure") for ent in entries[:-1]]
-    steps.append(SeqStep(last.projector, "success"))
-    collapsed = sequential_collapse(last.state, steps).success_probability
+    live = base  # the last message's factor, gated when a gate is present
+    for v in hostile[:-1] if last.projector.rank > 0 else hostile:
+        live = live - v @ (v.conj().T @ live)
+    collapsed = _sq(last.projector.support_columns().conj().T @ live)
     if abs(collapsed - success[last.message]) > 1e-8:
         raise RuntimeError("failure-operator chain disagrees with the collapsed chain")
 
@@ -433,26 +449,57 @@ def _cmg_parts(channel: CoupledMac, codebook: Codebook, messages: list, delta: f
     return parts
 
 
-def _states(channel, codebook: Codebook, state_fn: Callable | None) -> Callable:
-    """message -> received state; a pair message on a three-sender codebook averages m3 out."""
+def _factor(w: np.ndarray, v: np.ndarray) -> np.ndarray:
+    """A with A A^dag = v diag(w) v^dag, dropping rounding-level eigenvalues.
+
+    A pure state thus gets one column however eigh rounds its zeros.
+    """
+    keep = w > _EIG_CUT * max(float(w[0]), 0.0)
+    return v[:, keep] * np.sqrt(w[keep])
+
+
+def _states(channel, codebook: Codebook, state_fn: Callable | None) -> tuple[Callable, Callable]:
+    """(message -> factor A with rho = A A^dag, message -> dense rho).
+
+    A product state's factor is the Kronecker product of per-symbol
+    factors, each made once; a ``state_fn`` result is factored by its
+    eigenpairs.  A pair message on a three-sender codebook averages m3 out,
+    so its factor stacks the M3 factors scaled by 1/sqrt(M3).
+    """
     ens, symbols = _family(channel).output(channel)
+    local = functools.cache(lambda s: _factor(*hermitian_eig(ens.state(s))))
+
+    def completions(m) -> list[tuple]:
+        seqs = codebook.sequences(m)
+        if len(seqs) == codebook.senders:
+            return [seqs]
+        return [seqs + (codebook.codewords[2][m3],) for m3 in range(1, codebook.counts[2] + 1)]
+
+    def received_factor(seqs: tuple) -> np.ndarray:
+        if state_fn is not None:
+            return _factor(*hermitian_eig(state_fn(*seqs)))
+        return functools.reduce(np.kron, [local(s) for s in symbols(*seqs)])
 
     def received(seqs: tuple) -> np.ndarray:
         if state_fn is not None:
             return as_matrix(state_fn(*seqs))
         return ens.sequence_state(symbols(*seqs))
 
-    def state(m) -> np.ndarray:
-        seqs = codebook.sequences(m)
-        if len(seqs) == codebook.senders:
-            return received(seqs)
+    def factor(m) -> np.ndarray:
+        facs = [received_factor(seqs) for seqs in completions(m)]
+        return facs[0] if len(facs) == 1 else np.hstack(facs) / math.sqrt(len(facs))
+
+    def dense(m) -> np.ndarray:
+        full = completions(m)
+        if len(full) == 1:
+            return received(full[0])
         dim = channel.dim**codebook.n
         acc = np.zeros((dim, dim), dtype=np.complex128)
-        for m3 in range(1, codebook.counts[2] + 1):
-            acc += received(seqs + (codebook.codewords[2][m3],))
-        return acc / codebook.counts[2]
+        for seqs in full:
+            acc += received(seqs)
+        return acc / len(full)
 
-    return state
+    return factor, dense
 
 
 def _combine(parts: dict, build: Callable, empty) -> dict:
@@ -473,22 +520,40 @@ def _typical(parts: dict) -> dict:
     return {m: p is not None for m, p in parts.items()}
 
 
-def _leaks(parts: dict, states: dict, which: int, what: str) -> list[float]:
-    """1 - Tr[rho_m Pi] for part ``which`` of each typical message, in message order."""
-    return [1.0 - _clip01(p[which].trace_with(states[m]), what) for m, p in parts.items() if p is not None]
+def _leaks(parts: dict, dense: Callable, *which: tuple[int, str]) -> list[list[float]]:
+    """Per (part index, label): 1 - Tr[rho_m Pi] over the typical messages, in message order.
+
+    Dense, because tau = 1 - sqrt(mean leak) pins this rounding; one state
+    is held at a time.
+    """
+    out: list[list[float]] = [[] for _ in which]
+    for m, p in parts.items():
+        if p is None:
+            continue
+        rho = dense(m)
+        for leaks, (k, what) in zip(out, which):
+            leaks.append(1.0 - _clip01(p[k].trace_with(rho), what))
+    return out
 
 
-def _cmg_product(p_zy: Projector, p_xy: Projector, p_y: Projector) -> np.ndarray:
-    """Pi_y Pi_xy Pi_zy Pi_xy Pi_y: the region-1 PGM element, and over
-    tau1*tau2 the envelope every region-1 candidate must lie under."""
-    yd, xyd = p_y.dense(), p_xy.dense()
-    return yd @ xyd @ p_zy.dense() @ xyd @ yd
+def _mac_factor(p_xy: Projector, p_y: Projector) -> np.ndarray:
+    """F with F F^dag = Pi_y Pi_xy Pi_y, the two-sender PGM element."""
+    vy = p_y.support_columns()
+    return vy @ (vy.conj().T @ p_xy.support_columns())
 
 
-def _chain(parts: dict, build: Callable, states: dict, dim: int) -> list[_Entry]:
+def _cmg_factor(p_zy: Projector, p_xy: Projector, p_y: Projector) -> np.ndarray:
+    """F with F F^dag = Pi_y Pi_xy Pi_zy Pi_xy Pi_y: the region-1 PGM element,
+    and over tau1*tau2 the envelope every region-1 candidate must lie under."""
+    vy, vxy = p_y.support_columns(), p_xy.support_columns()
+    return vy @ ((vy.conj().T @ vxy) @ (vxy.conj().T @ p_zy.support_columns()))
+
+
+def _chain(parts: dict, build: Callable, states: tuple[Callable, Callable], dim: int) -> list[_Entry]:
     """Chain entries in message order: built candidates, zero when atypical."""
     candidates = _combine(parts, build, Projector.zero(dim))
-    return [_Entry(m, candidates[m], states[m]) for m in parts]
+    factor, dense = states
+    return [_Entry(m, candidates[m], factor(m), functools.partial(dense, m)) for m in parts]
 
 
 def cq_sequential_decode(
@@ -520,8 +585,7 @@ def cq_sequential_decode(
         gate = typical_projector(channel.ensemble().average_state(), n, 2.0 * delta)
 
     parts = _cq_parts(channel, codebook, messages, delta)
-    state_of = _states(channel, codebook, state_fn)
-    states = {m: state_of(m) for m in messages}
+    states = _states(channel, codebook, state_fn)
 
     variant = "cq-sequential-gated" if gated else "cq-sequential"
     details = {"delta": delta, "typical": _typical(parts)}
@@ -589,9 +653,8 @@ def ccq_mac_sequential_decode(
     notes, tau_of = _resolve_taus(tau, epsilon)
 
     parts = _mac_parts(channel, codebook, messages, delta)
-    state_of = _states(channel, codebook, state_fn)
-    states = {m: state_of(m) for m in messages}
-    leaks = _leaks(parts, states, 1, "pair overlap")
+    states = _states(channel, codebook, state_fn)
+    (leaks,) = _leaks(parts, states[1], (1, "pair overlap"))
     resolved_tau = tau_of("pair/y intersection", leaks)
 
     def narrow(p_xy: Projector, p_y: Projector) -> Projector:
@@ -662,8 +725,7 @@ def cmg_sequential_decode(
     check_dim_cap(dim)
     messages = _resolve_order(_cmg_messages(codebook.counts, region), order)
     parts = _cmg_parts(channel, codebook, messages, delta, region)
-    state_of = _states(channel, codebook, state_fn)
-    states = {m: state_of(m) for m in messages}
+    states = _states(channel, codebook, state_fn)
 
     if region == 2:
         r3 = codebook.rates[2]
@@ -679,8 +741,7 @@ def cmg_sequential_decode(
         return _run_sequential(entries, "cmg-sequential-region2", details=details, started=started)
 
     notes, tau_of = _resolve_taus(tau, epsilon)
-    xy_leaks = _leaks(parts, states, 1, "xy overlap")
-    y_leaks = _leaks(parts, states, 2, "y overlap")
+    xy_leaks, y_leaks = _leaks(parts, states[1], (1, "xy overlap"), (2, "y overlap"))
     tau1 = tau_of("zy/xy intersection", xy_leaks)
     tau2 = tau_of("tilde/y intersection", y_leaks)
 
@@ -695,7 +756,8 @@ def cmg_sequential_decode(
             return Projector.zero(dim)
         tilde = intersection_projector(inner, p_y, tau2)
         if tilde.rank > 0:
-            envelope = _cmg_product(p_zy, p_xy, p_y) / (tau1 * tau2)
+            f = _cmg_factor(p_zy, p_xy, p_y)
+            envelope = f @ f.conj().T / (tau1 * tau2)
             if not psd_leq(tilde.dense(), envelope, tol=1e-8):
                 raise RuntimeError("tilde projector escapes its product envelope")
             chain_checks += 1
@@ -720,41 +782,68 @@ def cmg_sequential_decode(
     )
 
 
+@dataclass(frozen=True, eq=False)
+class FactoredElement:
+    """Measurement element E = F F^dag held as its read-only factor F (D x r).
+
+    ``rank`` is the column count r, which bounds the rank of E; it is 0
+    only for the zero element.
+    """
+
+    factor: np.ndarray
+
+    def __post_init__(self):
+        self.factor.flags.writeable = False
+
+    @property
+    def rank(self) -> int:
+        return self.factor.shape[1]
+
+    def dense(self) -> np.ndarray:
+        return self.factor @ self.factor.conj().T
+
+
+def _factored(parts: dict, build: Callable, dim: int) -> dict:
+    """Per message, a FactoredElement of ``build(*parts)``; the zero element when atypical."""
+    empty = FactoredElement(np.zeros((dim, 0), dtype=np.complex128))
+    return _combine(parts, lambda *p: FactoredElement(build(*p)), empty)
+
+
 def cq_pgm_elements(channel: CqChannel, codebook: Codebook, delta: float) -> dict:
     """Conditional typical projectors as measurement elements, zero when atypical."""
     parts = _cq_parts(channel, codebook, codebook.messages(), delta)
-    dim = channel.dim**codebook.n
-    return _combine(parts, Projector.dense, np.zeros((dim, dim)))
+    return _combine(parts, lambda p_x: p_x, Projector.zero(channel.dim**codebook.n))
 
 
 def mac_pgm_elements(channel: CcqMac, codebook: Codebook, delta: float) -> dict:
-    """Elements Pi_y Pi_xy Pi_y (slacks 6*delta and delta), zero when atypical."""
+    """Elements Pi_y Pi_xy Pi_y (slacks 6*delta and delta) as FactoredElements, zero when atypical."""
     parts = _mac_parts(channel, codebook, codebook.messages(), delta)
-    dim = channel.dim**codebook.n
-
-    def element(p_xy: Projector, p_y: Projector) -> np.ndarray:
-        yd = p_y.dense()
-        return yd @ p_xy.dense() @ yd
-
-    return _combine(parts, element, np.zeros((dim, dim)))
+    return _factored(parts, _mac_factor, channel.dim**codebook.n)
 
 
 def cmg_pgm_elements(channel: CoupledMac, codebook: Codebook, delta: float, region: int) -> dict:
-    """Region 1: Py Pxy Pzy Pxy Py per typical triple; region 2: Pi_z per typical pair."""
+    """Region 1: Py Pxy Pzy Pxy Py per typical triple as FactoredElements;
+    region 2: the projector Pi_z per typical pair.  Zero when atypical."""
     if region not in (1, 2):
         raise ValueError("region must be 1 or 2")
     parts = _cmg_parts(channel, codebook, _cmg_messages(codebook.counts, region), delta, region)
     dim = channel.dim**codebook.n
-    element = Projector.dense if region == 2 else _cmg_product
-    return _combine(parts, element, np.zeros((dim, dim)))
+    if region == 2:
+        return _combine(parts, lambda p_z: p_z, Projector.zero(dim))
+    return _factored(parts, _cmg_factor, dim)
 
 
-def _pinv_sqrt(m: np.ndarray) -> np.ndarray:
-    w, v = hermitian_eig(m)
-    top = float(np.max(w)) if w.size else 0.0
-    cut = max(top * 1e-10, 1e-14)
-    inv = np.where(w > cut, 1.0 / np.sqrt(np.where(w > cut, w, 1.0)), 0.0)
-    return (v * inv) @ v.conj().T
+def _element_factor(m, op) -> np.ndarray:
+    """F with E_m = F F^dag: a projector's columns, a FactoredElement's
+    factor, or a caller's dense matrix checked PSD and factored."""
+    if isinstance(op, Projector):
+        return op.support_columns()
+    if isinstance(op, FactoredElement):
+        return op.factor
+    w, v = hermitian_eig(require_hermitian(as_matrix(op), what="element"))
+    if w.size and w[-1] < -1e-9:
+        raise ValueError(f"element for message {m!r} is not positive semidefinite (min eig {w[-1]:.3g})")
+    return _factor(w, v)
 
 
 def pgm_decode(
@@ -766,11 +855,21 @@ def pgm_decode(
 ) -> DecodeReport:
     """Square-root measurement over per-message positive operators.
 
-    ``elements`` is a mapping from message to a PSD operator, or a callable
-    (message, sequences) -> operator evaluated over the codebook's message
-    space.  Measurement operators are S^{-1/2} E_m S^{-1/2} with S the
-    element sum inverted on its support; the reported bound is the
-    two-plus-four-fold pairwise-overlap error ceiling, checked per message.
+    ``elements`` is a mapping from message to an element, or a callable
+    (message, sequences) -> element evaluated over the codebook's message
+    space.  An element is a ``Projector``, a ``FactoredElement`` or a dense
+    PSD matrix (checked, then factored).  Measurement operators are
+    S^{-1/2} E_m S^{-1/2} with S the element sum inverted on its support;
+    the reported bound is the two-plus-four-fold pairwise-overlap error
+    ceiling, checked per message.
+
+    The element factors are stacked, F = [F_1 ... F_M] = U Sigma W^dag
+    (thin SVD), and singular values with Sigma^2 at or below
+    max(1e-10 * max Sigma^2, 1e-14) are cut, leaving q.  With Y_m the
+    block of W^dag for message m, Upsilon_m = U Y_m Y_m^dag U^dag, so the
+    success is ||Y_m^dag U^dag A_m||^2, Tr[E_m rho_m] = ||F_m^dag A_m||^2
+    and Tr[S rho_m] = ||F^dag A_m||^2.  That costs one SVD of a D x sum(r)
+    matrix and no D x D product.
     """
     started = time.perf_counter()
     n = codebook.n
@@ -785,34 +884,26 @@ def pgm_decode(
     if not messages:
         raise ValueError("no messages to decode")
 
-    dense_ops: dict = {}
-    for m in messages:
-        op = ops[m]
-        mat = op.dense() if isinstance(op, Projector) else require_hermitian(as_matrix(op), what="element")
-        low = float(np.min(np.linalg.eigvalsh(mat))) if mat.size else 0.0
-        if low < -1e-9:
-            raise ValueError(f"element for message {m!r} is not positive semidefinite (min eig {low:.3g})")
-        dense_ops[m] = mat
-
-    sigma = sum(dense_ops[m] for m in messages)
-    root = _pinv_sqrt(sigma)
-    support = root @ sigma @ root
-    state_of = _states(channel, codebook, state_fn)
-    total = np.zeros_like(support)
-    traces = []  # (message, Tr[Upsilon_m rho_m], Tr[E_m rho_m], Tr[sigma rho_m])
-    for m in messages:
-        upsilon = root @ dense_ops[m] @ root
-        total += upsilon
-        rho = state_of(m)
-        traces.append(
-            (m, _trace_product(upsilon, rho), _trace_product(dense_ops[m], rho), _trace_product(sigma, rho))
-        )
-    if float(np.max(np.abs(total - support))) > 1e-8:
+    factors = [_element_factor(m, ops[m]) for m in messages]
+    stacked = np.concatenate(factors, axis=1)
+    u, sigma, wh = np.linalg.svd(stacked, full_matrices=False)
+    power = sigma**2
+    keep = power > max(float(power.max(initial=0.0)) * 1e-10, 1e-14)
+    u, wh = u[:, keep], wh[keep]
+    q = u.shape[1]
+    # sum_m Y_m Y_m^dag resolves the support: W^dag W = I in q x q
+    if q and float(np.max(np.abs(wh @ wh.conj().T - np.eye(q)))) > 1e-8:
         raise RuntimeError("measurement operators fail to resolve the element support")
 
+    factor_of, _ = _states(channel, codebook, state_fn)
+    ends = np.cumsum([f.shape[1] for f in factors])
     outcomes = []
-    for m, hit, own, overall in traces:
-        success = _clip01(hit, "measurement success")
+    for m, f, end in zip(messages, factors, ends):
+        a = factor_of(m)
+        block = wh[:, end - f.shape[1] : end]
+        success = _clip01(_sq(block.conj().T @ (u.conj().T @ a)), "measurement success")
+        own = _sq(f.conj().T @ a)
+        overall = _sq(stacked.conj().T @ a)
         bound = 2.0 * (1.0 - own) + 4.0 * (overall - own)
         error = 1.0 - success
         outcomes.append(
@@ -831,7 +922,7 @@ def pgm_decode(
         outcomes=tuple(outcomes),
         average_error=float(np.mean([o.error for o in outcomes])),
         elapsed_seconds=time.perf_counter() - started,
-        details={"support_rank": int(round(float(np.real(np.trace(support)))))},
+        details={"support_rank": q},
     )
 
 

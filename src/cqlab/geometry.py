@@ -313,7 +313,11 @@ def seq_success_lower_bound(rho, hostile: Sequence, target) -> float:
 
     The floor is ill-conditioned near leak = 0, where its slope
     -1/sqrt(leak) is unbounded: with a leak of order 1e-16, which is pure
-    rounding, 1e-16 more rounding moves the floor by about 1e-8.
+    rounding, 1e-16 more rounding moves the floor by about 1e-8.  The
+    decoders therefore keep this function's dense target term,
+    Tr[rho] - Tr[T rho], for their ungated floors, since reference values
+    pin its rounding; they sum the hostile terms as squared norms of the
+    state factor, and the gated floor wholly so.
     """
     r = as_matrix(rho)
     leak = 0.0

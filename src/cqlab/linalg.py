@@ -170,10 +170,7 @@ class DensityOperator:
     subnormalized: bool = False
 
     def __post_init__(self):
-        a = as_matrix(self.matrix)
-        scale = max(1.0, operator_norm(a))
-        if np.max(np.abs(a - a.conj().T)) > 1e-10 * scale:
-            raise ValueError("density operator is not Hermitian within 1e-10")
+        a = require_hermitian(self.matrix, what="density operator")
         w = np.linalg.eigvalsh((a + a.conj().T) / 2.0)
         if w.size and float(np.min(w)) < -1e-10:
             raise ValueError(f"density operator has negative eigenvalue {np.min(w):.3e}")

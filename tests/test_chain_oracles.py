@@ -1,11 +1,12 @@
 """Differential tests of the decoders' fast paths against dense oracles.
 
 The sequential chain carries one failure operator and reads each success
-as an O(D^2) trace; the square-root measurement reads its success, own and
-cross terms the same way.  Each test recomputes those numbers the slow way,
-with ``sequential_collapse`` or ``np.trace`` of dense products, on random
-qubit channels with pure, rank-deficient, mixed and degenerate-spectrum
-states and with empty candidates.
+and leak as a squared norm of a state factor; the square-root measurement
+reads its success, own and cross terms from a thin SVD of the stacked
+element factors.  Each test recomputes those numbers the slow way, with
+``sequential_collapse``, ``seq_success_lower_bound`` or ``np.trace`` of
+dense products, on random channels with pure, rank-deficient, mixed and
+degenerate-spectrum states and with empty candidates.
 """
 
 import time
@@ -16,8 +17,10 @@ from hypothesis import strategies as st
 
 from cqlab.channels import CqChannel
 from cqlab.decoders import (
+    FactoredElement,
+    _cmg_factor,
     _Entry,
-    _pinv_sqrt,
+    _mac_factor,
     _run_sequential,
     cq_pgm_elements,
     cq_sequential_decode,
@@ -25,7 +28,7 @@ from cqlab.decoders import (
     sample_codebook,
 )
 from cqlab.geometry import SeqStep, seq_success_lower_bound, sequential_collapse
-from cqlab.linalg import Projector
+from cqlab.linalg import Projector, hermitian_eig
 from cqlab.typicality import ClassicalDistribution, cond_typical_projector, is_typical, typical_projector
 
 TOL = 1e-12
@@ -44,13 +47,21 @@ def qubit_state(rng: np.random.Generator, kind: str) -> np.ndarray:
     return np.diag([1.0, 0.0]).astype(complex)
 
 
-def random_state(rng: np.random.Generator, dim: int, rank: int) -> np.ndarray:
-    """Density operator of the given rank; rank == dim draws I/dim half the time."""
+def random_factor(rng: np.random.Generator, dim: int, rank: int) -> np.ndarray:
+    """A with A A^dag a density operator of the given rank; rank == dim gives I/dim half the time."""
     if rank == dim and rng.random() < 0.5:
-        return np.eye(dim, dtype=complex) / dim
+        return np.eye(dim, dtype=complex) / np.sqrt(dim)
     g = rng.normal(size=(dim, rank)) + 1j * rng.normal(size=(dim, rank))
-    rho = g @ g.conj().T
-    return rho / np.trace(rho).real
+    return g / np.linalg.norm(g)
+
+
+def pinv_sqrt(m: np.ndarray) -> np.ndarray:
+    """Dense S^{-1/2} on the support of S, eigenvalues cut at max(1e-10 * top, 1e-14)."""
+    w, v = hermitian_eig(m)
+    top = float(np.max(w)) if w.size else 0.0
+    cut = max(top * 1e-10, 1e-14)
+    inv = np.where(w > cut, 1.0 / np.sqrt(np.where(w > cut, w, 1.0)), 0.0)
+    return (v * inv) @ v.conj().T
 
 
 def random_projector(rng: np.random.Generator, dim: int, rank: int) -> Projector:
@@ -116,11 +127,23 @@ def grouped_chains(draw):
     ranks = [draw(st.integers(0, dim)) for _ in range(count)]
     state_ranks = [draw(st.integers(1, dim)) for _ in range(count)]
     labels = [draw(st.integers(0, 2)) for _ in range(count)]
-    entries = [
-        _Entry((labels[k], k), random_projector(rng, dim, ranks[k]), random_state(rng, dim, state_ranks[k]))
-        for k in range(count)
-    ]
+    entries = []
+    for k in range(count):
+        a = random_factor(rng, dim, state_ranks[k])
+        rho = a @ a.conj().T
+        entries.append(_Entry((labels[k], k), random_projector(rng, dim, ranks[k]), a, lambda rho=rho: rho))
     return entries
+
+
+def leak_of(total: float, floor: float) -> float:
+    """The leak behind a floor total - 2 sqrt(leak)."""
+    return ((total - floor) / 2.0) ** 2
+
+
+def assert_same_leak(total: float, floor: float, oracle: float) -> None:
+    # the floor's slope in the leak is unbounded near 0, so floors are
+    # compared on the leak scale, where both sides carry rounding only
+    assert abs(leak_of(total, floor) - leak_of(total, oracle)) <= TOL
 
 
 @given(grouped_chains())
@@ -130,7 +153,7 @@ def test_grouped_halts_match_dense_halt_oracle(entries):
         # halt at candidate j: fail every earlier candidate, pass candidate j
         stops = [
             sequential_collapse(
-                ent.state,
+                ent.state(),
                 [SeqStep(e.projector, "failure") for e in entries[:j]] + [SeqStep(entries[j].projector, "success")],
             ).success_probability
             for j in range(len(entries))
@@ -144,28 +167,28 @@ def test_grouped_halts_match_dense_halt_oracle(entries):
 @given(grouped_chains(), st.booleans())
 def test_reported_bounds_equal_the_bound_over_every_earlier_candidate(entries, gated):
     # the chain drops empty candidates from the hostile list; the floor over
-    # the full list, zeros included, must come out bit for bit the same
+    # the full list, zeros included, must carry the same leak
     dim = entries[0].projector.dim
     gate = random_projector(np.random.default_rng(dim), dim, max(1, dim // 2)) if gated else None
     report = _run_sequential(entries, "bounds", gate=gate, started=time.perf_counter())
     for k, (ent, outcome) in enumerate(zip(entries, report.outcomes)):
-        base = ent.state if gate is None else gate.dense() @ ent.state @ gate.dense()
+        base = ent.state() if gate is None else gate.dense() @ ent.state() @ gate.dense()
         hostile = [e.projector for e in entries[:k]]
-        assert outcome.bound == seq_success_lower_bound(base, hostile, ent.projector)
+        oracle = seq_success_lower_bound(base, hostile, ent.projector)
+        assert_same_leak(np.trace(base).real, outcome.bound, oracle)
 
 
 def assert_floors_over_every_earlier_candidate(chan, book, delta, gated) -> list[float]:
-    """The decoder's floors, each checked bit for bit against the full hostile list."""
+    """The decoder's floors, each checked on the leak scale against the full hostile list."""
     report = cq_sequential_decode(chan, book, delta, gated=gated)
     ens = chan.ensemble()
     cands = cq_candidates(chan, book, delta)
-    for p in cands:
-        p.dense()  # the chain reads every non-empty candidate densely before its floor
     g = typical_projector(ens.average_state(), book.n, 2.0 * delta).dense() if gated else None
     for k, (m, outcome) in enumerate(zip(book.messages(), report.outcomes)):
         rho = ens.sequence_state(book.sequences(m)[0])
         base = rho if g is None else g @ rho @ g
-        assert outcome.bound == seq_success_lower_bound(base, cands[:k], cands[k])
+        oracle = seq_success_lower_bound(base, cands[:k], cands[k])
+        assert_same_leak(np.trace(base).real, outcome.bound, oracle)
     return [o.bound for o in report.outcomes]
 
 
@@ -176,7 +199,8 @@ def test_decoder_bounds_equal_the_bound_over_every_earlier_candidate(case, gated
 
 def test_pinned_ill_conditioned_floor_is_bit_identical():
     # row 1 of the pinned cq/seq rows: the leak is ~4e-16 of rounding, so the
-    # floor 1 - 2*sqrt(leak) moves by ~1e-8 if any trace changes its last bit
+    # floor 1 - 2*sqrt(leak) moves by ~1e-8 if any trace changes its last bit;
+    # the ungated target leak stays dense to keep it
     chan = CqChannel(
         ClassicalDistribution((0, 1), (0.5, 0.5)),
         {0: np.diag([1.0, 0.0]).astype(complex), 1: np.full((2, 2), 0.5, dtype=complex)},
@@ -186,17 +210,89 @@ def test_pinned_ill_conditioned_floor_is_bit_identical():
     assert bounds[0] == 0.9999999578531515
 
 
+def dense_pgm_oracle(elements: dict, states: dict) -> tuple[dict, int]:
+    """m -> (success, own, overall) from dense S^{-1/2} E_m S^{-1/2}, and the support rank."""
+    sigma = sum(elements.values())
+    root = pinv_sqrt(sigma)
+    traces = {
+        m: (
+            np.trace(root @ e @ root @ states[m]).real,
+            np.trace(e @ states[m]).real,
+            np.trace(sigma @ states[m]).real,
+        )
+        for m, e in elements.items()
+    }
+    return traces, int(round(np.trace(root @ sigma @ root).real))
+
+
+def assert_pgm_matches_oracle(report, dense: dict, states: dict) -> None:
+    traces, support = dense_pgm_oracle(dense, states)
+    assert report.details["support_rank"] == support
+    for outcome in report.outcomes:
+        success, own, overall = traces[outcome.message]
+        assert abs(outcome.success - clip(success)) <= TOL
+        assert abs(outcome.bound - (2.0 * (1.0 - own) + 4.0 * (overall - own))) <= TOL
+
+
+def cq_states(chan, book) -> dict:
+    ens = chan.ensemble()
+    return {m: ens.sequence_state(book.sequences(m)[0]) for m in book.messages()}
+
+
 @given(cq_cases())
 def test_pgm_traces_match_dense_products(case):
     chan, book, delta = case
     elements = cq_pgm_elements(chan, book, delta)
     report = pgm_decode(chan, book, elements)
-    root = _pinv_sqrt(sum(elements.values()))
-    ens = chan.ensemble()
-    for m, outcome in zip(book.messages(), report.outcomes):
-        rho = ens.sequence_state(book.sequences(m)[0])
-        success = np.trace(root @ elements[m] @ root @ rho).real
-        own = np.trace(elements[m] @ rho).real
-        cross = sum(np.trace(elements[i] @ rho).real for i in elements if i != m)
-        assert abs(outcome.success - clip(success)) <= TOL
-        assert abs(outcome.bound - (2.0 * (1.0 - own) + 4.0 * cross)) <= TOL
+    assert_pgm_matches_oracle(report, {m: e.dense() for m, e in elements.items()}, cq_states(chan, book))
+
+
+ELEMENT_KINDS = ("projector", "mac", "cmg", "dense", "zero")
+
+
+def random_element(rng: np.random.Generator, dim: int, kind: str) -> tuple:
+    """(element as pgm_decode takes it, its dense matrix) of the given kind."""
+    def rank() -> int:
+        return int(rng.integers(1, dim + 1))
+
+    if kind == "projector":
+        p = random_projector(rng, dim, rank())
+        return p, p.dense()
+    if kind == "mac":
+        p_xy, p_y = random_projector(rng, dim, rank()), random_projector(rng, dim, rank())
+        return FactoredElement(_mac_factor(p_xy, p_y)), p_y.dense() @ p_xy.dense() @ p_y.dense()
+    if kind == "cmg":
+        p_zy, p_xy, p_y = (random_projector(rng, dim, rank()) for _ in range(3))
+        yd, xyd = p_y.dense(), p_xy.dense()
+        return FactoredElement(_cmg_factor(p_zy, p_xy, p_y)), yd @ xyd @ p_zy.dense() @ xyd @ yd
+    if kind == "dense":
+        k = rank()
+        g = rng.normal(size=(dim, k)) + 1j * rng.normal(size=(dim, k))
+        e = g @ g.conj().T / np.linalg.norm(g) ** 2
+        return e, e
+    empty = (Projector.zero(dim), FactoredElement(np.zeros((dim, 0), dtype=complex)), np.zeros((dim, dim)))
+    return empty[int(rng.integers(3))], np.zeros((dim, dim), dtype=complex)
+
+
+@given(cq_cases(), st.lists(st.sampled_from(ELEMENT_KINDS), min_size=1, max_size=8), st.integers(0, 2**32 - 1))
+def test_factored_pgm_matches_dense_square_root_oracle(case, kinds, seed):
+    # pure, mixed and rank-deficient received states against elements of
+    # every form: projectors, mac and cmg product factors, caller-supplied
+    # dense matrices and zeros, mixed in one measurement
+    chan, book, _ = case
+    rng = np.random.default_rng(seed)
+    dim = chan.dim**book.n
+    drawn = {m: random_element(rng, dim, kinds[k % len(kinds)]) for k, m in enumerate(book.messages())}
+    report = pgm_decode(chan, book, {m: e for m, (e, _) in drawn.items()})
+    assert_pgm_matches_oracle(report, {m: d for m, (_, d) in drawn.items()}, cq_states(chan, book))
+
+
+@given(cq_cases(), st.integers(0, 2**32 - 1))
+def test_all_empty_elements_give_error_one_and_support_rank_zero(case, seed):
+    chan, book, _ = case
+    rng = np.random.default_rng(seed)
+    dim = chan.dim**book.n
+    report = pgm_decode(chan, book, {m: random_element(rng, dim, "zero")[0] for m in book.messages()})
+    assert report.details["support_rank"] == 0
+    assert [o.error for o in report.outcomes] == [1.0] * len(book.messages())
+    assert [o.bound for o in report.outcomes] == [2.0] * len(book.messages())

@@ -1,0 +1,106 @@
+"""Call-count guards on the decoders' cost.
+
+The sequential chain and the square-root measurement work on state and
+element factors; a dense D x D product, eigendecomposition or chain
+conjugation creeping back in would keep every output but cost O(D^3) per
+message again.  These tests count such calls through monkeypatching.
+"""
+
+import numpy as np
+import pytest
+
+import cqlab.decoders
+import cqlab.geometry
+from cqlab.channels import CcqMac, CoupledMac, CqChannel
+from cqlab.decoders import (
+    ccq_mac_sequential_decode,
+    cmg_pgm_elements,
+    cmg_sequential_decode,
+    cq_pgm_elements,
+    cq_sequential_decode,
+    mac_pgm_elements,
+    pgm_decode,
+    sample_codebook,
+)
+from cqlab.linalg import Projector
+from cqlab.typicality import ClassicalDistribution
+
+KET0 = np.diag([1.0, 0.0]).astype(complex)
+PLUS = np.full((2, 2), 0.5, dtype=complex)
+MINUS = np.array([[0.5, -0.5], [-0.5, 0.5]], dtype=complex)
+UNIF = ClassicalDistribution((0, 1), (0.5, 0.5))
+CQ = CqChannel(UNIF, {0: KET0, 1: PLUS})
+MAC = CcqMac(UNIF, UNIF, {(0, 0): KET0, (0, 1): PLUS, (1, 0): MINUS, (1, 1): np.eye(2) / 2})
+CMG = CoupledMac(
+    UNIF,
+    {0: ClassicalDistribution((0, 1), (0.8, 0.2)), 1: ClassicalDistribution((0, 1), (0.2, 0.8))},
+    ClassicalDistribution(("y",), (1.0,)),
+    {(0, "y"): KET0, (1, "y"): PLUS},
+)
+N = 6
+
+
+@pytest.fixture
+def calls(monkeypatch):
+    """Counts of Projector.trace_with calls and of D x D eigendecompositions."""
+    counts = {"trace_with": 0, "eig": 0}
+    trace_with = Projector.trace_with
+
+    def counted_trace_with(self, op):
+        counts["trace_with"] += 1
+        return trace_with(self, op)
+
+    def counted_eig(fn):
+        def run(a, *args, **kwargs):
+            if np.shape(a)[-1] == 2**N:
+                counts["eig"] += 1
+            return fn(a, *args, **kwargs)
+
+        return run
+
+    def refuse(*_, **__):
+        raise AssertionError("a decoder ran a dense sequential_collapse")
+
+    monkeypatch.setattr(Projector, "trace_with", counted_trace_with)
+    monkeypatch.setattr(np.linalg, "eigh", counted_eig(np.linalg.eigh))
+    monkeypatch.setattr(np.linalg, "eigvalsh", counted_eig(np.linalg.eigvalsh))
+    monkeypatch.setattr(cqlab.decoders, "sequential_collapse", refuse)
+    monkeypatch.setattr(cqlab.geometry, "sequential_collapse", refuse)
+    return counts
+
+
+def test_ungated_chain_reads_at_most_one_dense_trace_per_message(calls):
+    book = sample_codebook(CQ, 0.5, N, (0, 0))
+    report = cq_sequential_decode(CQ, book, 0.99)
+    assert max(report.details["candidate_ranks"].values()) > 0
+    assert 0 < calls["trace_with"] <= len(book.messages())
+
+
+def test_gated_chain_reads_no_dense_trace(calls):
+    book = sample_codebook(CQ, 0.5, N, (0, 0))
+    report = cq_sequential_decode(CQ, book, 0.99, gated=True)
+    assert max(report.details["candidate_ranks"].values()) > 0
+    assert calls["trace_with"] == 0
+
+
+def test_no_decoder_runs_a_dense_collapse(calls):
+    # the fixture makes sequential_collapse raise
+    cq_sequential_decode(CQ, sample_codebook(CQ, 0.5, N, (0, 0)), 0.99)
+    ccq_mac_sequential_decode(MAC, sample_codebook(MAC, (0.35, 0.35), N, (0, 0)), 0.99)
+    book = sample_codebook(CMG, (0.35, 0.35, 0.0), N, (0, 0))
+    for region in (1, 2):
+        cmg_sequential_decode(CMG, book, 0.99, region)
+
+
+def test_pgm_over_built_elements_runs_no_dense_eigendecomposition(calls):
+    cq_book = sample_codebook(CQ, 0.5, N, (0, 0))
+    mac_book = sample_codebook(MAC, (0.35, 0.35), N, (0, 0))
+    cmg_book = sample_codebook(CMG, (0.35, 0.35, 0.0), N, (0, 0))
+    runs = [
+        (CQ, cq_book, cq_pgm_elements(CQ, cq_book, 0.99)),
+        (MAC, mac_book, mac_pgm_elements(MAC, mac_book, 0.99)),
+    ] + [(CMG, cmg_book, cmg_pgm_elements(CMG, cmg_book, 0.99, region)) for region in (1, 2)]
+    for channel, book, elements in runs:
+        report = pgm_decode(channel, book, elements)
+        assert report.details["support_rank"] > 0
+    assert calls["eig"] == 0

@@ -272,3 +272,22 @@ def test_trace_distance_unitary_invariance(seed, d):
     t1 = trace_distance(a, b)
     t2 = trace_distance(q @ a @ q.conj().T, q @ b @ q.conj().T)
     assert abs(t1 - t2) < 1e-10
+
+
+def test_density_operator_and_channel_share_the_hermitian_tolerance():
+    # one matrix is a valid channel state exactly when it is a valid
+    # DensityOperator: both read HERMITIAN_RTOL
+    from cqlab.channels import CqChannel
+    from cqlab.typicality import ClassicalDistribution
+
+    prior = ClassicalDistribution((0,), (1.0,))
+    for skew, valid in ((5e-10, True), (2e-9, False)):
+        a = np.array([[0.5, skew], [0.0, 0.5]], dtype=complex)
+        if valid:
+            assert DensityOperator(a).dim == 2
+            assert CqChannel(prior, {0: a}).dim == 2
+        else:
+            with pytest.raises(ValueError, match="not Hermitian"):
+                DensityOperator(a)
+            with pytest.raises(ValueError, match="not Hermitian"):
+                CqChannel(prior, {0: a})
