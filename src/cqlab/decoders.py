@@ -36,7 +36,7 @@ import numpy as np
 
 from .channels import CcqMac, CoupledMac, CqChannel
 from .geometry import intersection_projector, sequential_collapse
-from .linalg import Projector, as_matrix, check_dim_cap, hermitian_eig, psd_leq, require_hermitian
+from .linalg import Projector, _kron, as_matrix, check_dim_cap, hermitian_eig, psd_leq, require_hermitian
 from .smoothing import SmoothedEnsemble
 from .typicality import (
     ClassicalDistribution,
@@ -478,7 +478,7 @@ def _states(channel, codebook: Codebook, state_fn: Callable | None) -> tuple[Cal
     def received_factor(seqs: tuple) -> np.ndarray:
         if state_fn is not None:
             return _factor(*hermitian_eig(state_fn(*seqs)))
-        return functools.reduce(np.kron, [local(s) for s in symbols(*seqs)])
+        return functools.reduce(_kron, [local(s) for s in symbols(*seqs)])
 
     def received(seqs: tuple) -> np.ndarray:
         if state_fn is not None:

@@ -134,6 +134,16 @@ def psd_leq(a, b, tol: float = 1e-9) -> bool:
     return lo >= -tol * max(1.0, operator_norm(y))
 
 
+def _kron(a: np.ndarray, b: np.ndarray) -> np.ndarray:
+    """Kronecker product of two matrices, bit-identical to ``np.kron``.
+
+    Each entry is the one product ``np.kron`` forms, without its generic
+    n-d set-up; the explicit column count keeps zero-column factors working.
+    """
+    (ra, ca), (rb, cb) = a.shape, b.shape
+    return (a[:, None, :, None] * b[None, :, None, :]).reshape(ra * rb, ca * cb)
+
+
 def tensor_product(factors: Sequence) -> np.ndarray:
     """Kronecker product of the factors, guarded by the dimension cap."""
     mats = [as_matrix(f) for f in factors]
@@ -143,7 +153,7 @@ def tensor_product(factors: Sequence) -> np.ndarray:
     for f in mats:
         total *= f.shape[0]
     check_dim_cap(total)
-    return functools.reduce(np.kron, mats)
+    return functools.reduce(_kron, mats)
 
 
 def orthonormal_basis(vectors: Iterable[np.ndarray]) -> list[np.ndarray]:

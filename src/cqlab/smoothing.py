@@ -9,6 +9,13 @@ every other triple is replaced by the maximally mixed state.  The primed
 family stays close to the original in trace distance while its marginals
 acquire explicit sup-norm ceilings, which is what the decoder analyses
 consume.
+
+Cost: every maximally mixed record (the atypical ones, and typical ones
+whose sandwich annihilates the state) shares one read-only I/D matrix,
+enters the marginals as a scalar mass and has its trace distance to the
+product state read off the symbols' spectra, O(D) per record with D = d^n.
+Only the typical records pay for dense D x D sandwiches, sums and
+eigendecompositions.
 """
 
 from __future__ import annotations
@@ -20,7 +27,7 @@ from typing import Mapping, Sequence
 
 import numpy as np
 
-from .linalg import check_dim_cap, operator_norm, trace_distance
+from .linalg import check_dim_cap, operator_norm, require_hermitian, trace_distance
 from .typicality import (
     Check,
     ClassicalDistribution,
@@ -260,7 +267,9 @@ def smoothed_states(
         known = frozenset(dist.symbols)
         zipped_iter = [_normalized_triple(t, n, known) for t in triples]
 
+    # shared by every maximally mixed record, so no caller may write into it
     mixed = np.eye(dim, dtype=np.complex128) / float(dim)
+    mixed.setflags(write=False)
     pi_avg = typical_projector(layers.rho_bar, n, 2.0 * delta)
     pi_avg_dense = pi_avg.dense()
     x_cache: dict = {}
@@ -268,9 +277,10 @@ def smoothed_states(
 
     records: list = []
     index: dict = {}
-    pair_sums: dict = {}
-    x_sums: dict = {}
-    avg_sum = np.zeros((dim, dim), dtype=np.complex128)
+    # per marginal: [sum over the sandwiched records, mass of the mixed ones]
+    pair_acc: dict = {}
+    x_acc: dict = {}
+    avg_acc = [0.0, 0.0]
     typical_mass = 0.0
 
     for zipped in zipped_iter:
@@ -321,32 +331,34 @@ def smoothed_states(
         index[(xs, zs, ys)] = len(records)
         records.append(record)
         if complete and prob > 0:
-            pair_key = (xs, zs)
-            if pair_key not in pair_sums:
-                pair_sums[pair_key] = np.zeros((dim, dim), dtype=np.complex128)
-            pair_sums[pair_key] += prob * record.state
-            if xs not in x_sums:
-                x_sums[xs] = np.zeros((dim, dim), dtype=np.complex128)
-            x_sums[xs] += prob * record.state
-            avg_sum += prob * record.state
+            weighted = None if record.state is mixed else prob * record.state
+            for acc in (pair_acc.setdefault((xs, zs), [0.0, 0.0]), x_acc.setdefault(xs, [0.0, 0.0]), avg_acc):
+                if weighted is None:
+                    acc[1] += prob
+                else:
+                    acc[0] = acc[0] + weighted
 
     if not complete:
         return SmoothedEnsemble(
             system, n, delta, layers, tuple(records), index, False
         )
 
+    def total(acc: list) -> np.ndarray:
+        # the mixed records' shared I/D enters once, as their mass over D
+        return acc[0] + (acc[1] / dim) * np.eye(dim, dtype=np.complex128)
+
     pair_marginals = {}
-    for (xs, zs), total in pair_sums.items():
+    for (xs, zs), acc in pair_acc.items():
         w = 1.0
         for pair in zip(xs, zs):
             w *= layers.p_xz.prob(pair)
-        pair_marginals[tuple(zip(xs, zs))] = total / w
+        pair_marginals[tuple(zip(xs, zs))] = total(acc) / w
     x_marginals = {}
-    for xs, total in x_sums.items():
+    for xs, acc in x_acc.items():
         w = 1.0
         for x in xs:
             w *= layers.p_x.prob(x)
-        x_marginals[xs] = total / w
+        x_marginals[xs] = total(acc) / w
 
     return SmoothedEnsemble(
         system,
@@ -359,8 +371,40 @@ def smoothed_states(
         typical_mass=typical_mass,
         pair_marginals=pair_marginals,
         x_marginals=x_marginals,
-        average=avg_sum,
+        average=total(avg_acc),
     )
+
+
+#: Product eigenvalues ``_mixed_distances`` holds at once; small blocks keep
+#: its temporaries from raising peak memory while the records are alive.
+MIXED_BATCH = 2**14
+
+
+def _mixed_distances(system: CqEnsemble, seqs: Sequence) -> np.ndarray:
+    """``||I/D - system.sequence_state(z)||_1`` for each symbol sequence z, O(D) apiece.
+
+    I/D commutes with the product state, so the difference is diagonal in
+    the product eigenbasis with entries 1/D - prod_i lambda_{z_i, k_i}.
+    Each symbol's spectrum is taken once; the products are formed for a
+    block of sequences at a time, in the left-to-right order of the
+    Kronecker product.
+    """
+    symbols = list(dict.fromkeys(s for z in seqs for s in z))
+    if not symbols:
+        return np.zeros(len(seqs))
+    spectra = np.array([np.linalg.eigvalsh(require_hermitian(system.state(s))) for s in symbols])
+    where = {s: i for i, s in enumerate(symbols)}
+    rows = np.array([[where[s] for s in z] for z in seqs], dtype=np.intp)
+    dim = spectra.shape[1] ** rows.shape[1]
+    out = np.empty(len(rows))
+    step = max(1, MIXED_BATCH // dim)
+    for start in range(0, len(rows), step):
+        block = rows[start : start + step]
+        lam = spectra[block[:, 0]]
+        for column in block.T[1:]:
+            lam = (lam[:, :, None] * spectra[column][:, None, :]).reshape(len(block), -1)
+        out[start : start + step] = np.sum(np.abs(1.0 / dim - lam), axis=1)
+    return out
 
 
 def verify_smoothing_bounds(se: SmoothedEnsemble, epsilon: float | None = None) -> dict:
@@ -371,6 +415,10 @@ def verify_smoothing_bounds(se: SmoothedEnsemble, epsilon: float | None = None) 
     otherwise they are reported informatively against the measured epsilon
     (the verified inequality chain keeps the trace-distance and denominator
     rows valid even then, while the sup-norm constant needs epsilon < 1/64).
+
+    A maximally mixed record's trace distance comes from the product of the
+    symbols' spectra in O(D); only the sandwiched typical records build
+    their product state and run a dense D x D ``trace_distance``.
     """
     layers = se.layers
     n, delta = se.n, se.delta
@@ -394,23 +442,31 @@ def verify_smoothing_bounds(se: SmoothedEnsemble, epsilon: float | None = None) 
     checks: dict = {}
 
     # one trace distance per record, read by both the l1-triple and l1-global rows
-    distances = [
-        trace_distance(r.state, se.system.sequence_state(r.zipped))
-        if r.typical or (se.complete and r.probability > 0)
-        else None
-        for r in se.records
-    ]
+    distances: list = [None] * len(se.records)
+    mixed = []
+    for i, r in enumerate(se.records):
+        if r.typical and not r.zero_denominator:
+            distances[i] = trace_distance(r.state, se.system.sequence_state(r.zipped))
+        elif r.typical or (se.complete and r.probability > 0):
+            mixed.append(i)
+    zipped = [se.records[i].zipped for i in mixed]
+    for i, dist in zip(mixed, _mixed_distances(se.system, zipped)):
+        distances[i] = float(dist)
     typical = [r for r in se.records if r.typical]
     if typical:
         min_den = min(r.denominator for r in typical)
         den_bound = 1.0 - 5.0 * root
+        note = f"{len(typical)} typical triples"
+        annihilated = sum(r.zero_denominator for r in typical)
+        if annihilated:
+            note += f"; {annihilated} annihilated by the sandwich (state set to I/D)"
         checks["denominator"] = Check(
             "denominator",
             min_den,
             den_bound,
             min_den >= den_bound - 1e-12,
             informative=informative,
-            note=f"{len(typical)} typical triples",
+            note=note,
         )
         worst = 0.0
         for r, dist in zip(se.records, distances):

@@ -1,9 +1,11 @@
-"""Call-count guards on the decoders' cost.
+"""Call-count guards on the decoders' and the smoothing layer's cost.
 
 The sequential chain and the square-root measurement work on state and
 element factors; a dense D x D product, eigendecomposition or chain
 conjugation creeping back in would keep every output but cost O(D^3) per
-message again.  These tests count such calls through monkeypatching.
+message again.  Smoothing reads a maximally mixed record's trace distance
+off the symbols' spectra, so only typical records may build a product
+state.  These tests count such calls through monkeypatching.
 """
 
 import numpy as np
@@ -11,6 +13,7 @@ import pytest
 
 import cqlab.decoders
 import cqlab.geometry
+import cqlab.smoothing
 from cqlab.channels import CcqMac, CoupledMac, CqChannel
 from cqlab.decoders import (
     ccq_mac_sequential_decode,
@@ -23,7 +26,8 @@ from cqlab.decoders import (
     sample_codebook,
 )
 from cqlab.linalg import Projector
-from cqlab.typicality import ClassicalDistribution
+from cqlab.smoothing import smoothed_states, verify_smoothing_bounds
+from cqlab.typicality import ClassicalDistribution, CqEnsemble
 
 KET0 = np.diag([1.0, 0.0]).astype(complex)
 PLUS = np.full((2, 2), 0.5, dtype=complex)
@@ -104,3 +108,42 @@ def test_pgm_over_built_elements_runs_no_dense_eigendecomposition(calls):
         report = pgm_decode(channel, book, elements)
         assert report.details["support_rank"] > 0
     assert calls["eig"] == 0
+
+
+def diagonal_triple_system() -> CqEnsemble:
+    """Four diagonal qubit states over (x, z = x, y), uniform prior."""
+    entries = {(0, 0): (0.86, 0.14), (0, 1): (0.32, 0.68), (1, 0): (0.57, 0.43), (1, 1): (0.23, 0.77)}
+    states = {(x, x, y): np.diag(entries[(x, y)]).astype(complex) for x in (0, 1) for y in (0, 1)}
+    return CqEnsemble(ClassicalDistribution(tuple(states), (0.25,) * 4), states)
+
+
+def test_smoothing_builds_product_states_for_typical_records_only(monkeypatch):
+    system = diagonal_triple_system()
+    built: list = []
+    sequence_state = CqEnsemble.sequence_state
+
+    def counted_sequence_state(self, seq):
+        built.append(tuple(seq))
+        return sequence_state(self, seq)
+
+    monkeypatch.setattr(CqEnsemble, "sequence_state", counted_sequence_state)
+    se = smoothed_states(system, 5, 0.7)
+    typical = {r.zipped for r in se.records if r.typical}
+    mixed = next(r.state for r in se.records if not r.typical)
+    assert 0 < len(typical) < len(se.records)
+    assert set(built) <= typical
+
+    built.clear()
+    distances: list = []
+    trace_distance = cqlab.smoothing.trace_distance
+
+    def counted_trace_distance(a, b):
+        distances.append(a is mixed)
+        return trace_distance(a, b)
+
+    monkeypatch.setattr(cqlab.smoothing, "trace_distance", counted_trace_distance)
+    report = verify_smoothing_bounds(se)
+    assert all(c.passed for c in report["checks"].values())
+    assert len(built) + len(distances) <= 2 * len(typical)
+    assert set(built) <= typical
+    assert not any(distances)

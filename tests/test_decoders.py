@@ -351,6 +351,28 @@ class TestCqSequentialDecoder:
         assert report.all_bounds_satisfied
         assert report.errors != plain.errors
 
+    def test_shared_maximally_mixed_state_is_read_only(self):
+        # every atypical record aliases one I/D array; a write through one
+        # record would corrupt all of them, so the array refuses writes
+        chan = bb84_channel()
+        book = sample_codebook(chan, 0.5, 4, 0)
+        trip = ClassicalDistribution(((0, "z", "y"), (1, "z", "y")), (0.5, 0.5))
+        system = CqEnsemble(trip, {(0, "z", "y"): KET0, (1, "z", "y"): PLUS})
+        smoothed = smoothed_states(system, 4, 0.2)
+        lookup = smoothed_state_lookup(smoothed)
+        codewords = [book.codewords[0][m] for m in book.messages()]
+        flags = [smoothed.record_for(xs, ("z",) * 4, ("y",) * 4).typical for xs in codewords]
+        assert True in flags and False in flags
+        state = lookup(codewords[flags.index(False)])
+        with pytest.raises(ValueError):
+            state[0, 0] = 1.0
+        assert np.array_equal(state, np.eye(16) / 16.0)
+        seq = cq_sequential_decode(chan, book, 0.99, state_fn=lookup)
+        pgm = pgm_decode(chan, book, cq_pgm_elements(chan, book, 0.99), state_fn=lookup)
+        for report in (seq, pgm):
+            assert set(report.errors) == set(book.messages())
+            assert all(0.0 <= e <= 1.0 for e in report.errors.values())
+
     def test_order_must_be_a_permutation(self):
         chan = bb84_channel()
         book = sample_codebook(chan, 0.25, 4, 7)

@@ -5,6 +5,8 @@ implementation was trusted, so these act as oracles for the linear algebra
 layer.
 """
 
+import functools
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -15,6 +17,7 @@ from cqlab.linalg import (
     DensityOperator,
     DimensionCapError,
     Projector,
+    _kron,
     hermitian_eig,
     orthonormal_basis,
     psd_leq,
@@ -141,6 +144,28 @@ def test_tensor_product_values_and_cap():
         tensor_product([np.eye(2)] * 13)  # 2^13 = 8192 > 4096
     assert err.value.required == 8192
     assert err.value.cap == DIM_CAP
+
+
+@pytest.mark.parametrize(
+    "shapes",
+    [
+        [(2, 3), (3, 1), (1, 4), (2, 2)],  # complex rectangular
+        [(3, 1), (2, 1), (4, 1)],  # single columns
+        [(2, 2), (3, 0), (2, 3)],  # a zero-column factor
+        [(0, 2), (2, 2)],  # a zero-row factor
+        [(3, 2)],  # one factor
+    ],
+)
+def test_kron_kernel_is_bit_identical_to_np_kron(shapes):
+    rng = np.random.default_rng(len(shapes))
+    for _ in range(20):
+        factors = [rng.normal(size=s) + 1j * rng.normal(size=s) for s in shapes]
+        expected = functools.reduce(np.kron, factors)
+        got = functools.reduce(_kron, factors)
+        assert got.shape == expected.shape
+        assert np.array_equal(got, expected)
+    square = [rng.normal(size=(d, d)) + 1j * rng.normal(size=(d, d)) for d in (2, 3, 2)]
+    assert np.array_equal(tensor_product(square), functools.reduce(np.kron, square))
 
 
 def test_orthonormal_basis_drops_dependent_vectors():

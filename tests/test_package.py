@@ -1,5 +1,6 @@
-"""Package-wide checks: the source imports only what it uses, the resource
-guards are fixed constants, and every dense entry point enforces DIM_CAP."""
+"""Package-wide checks: the source imports only what it uses, forms Kronecker
+products through one kernel, the resource guards are fixed constants, and
+every dense entry point enforces DIM_CAP."""
 
 import ast
 import importlib
@@ -60,6 +61,42 @@ def test_unused_import_check_sees_every_form():
 @pytest.mark.parametrize("path", MODULES, ids=lambda p: p.name)
 def test_module_has_no_unused_imports(path):
     assert unused_imports(path.read_text()) == []
+
+
+def kron_uses(source: str) -> list[str]:
+    """Lines that reach ``numpy.kron`` as a callable rather than ``linalg._kron``."""
+    tree = ast.parse(source)
+    numpy_names = {"numpy"}
+    for node in ast.walk(tree):
+        if isinstance(node, ast.Import):
+            numpy_names.update(a.asname or a.name for a in node.names if a.name == "numpy")
+    hits = set()
+    for node in ast.walk(tree):
+        if isinstance(node, ast.Attribute) and node.attr == "kron":
+            if isinstance(node.value, ast.Name) and node.value.id in numpy_names:
+                hits.add(node.lineno)
+        elif isinstance(node, ast.ImportFrom) and node.module == "numpy":
+            if any(a.name == "kron" for a in node.names):
+                hits.add(node.lineno)
+    return [f"line {line}" for line in sorted(hits)]
+
+
+def test_kron_check_sees_calls_and_references_but_not_docstrings():
+    source = (
+        'import numpy as np\n'
+        'from numpy import kron\n'
+        'def f(a, b):\n'
+        '    """Bit-identical to ``np.kron``."""\n'
+        '    return np.kron(a, b)\n'
+        'g = functools.reduce(np.kron, [])\n'
+        'h = _kron(a, b)\n'
+    )
+    assert kron_uses(source) == ["line 2", "line 5", "line 6"]
+
+
+@pytest.mark.parametrize("path", sorted(SRC.glob("*.py")), ids=lambda p: p.name)
+def test_module_uses_the_kron_kernel_only(path):
+    assert kron_uses(path.read_text()) == []
 
 
 REMOVED_OVERRIDES = {"cap", "max_triples", "rank_tol", "rtol"}

@@ -2,12 +2,17 @@
 
 import itertools
 import math
+from unittest import mock
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
+from cqlab import smoothing
 from cqlab.linalg import trace_distance
 from cqlab.smoothing import (
+    _mixed_distances,
     smoothed_states,
     triple_layers,
     verify_smoothing_bounds,
@@ -94,6 +99,30 @@ def classical_truncation_oracle(system, n, delta):
         return np.diag(kept * diag / total)
 
     return smooth_one
+
+
+STATE_KINDS = ("pure", "rank-deficient", "degenerate", "generic")
+
+
+def kind_state(d, kind, seed):
+    """A d-level state with a spectrum of the given kind in a random eigenbasis.
+
+    Distinct seeds give mutually non-commuting states; a degenerate qubit
+    state is I/2, a degenerate qutrit has a doubled eigenvalue.
+    """
+    rng = np.random.default_rng(seed)
+    if kind == "pure":
+        w = np.eye(d)[0]
+    elif kind == "rank-deficient":
+        w = np.append(rng.uniform(0.1, 1.0, size=d - 1), 0.0)
+    elif kind == "degenerate":
+        w = np.ones(d)
+        w[0] = 1.0 if d == 2 else rng.uniform(0.1, 3.0)
+    else:
+        w = rng.uniform(0.05, 1.0, size=d)
+    q, _ = np.linalg.qr(rng.normal(size=(d, d)) + 1j * rng.normal(size=(d, d)))
+    rho = (q * (w / w.sum())) @ q.conj().T
+    return (rho + rho.conj().T) / 2.0
 
 
 def pure_system():
@@ -231,6 +260,61 @@ def test_marginal_consistency():
     assert abs(sum(r.probability for r in se.records) - 1.0) < 1e-9
 
 
+@given(
+    d=st.sampled_from((2, 3)),
+    kinds=st.lists(st.sampled_from(STATE_KINDS), min_size=1, max_size=3),
+    seed=st.integers(0, 2**32 - 1),
+    data=st.data(),
+)
+def test_closed_form_mixed_distance_matches_dense_oracle(d, kinds, seed, data):
+    symbols = tuple(range(len(kinds)))
+    states = {s: kind_state(d, kind, (seed, s)) for s, kind in zip(symbols, kinds)}
+    system = CqEnsemble(ClassicalDistribution(symbols, (1.0 / len(symbols),) * len(symbols)), states)
+    n = data.draw(st.integers(1, 4), label="n")
+    seqs = data.draw(st.lists(st.tuples(*[st.sampled_from(symbols)] * n), min_size=1, max_size=4), label="seqs")
+    # one sequence per block, or all of them in one block
+    batch = data.draw(st.sampled_from((1, smoothing.MIXED_BATCH)), label="batch")
+    with mock.patch.object(smoothing, "MIXED_BATCH", batch):
+        got = _mixed_distances(system, seqs)
+    mixed = np.eye(d**n) / d**n
+    for z, dist in zip(seqs, got, strict=True):
+        assert abs(dist - trace_distance(mixed, system.sequence_state(z))) < 1e-12
+
+
+@settings(max_examples=25)
+@given(
+    d=st.sampled_from((2, 3)),
+    kinds=st.lists(st.sampled_from(STATE_KINDS), min_size=3, max_size=3),
+    seed=st.integers(0, 2**32 - 1),
+    n=st.integers(3, 4),
+    delta=st.sampled_from((0.35, 0.5)),
+)
+def test_scalar_mass_marginals_match_per_record_accumulation(d, kinds, seed, n, delta):
+    # symbol probabilities 1/4, 1/4, 1/2: both branches occur at n = 3 and 4
+    z_rows = {0: {0: 0.5, 1: 0.5}, 1: {0: 1.0}}
+    triples = [(x, z, "y") for x in z_rows for z in z_rows[x]]
+    states = {t: kind_state(d, kind, (seed, i)) for i, (t, kind) in enumerate(zip(triples, kinds))}
+    system = triple_system({0: 0.5, 1: 0.5}, z_rows, {"y": 1.0}, lambda *t: states[t])
+    se = smoothed_states(system, n, delta)
+    assert any(r.typical for r in se.records) and not all(r.typical for r in se.records)
+    pair, xm = {}, {}
+    avg = np.zeros((d**n, d**n), dtype=np.complex128)
+    for r in se.records:
+        if r.probability > 0:
+            key = tuple(zip(r.xs, r.zs))
+            pair[key] = pair.get(key, 0.0) + r.probability * r.state
+            xm[r.xs] = xm.get(r.xs, 0.0) + r.probability * r.state
+            avg += r.probability * r.state
+    assert pair.keys() == se.pair_marginals.keys() and xm.keys() == se.x_marginals.keys()
+    for key, total in pair.items():
+        w = math.prod(se.layers.p_xz.prob(p) for p in key)
+        assert np.max(np.abs(total / w - se.pair_marginals[key])) < 1e-12
+    for xs, total in xm.items():
+        w = math.prod(se.layers.p_x.prob(x) for x in xs)
+        assert np.max(np.abs(total / w - se.x_marginals[xs])) < 1e-12
+    assert np.max(np.abs(avg - se.average)) < 1e-12
+
+
 def test_states_are_density_operators():
     se = smoothed_states(diagonal_system(), 4, 0.25)
     for r in se.records:
@@ -273,6 +357,8 @@ def test_verify_bounds_guaranteed_rows():
         trace_distance(r.state, system.sequence_state(r.zipped)) for r in se.records if r.typical
     )
     assert checks["l1-triple"].value == worst
+    # no sandwich annihilated a triple, so the note carries the count alone
+    assert checks["denominator"].note == f"{sum(r.typical for r in se.records)} typical triples"
 
 
 def test_verify_bounds_random_qubit_states():
@@ -318,6 +404,10 @@ def test_zero_denominator_flagged_and_mixed():
     assert np.array_equal(record.state, np.eye(4) / 4.0)
     report = verify_smoothing_bounds(se)
     assert report["checks"]["l1-triple"].passed
+    dense = trace_distance(record.state, system.sequence_state(record.zipped))
+    assert abs(report["checks"]["l1-triple"].value - dense) < 1e-12
+    note = report["checks"]["denominator"].note
+    assert note == "1 typical triples; 1 annihilated by the sandwich (state set to I/D)"
 
 
 def test_caller_supplied_triples():
