@@ -36,7 +36,7 @@ import numpy as np
 
 from .channels import CcqMac, CoupledMac, CqChannel
 from .geometry import intersection_projector, sequential_collapse
-from .linalg import Projector, _kron, as_matrix, check_dim_cap, hermitian_eig, psd_leq, require_hermitian
+from .linalg import Projector, _kron, as_matrix, check_dim_cap, hermitian_eig, psd_leq_factors, require_hermitian
 from .smoothing import SmoothedEnsemble
 from .typicality import (
     ClassicalDistribution,
@@ -756,9 +756,8 @@ def cmg_sequential_decode(
             return Projector.zero(dim)
         tilde = intersection_projector(inner, p_y, tau2)
         if tilde.rank > 0:
-            f = _cmg_factor(p_zy, p_xy, p_y)
-            envelope = f @ f.conj().T / (tau1 * tau2)
-            if not psd_leq(tilde.dense(), envelope, tol=1e-8):
+            envelope = _cmg_factor(p_zy, p_xy, p_y) / math.sqrt(tau1 * tau2)
+            if not psd_leq_factors(tilde.support_columns(), envelope):
                 raise RuntimeError("tilde projector escapes its product envelope")
             chain_checks += 1
         return tilde

@@ -1,11 +1,23 @@
 """Two-subspace geometry and chained projective measurements.
 
 Any pair of subspaces decomposes the ambient space into one- and
-two-dimensional invariant blocks: lines orthogonal to both, lines common to
-both, lines lying in exactly one, and planes meeting each subspace in a line
-at some angle strictly between 0 and pi/2.  The decomposition is computed
-from the singular values of the cross-Gram matrix of orthonormal bases; it
-powers the intersection-style projector used by the multi-sender decoders.
+two-dimensional invariant blocks (Jordan's lemma; Halmos, "Two subspaces",
+Trans. AMS 144 (1969)): lines orthogonal to both, lines common to both,
+lines lying in exactly one, and planes meeting each subspace in a line at
+some angle strictly between 0 and pi/2.
+
+One private core pairs the orthonormal columns V_A (D x r_A) and V_B
+(D x r_B) of the two subspaces through a thin SVD of their r_A x r_B
+cross-Gram V_A^dag V_B, at O(D r_A r_B) cost.  It checks the pairing in
+those coordinates: the rotation of A is unitary, the paired lines of B are
+orthonormal and the two rotations diagonalise the cross-Gram, which is the
+joint orthonormality of every line it hands out.
+
+``intersection_projector`` reads only the core and checks its result in the
+span of its own factors, never forming a D x D matrix.  ``jordan_decompose``
+adds the unpaired lines of the second subspace, the lines outside both (a
+D x D SVD) and a full-space check that the block bases fill the space
+orthonormally and rebuild both projectors, at O(D^3) cost.
 
 The measurement side collapses a state through a chain of projective steps
 without renormalising, records the surviving trace at each step, and checks
@@ -16,14 +28,14 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from typing import Iterable, Sequence
+from typing import Sequence
 
 import numpy as np
 
 from .linalg import (
     Projector,
     as_matrix,
-    psd_leq,
+    psd_leq_factors,
     require_hermitian,
     trace_distance,
 )
@@ -47,7 +59,9 @@ class Block:
     ``basis`` holds orthonormal columns spanning the block (one column for
     kinds 1-4, two for kind 5).  For tilted planes ``angle`` is the principal
     angle in (0, pi/2), ``a_line`` the unit vector spanning the block's
-    intersection with the first subspace and ``b_line`` with the second.
+    intersection with the first subspace and ``b_line`` with the second.  A
+    shared line (kind 2) is the first subspace's line; its ``b_line`` is the
+    second subspace's own line, within ``SIGMA_ONE_TOL`` of it in cosine.
     """
 
     kind: int
@@ -82,9 +96,9 @@ class CanonicalDecomposition:
     def second_subspace_lines(self) -> list[np.ndarray]:
         lines = []
         for b in self.blocks:
-            if b.kind in (BLOCK_IN_BOTH, BLOCK_SECOND_ONLY):
+            if b.kind == BLOCK_SECOND_ONLY:
                 lines.append(b.basis[:, 0])
-            elif b.kind == BLOCK_TILTED_PLANE:
+            elif b.kind in (BLOCK_IN_BOTH, BLOCK_TILTED_PLANE):
                 lines.append(b.b_line)
         return lines
 
@@ -99,11 +113,12 @@ class CanonicalDecomposition:
         return np.column_stack(cols) if cols else np.zeros((self.dim, 0), dtype=complex)
 
 
-def _sum_outer(vectors: Iterable[np.ndarray], dim: int) -> np.ndarray:
-    out = np.zeros((dim, dim), dtype=np.complex128)
-    for v in vectors:
-        out += np.outer(v, v.conj())
-    return out
+def _sum_outer(vectors: list[np.ndarray], dim: int) -> np.ndarray:
+    """Sum of |v><v| over the vectors, as one product L L^dag of their stack."""
+    if not vectors:
+        return np.zeros((dim, dim), dtype=np.complex128)
+    lines = np.column_stack(vectors)
+    return lines @ lines.conj().T
 
 
 def _as_projector(p) -> Projector:
@@ -112,64 +127,117 @@ def _as_projector(p) -> Projector:
     return Projector.from_matrix(as_matrix(p))
 
 
+def _support_pair(pa, pb) -> tuple[Projector, Projector]:
+    pa = _as_projector(pa)
+    pb = _as_projector(pb)
+    if pa.dim != pb.dim:
+        raise ValueError("projectors live on different dimensions")
+    return pa, pb
+
+
+@dataclass(frozen=True)
+class _Pairing:
+    """Principal pairing of V_A (D x r_A) with V_B (D x r_B), k = min(r_A, r_B).
+
+    ``a_lines`` = V_A u holds all r_A lines of the first subspace, the first
+    k of them paired; ``b_lines`` = V_B w[:, :k] the paired lines of the
+    second.  ``cosines`` are the k singular values of ``gram`` = V_A^dag V_B,
+    clipped to 1; ``shared`` marks pairs that coincide and ``tilted`` pairs
+    at an angle in (0, pi/2).  The other pairs are orthogonal, and so are the
+    unpaired lines of A to all of B.
+    """
+
+    gram: np.ndarray
+    w: np.ndarray
+    a_lines: np.ndarray
+    b_lines: np.ndarray
+    cosines: np.ndarray
+
+    @property
+    def shared(self) -> np.ndarray:
+        return self.cosines >= 1.0 - SIGMA_ONE_TOL
+
+    @property
+    def tilted(self) -> np.ndarray:
+        return ~self.shared & (self.cosines > SIGMA_ZERO_TOL)
+
+
+def _pair(a: np.ndarray, b: np.ndarray, full: bool = False) -> _Pairing:
+    """The shared core: pair the columns of ``a`` and ``b`` and check the pairing.
+
+    The SVD is thin on B's side, so only the k paired columns of B are
+    rotated; ``full`` also returns the r_B - k unpaired directions of w,
+    which only the full decomposition reads.
+    """
+    ra, rb = a.shape[1], b.shape[1]
+    k = min(ra, rb)
+    gram = a.conj().T @ b
+    if not k:
+        return _Pairing(gram, np.eye(rb, dtype=np.complex128), a, b[:, :0], np.zeros(0))
+    u, sigma, w_h = np.linalg.svd(gram, full_matrices=full or ra > rb)
+    w = w_h.conj().T
+    _check_pairing(gram, u, sigma, w[:, :k])
+    return _Pairing(gram, w, a @ u, b @ w[:, :k], np.minimum(sigma, 1.0))
+
+
+def _check_pairing(gram: np.ndarray, u: np.ndarray, sigma: np.ndarray, w: np.ndarray) -> None:
+    """The lines V_A u and the paired lines V_B w are jointly orthonormal.
+
+    With V_A and V_B orthonormal the three Grams are u^dag u, w^dag w and
+    u^dag gram w, which must be I, I and diag(sigma) padded with zero rows.
+    So V_A u rebuilds P_A exactly when u is unitary: an r_A x r_A check in
+    place of a D x D reconstruction.
+    """
+    ra, k = u.shape[0], w.shape[1]
+    if np.max(np.abs(u.conj().T @ u - np.eye(ra))) > 1e-8:
+        raise RuntimeError("first projector does not reconstruct from its lines")
+    if np.max(np.abs(w.conj().T @ w - np.eye(k))) > 1e-8:
+        raise RuntimeError("paired second-subspace lines are not orthonormal")
+    if np.max(np.abs(u.conj().T @ gram @ w - np.eye(ra, k) * sigma)) > 1e-8:
+        raise RuntimeError("line pairs are not jointly orthonormal")
+
+
 def jordan_decompose(pa, pb) -> CanonicalDecomposition:
     """Joint block decomposition of two projectors' ranges.
 
     Returns blocks of the five kinds; their bases together form an
     orthonormal basis of the whole space, each subspace is the direct sum of
     its lines across blocks, and tilted planes carry their principal angle.
+
+    On top of the core's pairing this builds the unpaired lines of the
+    second subspace and the lines outside both (a D x D SVD), then checks in
+    the whole space that the block bases fill it and are jointly
+    orthonormal and that each projector is the sum of its lines (1e-8 in
+    every entry).  That is O(D^3); ``intersection_projector`` needs none of
+    it.
     """
-    pa = _as_projector(pa)
-    pb = _as_projector(pb)
-    if pa.dim != pb.dim:
-        raise ValueError("projectors live on different dimensions")
+    pa, pb = _support_pair(pa, pb)
     d = pa.dim
     a = pa.support_columns()
     b = pb.support_columns()
+    pairs = _pair(a, b, full=True)
+    k = len(pairs.cosines)
+
     blocks: list[Block] = []
-
-    if a.shape[1] and b.shape[1]:
-        gram = a.conj().T @ b
-        left, sigma, right_h = np.linalg.svd(gram)
-        a_rot = a @ left
-        b_rot = b @ right_h.conj().T
-    else:
-        sigma = np.zeros(0)
-        a_rot = a
-        b_rot = b
-
-    k = len(sigma)
-    used_b = np.zeros(b.shape[1], dtype=bool)
-    for i in range(k):
-        s = float(min(1.0, sigma[i]))
-        av = a_rot[:, i]
-        bv = b_rot[:, i]
-        if s >= 1.0 - SIGMA_ONE_TOL:
-            blocks.append(Block(BLOCK_IN_BOTH, av.reshape(-1, 1)))
-            used_b[i] = True
-        elif s <= SIGMA_ZERO_TOL:
-            blocks.append(Block(BLOCK_FIRST_ONLY, av.reshape(-1, 1)))
-        else:
+    for i, (s, shared, tilted) in enumerate(zip(pairs.cosines, pairs.shared, pairs.tilted)):
+        av = pairs.a_lines[:, i]
+        bv = pairs.b_lines[:, i]
+        if shared:
+            blocks.append(Block(BLOCK_IN_BOTH, av.reshape(-1, 1), b_line=bv))
+        elif tilted:
             # orthonormal plane basis: the a-line and its in-plane complement
             ortho = bv - s * av
             ortho = ortho / np.linalg.norm(ortho)
             basis = np.column_stack([av, ortho])
-            blocks.append(
-                Block(
-                    BLOCK_TILTED_PLANE,
-                    basis,
-                    angle=float(math.acos(s)),
-                    a_line=av,
-                    b_line=bv,
-                )
-            )
-            used_b[i] = True
-    for i in range(k, a_rot.shape[1]):
-        blocks.append(Block(BLOCK_FIRST_ONLY, a_rot[:, i].reshape(-1, 1)))
-    for j in range(b_rot.shape[1]):
-        if j < k and (used_b[j] or sigma[j] > SIGMA_ZERO_TOL):
-            continue
-        blocks.append(Block(BLOCK_SECOND_ONLY, b_rot[:, j].reshape(-1, 1)))
+            blocks.append(Block(BLOCK_TILTED_PLANE, basis, angle=float(math.acos(s)), a_line=av, b_line=bv))
+        else:
+            blocks.append(Block(BLOCK_FIRST_ONLY, av.reshape(-1, 1)))
+    for i in range(k, a.shape[1]):
+        blocks.append(Block(BLOCK_FIRST_ONLY, pairs.a_lines[:, i].reshape(-1, 1)))
+    orthogonal = ~(pairs.shared | pairs.tilted)
+    unpaired = b @ pairs.w[:, k:]
+    for line in np.column_stack([pairs.b_lines[:, orthogonal], unpaired]).T:
+        blocks.append(Block(BLOCK_SECOND_ONLY, line.reshape(-1, 1)))
 
     occupied = [blk.basis for blk in blocks]
     span = np.column_stack(occupied) if occupied else np.zeros((d, 0), dtype=complex)
@@ -206,59 +274,49 @@ def intersection_projector(pa, pb, tau: float) -> Projector:
 
     Take the orthonormal basis of the first subspace formed by its lines in
     the decomposition, keep every line whose image under the second projector
-    retains squared norm at least ``tau`` (boundary kept), and project onto
-    the span of those images.  The result R satisfies
+    retains squared norm at least ``tau`` (boundary kept) and more than 0,
+    and project onto the span of those images: the first subspace's line for
+    a shared block, the second's for a tilted plane.  The result R satisfies
     R <= tau^{-1} PB PA PB, and every unit vector in the span of the kept
     lines keeps squared norm at least tau under PB.
+
+    Only the core's pairing is built: no blocks, no unpaired lines of the
+    second subspace, no complement.  Every check runs in the span of the
+    factors, at O(D r_A r_B + D r^2) for r = r_A + rank R instead of O(D^3):
+    the pairing's coordinate checks; the sandwich as V_R V_R^dag <= Y Y^dag
+    with Y = V_B (V_B^dag V_A) / sqrt(tau), compared in an orthonormal basis
+    of their joint column span (``psd_leq_factors``); and the kept lines C
+    through the eigenvalues of (V_B^dag C)^dag (V_B^dag C), without the
+    dense PB.
     """
     if not 0.0 < tau <= 1.0:
         raise ValueError("tau must lie in (0, 1]")
-    pa = _as_projector(pa)
-    pb = _as_projector(pb)
-    decomp = jordan_decompose(pa, pb)
+    pa, pb = _support_pair(pa, pb)
+    b = pb.support_columns()
+    pairs = _pair(pa.support_columns(), b)
+    shared = pairs.shared
+    keep = shared.copy()
+    for i in np.flatnonzero(pairs.tilted):
+        keep[i] = math.cos(math.acos(pairs.cosines[i])) ** 2 >= tau - 1e-12
+    paired_a = pairs.a_lines[:, : len(keep)]
+    kept_lines = paired_a[:, keep]
+    images = np.where(shared, paired_a, pairs.b_lines)[:, keep]
 
-    kept_images = []
-    kept_lines = []
-    for blk in decomp.blocks:
-        if blk.kind == BLOCK_IN_BOTH:
-            overlap = 1.0
-            image = blk.basis[:, 0]
-            line = image
-        elif blk.kind == BLOCK_FIRST_ONLY:
-            overlap = 0.0
-            image = None
-            line = blk.basis[:, 0]
-        elif blk.kind == BLOCK_TILTED_PLANE:
-            overlap = math.cos(blk.angle) ** 2
-            image = blk.b_line
-            line = blk.a_line
-        else:
-            continue
-        if overlap >= tau - 1e-12:
-            kept_images.append(image)
-            kept_lines.append(line)
-
-    if kept_images:
-        result = Projector.from_vectors(kept_images, meta={"kept_count": len(kept_images), "tau": tau})
+    meta = {"kept_count": images.shape[1], "tau": tau}
+    if images.shape[1]:
+        result = Projector.from_vectors(images.T, meta=meta)
     else:
         result = Projector.zero(pa.dim)
-        result.meta.update({"kept_count": 0, "tau": tau})
+        result.meta.update(meta)
 
-    _validate_intersection(result, pa, pb, tau, kept_lines)
-    return result
-
-
-def _validate_intersection(result, pa, pb, tau, kept_lines) -> None:
-    pb_dense = pb.dense()
-    bound = pb_dense @ pa.dense() @ pb_dense / tau
-    if not psd_leq(result.dense(), bound, tol=1e-8):
+    bound = b @ pairs.gram.conj().T / math.sqrt(tau)
+    if not psd_leq_factors(result.support_columns(), bound):
         raise RuntimeError("intersection projector violates its operator bound")
-    if kept_lines:
-        cols = np.column_stack(kept_lines)
-        overlap = cols.conj().T @ pb_dense @ cols
-        lo = float(np.min(np.linalg.eigvalsh((overlap + overlap.conj().T) / 2)))
-        if lo < tau - 1e-8:
+    if kept_lines.shape[1]:
+        in_b = b.conj().T @ kept_lines
+        if float(np.min(np.linalg.eigvalsh(in_b.conj().T @ in_b))) < tau - 1e-8:
             raise RuntimeError("kept subspace retains less than tau under the second projector")
+    return result
 
 
 @dataclass

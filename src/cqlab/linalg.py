@@ -134,6 +134,20 @@ def psd_leq(a, b, tol: float = 1e-9) -> bool:
     return lo >= -tol * max(1.0, operator_norm(y))
 
 
+def psd_leq_factors(x: np.ndarray, y: np.ndarray) -> bool:
+    """``psd_leq(X X^dag, Y Y^dag, tol=1e-8)`` from the factors X and Y (D x r each).
+
+    Both operators vanish outside the joint column span of [X | Y], so the
+    comparison runs in an orthonormal basis Q of that span (a thin SVD):
+    Q^dag X X^dag Q against Q^dag Y Y^dag Q.  The gap's nonzero spectrum and
+    ||Y Y^dag|| are those of the D x D operators, so the verdict is the
+    dense one, at O(D m^2) for m = r_X + r_Y instead of O(D^3).
+    """
+    q = np.linalg.svd(np.hstack([x, y]), full_matrices=False)[0].conj().T
+    qx, qy = q @ x, q @ y
+    return psd_leq(qx @ qx.conj().T, qy @ qy.conj().T, tol=1e-8)
+
+
 def _kron(a: np.ndarray, b: np.ndarray) -> np.ndarray:
     """Kronecker product of two matrices, bit-identical to ``np.kron``.
 

@@ -5,8 +5,12 @@ element factors; a dense D x D product, eigendecomposition or chain
 conjugation creeping back in would keep every output but cost O(D^3) per
 message again.  Smoothing reads a maximally mixed record's trace distance
 off the symbols' spectra, so only typical records may build a product
-state.  These tests count such calls through monkeypatching.
+state.  Multi-sender candidates and their guarantees are checked in the
+candidates' own span, so building them forms no D x D matrix.  These tests
+count such calls through monkeypatching.
 """
+
+import sys
 
 import numpy as np
 import pytest
@@ -147,3 +151,41 @@ def test_smoothing_builds_product_states_for_typical_records_only(monkeypatch):
     assert len(built) + len(distances) <= 2 * len(typical)
     assert set(built) <= typical
     assert not any(distances)
+
+
+def test_candidate_checks_form_no_dense_matrix(monkeypatch):
+    """Intersection candidates and the region-1 envelope are checked in the
+    candidates' own span: no D x D eigendecomposition or SVD runs in a
+    sequential multi-sender decode, and no dense projector matrix is formed
+    while a candidate is built or its envelope checked."""
+    counts = {"decomposition": 0, "dense": 0}
+    builders = {"intersection_projector", "narrow", "narrow_twice"}
+
+    def counted_decomposition(fn):
+        def run(a, *args, **kwargs):
+            if min(np.shape(a)[-2:]) >= 2**N:
+                counts["decomposition"] += 1
+            return fn(a, *args, **kwargs)
+
+        return run
+
+    dense = Projector.dense
+
+    def counted_dense(self):
+        frame = sys._getframe(1)
+        while frame is not None:
+            if frame.f_code.co_name in builders:
+                counts["dense"] += 1
+                break
+            frame = frame.f_back
+        return dense(self)
+
+    for name in ("eigh", "eigvalsh", "svd"):
+        monkeypatch.setattr(np.linalg, name, counted_decomposition(getattr(np.linalg, name)))
+    monkeypatch.setattr(Projector, "dense", counted_dense)
+
+    mac = ccq_mac_sequential_decode(MAC, sample_codebook(MAC, (0.35, 0.35), N, (0, 0)), 0.99)
+    cmg = cmg_sequential_decode(CMG, sample_codebook(CMG, (0.35, 0.35, 0.0), N, (0, 0)), 0.99, 1)
+    assert max(mac.details["candidate_ranks"].values()) > 0
+    assert cmg.details["chain_checks"] > 0
+    assert counts == {"decomposition": 0, "dense": 0}

@@ -474,6 +474,22 @@ class TestMacSequentialDecoder:
         explicit = ccq_mac_sequential_decode(mac, book, 0.25, epsilon=0.25)
         assert explicit.details["tau"] == pytest.approx(0.5, abs=1e-12)
 
+    def test_tiny_tau_keeps_no_line_outside_the_y_subspace(self):
+        # at slack 5 the pair projector of x = (0, 0, 1) allows the rare
+        # eigenvector at its last position, which the y projector (slack 30)
+        # excludes: a line of overlap 0, kept at tau <= 1e-12 without an image
+        x_law = ClassicalDistribution((0, 1), (0.94, 0.06))
+        states = {(0, 0): KET0, (1, 0): np.diag([0.83, 0.17]).astype(complex)}
+        mac = CcqMac(x_law, ClassicalDistribution((0,), (1.0,)), states)
+        book = Codebook(
+            channel=mac, n=3, rates=(0.5, 0.0), codewords=({1: (0, 0, 0), 2: (0, 0, 1)}, {1: (0, 0, 0)}),
+            counts=(2, 1), seed=(0,),
+        )
+        ranks = [
+            ccq_mac_sequential_decode(mac, book, 5.0, tau=tau).details["candidate_ranks"] for tau in (0.5, 1e-13)
+        ]
+        assert ranks[0] == ranks[1] == {(1, 1): 1, (2, 1): 1}
+
 
 def coupled_channel_for_tests(seed: int = 2) -> CoupledMac:
     """x uniform, z uniform given x, trivial y, haphazard pure outputs."""

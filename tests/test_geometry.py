@@ -4,6 +4,8 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from cqlab.geometry import (
     BLOCK_FIRST_ONLY,
@@ -11,7 +13,11 @@ from cqlab.geometry import (
     BLOCK_OUTSIDE_BOTH,
     BLOCK_SECOND_ONLY,
     BLOCK_TILTED_PLANE,
+    SIGMA_ONE_TOL,
+    SIGMA_ZERO_TOL,
     SeqStep,
+    _check_pairing,
+    _pair,
     gentle_measurement_check,
     intersection_projector,
     jordan_decompose,
@@ -19,7 +25,7 @@ from cqlab.geometry import (
     seq_success_lower_bound,
     sequential_collapse,
 )
-from cqlab.linalg import Projector, psd_leq
+from cqlab.linalg import Projector, psd_leq, psd_leq_factors
 
 KET0 = np.array([1.0, 0.0], dtype=complex)
 KET1 = np.array([0.0, 1.0], dtype=complex)
@@ -153,6 +159,190 @@ def test_intersection_projector_guarantee():
     assert overlap >= 1 - eps - 1e-9
     r = intersection_projector(pa, pb, tau)
     assert float(np.real(np.trace(rho @ r.dense()))) >= 1 - 2 * math.sqrt(eps) - 1e-9
+
+
+@pytest.mark.parametrize("theta", [1e-6, 1e-7, 2e-8])
+def test_near_coincident_lines_reconstruct_both_projectors(theta):
+    # cos(theta) >= 1 - SIGMA_ONE_TOL classifies the pair as shared; the
+    # second projector must still rebuild from its own line
+    e = np.eye(3, dtype=complex)
+    a = e[:, 0]
+    b = math.cos(theta) * e[:, 0] + math.sin(theta) * e[:, 1]
+    decomp = jordan_decompose(proj(a), proj(b))
+    assert [blk.kind for blk in decomp.blocks_of_kind(BLOCK_IN_BOTH)] == [BLOCK_IN_BOTH]
+    assert np.max(np.abs(decomp.reconstruct_first() - proj(a))) < 1e-8
+    assert np.max(np.abs(decomp.reconstruct_second() - proj(b))) < 1e-8
+    r = intersection_projector(proj(a, e[:, 2]), proj(b), 0.9)
+    assert r.rank == 1
+    assert r.meta["kept_count"] == 1
+
+
+def test_zero_overlap_lines_are_never_kept():
+    # at tau <= 1e-12 the boundary slack reached overlap 0, a line with no image
+    e = np.eye(3, dtype=complex)
+    r = intersection_projector(proj(e[:, 0], e[:, 1]), proj(e[:, 1]), 1e-13)
+    assert r.rank == 1
+    assert r.meta["kept_count"] == 1
+    assert np.allclose(r.dense(), proj(e[:, 1]), atol=1e-12)
+    orthogonal = intersection_projector(proj(e[:, 0]), proj(e[:, 1]), 1e-13)
+    assert orthogonal.rank == 0
+
+
+def parent_intersection(pa, pb, tau):
+    """Reference intersection: a full SVD, blocks read one at a time, and
+    both guarantees checked on D x D matrices.
+
+    Returns (R dense, kept count, whether both checks hold).  Lines of zero
+    overlap are never kept, as in the module.
+    """
+    pa, pb = Projector.from_matrix(pa), Projector.from_matrix(pb)
+    a, b = pa.support_columns(), pb.support_columns()
+    left, sigma, right_h = np.linalg.svd(a.conj().T @ b)
+    a_rot, b_rot = a @ left, b @ right_h.conj().T
+    images, lines = [], []
+    for i, s in enumerate(np.minimum(sigma, 1.0)):
+        if s >= 1.0 - SIGMA_ONE_TOL:
+            overlap, image = 1.0, a_rot[:, i]
+        elif s <= SIGMA_ZERO_TOL:
+            continue
+        else:
+            overlap, image = math.cos(math.acos(s)) ** 2, b_rot[:, i]
+        if overlap >= tau - 1e-12:
+            images.append(image)
+            lines.append(a_rot[:, i])
+    d = pa.dim
+    r = Projector.from_vectors(images).dense() if images else np.zeros((d, d), dtype=complex)
+    pbd = pb.dense()
+    sandwich = pbd @ pa.dense() @ pbd
+    # Hermitian part: at tau near 1e-13 the product's rounding asymmetry, over tau, fails the Hermitian test
+    holds = psd_leq(r, (sandwich + sandwich.conj().T) / (2 * tau), tol=1e-8)
+    if lines:
+        c = np.column_stack(lines)
+        overlap = c.conj().T @ pbd @ c
+        holds = holds and float(np.min(np.linalg.eigvalsh((overlap + overlap.conj().T) / 2))) >= tau - 1e-8
+    return r, len(images), holds
+
+
+# cos at 1 - SIGMA_ONE_TOL is near 1.414e-5 rad; sin at SIGMA_ZERO_TOL is 1e-10 rad off pi/2
+EDGE_ANGLES = (0.0, math.pi / 2, 1.3e-5, 1.5e-5, math.pi / 2 - 0.5e-10, math.pi / 2 - 2e-10)
+
+
+@st.composite
+def subspace_pairs(draw):
+    """(PA, PB, tau) in C^D, D <= 16.
+
+    Paired lines sit at the drawn principal angles, the exact edges of the
+    classification included; extra lines of either subspace are orthogonal
+    to the other, so r_A < r_B and r_A > r_B both occur, and with ``whole``
+    the second subspace is all of C^D.  tau is uniform, 1, or a drawn
+    overlap cos^2 shifted by +-1e-12.
+    """
+    angles = draw(st.lists(st.one_of(st.sampled_from(EDGE_ANGLES), st.floats(0.0, math.pi / 2)), max_size=5))
+    extra_a = draw(st.integers(0 if angles else 1, 3))
+    extra_b = draw(st.integers(0 if angles else 1, 3))
+    needed = sum(1 if t == 0.0 else 2 for t in angles) + extra_a + extra_b
+    d = draw(st.integers(needed, 16))
+    e = np.eye(d, dtype=complex)
+    a_cols, b_cols, j = [], [], 0
+    for t in angles:
+        a_cols.append(e[:, j])
+        b_cols.append(e[:, j] if t == 0.0 else math.cos(t) * e[:, j] + math.sin(t) * e[:, j + 1])
+        j += 1 if t == 0.0 else 2
+    a_cols += [e[:, j + i] for i in range(extra_a)]
+    b_cols += [e[:, j + extra_a + i] for i in range(extra_b)]
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    q, _ = np.linalg.qr(rng.normal(size=(d, d)) + 1j * rng.normal(size=(d, d)))
+    a = q @ np.column_stack(a_cols)
+    pb = np.eye(d, dtype=complex) if draw(st.booleans()) else proj(*(q @ np.column_stack(b_cols)).T)
+    overlaps = [math.cos(t) ** 2 for t in angles if 0.0 < t < math.pi / 2]
+    kind = draw(st.sampled_from(("uniform", "one", "edge-", "edge+") if overlaps else ("uniform", "one")))
+    if kind == "uniform":
+        tau = draw(st.floats(0.01, 1.0))
+    elif kind == "one":
+        tau = 1.0
+    else:
+        tau = draw(st.sampled_from(overlaps)) + (1e-12 if kind == "edge+" else -1e-12)
+        tau = min(1.0, max(tau, 1e-13))
+    return a @ a.conj().T, pb, tau
+
+
+def dense_leq(x, y):
+    return psd_leq(x @ x.conj().T, y @ y.conj().T, tol=1e-8)
+
+
+@settings(max_examples=200)
+@given(subspace_pairs())
+def test_intersection_matches_the_dense_reference(case):
+    pa, pb, tau = case
+    r_ref, kept_ref, holds = parent_intersection(pa, pb, tau)
+    try:
+        r = intersection_projector(pa, pb, tau)
+    except RuntimeError:
+        assert not holds
+        return
+    assert holds
+    assert r.meta["kept_count"] == kept_ref
+    assert np.max(np.abs(r.dense() - r_ref)) <= 1e-12
+    decomp = jordan_decompose(pa, pb)
+    assert np.max(np.abs(decomp.reconstruct_first() - pa)) < 1e-8
+    assert np.max(np.abs(decomp.reconstruct_second() - pb)) < 1e-8
+
+
+@settings(max_examples=200)
+@given(subspace_pairs(), st.integers(0, 2**32 - 1))
+def test_coordinate_checks_give_the_dense_verdicts(case, seed):
+    pa, pb, tau = case
+    a = Projector.from_matrix(pa).support_columns()
+    b = Projector.from_matrix(pb).support_columns()
+    bound = b @ (b.conj().T @ a) / math.sqrt(tau)
+    try:
+        x = intersection_projector(pa, pb, tau).support_columns()
+    except RuntimeError:
+        x = np.zeros((len(pa), 0), dtype=complex)
+    rng = np.random.default_rng(seed)
+    # the sandwich as built, with the check's tau scaled by 1.01, and with R
+    # given a line outside range(PB): each verdict must be the dense one
+    assert psd_leq_factors(x, bound) == dense_leq(x, bound)
+    assert psd_leq_factors(x, bound / math.sqrt(1.01)) == dense_leq(x, bound / math.sqrt(1.01))
+    if b.shape[1] < len(pb):
+        v = rng.normal(size=len(pb)) + 1j * rng.normal(size=len(pb))
+        v = v - b @ (b.conj().T @ v)
+        outside = np.column_stack([x, v / np.linalg.norm(v)])
+        assert not psd_leq_factors(outside, bound)
+        assert not dense_leq(outside, bound)
+    # a rotation of A that is not unitary fails the r_A x r_A check and the
+    # D x D reconstruction alike
+    pairs = _pair(a, b)
+    u = np.linalg.lstsq(a, pairs.a_lines, rcond=None)[0]
+    w = np.linalg.lstsq(b, pairs.b_lines, rcond=None)[0]
+    sigma = np.diag(u.conj().T @ (a.conj().T @ b) @ w).real
+    _check_pairing(a.conj().T @ b, u, sigma, w)
+    bent = u.copy()
+    bent[:, 0] *= 1.0 + 1e-4
+    with pytest.raises(RuntimeError):
+        _check_pairing(a.conj().T @ b, bent, sigma, w)
+    lines = a @ bent
+    assert np.max(np.abs(lines @ lines.conj().T - pa)) > 1e-8
+
+
+@settings(max_examples=100)
+@given(st.integers(3, 12), st.integers(0, 2**32 - 1), st.floats(0.05, 1.0), st.floats(0.05, 1.0))
+def test_envelope_check_gives_the_dense_verdict(d, seed, tau1, tau2):
+    rng = np.random.default_rng(seed)
+    p_zy, p_xy, p_y = (random_projector(rng, d, int(rng.integers(1, d + 1))) for _ in range(3))
+    inner = intersection_projector(p_zy, p_xy, tau1)
+    if inner.rank == 0:
+        return
+    tilde = intersection_projector(inner, p_y, tau2).support_columns()
+    vy, vxy, vzy = (Projector.from_matrix(p).support_columns() for p in (p_y, p_xy, p_zy))
+    envelope = vy @ ((vy.conj().T @ vxy) @ (vxy.conj().T @ vzy)) / math.sqrt(tau1 * tau2)
+    assert psd_leq_factors(tilde, envelope) and dense_leq(tilde, envelope)
+    if vy.shape[1] < d:
+        v = rng.normal(size=d) + 1j * rng.normal(size=d)
+        v = v - vy @ (vy.conj().T @ v)
+        escaped = np.column_stack([tilde, v / np.linalg.norm(v)])
+        assert not psd_leq_factors(escaped, envelope)
+        assert not dense_leq(escaped, envelope)
 
 
 def test_sequential_collapse_identity_step():
