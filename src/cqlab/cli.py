@@ -30,7 +30,7 @@ from .regions import (
     receiver_region,
     sample_boundary,
 )
-from .specio import SpecError, load_channel
+from .specio import SpecError, _kind, load_channel
 
 TOOL_VERSION = "cqlab/0.1.0"
 CSV_SCHEMA_REGIONS = "cqlab-regions-csv/1"
@@ -71,15 +71,6 @@ def _ensure_outdir(path: str) -> str:
     return path
 
 
-def _kind_of(channel) -> str:
-    return {
-        CqChannel: "cq",
-        CcqMac: "ccq-mac",
-        CoupledMac: "cmg-mac",
-        InterferenceChannel: "ccqq-ic",
-    }[type(channel)]
-
-
 def _cq_region(channel: CqChannel) -> RateRegion:
     info = holevo_information(channel.ensemble())
     part = RegionPart(
@@ -110,7 +101,7 @@ def cmd_regions(args) -> int:
     doc: dict = {
         "schema": "cqlab-regions/1",
         "tool": TOOL_VERSION,
-        "kind": _kind_of(channel),
+        "kind": _kind(channel),
         "seed": args.seed,
         "regions": {},
     }
@@ -147,19 +138,6 @@ def cmd_regions(args) -> int:
     return EXIT_OK
 
 
-def _expected_rate_count(channel) -> int:
-    return {CqChannel: 1, CcqMac: 2, CoupledMac: 3}[type(channel)]
-
-
-def _resolve_rates(channel, rates: list[float]):
-    if isinstance(channel, InterferenceChannel):
-        raise SpecError("spec.kind", "no direct decoder for kind 'ccqq-ic'; decode its per-receiver sub-problems instead")
-    want = _expected_rate_count(channel)
-    if len(rates) != want:
-        raise ValueError(f"this channel takes {want} --rate values, got {len(rates)}")
-    return rates[0] if want == 1 else tuple(rates)
-
-
 def _resolve_order(spec: str, channel, rates, n: int, region: int | None):
     if spec == "lex":
         return None
@@ -183,13 +161,14 @@ def _message_columns(message) -> list:
 
 
 def _simulate_result(args, channel):
-    rates = _resolve_rates(channel, args.rate)
+    if isinstance(channel, InterferenceChannel):
+        raise SpecError("spec.kind", "no direct decoder for kind 'ccqq-ic'; decode its per-receiver sub-problems instead")
     if args.region is not None and not isinstance(channel, CoupledMac):
         raise ValueError("--region applies only to cmg-mac channels")
-    order = _resolve_order(args.order, channel, rates, args.n, args.region)
+    order = _resolve_order(args.order, channel, args.rate, args.n, args.region)
     return monte_carlo_avg_error(
         channel,
-        rates,
+        args.rate,
         args.n,
         args.trials,
         args.seed,
@@ -206,7 +185,7 @@ def _summary_doc(args, channel, result) -> dict:
     return {
         "schema": "cqlab-simulate/1",
         "tool": TOOL_VERSION,
-        "kind": _kind_of(channel),
+        "kind": _kind(channel),
         "config": {
             "n": args.n,
             "delta": args.delta,
@@ -298,7 +277,7 @@ def cmd_sweep(args) -> int:
     doc = {
         "schema": "cqlab-sweep/1",
         "tool": TOOL_VERSION,
-        "kind": _kind_of(channel),
+        "kind": _kind(channel),
         "config": {
             "n_values": list(args.n),
             "delta": args.delta,

@@ -2,15 +2,18 @@
 
 Encoders draw i.i.d. codewords from the channel input laws with one RNG
 stream per message, so enlarging a codebook never disturbs the codewords
-already drawn.  Decoding is one pipeline: a per-family builder returns each
-message's conditionally typical projectors (None when its codeword is not
-typical); the sequential decoders combine them into one candidate projector
-per message and walk the chain once (``_run_sequential``, checked on each
-run against a collapse of the last message's state), while the
-square-root-measurement element builders combine the same parts into
-element factors for ``pgm_decode``.  Every run reports the matching
-closed-form bound next to the simulated value; ``_FAMILIES`` holds what
-differs per channel type.
+already drawn.  Decoding is one pipeline read off a table.  Each decode
+target (the cq channel, the ccq-MAC, and regions 1 and 2 of the coupled
+MAC) is a ``_Layout`` row: the law its codeword tuples must be typical
+for, and its conditionally typical projectors from the candidate outward,
+each outer one narrowing the candidate by one ``intersection_projector``
+step.  ``_parts`` builds each message's projectors (None when its codeword
+tuple is not typical); ``_sequential`` folds them into one candidate per
+message and walks the chain once (``_run_sequential``, checked on each run
+against a collapse of the last message's state), while ``_pgm_elements``
+turns the same parts into nested factors for ``pgm_decode``.  Every run
+reports the matching closed-form bound next to the simulated value;
+``_FAMILIES`` holds what differs per channel type.
 
 States and elements are held as factors: a received state as A with
 rho = A A^dag (for product states the Kronecker product of per-symbol
@@ -169,7 +172,8 @@ def _decoded_messages(channel, rates, n: int, region: int | None = None) -> list
     Depends only on the message counts, so no codebook is drawn.
     """
     family = _family(channel)
-    return family.messages(_codebook_counts(family.laws(channel), _rate_tuple(rates), n), region)
+    counts = _codebook_counts(family.laws(channel), _rate_tuple(rates), n)
+    return family.layout(region).messages(counts)
 
 
 def sample_codebook(channel, rates, n: int, seed) -> Codebook:
@@ -390,62 +394,53 @@ def _run_sequential(
     )
 
 
-def _cq_parts(channel: CqChannel, codebook: Codebook, messages: list, delta: float) -> dict:
-    """(Pi_x,) per message with a typical codeword, None otherwise."""
-    ens = channel.ensemble()
-    pi_x = functools.cache(lambda xs: cond_typical_projector(ens, xs, delta))
-    parts: dict = {}
-    for m in messages:
-        (xs,) = codebook.sequences(m)
-        parts[m] = (pi_x(xs),) if is_typical(channel.prior, xs, delta) else None
-    return parts
+@dataclass(frozen=True)
+class _Layout:
+    """One decode target as a stack of conditionally typical projectors.
 
-
-def _mac_parts(channel: CcqMac, codebook: Codebook, messages: list, delta: float) -> dict:
-    """(Pi_xy, Pi_y) at slacks delta and 6*delta per typical codeword pair, else None."""
-    pair_dist = channel.x_prior.product(channel.y_prior)
-    pair_ens = channel.pair_ensemble()
-    y_ens = channel.y_ensemble()
-    pi_xy = functools.cache(lambda seq: cond_typical_projector(pair_ens, seq, delta))
-    pi_y = functools.cache(lambda ys: cond_typical_projector(y_ens, ys, 6.0 * delta))
-    parts: dict = {}
-    for m in messages:
-        xs, ys = codebook.sequences(m)
-        pair_seq = tuple(zip(xs, ys))
-        parts[m] = (pi_xy(pair_seq), pi_y(ys)) if is_typical(pair_dist, pair_seq, delta) else None
-    return parts
-
-
-def _cmg_parts(channel: CoupledMac, codebook: Codebook, messages: list, delta: float, region: int) -> dict:
-    """Parts per decoded message of a coupled channel, None when atypical.
-
-    Region 1: (Pi_zy, Pi_xy, Pi_y) at slacks delta, 6*delta, 6*delta per
-    typical codeword triple.  Region 2: (Pi_z,) at slack delta per typical
-    (x, z) codeword pair.
+    ``layers`` run from the candidate outward, each an (ensemble method,
+    slack multiple of delta, picked senders) triple: the projector
+    conditioned on the picked codeword sequences zipped together.  Every
+    outer layer narrows the candidate by one ``intersection_projector``
+    step, with one (leak label, tau stage) pair in ``narrowings``; a
+    measured tau reads the mean leak 1 - Tr[rho Pi] of that outer layer.
     """
-    parts: dict = {}
-    if region == 2:
-        xz = channel.xz_dist()
-        z_ens = channel.z_ensemble()
-        pi_z = functools.cache(lambda zs: cond_typical_projector(z_ens, zs, delta))
-        for m in messages:
-            xs, zs = codebook.sequences(m)
-            parts[m] = (pi_z(zs),) if is_typical(xz, tuple(zip(xs, zs)), delta) else None
-        return parts
 
-    trip_dist = _triple_dist(channel)
-    zy_ens = channel.zy_ensemble()
-    xy_ens = channel.xy_ensemble()
-    y_ens = channel.y_ensemble()
-    pi_zy = functools.cache(lambda seq: cond_typical_projector(zy_ens, seq, delta))
-    pi_xy = functools.cache(lambda seq: cond_typical_projector(xy_ens, seq, 6.0 * delta))
-    pi_y = functools.cache(lambda ys: cond_typical_projector(y_ens, ys, 6.0 * delta))
+    law: Callable  # channel -> law the zipped codeword tuple must be typical for
+    layers: tuple[tuple[str, float, tuple[int, ...]], ...]
+    narrowings: tuple[tuple[str, str], ...] = ()
+    senders: int = 1  # leading senders whose messages are decoded
+    grouped: bool = False  # errors count a halt anywhere in the sent (m1, m2) group
+
+    def messages(self, counts: Sequence[int]) -> list:
+        return _lex(counts[: self.senders])
+
+
+def _zipped(seqs: Sequence, picks: Sequence[int]) -> tuple:
+    """The picked sequences zipped into one sequence of symbol tuples; a single pick as is."""
+    chosen = [seqs[i] for i in picks]
+    return chosen[0] if len(chosen) == 1 else tuple(zip(*chosen))
+
+
+def _parts(channel, codebook: Codebook, messages: list, delta: float, layout: _Layout) -> dict:
+    """Per message, its layers' projectors from the candidate outward; None
+    when the zipped codeword tuple is not typical for the row's law.
+
+    Each layer's projector is made once per distinct conditioning sequence.
+    """
+    check_dim_cap(channel.dim**codebook.n)
+    law = layout.law(channel)
+
+    def layer(ens, slack: float, picks: tuple) -> Callable:
+        build = functools.cache(lambda seq: cond_typical_projector(ens, seq, slack * delta))
+        return lambda seqs: build(_zipped(seqs, picks))
+
+    layers = [layer(getattr(channel, name)(), slack, picks) for name, slack, picks in layout.layers]
+    parts: dict = {}
     for m in messages:
-        xs, zs, ys = codebook.sequences(m)
-        if is_typical(trip_dist, tuple(zip(xs, zs, ys)), delta):
-            parts[m] = (pi_zy(tuple(zip(zs, ys))), pi_xy(tuple(zip(xs, ys))), pi_y(ys))
-        else:
-            parts[m] = None
+        seqs = codebook.sequences(m)
+        typical = is_typical(law, _zipped(seqs, range(len(seqs))), delta)
+        parts[m] = tuple(f(seqs) for f in layers) if typical else None
     return parts
 
 
@@ -466,7 +461,8 @@ def _states(channel, codebook: Codebook, state_fn: Callable | None) -> tuple[Cal
     eigenpairs.  A pair message on a three-sender codebook averages m3 out,
     so its factor stacks the M3 factors scaled by 1/sqrt(M3).
     """
-    ens, symbols = _family(channel).output(channel)
+    name, picks = _family(channel).output
+    ens = getattr(channel, name)()
     local = functools.cache(lambda s: _factor(*hermitian_eig(ens.state(s))))
 
     def completions(m) -> list[tuple]:
@@ -478,12 +474,12 @@ def _states(channel, codebook: Codebook, state_fn: Callable | None) -> tuple[Cal
     def received_factor(seqs: tuple) -> np.ndarray:
         if state_fn is not None:
             return _factor(*hermitian_eig(state_fn(*seqs)))
-        return functools.reduce(_kron, [local(s) for s in symbols(*seqs)])
+        return functools.reduce(_kron, [local(s) for s in _zipped(seqs, picks)])
 
     def received(seqs: tuple) -> np.ndarray:
         if state_fn is not None:
             return as_matrix(state_fn(*seqs))
-        return ens.sequence_state(symbols(*seqs))
+        return ens.sequence_state(_zipped(seqs, picks))
 
     def factor(m) -> np.ndarray:
         facs = [received_factor(seqs) for seqs in completions(m)]
@@ -504,56 +500,109 @@ def _states(channel, codebook: Codebook, state_fn: Callable | None) -> tuple[Cal
 
 def _combine(parts: dict, build: Callable, empty) -> dict:
     """Per message, ``build(*parts)`` made once per distinct parts; ``empty`` when atypical."""
-    built: dict = {}
-    out: dict = {}
-    for m, p in parts.items():
-        if p is None:
-            out[m] = empty
-            continue
-        if p not in built:
-            built[p] = build(*p)
-        out[m] = built[p]
-    return out
+    built = {p: build(*p) for p in dict.fromkeys(parts.values()) if p is not None}
+    return {m: built.get(p, empty) for m, p in parts.items()}
 
 
-def _typical(parts: dict) -> dict:
-    return {m: p is not None for m, p in parts.items()}
-
-
-def _leaks(parts: dict, dense: Callable, *which: tuple[int, str]) -> list[list[float]]:
-    """Per (part index, label): 1 - Tr[rho_m Pi] over the typical messages, in message order.
+def _leaks(parts: dict, dense: Callable, labels: Sequence[str]) -> list[list[float]]:
+    """Per outer layer, 1 - Tr[rho_m Pi] over the typical messages, in message order.
 
     Dense, because tau = 1 - sqrt(mean leak) pins this rounding; one state
     is held at a time.
     """
-    out: list[list[float]] = [[] for _ in which]
+    out: list[list[float]] = [[] for _ in labels]
     for m, p in parts.items():
         if p is None:
             continue
         rho = dense(m)
-        for leaks, (k, what) in zip(out, which):
-            leaks.append(1.0 - _clip01(p[k].trace_with(rho), what))
+        for leaks, outer, what in zip(out, p[1:], labels):
+            leaks.append(1.0 - _clip01(outer.trace_with(rho), what))
     return out
 
 
-def _mac_factor(p_xy: Projector, p_y: Projector) -> np.ndarray:
-    """F with F F^dag = Pi_y Pi_xy Pi_y, the two-sender PGM element."""
-    vy = p_y.support_columns()
-    return vy @ (vy.conj().T @ p_xy.support_columns())
+def _nested_factor(layers: Sequence[Projector]) -> np.ndarray:
+    """F with F F^dag = P_k ... P_1 P_0 P_1 ... P_k for layers P_0 .. P_k.
+
+    F = V_k ((V_k^dag V_(k-1)) ... (V_1^dag V_0)): the square-root element
+    of a row, and over the product of its taus the envelope every candidate
+    of a twice-narrowed row must lie under.
+    """
+    cols = [p.support_columns() for p in layers]
+    grams = [outer.conj().T @ inner for outer, inner in zip(cols[:0:-1], cols[-2::-1])]
+    return cols[-1] @ functools.reduce(np.matmul, grams) if grams else cols[-1]
 
 
-def _cmg_factor(p_zy: Projector, p_xy: Projector, p_y: Projector) -> np.ndarray:
-    """F with F F^dag = Pi_y Pi_xy Pi_zy Pi_xy Pi_y: the region-1 PGM element,
-    and over tau1*tau2 the envelope every region-1 candidate must lie under."""
-    vy, vxy = p_y.support_columns(), p_xy.support_columns()
-    return vy @ ((vy.conj().T @ vxy) @ (vxy.conj().T @ p_zy.support_columns()))
+def _sequential(
+    channel,
+    codebook: Codebook,
+    delta: float,
+    region: int | None,
+    variant: str,
+    *,
+    order: Sequence | None,
+    gate: Projector | None = None,
+    tau: float | None = None,
+    epsilon: float | None = None,
+    state_fn: Callable | None,
+    details: Mapping | None = None,
+) -> DecodeReport:
+    """The sequential decode of one table row.
 
+    Each typical message's candidate folds its layers from the inside out,
+    one ``intersection_projector`` per narrowing; an empty layer or an
+    empty intermediate candidate gives the zero projector.  The taus come
+    from ``tau``, ``epsilon`` or the measured leaks.  A candidate narrowed
+    twice is checked against its product envelope, counted in
+    details["chain_checks"].
+    """
+    started = time.perf_counter()
+    layout = _family(channel).layout(region)
+    dim = channel.dim**codebook.n
+    messages = _resolve_order(layout.messages(codebook.counts), order)
+    parts = _parts(channel, codebook, messages, delta, layout)
+    factor, dense = _states(channel, codebook, state_fn)
 
-def _chain(parts: dict, build: Callable, states: tuple[Callable, Callable], dim: int) -> list[_Entry]:
-    """Chain entries in message order: built candidates, zero when atypical."""
-    candidates = _combine(parts, build, Projector.zero(dim))
-    factor, dense = states
-    return [_Entry(m, candidates[m], factor(m), functools.partial(dense, m)) for m in parts]
+    details = {"delta": delta, **(details or {}), "typical": {m: p is not None for m, p in parts.items()}}
+    taus: list[float] = []
+    if layout.narrowings:
+        notes, tau_of = _resolve_taus(tau, epsilon)
+        # dense leaks only here: a row without a narrowing builds no dense state
+        leaks = _leaks(parts, dense, [label for label, _ in layout.narrowings])
+        taus = [tau_of(stage, eps) for (_, stage), eps in zip(layout.narrowings, leaks)]
+        means = [float(np.mean(eps)) if eps else None for eps in leaks]
+        single = len(taus) == 1
+        details["tau"] = taus[0] if single else tuple(taus)
+        details["measured_epsilon"] = means[0] if single else tuple(means)
+        details["warnings"] = tuple(notes)
+
+    checks = 0
+
+    def candidate(*layers: Projector) -> Projector:
+        nonlocal checks
+        cand = layers[0]
+        for outer, t in zip(layers[1:], taus):
+            if cand.rank == 0 or outer.rank == 0:
+                return Projector.zero(dim)
+            cand = intersection_projector(cand, outer, t)
+        if len(taus) > 1 and cand.rank > 0:
+            envelope = _nested_factor(layers) / math.sqrt(math.prod(taus))
+            if not psd_leq_factors(cand.support_columns(), envelope):
+                raise RuntimeError("tilde projector escapes its product envelope")
+            checks += 1
+        return cand
+
+    candidates = _combine(parts, candidate, Projector.zero(dim))
+    if len(taus) > 1:
+        details["chain_checks"] = checks
+    entries = [_Entry(m, candidates[m], factor(m), functools.partial(dense, m)) for m in parts]
+    return _run_sequential(
+        entries,
+        variant,
+        gate=gate,
+        group_of=(lambda m: (m[0], m[1])) if layout.grouped else None,
+        details=details,
+        started=started,
+    )
 
 
 def cq_sequential_decode(
@@ -574,23 +623,9 @@ def cq_sequential_decode(
     reported bound then applies to the gated state.  ``state_fn(xs)`` may
     replace the product sequence states, e.g. with smoothed ones.
     """
-    started = time.perf_counter()
-    n = codebook.n
-    dim = channel.dim**n
-    check_dim_cap(dim)
-    messages = _resolve_order(codebook.messages(), order)
-
-    gate = None
-    if gated:
-        gate = typical_projector(channel.ensemble().average_state(), n, 2.0 * delta)
-
-    parts = _cq_parts(channel, codebook, messages, delta)
-    states = _states(channel, codebook, state_fn)
-
+    gate = typical_projector(channel.ensemble().average_state(), codebook.n, 2.0 * delta) if gated else None
     variant = "cq-sequential-gated" if gated else "cq-sequential"
-    details = {"delta": delta, "typical": _typical(parts)}
-    entries = _chain(parts, lambda p_x: p_x, states, dim)
-    return _run_sequential(entries, variant, gate=gate, details=details, started=started)
+    return _sequential(channel, codebook, delta, None, variant, order=order, gate=gate, state_fn=state_fn)
 
 
 def _measured_tau(epsilons: list[float], warnings_out: list[str], stage: str) -> float:
@@ -621,10 +656,6 @@ def _resolve_taus(tau, epsilon) -> tuple[list[str], Callable]:
     return notes, lambda stage, eps: _measured_tau(eps, notes, stage)
 
 
-def _mean_or_none(values: list[float]) -> float | None:
-    return float(np.mean(values)) if values else None
-
-
 def ccq_mac_sequential_decode(
     channel: CcqMac,
     codebook: Codebook,
@@ -645,32 +676,10 @@ def ccq_mac_sequential_decode(
     1 - Tr[rho_pair * Pi_y] over the codebook's typical pairs; passing
     ``epsilon`` switches to the closed-form tau, passing ``tau`` fixes it.
     """
-    started = time.perf_counter()
-    n = codebook.n
-    dim = channel.dim**n
-    check_dim_cap(dim)
-    messages = _resolve_order(codebook.messages(), order)
-    notes, tau_of = _resolve_taus(tau, epsilon)
-
-    parts = _mac_parts(channel, codebook, messages, delta)
-    states = _states(channel, codebook, state_fn)
-    (leaks,) = _leaks(parts, states[1], (1, "pair overlap"))
-    resolved_tau = tau_of("pair/y intersection", leaks)
-
-    def narrow(p_xy: Projector, p_y: Projector) -> Projector:
-        if p_xy.rank == 0 or p_y.rank == 0:
-            return Projector.zero(dim)
-        return intersection_projector(p_xy, p_y, resolved_tau)
-
-    details = {
-        "delta": delta,
-        "tau": resolved_tau,
-        "measured_epsilon": _mean_or_none(leaks),
-        "typical": _typical(parts),
-        "warnings": tuple(notes),
-    }
-    entries = _chain(parts, narrow, states, dim)
-    return _run_sequential(entries, "ccq-mac-sequential", details=details, started=started)
+    return _sequential(
+        channel, codebook, delta, None, "ccq-mac-sequential",
+        order=order, tau=tau, epsilon=epsilon, state_fn=state_fn,
+    )
 
 
 def _triple_dist(channel: CoupledMac) -> ClassicalDistribution:
@@ -682,11 +691,6 @@ def _triple_dist(channel: CoupledMac) -> ClassicalDistribution:
             symbols.append((x, z, y))
             probs.append(pairs.prob((x, z)) * channel.y_prior.prob(y))
     return ClassicalDistribution(tuple(symbols), tuple(probs))
-
-
-def _cmg_messages(counts: tuple[int, ...], region: int | None) -> list:
-    """Region 2 decodes (m1, m2) pairs; otherwise all three messages."""
-    return _lex(counts[:2] if region == 2 else counts)
 
 
 def cmg_sequential_decode(
@@ -717,16 +721,9 @@ def cmg_sequential_decode(
     A rate triple with R3 < I(Y:B|Z) belongs to region 1, so requesting
     region 2 there raises a warning.
     """
-    started = time.perf_counter()
     if region not in (1, 2):
         raise ValueError("region must be 1 or 2")
-    n = codebook.n
-    dim = channel.dim**n
-    check_dim_cap(dim)
-    messages = _resolve_order(_cmg_messages(codebook.counts, region), order)
-    parts = _cmg_parts(channel, codebook, messages, delta, region)
-    states = _states(channel, codebook, state_fn)
-
+    details: dict = {"region": region}
     if region == 2:
         r3 = codebook.rates[2]
         threshold = channel.labeled_state().mutual_information("Y:B|Z")
@@ -736,48 +733,10 @@ def cmg_sequential_decode(
                 "such rate triples belong to region 1",
                 stacklevel=2,
             )
-        details = {"delta": delta, "region": 2, "r3_threshold": threshold, "typical": _typical(parts)}
-        entries = _chain(parts, lambda p_z: p_z, states, dim)
-        return _run_sequential(entries, "cmg-sequential-region2", details=details, started=started)
-
-    notes, tau_of = _resolve_taus(tau, epsilon)
-    xy_leaks, y_leaks = _leaks(parts, states[1], (1, "xy overlap"), (2, "y overlap"))
-    tau1 = tau_of("zy/xy intersection", xy_leaks)
-    tau2 = tau_of("tilde/y intersection", y_leaks)
-
-    chain_checks = 0
-
-    def narrow_twice(p_zy: Projector, p_xy: Projector, p_y: Projector) -> Projector:
-        nonlocal chain_checks
-        if p_zy.rank == 0 or p_xy.rank == 0:
-            return Projector.zero(dim)
-        inner = intersection_projector(p_zy, p_xy, tau1)
-        if inner.rank == 0 or p_y.rank == 0:
-            return Projector.zero(dim)
-        tilde = intersection_projector(inner, p_y, tau2)
-        if tilde.rank > 0:
-            envelope = _cmg_factor(p_zy, p_xy, p_y) / math.sqrt(tau1 * tau2)
-            if not psd_leq_factors(tilde.support_columns(), envelope):
-                raise RuntimeError("tilde projector escapes its product envelope")
-            chain_checks += 1
-        return tilde
-
-    entries = _chain(parts, narrow_twice, states, dim)
-    details = {
-        "delta": delta,
-        "region": 1,
-        "tau": (tau1, tau2),
-        "measured_epsilon": (_mean_or_none(xy_leaks), _mean_or_none(y_leaks)),
-        "chain_checks": chain_checks,
-        "typical": _typical(parts),
-        "warnings": tuple(notes),
-    }
-    return _run_sequential(
-        entries,
-        "cmg-sequential-region1",
-        group_of=lambda m: (m[0], m[1]),
-        details=details,
-        started=started,
+        details["r3_threshold"] = threshold
+    return _sequential(
+        channel, codebook, delta, region, f"cmg-sequential-region{region}",
+        order=order, tau=tau, epsilon=epsilon, state_fn=state_fn, details=details,
     )
 
 
@@ -802,34 +761,30 @@ class FactoredElement:
         return self.factor @ self.factor.conj().T
 
 
-def _factored(parts: dict, build: Callable, dim: int) -> dict:
-    """Per message, a FactoredElement of ``build(*parts)``; the zero element when atypical."""
-    empty = FactoredElement(np.zeros((dim, 0), dtype=np.complex128))
-    return _combine(parts, lambda *p: FactoredElement(build(*p)), empty)
+def _pgm_elements(channel, codebook: Codebook, delta: float, region: int | None) -> dict:
+    """One row's nested factors as FactoredElements, the zero element when atypical."""
+    layout = _family(channel).layout(region)
+    parts = _parts(channel, codebook, layout.messages(codebook.counts), delta, layout)
+    empty = FactoredElement(np.zeros((channel.dim**codebook.n, 0), dtype=np.complex128))
+    return _combine(parts, lambda *layers: FactoredElement(_nested_factor(layers)), empty)
 
 
 def cq_pgm_elements(channel: CqChannel, codebook: Codebook, delta: float) -> dict:
-    """Conditional typical projectors as measurement elements, zero when atypical."""
-    parts = _cq_parts(channel, codebook, codebook.messages(), delta)
-    return _combine(parts, lambda p_x: p_x, Projector.zero(channel.dim**codebook.n))
+    """Conditional typical projectors Pi_x as FactoredElements, zero when atypical."""
+    return _pgm_elements(channel, codebook, delta, None)
 
 
 def mac_pgm_elements(channel: CcqMac, codebook: Codebook, delta: float) -> dict:
     """Elements Pi_y Pi_xy Pi_y (slacks 6*delta and delta) as FactoredElements, zero when atypical."""
-    parts = _mac_parts(channel, codebook, codebook.messages(), delta)
-    return _factored(parts, _mac_factor, channel.dim**codebook.n)
+    return _pgm_elements(channel, codebook, delta, None)
 
 
 def cmg_pgm_elements(channel: CoupledMac, codebook: Codebook, delta: float, region: int) -> dict:
-    """Region 1: Py Pxy Pzy Pxy Py per typical triple as FactoredElements;
-    region 2: the projector Pi_z per typical pair.  Zero when atypical."""
+    """Region 1: Py Pxy Pzy Pxy Py per typical triple; region 2: Pi_z per
+    typical pair.  FactoredElements, zero when atypical."""
     if region not in (1, 2):
         raise ValueError("region must be 1 or 2")
-    parts = _cmg_parts(channel, codebook, _cmg_messages(codebook.counts, region), delta, region)
-    dim = channel.dim**codebook.n
-    if region == 2:
-        return _combine(parts, lambda p_z: p_z, Projector.zero(dim))
-    return _factored(parts, _cmg_factor, dim)
+    return _pgm_elements(channel, codebook, delta, region)
 
 
 def _element_factor(m, op) -> np.ndarray:
@@ -996,42 +951,75 @@ class _Family:
     """What the pipeline needs to know about one channel type.
 
     ``sequential`` and ``elements`` name this module's public decoder and
-    element builder; they are looked up when a decode runs.
+    element builder; they are looked up when a decode runs.  ``layouts``
+    maps each decode region to its row, keyed by None for a family without
+    regions.
     """
 
     laws: Callable  # channel -> input law per sender, None for a coupled sender
-    output: Callable  # channel -> (output ensemble, sender sequences -> its symbol sequence)
+    output: tuple[str, tuple[int, ...]]  # received-state ensemble method, picked senders
     sequential: str
     elements: str
-    messages: Callable = lambda counts, region: _lex(counts)  # decoded messages, lexicographic
+    layouts: Mapping
     variants: tuple[str, ...] = ("seq", "pgm")
-    tunable: bool = False  # the sequential decoder takes tau and epsilon
-    regions: bool = False  # both decoders take region 1 or 2
+
+    @property
+    def regions(self) -> bool:
+        """Both decoders take region 1 or 2."""
+        return None not in self.layouts
+
+    @property
+    def tunable(self) -> bool:
+        """The sequential decoder takes tau and epsilon."""
+        return any(row.narrowings for row in self.layouts.values())
+
+    def layout(self, region: int | None) -> _Layout:
+        if not self.regions:
+            return self.layouts[None]
+        if region not in self.layouts:
+            raise ValueError("a coupled three-sender channel needs region 1 or 2")
+        return self.layouts[region]
 
 
 _FAMILIES: dict[type, _Family] = {
     CqChannel: _Family(
         laws=lambda ch: (ch.prior,),
-        output=lambda ch: (ch.ensemble(), lambda xs: xs),
+        output=("ensemble", (0,)),
         sequential="cq_sequential_decode",
         elements="cq_pgm_elements",
+        layouts={None: _Layout(law=lambda ch: ch.prior, layers=(("ensemble", 1.0, (0,)),))},
         variants=("seq", "seq-gated", "pgm"),
     ),
     CcqMac: _Family(
         laws=lambda ch: (ch.x_prior, ch.y_prior),
-        output=lambda ch: (ch.pair_ensemble(), lambda xs, ys: tuple(zip(xs, ys))),
+        output=("pair_ensemble", (0, 1)),
         sequential="ccq_mac_sequential_decode",
         elements="mac_pgm_elements",
-        tunable=True,
+        layouts={
+            None: _Layout(
+                law=lambda ch: ch.x_prior.product(ch.y_prior),
+                layers=(("pair_ensemble", 1.0, (0, 1)), ("y_ensemble", 6.0, (1,))),
+                narrowings=(("pair overlap", "pair/y intersection"),),
+                senders=2,
+            ),
+        },
     ),
     CoupledMac: _Family(
         laws=lambda ch: (ch.x_prior, None, ch.y_prior),
-        output=lambda ch: (ch.zy_ensemble(), lambda xs, zs, ys: tuple(zip(zs, ys))),
-        messages=_cmg_messages,
+        output=("zy_ensemble", (1, 2)),
         sequential="cmg_sequential_decode",
         elements="cmg_pgm_elements",
-        tunable=True,
-        regions=True,
+        layouts={
+            1: _Layout(
+                law=_triple_dist,
+                layers=(("zy_ensemble", 1.0, (1, 2)), ("xy_ensemble", 6.0, (0, 2)), ("y_ensemble", 6.0, (2,))),
+                narrowings=(("xy overlap", "zy/xy intersection"), ("y overlap", "tilde/y intersection")),
+                senders=3,
+                grouped=True,
+            ),
+            # the third sender's codeword is averaged out of the received state
+            2: _Layout(law=lambda ch: ch.xz_dist(), layers=(("z_ensemble", 1.0, (1,)),), senders=2),
+        },
     ),
 }
 
@@ -1071,8 +1059,7 @@ def monte_carlo_avg_error(
     key = _seed_key(seed)
 
     family = _family(channel)
-    if family.regions and region not in (1, 2):
-        raise ValueError("a coupled three-sender channel needs region 1 or 2")
+    family.layout(region)  # refuses a missing region
     if variant not in family.variants:
         raise ValueError(f"decoder variant {variant!r} is not available for this channel")
     where = {"region": region} if family.regions else {}

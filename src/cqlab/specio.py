@@ -17,7 +17,8 @@ from .channels import CcqMac, CoupledMac, CqChannel, InterferenceChannel
 from .typicality import ClassicalDistribution
 
 SCHEMA = "cqlab-channel/1"
-KINDS = ("cq", "ccq-mac", "cmg-mac", "ccqq-ic")
+_KIND_OF = {CqChannel: "cq", CcqMac: "ccq-mac", CoupledMac: "cmg-mac", InterferenceChannel: "ccqq-ic"}
+KINDS = tuple(_KIND_OF.values())
 
 ROW_TOL = 1e-9
 STATE_TOL = 1e-8
@@ -272,19 +273,28 @@ def _dump_pair_dist(dist: ClassicalDistribution) -> dict:
     }
 
 
+def _kind(model) -> str:
+    """The spec kind of a channel model, read off its class or a base class."""
+    for cls in type(model).__mro__:
+        if cls in _KIND_OF:
+            return _KIND_OF[cls]
+    raise TypeError(f"cannot serialize {type(model).__name__}")
+
+
 def serialize_channel(model) -> dict:
     """Render a channel model back into a spec document."""
-    if isinstance(model, CqChannel):
+    kind = _kind(model)
+    if kind == "cq":
         return {
             "schema": SCHEMA,
-            "kind": "cq",
+            "kind": kind,
             "input": _dump_dist(model.prior),
             "states": {s: _dump_matrix(model.states[s]) for s in model.prior.symbols},
         }
-    if isinstance(model, CcqMac):
+    if kind == "ccq-mac":
         return {
             "schema": SCHEMA,
-            "kind": "ccq-mac",
+            "kind": kind,
             "x": _dump_dist(model.x_prior),
             "y": _dump_dist(model.y_prior),
             "states": {
@@ -292,11 +302,11 @@ def serialize_channel(model) -> dict:
                 for x in model.x_prior.symbols
             },
         }
-    if isinstance(model, CoupledMac):
+    if kind == "cmg-mac":
         z_symbols = next(iter(model.z_given_x.values())).symbols
         return {
             "schema": SCHEMA,
-            "kind": "cmg-mac",
+            "kind": kind,
             "x": _dump_dist(model.x_prior),
             "z_symbols": list(z_symbols),
             "z_given_x": {
@@ -309,25 +319,24 @@ def serialize_channel(model) -> dict:
                 for z in z_symbols
             },
         }
-    if isinstance(model, InterferenceChannel):
-        xs = sorted(model.alphabet("x"))
-        ys = sorted(model.alphabet("y"))
-        return {
-            "schema": SCHEMA,
-            "kind": "ccqq-ic",
-            "q": _dump_dist(model.q_prior),
-            "ux_given_q": {
-                q: _dump_pair_dist(model.ux_given_q[q]) for q in model.q_prior.symbols
-            },
-            "vy_given_q": {
-                q: _dump_pair_dist(model.vy_given_q[q]) for q in model.q_prior.symbols
-            },
-            "output_dims": list(model.output_dims),
-            "states": {
-                x: {y: _dump_matrix(model.states[(x, y)]) for y in ys} for x in xs
-            },
-        }
-    raise TypeError(f"cannot serialize {type(model).__name__}")
+    # ccqq-ic
+    xs = sorted(model.alphabet("x"))
+    ys = sorted(model.alphabet("y"))
+    return {
+        "schema": SCHEMA,
+        "kind": kind,
+        "q": _dump_dist(model.q_prior),
+        "ux_given_q": {
+            q: _dump_pair_dist(model.ux_given_q[q]) for q in model.q_prior.symbols
+        },
+        "vy_given_q": {
+            q: _dump_pair_dist(model.vy_given_q[q]) for q in model.q_prior.symbols
+        },
+        "output_dims": list(model.output_dims),
+        "states": {
+            x: {y: _dump_matrix(model.states[(x, y)]) for y in ys} for x in xs
+        },
+    }
 
 
 def dump_channel(model, path) -> None:

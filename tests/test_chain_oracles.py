@@ -18,9 +18,8 @@ from hypothesis import strategies as st
 from cqlab.channels import CqChannel
 from cqlab.decoders import (
     FactoredElement,
-    _cmg_factor,
     _Entry,
-    _mac_factor,
+    _nested_factor,
     _run_sequential,
     cq_pgm_elements,
     cq_sequential_decode,
@@ -247,7 +246,7 @@ def test_pgm_traces_match_dense_products(case):
     assert_pgm_matches_oracle(report, {m: e.dense() for m, e in elements.items()}, cq_states(chan, book))
 
 
-ELEMENT_KINDS = ("projector", "mac", "cmg", "dense", "zero")
+ELEMENT_KINDS = ("projector", "nested-1", "mac", "cmg", "dense", "zero")
 
 
 def random_element(rng: np.random.Generator, dim: int, kind: str) -> tuple:
@@ -258,13 +257,16 @@ def random_element(rng: np.random.Generator, dim: int, kind: str) -> tuple:
     if kind == "projector":
         p = random_projector(rng, dim, rank())
         return p, p.dense()
+    if kind == "nested-1":
+        p = random_projector(rng, dim, rank())
+        return FactoredElement(_nested_factor((p,))), p.dense()
     if kind == "mac":
         p_xy, p_y = random_projector(rng, dim, rank()), random_projector(rng, dim, rank())
-        return FactoredElement(_mac_factor(p_xy, p_y)), p_y.dense() @ p_xy.dense() @ p_y.dense()
+        return FactoredElement(_nested_factor((p_xy, p_y))), p_y.dense() @ p_xy.dense() @ p_y.dense()
     if kind == "cmg":
         p_zy, p_xy, p_y = (random_projector(rng, dim, rank()) for _ in range(3))
         yd, xyd = p_y.dense(), p_xy.dense()
-        return FactoredElement(_cmg_factor(p_zy, p_xy, p_y)), yd @ xyd @ p_zy.dense() @ xyd @ yd
+        return FactoredElement(_nested_factor((p_zy, p_xy, p_y))), yd @ xyd @ p_zy.dense() @ xyd @ yd
     if kind == "dense":
         k = rank()
         g = rng.normal(size=(dim, k)) + 1j * rng.normal(size=(dim, k))
@@ -277,8 +279,8 @@ def random_element(rng: np.random.Generator, dim: int, kind: str) -> tuple:
 @given(cq_cases(), st.lists(st.sampled_from(ELEMENT_KINDS), min_size=1, max_size=8), st.integers(0, 2**32 - 1))
 def test_factored_pgm_matches_dense_square_root_oracle(case, kinds, seed):
     # pure, mixed and rank-deficient received states against elements of
-    # every form: projectors, mac and cmg product factors, caller-supplied
-    # dense matrices and zeros, mixed in one measurement
+    # every form: projectors, one-, two- and three-layer nested factors,
+    # caller-supplied dense matrices and zeros, mixed in one measurement
     chan, book, _ = case
     rng = np.random.default_rng(seed)
     dim = chan.dim**book.n

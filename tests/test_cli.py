@@ -313,7 +313,7 @@ class TestCliSimulate:
             assert sorted(lex.splitlines()[2:]) == sorted(rev.splitlines()[2:])
             assert main(argv + ["--out", str(out / "bad"), "--order", "sideways"]) == 2
 
-    def test_cmg_regions_decode_through_cli(self, tmp_path):
+    def test_cmg_regions_decode_through_cli(self, tmp_path, capsys):
         spec = write_doc(tmp_path, cmg_doc())
         base = [
             "simulate", "--spec", spec,
@@ -327,8 +327,12 @@ class TestCliSimulate:
         row_r2 = (tmp_path / "r2" / "per_message.csv").read_text().splitlines()[2].split(",")
         assert row_r1[3] != ""  # region 1 reports message triples
         assert row_r2[3] == ""  # region 2 reports (m1, m2) pairs
-        # missing --region on a three-sender channel is a config error
-        assert main(base + ["--out", str(tmp_path / "r0")]) == 2
+        # missing --region on a three-sender channel is a config error, also
+        # when --order lists the decoded messages before any decoder runs
+        for order in ([], ["--order", "reverse"]):
+            capsys.readouterr()
+            assert main(base + ["--out", str(tmp_path / "r0"), *order]) == 2
+            assert "needs region 1 or 2" in capsys.readouterr().err
 
     def test_exit_codes(self, tmp_path, capsys):
         spec = write_doc(tmp_path, bb84_doc())

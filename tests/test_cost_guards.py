@@ -50,13 +50,19 @@ N = 6
 
 @pytest.fixture
 def calls(monkeypatch):
-    """Counts of Projector.trace_with calls and of D x D eigendecompositions."""
-    counts = {"trace_with": 0, "eig": 0}
+    """Counts of Projector.trace_with calls, of dense sequence states and of
+    D x D eigendecompositions."""
+    counts = {"trace_with": 0, "sequence_state": 0, "eig": 0}
     trace_with = Projector.trace_with
+    sequence_state = CqEnsemble.sequence_state
 
     def counted_trace_with(self, op):
         counts["trace_with"] += 1
         return trace_with(self, op)
+
+    def counted_sequence_state(self, seq):
+        counts["sequence_state"] += 1
+        return sequence_state(self, seq)
 
     def counted_eig(fn):
         def run(a, *args, **kwargs):
@@ -70,6 +76,7 @@ def calls(monkeypatch):
         raise AssertionError("a decoder ran a dense sequential_collapse")
 
     monkeypatch.setattr(Projector, "trace_with", counted_trace_with)
+    monkeypatch.setattr(CqEnsemble, "sequence_state", counted_sequence_state)
     monkeypatch.setattr(np.linalg, "eigh", counted_eig(np.linalg.eigh))
     monkeypatch.setattr(np.linalg, "eigvalsh", counted_eig(np.linalg.eigvalsh))
     monkeypatch.setattr(cqlab.decoders, "sequential_collapse", refuse)
@@ -89,6 +96,7 @@ def test_gated_chain_reads_no_dense_trace(calls):
     report = cq_sequential_decode(CQ, book, 0.99, gated=True)
     assert max(report.details["candidate_ranks"].values()) > 0
     assert calls["trace_with"] == 0
+    assert calls["sequence_state"] == 0
 
 
 def test_no_decoder_runs_a_dense_collapse(calls):
@@ -159,7 +167,7 @@ def test_candidate_checks_form_no_dense_matrix(monkeypatch):
     sequential multi-sender decode, and no dense projector matrix is formed
     while a candidate is built or its envelope checked."""
     counts = {"decomposition": 0, "dense": 0}
-    builders = {"intersection_projector", "narrow", "narrow_twice"}
+    builders = {"intersection_projector", "candidate"}
 
     def counted_decomposition(fn):
         def run(a, *args, **kwargs):

@@ -768,10 +768,28 @@ PINNED_ROWS = {
 }
 
 
+CHAIN_KEYS = {"delta", "typical", "order", "candidate_ranks"}
+TUNED_KEYS = {"tau", "measured_epsilon", "warnings"}
+# details keys per family-table entry; tau and measured_epsilon are scalars
+# for ccq-mac and pairs for cmg region 1
+DETAIL_KEYS = {
+    ("cq", "seq", None): CHAIN_KEYS,
+    ("cq", "seq-gated", None): CHAIN_KEYS,
+    ("cq", "pgm", None): {"support_rank"},
+    ("ccq-mac", "seq", None): CHAIN_KEYS | TUNED_KEYS,
+    ("ccq-mac", "pgm", None): {"support_rank"},
+    ("cmg-mac", "seq", 1): CHAIN_KEYS | TUNED_KEYS | {"region", "chain_checks", "joint_errors"},
+    ("cmg-mac", "pgm", 1): {"support_rank"},
+    ("cmg-mac", "seq", 2): CHAIN_KEYS | {"region", "r3_threshold"},
+    ("cmg-mac", "pgm", 2): {"support_rank"},
+}
+
+
 class TestMonteCarlo:
     def test_single_trial_equals_direct_decode(self):
         # every family-table entry: one Monte Carlo trial is the direct public
-        # call on codebook (seed, 0), and matches the pinned rows to 1e-12
+        # call on codebook (seed, 0), matches the pinned rows to 1e-12 and
+        # reports exactly the pinned details keys
         configs = {  # family -> (channel, rates, n, seed)
             "cq": (bb84_channel(), 0.5, 4, 5),
             "ccq-mac": (crossover_mac(), (0.25, 0.25), 4, 5),
@@ -812,6 +830,10 @@ class TestMonteCarlo:
             if report.bound_kind == "success-floor":
                 assert max(report.details["candidate_ranks"].values()) > 0
                 assert "degenerate" not in report.details
+            assert set(report.details) == DETAIL_KEYS[(family, variant, region)]
+            if "tau" in report.details:
+                shape = () if family == "ccq-mac" else (2,)
+                assert np.shape(report.details["tau"]) == np.shape(report.details["measured_epsilon"]) == shape
 
     def test_repeat_runs_are_identical(self):
         chan = bb84_channel()
