@@ -521,3 +521,8 @@ def fix_public_layer(ic: InterferenceChannel, which: str) -> InterferenceChannel
     if which == "u":
         return InterferenceChannel(ic.q_prior, new_rows, dict(ic.vy_given_q), ic.output_dims, ic.states)
     return InterferenceChannel(ic.q_prior, dict(ic.ux_given_q), new_rows, ic.output_dims, ic.states)
+
+
+def _row_for(table: Mapping, channel):
+    """The row ``table`` keys by the channel's class or its nearest listed base class; None if neither."""
+    return next((table[cls] for cls in type(channel).__mro__ if cls in table), None)

@@ -18,18 +18,10 @@ import sys
 import numpy as np
 
 from . import verify as _verify
-from .channels import CcqMac, CoupledMac, CqChannel, InterferenceChannel, holevo_information
+from .channels import InterferenceChannel
 from .decoders import _decoded_messages, monte_carlo_avg_error
 from .linalg import DimensionCapError
-from .regions import (
-    Constraint,
-    RateRegion,
-    RegionPart,
-    ccq_mac_region,
-    cmg_mac_region,
-    receiver_region,
-    sample_boundary,
-)
+from .regions import named_regions, sample_boundary
 from .specio import SpecError, _kind, load_channel
 
 TOOL_VERSION = "cqlab/0.1.0"
@@ -71,30 +63,9 @@ def _ensure_outdir(path: str) -> str:
     return path
 
 
-def _cq_region(channel: CqChannel) -> RateRegion:
-    info = holevo_information(channel.ensemble())
-    part = RegionPart(
-        "theorem", (Constraint((1.0,), info, True, "R1 < I(X:B)"),)
-    )
-    return RateRegion(("R1",), (part,), {"bounds": {"I(X:B)": info}})
-
-
-def _named_regions(channel, delta: float | None) -> dict[str, RateRegion]:
-    if isinstance(channel, CqChannel):
-        return {"cq": _cq_region(channel)}
-    if isinstance(channel, CcqMac):
-        return {"ccq-mac": ccq_mac_region(channel, delta)}
-    if isinstance(channel, CoupledMac):
-        return {"cmg-mac": cmg_mac_region(channel, delta)}
-    return {
-        "receiver-1": receiver_region(channel, 1),
-        "receiver-2": receiver_region(channel, 2),
-    }
-
-
 def cmd_regions(args) -> int:
     channel = load_channel(args.spec)
-    regions = _named_regions(channel, args.delta)
+    regions = named_regions(channel, args.delta)
     outdir = _ensure_outdir(args.out)
 
     csv_rows = []
@@ -163,8 +134,6 @@ def _message_columns(message) -> list:
 def _simulate_result(args, channel):
     if isinstance(channel, InterferenceChannel):
         raise SpecError("spec.kind", "no direct decoder for kind 'ccqq-ic'; decode its per-receiver sub-problems instead")
-    if args.region is not None and not isinstance(channel, CoupledMac):
-        raise ValueError("--region applies only to cmg-mac channels")
     order = _resolve_order(args.order, channel, args.rate, args.n, args.region)
     return monte_carlo_avg_error(
         channel,

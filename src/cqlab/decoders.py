@@ -37,7 +37,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .channels import CcqMac, CoupledMac, CqChannel
+from .channels import CcqMac, CoupledMac, CqChannel, _row_for
 from .geometry import intersection_projector, sequential_collapse
 from .linalg import Projector, _kron, as_matrix, check_dim_cap, hermitian_eig, psd_leq_factors, require_hermitian
 from .smoothing import SmoothedEnsemble
@@ -172,8 +172,8 @@ def _decoded_messages(channel, rates, n: int, region: int | None = None) -> list
     Depends only on the message counts, so no codebook is drawn.
     """
     family = _family(channel)
-    counts = _codebook_counts(family.laws(channel), _rate_tuple(rates), n)
-    return family.layout(region).messages(counts)
+    layout = family.layout(region)
+    return layout.messages(_codebook_counts(family.laws(channel), _rate_tuple(rates), n))
 
 
 def sample_codebook(channel, rates, n: int, seed) -> Codebook:
@@ -461,25 +461,28 @@ def _states(channel, codebook: Codebook, state_fn: Callable | None) -> tuple[Cal
     eigenpairs.  A pair message on a three-sender codebook averages m3 out,
     so its factor stacks the M3 factors scaled by 1/sqrt(M3).
     """
-    name, picks = _family(channel).output
-    ens = getattr(channel, name)()
-    local = functools.cache(lambda s: _factor(*hermitian_eig(ens.state(s))))
+    if state_fn is None:
+        name, picks = _family(channel).output
+        ens = getattr(channel, name)()
+        local = functools.cache(lambda s: _factor(*hermitian_eig(ens.state(s))))
+
+        def received(seqs: tuple) -> np.ndarray:
+            return ens.sequence_state(_zipped(seqs, picks))
+
+        def received_factor(seqs: tuple) -> np.ndarray:
+            return functools.reduce(_kron, [local(s) for s in _zipped(seqs, picks)])
+    else:
+        def received(seqs: tuple) -> np.ndarray:
+            return as_matrix(state_fn(*seqs))
+
+        def received_factor(seqs: tuple) -> np.ndarray:
+            return _factor(*hermitian_eig(received(seqs)))
 
     def completions(m) -> list[tuple]:
         seqs = codebook.sequences(m)
         if len(seqs) == codebook.senders:
             return [seqs]
         return [seqs + (codebook.codewords[2][m3],) for m3 in range(1, codebook.counts[2] + 1)]
-
-    def received_factor(seqs: tuple) -> np.ndarray:
-        if state_fn is not None:
-            return _factor(*hermitian_eig(state_fn(*seqs)))
-        return functools.reduce(_kron, [local(s) for s in _zipped(seqs, picks)])
-
-    def received(seqs: tuple) -> np.ndarray:
-        if state_fn is not None:
-            return as_matrix(state_fn(*seqs))
-        return ens.sequence_state(_zipped(seqs, picks))
 
     def factor(m) -> np.ndarray:
         facs = [received_factor(seqs) for seqs in completions(m)]
@@ -563,9 +566,9 @@ def _sequential(
     factor, dense = _states(channel, codebook, state_fn)
 
     details = {"delta": delta, **(details or {}), "typical": {m: p is not None for m, p in parts.items()}}
+    notes, tau_of = _resolve_taus(tau, epsilon)  # validated on every row, used where it narrows
     taus: list[float] = []
     if layout.narrowings:
-        notes, tau_of = _resolve_taus(tau, epsilon)
         # dense leaks only here: a row without a narrowing builds no dense state
         leaks = _leaks(parts, dense, [label for label, _ in layout.narrowings])
         taus = [tau_of(stage, eps) for (_, stage), eps in zip(layout.narrowings, leaks)]
@@ -975,6 +978,8 @@ class _Family:
 
     def layout(self, region: int | None) -> _Layout:
         if not self.regions:
+            if region is not None:
+                raise ValueError(f"region {region} given, but only a coupled three-sender channel takes one")
             return self.layouts[None]
         if region not in self.layouts:
             raise ValueError("a coupled three-sender channel needs region 1 or 2")
@@ -1025,10 +1030,10 @@ _FAMILIES: dict[type, _Family] = {
 
 
 def _family(channel) -> _Family:
-    for cls in type(channel).__mro__:
-        if cls in _FAMILIES:
-            return _FAMILIES[cls]
-    raise TypeError(f"unsupported channel type {type(channel).__name__}")
+    family = _row_for(_FAMILIES, channel)
+    if family is None:
+        raise TypeError(f"unsupported channel type {type(channel).__name__}")
+    return family
 
 
 def monte_carlo_avg_error(
@@ -1059,7 +1064,7 @@ def monte_carlo_avg_error(
     key = _seed_key(seed)
 
     family = _family(channel)
-    family.layout(region)  # refuses a missing region
+    family.layout(region)  # refuses a missing region, or one the family does not take
     if variant not in family.variants:
         raise ValueError(f"decoder variant {variant!r} is not available for this channel")
     where = {"region": region} if family.regions else {}

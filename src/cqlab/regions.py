@@ -28,9 +28,12 @@ from scipy.optimize import linprog
 from .channels import (
     CcqMac,
     CoupledMac,
+    CqChannel,
     InterferenceChannel,
     LabeledCqState,
+    _row_for,
     fix_public_layer,
+    holevo_information,
     verify_conditional_entropy_identities,
 )
 
@@ -270,6 +273,13 @@ def _lower(names: tuple[str, ...], term: str, bound: float, expr: str) -> Constr
     return Constraint(coeffs, -bound, False, f"{term} >= {expr}")
 
 
+def cq_region(channel: CqChannel) -> RateRegion:
+    """Single-sender region R1 < I(X:B)."""
+    info = holevo_information(channel.ensemble())
+    part = RegionPart("theorem", (Constraint((1.0,), info, True, "R1 < I(X:B)"),))
+    return RateRegion(("R1",), (part,), {"bounds": {"I(X:B)": info}})
+
+
 def ccq_mac_region(mac: CcqMac, delta: float | None = None) -> RateRegion:
     """Two-sender pentagon; with delta, the blocklength-aware weak variant.
 
@@ -444,6 +454,23 @@ def receiver_region(ic: InterferenceChannel, receiver: int) -> RateRegion:
     verify_conditional_entropy_identities(st, systems, "Q")
     part1, part2, _, bounds = _cmg_pattern_parts(st, rates, systems, "Q", ("part-1", "part-2"))
     return RateRegion(rates, (part1, part2), {"receiver": receiver, "bounds": bounds})
+
+
+# per channel class: (channel, delta) -> its regions by name; delta shapes the MAC regions only
+_NAMED_REGIONS = {
+    CqChannel: lambda ch, delta: {"cq": cq_region(ch)},
+    CcqMac: lambda ch, delta: {"ccq-mac": ccq_mac_region(ch, delta)},
+    CoupledMac: lambda ch, delta: {"cmg-mac": cmg_mac_region(ch, delta)},
+    InterferenceChannel: lambda ch, delta: {f"receiver-{r}": receiver_region(ch, r) for r in (1, 2)},
+}
+
+
+def named_regions(channel, delta: float | None = None) -> dict[str, RateRegion]:
+    """A channel's rate regions by name; an interference channel gives one per receiver."""
+    build = _row_for(_NAMED_REGIONS, channel)
+    if build is None:
+        raise TypeError(f"no rate region for channel type {type(channel).__name__}")
+    return build(channel, delta)
 
 
 # ---------------------------------------------------------------------------

@@ -428,9 +428,7 @@ def verify_smoothing_bounds(se: SmoothedEnsemble, epsilon: float | None = None) 
     regime, eps, threshold = "measured", eps_measured, None
     if epsilon is not None:
         params = TypicalityParams(delta=delta, epsilon=epsilon, context_dims=dims)
-        threshold = typicality_threshold_n(
-            params, "joint", p_min=se.system.dist.p_min, q_min=se.system.q_min()
-        )
+        threshold = typicality_threshold_n(params, p_min=se.system.dist.p_min, q_min=se.system.q_min())
         if n >= threshold and epsilon < 1.0 / 64.0:
             regime, eps = "theoretical", epsilon
     else:

@@ -9,16 +9,15 @@ document, which is the bit-exact interchange contract for the CLI.
 from __future__ import annotations
 
 import json
-from collections.abc import Mapping, Sequence
+from collections.abc import Callable, Mapping, Sequence
+from typing import NamedTuple
 
 import numpy as np
 
-from .channels import CcqMac, CoupledMac, CqChannel, InterferenceChannel
+from .channels import CcqMac, CoupledMac, CqChannel, InterferenceChannel, _row_for
 from .typicality import ClassicalDistribution
 
 SCHEMA = "cqlab-channel/1"
-_KIND_OF = {CqChannel: "cq", CcqMac: "ccq-mac", CoupledMac: "cmg-mac", InterferenceChannel: "ccqq-ic"}
-KINDS = tuple(_KIND_OF.values())
 
 ROW_TOL = 1e-9
 STATE_TOL = 1e-8
@@ -79,6 +78,10 @@ def _parse_dist(obj, where: str) -> ClassicalDistribution:
     return ClassicalDistribution(symbols, probs)
 
 
+def _dump_dist(dist: ClassicalDistribution) -> dict:
+    return {"symbols": list(dist.symbols), "probs": [float(p) for p in dist.probs]}
+
+
 def _parse_matrix(obj, where: str, dim: int | None = None) -> np.ndarray:
     if not isinstance(obj, Sequence) or isinstance(obj, str):
         raise SpecError(where, "expected a matrix (list of rows)")
@@ -112,6 +115,10 @@ def _parse_matrix(obj, where: str, dim: int | None = None) -> np.ndarray:
     return out
 
 
+def _dump_matrix(m: np.ndarray) -> list:
+    return [[[float(v.real), float(v.imag)] for v in row] for row in np.asarray(m, dtype=complex)]
+
+
 def _state_table(obj, rows: Sequence[str], cols: Sequence[str], where: str) -> dict:
     """Nested mapping row-symbol -> col-symbol -> density matrix."""
     if not isinstance(obj, Mapping):
@@ -141,11 +148,29 @@ def _parse_cq(doc: Mapping) -> CqChannel:
     return CqChannel(prior, states)
 
 
+def _dump_cq(model: CqChannel) -> dict:
+    return {
+        "input": _dump_dist(model.prior),
+        "states": {s: _dump_matrix(model.states[s]) for s in model.prior.symbols},
+    }
+
+
 def _parse_ccq_mac(doc: Mapping) -> CcqMac:
     x = _parse_dist(_need(doc, "x", "spec"), "spec.x")
     y = _parse_dist(_need(doc, "y", "spec"), "spec.y")
     states = _state_table(_need(doc, "states", "spec"), x.symbols, y.symbols, "spec.states")
     return CcqMac(x, y, states)
+
+
+def _dump_ccq_mac(model: CcqMac) -> dict:
+    return {
+        "x": _dump_dist(model.x_prior),
+        "y": _dump_dist(model.y_prior),
+        "states": {
+            x: {y: _dump_matrix(model.states[(x, y)]) for y in model.y_prior.symbols}
+            for x in model.x_prior.symbols
+        },
+    }
 
 
 def _parse_cmg_mac(doc: Mapping) -> CoupledMac:
@@ -163,6 +188,23 @@ def _parse_cmg_mac(doc: Mapping) -> CoupledMac:
     y = _parse_dist(_need(doc, "y", "spec"), "spec.y")
     states = _state_table(_need(doc, "states", "spec"), z_symbols, y.symbols, "spec.states")
     return CoupledMac(x, rows, y, states)
+
+
+def _dump_cmg_mac(model: CoupledMac) -> dict:
+    z_symbols = next(iter(model.z_given_x.values())).symbols
+    return {
+        "x": _dump_dist(model.x_prior),
+        "z_symbols": list(z_symbols),
+        "z_given_x": {
+            x: [float(model.z_given_x[x].prob(z)) for z in z_symbols]
+            for x in model.x_prior.symbols
+        },
+        "y": _dump_dist(model.y_prior),
+        "states": {
+            z: {y: _dump_matrix(model.states[(z, y)]) for y in model.y_prior.symbols}
+            for z in z_symbols
+        },
+    }
 
 
 def _parse_pair_dist(obj, where: str) -> ClassicalDistribution:
@@ -184,6 +226,10 @@ def _parse_pair_dist(obj, where: str) -> ClassicalDistribution:
         raise SpecError(f"{where}.symbols", "duplicate symbol pair")
     probs = _prob_list(_need(obj, "probs", where), f"{where}.probs", len(pairs))
     return ClassicalDistribution(tuple(pairs), probs)
+
+
+def _dump_pair_dist(dist: ClassicalDistribution) -> dict:
+    return {**_dump_dist(dist), "symbols": [list(pair) for pair in dist.symbols]}
 
 
 def _parse_ccqq_ic(doc: Mapping) -> InterferenceChannel:
@@ -223,24 +269,45 @@ def _parse_ccqq_ic(doc: Mapping) -> InterferenceChannel:
     return InterferenceChannel(q, ux, vy, dims, states)
 
 
-_PARSERS = {
-    "cq": _parse_cq,
-    "ccq-mac": _parse_ccq_mac,
-    "cmg-mac": _parse_cmg_mac,
-    "ccqq-ic": _parse_ccqq_ic,
+def _dump_ccqq_ic(model: InterferenceChannel) -> dict:
+    xs = sorted(model.alphabet("x"))
+    ys = sorted(model.alphabet("y"))
+    return {
+        "q": _dump_dist(model.q_prior),
+        "ux_given_q": {q: _dump_pair_dist(model.ux_given_q[q]) for q in model.q_prior.symbols},
+        "vy_given_q": {q: _dump_pair_dist(model.vy_given_q[q]) for q in model.q_prior.symbols},
+        "output_dims": list(model.output_dims),
+        "states": {x: {y: _dump_matrix(model.states[(x, y)]) for y in ys} for x in xs},
+    }
+
+
+class _Codec(NamedTuple):
+    kind: str
+    parse: Callable  # spec document -> channel model
+    dump: Callable  # channel model -> the document's fields past schema and kind
+
+
+# one row per channel kind, in spec-kind order
+_CODECS = {
+    CqChannel: _Codec("cq", _parse_cq, _dump_cq),
+    CcqMac: _Codec("ccq-mac", _parse_ccq_mac, _dump_ccq_mac),
+    CoupledMac: _Codec("cmg-mac", _parse_cmg_mac, _dump_cmg_mac),
+    InterferenceChannel: _Codec("ccqq-ic", _parse_ccqq_ic, _dump_ccqq_ic),
 }
+KINDS = tuple(codec.kind for codec in _CODECS.values())
 
 
 def parse_channel(doc):
     """Parse a spec document (parsed JSON) into a channel model."""
     kind = _need(doc, "kind", "spec")
-    if kind not in KINDS:
+    codec = next((c for c in _CODECS.values() if c.kind == kind), None)
+    if codec is None:
         raise SpecError("spec.kind", f"unknown kind {kind!r}; expected one of {KINDS}")
     schema = doc.get("schema", SCHEMA)
     if schema != SCHEMA:
         raise SpecError("spec.schema", f"unsupported schema {schema!r}; expected {SCHEMA!r}")
     try:
-        return _PARSERS[kind](doc)
+        return codec.parse(doc)
     except SpecError:
         raise
     except ValueError as exc:
@@ -258,85 +325,22 @@ def load_channel(path):
     return parse_channel(doc)
 
 
-def _dump_matrix(m: np.ndarray) -> list:
-    return [[[float(v.real), float(v.imag)] for v in row] for row in np.asarray(m, dtype=complex)]
-
-
-def _dump_dist(dist: ClassicalDistribution) -> dict:
-    return {"symbols": list(dist.symbols), "probs": [float(p) for p in dist.probs]}
-
-
-def _dump_pair_dist(dist: ClassicalDistribution) -> dict:
-    return {
-        "symbols": [[a, b] for (a, b) in dist.symbols],
-        "probs": [float(p) for p in dist.probs],
-    }
+def _codec(model) -> _Codec:
+    codec = _row_for(_CODECS, model)
+    if codec is None:
+        raise TypeError(f"cannot serialize {type(model).__name__}")
+    return codec
 
 
 def _kind(model) -> str:
     """The spec kind of a channel model, read off its class or a base class."""
-    for cls in type(model).__mro__:
-        if cls in _KIND_OF:
-            return _KIND_OF[cls]
-    raise TypeError(f"cannot serialize {type(model).__name__}")
+    return _codec(model).kind
 
 
 def serialize_channel(model) -> dict:
     """Render a channel model back into a spec document."""
-    kind = _kind(model)
-    if kind == "cq":
-        return {
-            "schema": SCHEMA,
-            "kind": kind,
-            "input": _dump_dist(model.prior),
-            "states": {s: _dump_matrix(model.states[s]) for s in model.prior.symbols},
-        }
-    if kind == "ccq-mac":
-        return {
-            "schema": SCHEMA,
-            "kind": kind,
-            "x": _dump_dist(model.x_prior),
-            "y": _dump_dist(model.y_prior),
-            "states": {
-                x: {y: _dump_matrix(model.states[(x, y)]) for y in model.y_prior.symbols}
-                for x in model.x_prior.symbols
-            },
-        }
-    if kind == "cmg-mac":
-        z_symbols = next(iter(model.z_given_x.values())).symbols
-        return {
-            "schema": SCHEMA,
-            "kind": kind,
-            "x": _dump_dist(model.x_prior),
-            "z_symbols": list(z_symbols),
-            "z_given_x": {
-                x: [float(model.z_given_x[x].prob(z)) for z in z_symbols]
-                for x in model.x_prior.symbols
-            },
-            "y": _dump_dist(model.y_prior),
-            "states": {
-                z: {y: _dump_matrix(model.states[(z, y)]) for y in model.y_prior.symbols}
-                for z in z_symbols
-            },
-        }
-    # ccqq-ic
-    xs = sorted(model.alphabet("x"))
-    ys = sorted(model.alphabet("y"))
-    return {
-        "schema": SCHEMA,
-        "kind": kind,
-        "q": _dump_dist(model.q_prior),
-        "ux_given_q": {
-            q: _dump_pair_dist(model.ux_given_q[q]) for q in model.q_prior.symbols
-        },
-        "vy_given_q": {
-            q: _dump_pair_dist(model.vy_given_q[q]) for q in model.q_prior.symbols
-        },
-        "output_dims": list(model.output_dims),
-        "states": {
-            x: {y: _dump_matrix(model.states[(x, y)]) for y in ys} for x in xs
-        },
-    }
+    codec = _codec(model)
+    return {"schema": SCHEMA, "kind": codec.kind, **codec.dump(model)}
 
 
 def dump_channel(model, path) -> None:

@@ -209,34 +209,27 @@ class TypicalityParams:
 
 def typicality_threshold_n(
     params: TypicalityParams,
-    form: str,
     *,
     p_min: float | None = None,
     q_min: float | None = None,
 ) -> int:
     """Smallest block length for which the one-shot guarantees are promised.
 
-    ``form`` selects the prefactor: "sequence" needs 2/p_min, "state" needs
-    2/q_min, and "joint" (conditional projectors, averaged-state overlaps,
-    smoothing) needs 4/(p_min*q_min).  The log argument is always
-    prod(context_dims)/epsilon.
+    The prefactor follows from the minima given: p_min alone (sequences)
+    needs 2/p_min, q_min alone (states) needs 2/q_min, and both
+    (conditional projectors, averaged-state overlaps, smoothing) need
+    4/(p_min*q_min).  The log argument is always prod(context_dims)/epsilon.
     """
     log_term = math.log2(float(np.prod(params.context_dims)) / params.epsilon)
     inv_d2 = params.delta**-2
-    if form == "sequence":
-        if p_min is None:
-            raise ValueError("sequence form needs p_min")
+    if p_min is None and q_min is None:
+        raise ValueError("the threshold needs p_min, q_min or both")
+    if q_min is None:
         value = 2.0 * inv_d2 * log_term / p_min
-    elif form == "state":
-        if q_min is None:
-            raise ValueError("state form needs q_min")
+    elif p_min is None:
         value = 2.0 * inv_d2 * log_term / q_min
-    elif form == "joint":
-        if p_min is None or q_min is None:
-            raise ValueError("joint form needs p_min and q_min")
-        value = 4.0 * inv_d2 * log_term / (p_min * q_min)
     else:
-        raise ValueError(f"unknown threshold form {form!r}")
+        value = 4.0 * inv_d2 * log_term / (p_min * q_min)
     return int(math.ceil(value - 1e-9))
 
 
@@ -486,7 +479,7 @@ def verify_sequence_typicality(dist: ClassicalDistribution, n: int, params: Typi
             w *= dist.prob(s)
         masses.append(w)
         total += w
-    threshold = typicality_threshold_n(params, "sequence", p_min=dist.p_min)
+    threshold = typicality_threshold_n(params, p_min=dist.p_min)
     checks = {
         "mass": Check(
             "mass",
@@ -516,7 +509,7 @@ def verify_state_typicality(rho, n: int, params: TypicalityParams) -> dict:
     kept = _typical_indices([(range(n), q)], len(q), n, params.delta)
     masses, total = _kept_masses([q] * n, kept)
     q_min = float(min(x for x in q if x > 0))
-    threshold = typicality_threshold_n(params, "state", q_min=q_min)
+    threshold = typicality_threshold_n(params, q_min=q_min)
     commutes = True
     if proj.dim <= 256:
         dense = proj.dense()
@@ -559,9 +552,7 @@ def verify_conditional_typicality(ensemble: CqEnsemble, seq: Sequence, params: T
     h_cond = ensemble.conditional_entropy()
     c = params.c()
     seq_typical = is_typical(ensemble.dist, seq, params.delta)
-    threshold = typicality_threshold_n(
-        params, "joint", p_min=ensemble.dist.p_min, q_min=ensemble.q_min()
-    )
+    threshold = typicality_threshold_n(params, p_min=ensemble.dist.p_min, q_min=ensemble.q_min())
     checks = {
         "mass": Check(
             "mass",
@@ -608,9 +599,7 @@ def verify_averaged_state_overlaps(
     t_avg = proj_avg.trace_with(rho_pair)
     t_cond = proj_cond.trace_with(rho_pair)
     jointly_typical = is_typical(pair_ensemble.dist, pairs, params.delta)
-    threshold = typicality_threshold_n(
-        params, "joint", p_min=pair_ensemble.dist.p_min, q_min=pair_ensemble.q_min()
-    )
+    threshold = typicality_threshold_n(params, p_min=pair_ensemble.dist.p_min, q_min=pair_ensemble.q_min())
     info = (n < threshold) or not jointly_typical
     note = f"threshold n >= {threshold}; pair typical: {jointly_typical}"
     return {

@@ -333,6 +333,10 @@ class TestCliSimulate:
             capsys.readouterr()
             assert main(base + ["--out", str(tmp_path / "r0"), *order]) == 2
             assert "needs region 1 or 2" in capsys.readouterr().err
+        # region 2 refuses an out-of-range epsilon, as region 1 does
+        capsys.readouterr()
+        assert main(base + ["--out", str(tmp_path / "re"), "--region", "2", "--epsilon", "5"]) == 2
+        assert "epsilon must lie in (0, 1)" in capsys.readouterr().err
 
     def test_exit_codes(self, tmp_path, capsys):
         spec = write_doc(tmp_path, bb84_doc())
@@ -361,6 +365,7 @@ class TestCliSimulate:
             ]
         )
         assert code == 2
+        assert "only a coupled three-sender channel takes one" in capsys.readouterr().err
         # decoding an interference channel directly is rejected
         ic_spec = write_doc(tmp_path, ic_doc(), "ic.json")
         code = main(

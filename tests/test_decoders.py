@@ -597,6 +597,18 @@ class TestCoupledSenderDecoder:
         with pytest.raises(ValueError, match="region must be 1 or 2"):
             cmg_sequential_decode(chan, book, 0.25, 3)
 
+    @pytest.mark.parametrize("region", [1, 2])
+    def test_tau_and_epsilon_are_validated_in_both_regions(self, region):
+        # region 2 has no narrowing to tune, yet refuses the same bad values as region 1
+        chan = coupled_channel_for_tests()
+        book = crafted_cmg_codebook(chan)
+        with pytest.raises(ValueError, match="not both"):
+            cmg_sequential_decode(chan, book, 0.25, region, tau=0.5, epsilon=0.1)
+        with pytest.raises(ValueError, match="tau must lie"):
+            cmg_sequential_decode(chan, book, 0.25, region, tau=-3.0)
+        with pytest.raises(ValueError, match="epsilon must lie"):
+            cmg_sequential_decode(chan, book, 0.25, region, epsilon=5.0)
+
 
 class TestPrettyGoodMeasurement:
     def test_single_element_uses_support_projector(self):
@@ -868,6 +880,8 @@ class TestMonteCarlo:
         assert gated["variant"] == "cq-sequential-gated"
         with pytest.raises(ValueError, match="not available"):
             monte_carlo_avg_error(chan, 0.25, 4, 2, 11, "bogus", delta=0.99)
+        with pytest.raises(ValueError, match="only a coupled three-sender channel takes one"):
+            monte_carlo_avg_error(chan, 0.25, 4, 1, 11, "seq", delta=0.99, region=1)
         coupled = coupled_channel_for_tests()
         with pytest.raises(ValueError, match="needs region"):
             monte_carlo_avg_error(coupled, (0.25, 0.25, 0.0), 4, 1, 1, "seq", delta=0.25)

@@ -1,6 +1,7 @@
 """Package-wide checks: the source imports only what it uses, forms Kronecker
-products through one kernel, the resource guards are fixed constants, and
-every dense entry point enforces DIM_CAP."""
+products through one kernel, keeps one table row per channel kind, the
+resource guards are fixed constants, and every dense entry point enforces
+DIM_CAP."""
 
 import ast
 import importlib
@@ -11,7 +12,8 @@ import numpy as np
 import pytest
 
 import cqlab
-from cqlab.channels import CcqMac, CoupledMac
+from cqlab import decoders, regions, specio
+from cqlab.channels import CcqMac, CoupledMac, CqChannel, InterferenceChannel, _row_for
 from cqlab.decoders import (
     ccq_mac_sequential_decode,
     cmg_sequential_decode,
@@ -97,6 +99,38 @@ def test_kron_check_sees_calls_and_references_but_not_docstrings():
 @pytest.mark.parametrize("path", sorted(SRC.glob("*.py")), ids=lambda p: p.name)
 def test_module_uses_the_kron_kernel_only(path):
     assert kron_uses(path.read_text()) == []
+
+
+def test_row_lookup_takes_the_nearest_listed_class():
+    class Base:
+        pass
+
+    class Child(Base):
+        pass
+
+    assert _row_for({Base: "base"}, Child()) == "base"
+    assert _row_for({Base: "base", Child: "child"}, Child()) == "child"
+    assert _row_for({Child: "child"}, Base()) is None
+
+
+def test_every_channel_kind_has_its_rows():
+    kinds = [CqChannel, CcqMac, CoupledMac, InterferenceChannel]
+    assert list(specio._CODECS) == kinds
+    assert specio.KINDS == ("cq", "ccq-mac", "cmg-mac", "ccqq-ic")
+    with pytest.raises(TypeError, match="cannot serialize object"):
+        specio.serialize_channel(object())
+    assert list(regions._NAMED_REGIONS) == kinds
+    with pytest.raises(TypeError, match="no rate region for channel type object"):
+        regions.named_regions(object())
+    decodable = {CqChannel, CcqMac, CoupledMac}
+    assert set(decoders._FAMILIES) == decodable
+    # the CLI keeps no per-kind knowledge: it binds none of the decodable classes
+    tree = ast.parse((SRC / "cli.py").read_text())
+    bound = {node.id for node in ast.walk(tree) if isinstance(node, ast.Name)}
+    for node in ast.walk(tree):
+        if isinstance(node, (ast.Import, ast.ImportFrom)):
+            bound.update(alias.asname or alias.name for alias in node.names)
+    assert bound.isdisjoint(cls.__name__ for cls in decodable)
 
 
 REMOVED_OVERRIDES = {"cap", "max_triples", "rank_tol", "rtol"}

@@ -103,16 +103,18 @@ def test_is_typical_long_sequence_no_enumeration():
 
 
 def test_threshold_worked_values():
-    # sequence form: p_min 1/2, delta 1/4, |X| = 2, eps = 0.1:
+    # p_min alone (sequences): p_min 1/2, delta 1/4, |X| = 2, eps = 0.1:
     # ceil(2 * 2 * 16 * log2(20)) = 277
     p = TypicalityParams(0.25, 0.1, (2,))
-    assert typicality_threshold_n(p, "sequence", p_min=0.5) == 277
-    # joint form with q_min = 1/2 and context |B||X| = 4, eps = 0.1:
+    assert typicality_threshold_n(p, p_min=0.5) == 277
+    # both minima (joint) with q_min = 1/2 and context |B||X| = 4, eps = 0.1:
     # ceil(4 * 16 * 2 * 2 * log2(40)) = 1363
     pj = TypicalityParams(0.25, 0.1, (2, 2))
-    assert typicality_threshold_n(pj, "joint", p_min=0.5, q_min=0.5) == 1363
-    # state form mirrors the sequence form with q_min
-    assert typicality_threshold_n(p, "state", q_min=0.5) == 277
+    assert typicality_threshold_n(pj, p_min=0.5, q_min=0.5) == 1363
+    # q_min alone (states) mirrors p_min alone; neither is refused
+    assert typicality_threshold_n(p, q_min=0.5) == 277
+    with pytest.raises(ValueError, match="p_min, q_min or both"):
+        typicality_threshold_n(p)
 
 
 def test_c_correction_value():
