@@ -24,7 +24,7 @@ from typing import Mapping, Sequence
 
 import numpy as np
 
-from .linalg import as_matrix, is_hermitian, require_hermitian
+from .linalg import as_matrix, require_hermitian, require_state
 from .typicality import ClassicalDistribution, CqEnsemble, entropy_bits
 
 
@@ -202,15 +202,7 @@ def _validate_states(states: Mapping, what: str) -> dict:
     out = {}
     dims = set()
     for k, v in states.items():
-        a = as_matrix(v)
-        if not is_hermitian(a):
-            raise ValueError(f"{what} state {k!r} is not Hermitian")
-        w = np.linalg.eigvalsh((a + a.conj().T) / 2)
-        if float(np.min(w)) < -1e-9:
-            raise ValueError(f"{what} state {k!r} is not positive semidefinite")
-        if abs(float(np.real(np.trace(a))) - 1.0) > 1e-9:
-            raise ValueError(f"{what} state {k!r} does not have unit trace")
-        out[k] = a
+        a = out[k] = require_state(v, f"{what} state {k!r}")
         dims.add(a.shape[0])
     if len(dims) > 1:
         raise ValueError(f"{what} states have inconsistent dimensions")

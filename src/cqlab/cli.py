@@ -65,14 +65,18 @@ def _ensure_outdir(path: str) -> str:
 
 def cmd_regions(args) -> int:
     channel = load_channel(args.spec)
-    regions = named_regions(channel, args.delta)
+    kind = _kind(channel)
+    try:
+        regions = named_regions(channel, args.delta)
+    except ValueError as exc:
+        raise SpecError(f"kind {kind!r}", str(exc)) from exc
     outdir = _ensure_outdir(args.out)
 
     csv_rows = []
     doc: dict = {
         "schema": "cqlab-regions/1",
         "tool": TOOL_VERSION,
-        "kind": _kind(channel),
+        "kind": kind,
         "seed": args.seed,
         "regions": {},
     }
@@ -296,7 +300,7 @@ def build_parser() -> argparse.ArgumentParser:
     regions = sub.add_parser("regions", help="emit rate-region constraints and boundary samples")
     regions.add_argument("--spec", required=True, help="channel spec JSON path")
     regions.add_argument("--out", required=True, help="output directory")
-    regions.add_argument("--delta", type=float, default=None, help="blocklength-aware weak variant (mac kinds)")
+    regions.add_argument("--delta", type=float, default=None, help="blocklength-aware weak variant (mac kinds only)")
     regions.add_argument("--seed", type=int, default=0, help="boundary sampling seed")
     regions.set_defaults(func=cmd_regions)
 

@@ -41,12 +41,7 @@ from .channels import CcqMac, CoupledMac, CqChannel, _row_for
 from .geometry import intersection_projector, sequential_collapse
 from .linalg import Projector, _kron, as_matrix, check_dim_cap, hermitian_eig, psd_leq_factors, require_hermitian
 from .smoothing import SmoothedEnsemble
-from .typicality import (
-    ClassicalDistribution,
-    cond_typical_projector,
-    is_typical,
-    typical_projector,
-)
+from .typicality import cond_typical_projector, is_typical, typical_projector
 
 # Total symbols a codebook may store across all senders.
 CODEBOOK_CAP = 2**20
@@ -685,17 +680,6 @@ def ccq_mac_sequential_decode(
     )
 
 
-def _triple_dist(channel: CoupledMac) -> ClassicalDistribution:
-    pairs = channel.xz_dist()
-    symbols = []
-    probs = []
-    for (x, z) in pairs.support:
-        for y in channel.y_prior.support:
-            symbols.append((x, z, y))
-            probs.append(pairs.prob((x, z)) * channel.y_prior.prob(y))
-    return ClassicalDistribution(tuple(symbols), tuple(probs))
-
-
 def cmg_sequential_decode(
     channel: CoupledMac,
     codebook: Codebook,
@@ -1016,7 +1000,7 @@ _FAMILIES: dict[type, _Family] = {
         elements="cmg_pgm_elements",
         layouts={
             1: _Layout(
-                law=_triple_dist,
+                law=lambda ch: ch.labeled_state().dist,
                 layers=(("zy_ensemble", 1.0, (1, 2)), ("xy_ensemble", 6.0, (0, 2)), ("y_ensemble", 6.0, (2,))),
                 narrowings=(("xy overlap", "zy/xy intersection"), ("y overlap", "tilde/y intersection")),
                 senders=3,

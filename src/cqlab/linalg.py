@@ -30,6 +30,8 @@ HERMITIAN_RTOL = 1e-9
 PROJECTOR_TOL = 1e-9
 #: Singular values at or below this are dropped from a spanning set.
 RANK_TOL = 1e-10
+#: Absolute slack on a density operator's smallest eigenvalue and its trace.
+STATE_TOL = 1e-9
 
 
 class DimensionCapError(Exception):
@@ -78,6 +80,19 @@ def require_hermitian(m, what: str = "matrix") -> np.ndarray:
     a = as_matrix(m)
     if not is_hermitian(a):
         raise ValueError(f"{what} is not Hermitian within tolerance {HERMITIAN_RTOL}")
+    return a
+
+
+def require_state(m, what: str = "state", subnormalized: bool = False) -> np.ndarray:
+    """``m`` as a density-operator matrix: Hermitian within HERMITIAN_RTOL, no
+    eigenvalue below -STATE_TOL, trace within STATE_TOL of 1 (or at most 1)."""
+    a = require_hermitian(m, what)
+    low = float(np.min(np.linalg.eigvalsh((a + a.conj().T) / 2.0), initial=0.0))
+    if low < -STATE_TOL:
+        raise ValueError(f"{what} is not positive semidefinite (min eig {low:.3g})")
+    tr = float(np.real(np.trace(a)))
+    if tr > 1.0 + STATE_TOL or (not subnormalized and tr < 1.0 - STATE_TOL):
+        raise ValueError(f"{what} trace is {tr!r}, expected {'at most 1' if subnormalized else '1'}")
     return a
 
 
@@ -194,17 +209,7 @@ class DensityOperator:
     subnormalized: bool = False
 
     def __post_init__(self):
-        a = require_hermitian(self.matrix, what="density operator")
-        w = np.linalg.eigvalsh((a + a.conj().T) / 2.0)
-        if w.size and float(np.min(w)) < -1e-10:
-            raise ValueError(f"density operator has negative eigenvalue {np.min(w):.3e}")
-        tr = float(np.real(np.trace(a)))
-        if self.subnormalized:
-            if tr > 1.0 + 1e-10:
-                raise ValueError(f"subnormalised operator has trace {tr} > 1")
-        elif abs(tr - 1.0) > 1e-10:
-            raise ValueError(f"density operator has trace {tr}, expected 1")
-        object.__setattr__(self, "matrix", a)
+        object.__setattr__(self, "matrix", require_state(self.matrix, "density operator", self.subnormalized))
 
     @property
     def dim(self) -> int:

@@ -36,6 +36,7 @@ from .channels import (
     holevo_information,
     verify_conditional_entropy_identities,
 )
+from .typicality import exponent_correction
 
 ZERO_RATE_TOL = 1e-12
 
@@ -58,14 +59,18 @@ class Constraint:
             raise ValueError("rate point has the wrong number of coordinates")
         return float(sum(c * r for c, r in zip(self.coeffs, point)))
 
+    def mask(self, pts: np.ndarray, margin: float = 1e-9, zero_vacuous: bool = False) -> np.ndarray:
+        """Which rows of the (N, k) rate points satisfy the constraint."""
+        lhs = pts @ np.asarray(self.coeffs)
+        if not self.strict:
+            return lhs <= self.bound + margin
+        good = lhs <= self.bound - margin
+        if zero_vacuous and all(x >= 0 for x in self.coeffs):
+            good |= lhs <= ZERO_RATE_TOL
+        return good
+
     def satisfied(self, point: Sequence[float], margin: float = 1e-9, zero_vacuous: bool = False) -> bool:
-        # Keep in sync with the vectorised _part_mask below.
-        lhs = self.evaluate(point)
-        if self.strict:
-            if zero_vacuous and lhs <= ZERO_RATE_TOL and all(c >= 0 for c in self.coeffs):
-                return True
-            return lhs <= self.bound - margin
-        return lhs <= self.bound + margin
+        return bool(self.mask(np.asarray([point], dtype=float), margin, zero_vacuous)[0])
 
 
 @dataclass(frozen=True)
@@ -73,12 +78,14 @@ class RegionPart:
     name: str
     constraints: tuple[Constraint, ...]
 
-    def contains(self, point: Sequence[float], margin: float = 1e-9, zero_vacuous: bool = False) -> bool:
-        return all(c.satisfied(point, margin, zero_vacuous) for c in self.constraints)
+    def mask(self, pts: np.ndarray, margin: float = 1e-9, zero_vacuous: bool = False) -> np.ndarray:
+        ok = np.ones(len(pts), dtype=bool)
+        for c in self.constraints:
+            ok &= c.mask(pts, margin, zero_vacuous)
+        return ok
 
-    def slacks(self, point: Sequence[float]) -> dict:
-        """bound - lhs per constraint label; negative means violated."""
-        return {c.label: c.bound - c.evaluate(point) for c in self.constraints}
+    def contains(self, point: Sequence[float], margin: float = 1e-9, zero_vacuous: bool = False) -> bool:
+        return bool(self.mask(np.asarray([point], dtype=float), margin, zero_vacuous)[0])
 
 
 @dataclass
@@ -102,7 +109,7 @@ class RateRegion:
         return len(self.parts) > 1
 
     def contains(self, point: Sequence[float], margin: float = 1e-9, zero_vacuous: bool = False) -> bool:
-        return any(p.contains(point, margin, zero_vacuous) for p in self.parts)
+        return bool(region_mask(self, [point], margin, zero_vacuous)[0])
 
     def parts_containing(self, point: Sequence[float], margin: float = 1e-9, zero_vacuous: bool = False) -> tuple[str, ...]:
         return tuple(p.name for p in self.parts if p.contains(point, margin, zero_vacuous))
@@ -132,26 +139,12 @@ class RateRegion:
         return out
 
 
-def _part_mask(part: RegionPart, pts: np.ndarray, margin: float, zero_vacuous: bool) -> np.ndarray:
-    """Vectorised RegionPart.contains for an (N, k) array of rate points."""
-    ok = np.ones(len(pts), dtype=bool)
-    for c in part.constraints:
-        lhs = pts @ np.asarray(c.coeffs)
-        if c.strict:
-            good = lhs <= c.bound - margin
-            if zero_vacuous and all(x >= 0 for x in c.coeffs):
-                good |= lhs <= ZERO_RATE_TOL
-        else:
-            good = lhs <= c.bound + margin
-        ok &= good
-    return ok
-
-
-def region_mask(region: RateRegion, pts: np.ndarray, margin: float = 1e-9, zero_vacuous: bool = False) -> np.ndarray:
+def region_mask(region: RateRegion, pts, margin: float = 1e-9, zero_vacuous: bool = False) -> np.ndarray:
+    """Which of the (N, k) rate points lie in some part of the region."""
     pts = np.asarray(pts, dtype=float)
     out = np.zeros(len(pts), dtype=bool)
     for part in region.parts:
-        out |= _part_mask(part, pts, margin, zero_vacuous)
+        out |= part.mask(pts, margin, zero_vacuous)
     return out
 
 
@@ -159,25 +152,27 @@ def region_mask(region: RateRegion, pts: np.ndarray, margin: float = 1e-9, zero_
 # interior anchors and boundary sampling
 
 
-def chebyshev_center(part: RegionPart, k: int, box: float) -> tuple[np.ndarray, float] | None:
-    """Largest-ball center of the part within [0, box]^k, or None if empty."""
-    rows, rhs = [], []
-    for c in part.constraints:
-        rows.append(np.asarray(c.coeffs, dtype=float))
-        rhs.append(c.bound - (1e-9 if c.strict else 0.0))
+def _half_planes(part: RegionPart, k: int, box: float) -> list[tuple[np.ndarray, float, bool]]:
+    """Rows (a, b, strict) of a.R <= b: the part's constraints, then
+    R_j >= 0 and R_j <= box for each axis j."""
+    planes = [(np.asarray(c.coeffs, dtype=float), c.bound, c.strict) for c in part.constraints]
     for j in range(k):
         e = np.zeros(k)
         e[j] = -1.0
-        rows.append(e)
-        rhs.append(0.0)
-        rows.append(-e)
-        rhs.append(box)
-    a = np.vstack(rows)
+        planes += [(e, 0.0, False), (-e, box, False)]
+    return planes
+
+
+def chebyshev_center(part: RegionPart, k: int, box: float) -> tuple[np.ndarray, float] | None:
+    """Largest-ball center of the part within [0, box]^k, or None if empty."""
+    planes = _half_planes(part, k, box)
+    a = np.vstack([row for row, _, _ in planes])
+    rhs = np.asarray([b - (1e-9 if strict else 0.0) for _, b, strict in planes])
     norms = np.linalg.norm(a, axis=1)
     a_ub = np.hstack([a, norms[:, None]])
     c_obj = np.zeros(k + 1)
     c_obj[-1] = -1.0
-    res = linprog(c_obj, A_ub=a_ub, b_ub=np.asarray(rhs), bounds=[(None, None)] * k + [(0, None)], method="highs")
+    res = linprog(c_obj, A_ub=a_ub, b_ub=rhs, bounds=[(None, None)] * k + [(0, None)], method="highs")
     if not res.success or res.x[-1] <= 1e-12:
         return None
     return res.x[:k], float(res.x[-1])
@@ -199,17 +194,12 @@ def sample_boundary(region: RateRegion, rng: np.random.Generator, per_part: int 
         anchor = chebyshev_center(part, k, box)
         if anchor is not None:
             x0, _ = anchor
-            planes = [(np.asarray(c.coeffs, dtype=float), c.bound) for c in part.constraints]
-            for j in range(k):
-                e = np.zeros(k)
-                e[j] = -1.0
-                planes.append((e, 0.0))
-                planes.append((-e, box))
+            planes = _half_planes(part, k, box)
             for _ in range(per_part):
                 u = rng.normal(size=k)
                 u /= np.linalg.norm(u)
                 t = math.inf
-                for a, b in planes:
+                for a, b, _ in planes:
                     au = float(a @ u)
                     if au > 1e-12:
                         t = min(t, (b - float(a @ x0)) / au)
@@ -258,25 +248,28 @@ def rate_correction(delta: float, context_dims: Sequence[int], scale: float = 6.
     d = scale * float(delta)
     if d <= 0:
         raise ValueError("delta must be positive")
-    total = float(np.prod([float(x) for x in context_dims]))
-    return 4.0 * (d * math.log2(total) - d * math.log2(d))
+    return 4.0 * exponent_correction(d, context_dims)
 
 
-def _upper(names: tuple[str, ...], terms: tuple[str, ...], bound: float, strict: bool, expr: str) -> Constraint:
+def _upper(names: tuple[str, ...], terms: tuple[str, ...], expr: str, info: float, corr: float | None = None) -> Constraint:
+    """The terms' rate sum < I(expr) = info; with a blocklength penalty, <= info - corr."""
     coeffs = tuple(1.0 if nm in terms else 0.0 for nm in names)
-    rel = "<" if strict else "<="
-    return Constraint(coeffs, bound, strict, f"{'+'.join(terms)} {rel} {expr}")
+    lhs = "+".join(terms)
+    if corr is None:
+        return Constraint(coeffs, info, True, f"{lhs} < I({expr})")
+    return Constraint(coeffs, info - corr, False, f"{lhs} <= I({expr}) - 4c(6 delta)")
 
 
-def _lower(names: tuple[str, ...], term: str, bound: float, expr: str) -> Constraint:
+def _lower(names: tuple[str, ...], term: str, expr: str, info: float) -> Constraint:
+    """The rate ``term`` >= I(expr) = info, kept weak and unpenalised."""
     coeffs = tuple(-1.0 if nm == term else 0.0 for nm in names)
-    return Constraint(coeffs, -bound, False, f"{term} >= {expr}")
+    return Constraint(coeffs, -info, False, f"{term} >= I({expr})")
 
 
 def cq_region(channel: CqChannel) -> RateRegion:
     """Single-sender region R1 < I(X:B)."""
     info = holevo_information(channel.ensemble())
-    part = RegionPart("theorem", (Constraint((1.0,), info, True, "R1 < I(X:B)"),))
+    part = RegionPart("theorem", (_upper(("R1",), ("R1",), "X:B", info),))
     return RateRegion(("R1",), (part,), {"bounds": {"I(X:B)": info}})
 
 
@@ -290,22 +283,20 @@ def ccq_mac_region(mac: CcqMac, delta: float | None = None) -> RateRegion:
     i_x = st.mutual_information("X:B|Y")
     i_y = st.mutual_information("Y:B|X")
     i_xy = st.mutual_information("XY:B")
-    corr = 0.0 if delta is None else rate_correction(delta, (mac.dim, mac.x_prior.size, mac.y_prior.size))
-    strict = delta is None
-    tail = "" if strict else " - 4c(6 delta)"
+    corr = None if delta is None else rate_correction(delta, (mac.dim, mac.x_prior.size, mac.y_prior.size))
     names = ("R1", "R2")
     part = RegionPart(
         "pentagon",
         (
-            _upper(names, ("R1",), i_x - corr, strict, "I(X:B|Y)" + tail),
-            _upper(names, ("R2",), i_y - corr, strict, "I(Y:B|X)" + tail),
-            _upper(names, ("R1", "R2"), i_xy - corr, strict, "I(XY:B)" + tail),
+            _upper(names, ("R1",), "X:B|Y", i_x, corr),
+            _upper(names, ("R2",), "Y:B|X", i_y, corr),
+            _upper(names, ("R1", "R2"), "XY:B", i_xy, corr),
         ),
     )
     meta = {
         "bounds": {"I(X:B|Y)": i_x, "I(Y:B|X)": i_y, "I(XY:B)": i_xy},
         "delta": delta,
-        "correction": corr,
+        "correction": corr or 0.0,
     }
     return RateRegion(names, (part,), meta)
 
@@ -325,12 +316,12 @@ def disinterested_region(mac: CcqMac) -> RateRegion:
     part1 = RegionPart(
         "part-1",
         (
-            _lower(names, "R1", i_x, "I(X:B)"),
-            _upper(names, ("R1",), i_x_cond, True, "I(X:B|Y)"),
-            _upper(names, ("R1", "R2"), i_sum, True, "I(XY:B)"),
+            _lower(names, "R1", "X:B", i_x),
+            _upper(names, ("R1",), "X:B|Y", i_x_cond),
+            _upper(names, ("R1", "R2"), "XY:B", i_sum),
         ),
     )
-    part2 = RegionPart("part-2", (_upper(names, ("R1",), i_x, True, "I(X:B)"),))
+    part2 = RegionPart("part-2", (_upper(names, ("R1",), "X:B", i_x),))
     meta = {"bounds": {"I(X:B)": i_x, "I(X:B|Y)": i_x_cond, "I(XY:B)": i_sum}}
     return RateRegion(names, (part1, part2), meta)
 
@@ -349,7 +340,7 @@ def _cmg_pattern_parts(
     systems: tuple[str, str, str],
     cond: str,
     part_names: tuple[str, str],
-    corr: float = 0.0,
+    corr: float | None = None,
 ) -> tuple[RegionPart, RegionPart, tuple[Constraint, ...], dict]:
     """Both parts of the three-rate coupled-senders region.
 
@@ -357,16 +348,13 @@ def _cmg_pattern_parts(
     second sender, disinterested third sender); ``rates`` aligns with them.
     Returns part 1, part 2, the four-constraint classical conjunction
     (part 1 without the third-rate bound), and the evaluated bounds.
-    ``corr`` > 0 subtracts the blocklength penalty from every upper bound
+    A ``corr`` subtracts the blocklength penalty from every upper bound
     and makes them weak.
     """
     r1, r2, r3 = rates
     xs, zs, ys = systems
     q = state.quantum_name
     mi = state.mutual_information
-    names = rates
-    strict = corr == 0.0
-    tail = "" if strict else " - 4c(6 delta)"
 
     e_y_given_z = _expr(ys, q, _join(zs, cond))
     e_z_given_xy = _expr(zs, q, _join(xs, ys, cond))
@@ -376,32 +364,24 @@ def _cmg_pattern_parts(
     e_z_given_x = _expr(zs, q, _join(xs, cond))
     e_z = _expr(zs, q, cond)
 
-    bounds = {
-        e_y_given_z: mi(e_y_given_z),
-        e_z_given_xy: mi(e_z_given_xy),
-        e_z_given_y: mi(e_z_given_y),
-        e_zy_given_x: mi(e_zy_given_x),
-        e_zy: mi(e_zy),
-        e_z_given_x: mi(e_z_given_x),
-        e_z: mi(e_z),
-    }
+    bounds = {e: mi(e) for e in (e_y_given_z, e_z_given_xy, e_z_given_y, e_zy_given_x, e_zy, e_z_given_x, e_z)}
+
+    def upper(terms: tuple, e: str) -> Constraint:
+        return _upper(rates, terms, e, bounds[e], corr)
 
     classical = (
-        _upper(names, (r2,), bounds[e_z_given_xy] - corr, strict, f"I({e_z_given_xy})" + tail),
-        _upper(names, (r1, r2), bounds[e_z_given_y] - corr, strict, f"I({e_z_given_y})" + tail),
-        _upper(names, (r2, r3), bounds[e_zy_given_x] - corr, strict, f"I({e_zy_given_x})" + tail),
-        _upper(names, (r1, r2, r3), bounds[e_zy] - corr, strict, f"I({e_zy})" + tail),
+        upper((r2,), e_z_given_xy),
+        upper((r1, r2), e_z_given_y),
+        upper((r2, r3), e_zy_given_x),
+        upper((r1, r2, r3), e_zy),
     )
-    part1 = RegionPart(
-        part_names[0],
-        (_upper(names, (r3,), bounds[e_y_given_z] - corr, strict, f"I({e_y_given_z})" + tail),) + classical,
-    )
+    part1 = RegionPart(part_names[0], (upper((r3,), e_y_given_z),) + classical)
     part2 = RegionPart(
         part_names[1],
         (
-            _lower(names, r3, bounds[e_y_given_z], f"I({e_y_given_z})"),
-            _upper(names, (r2,), bounds[e_z_given_x] - corr, strict, f"I({e_z_given_x})" + tail),
-            _upper(names, (r1, r2), bounds[e_z] - corr, strict, f"I({e_z})" + tail),
+            _lower(rates, r3, e_y_given_z, bounds[e_y_given_z]),
+            upper((r2,), e_z_given_x),
+            upper((r1, r2), e_z),
         ),
     )
     return part1, part2, classical, bounds
@@ -420,12 +400,12 @@ def cmg_mac_region(cmg: CoupledMac, delta: float | None = None) -> RateRegion:
     st = cmg.labeled_state()
     names = ("R1", "R2", "R3")
     dims = (cmg.dim, cmg.x_prior.size, len(cmg.z_alphabet), cmg.y_prior.size)
-    corr = 0.0 if delta is None else rate_correction(delta, dims)
+    corr = None if delta is None else rate_correction(delta, dims)
     part1, part2, classical_cons, bounds = _cmg_pattern_parts(
         st, names, ("X", "Z", "Y"), "", ("region-1", "region-2"), corr
     )
     classical = RateRegion(names, (RegionPart("classical", classical_cons),), {"bounds": bounds})
-    meta = {"bounds": bounds, "delta": delta, "correction": corr, "classical": classical}
+    meta = {"bounds": bounds, "delta": delta, "correction": corr or 0.0, "classical": classical}
     return RateRegion(names, (part1, part2), meta)
 
 
@@ -456,20 +436,27 @@ def receiver_region(ic: InterferenceChannel, receiver: int) -> RateRegion:
     return RateRegion(rates, (part1, part2), {"receiver": receiver, "bounds": bounds})
 
 
-# per channel class: (channel, delta) -> its regions by name; delta shapes the MAC regions only
+# per channel class: (channel, delta) -> its regions by name, and whether delta shapes them
 _NAMED_REGIONS = {
-    CqChannel: lambda ch, delta: {"cq": cq_region(ch)},
-    CcqMac: lambda ch, delta: {"ccq-mac": ccq_mac_region(ch, delta)},
-    CoupledMac: lambda ch, delta: {"cmg-mac": cmg_mac_region(ch, delta)},
-    InterferenceChannel: lambda ch, delta: {f"receiver-{r}": receiver_region(ch, r) for r in (1, 2)},
+    CqChannel: (lambda ch, delta: {"cq": cq_region(ch)}, False),
+    CcqMac: (lambda ch, delta: {"ccq-mac": ccq_mac_region(ch, delta)}, True),
+    CoupledMac: (lambda ch, delta: {"cmg-mac": cmg_mac_region(ch, delta)}, True),
+    InterferenceChannel: (lambda ch, delta: {f"receiver-{r}": receiver_region(ch, r) for r in (1, 2)}, False),
 }
 
 
 def named_regions(channel, delta: float | None = None) -> dict[str, RateRegion]:
-    """A channel's rate regions by name; an interference channel gives one per receiver."""
-    build = _row_for(_NAMED_REGIONS, channel)
-    if build is None:
+    """A channel's rate regions by name; an interference channel gives one per receiver.
+
+    A ``delta`` is refused for the kinds whose regions have no
+    blocklength-aware variant.
+    """
+    row = _row_for(_NAMED_REGIONS, channel)
+    if row is None:
         raise TypeError(f"no rate region for channel type {type(channel).__name__}")
+    build, takes_delta = row
+    if delta is not None and not takes_delta:
+        raise ValueError(f"no blocklength-aware region for channel type {type(channel).__name__}; omit delta")
     return build(channel, delta)
 
 

@@ -36,6 +36,7 @@ from .typicality import (
     cond_typical_projector,
     entropy_bits,
     is_typical,
+    sequence_probability,
     typical_projector,
     typicality_threshold_n,
 )
@@ -288,9 +289,7 @@ def smoothed_states(
         xs = tuple(s[0] for s in zipped)
         zs = tuple(s[1] for s in zipped)
         ys = tuple(s[2] for s in zipped)
-        prob = 1.0
-        for sym in zipped:
-            prob *= dist.prob(sym)
+        prob = sequence_probability(dist, zipped)
         typical = is_typical(dist, zipped, delta)
 
         if typical:
@@ -349,16 +348,9 @@ def smoothed_states(
 
     pair_marginals = {}
     for (xs, zs), acc in pair_acc.items():
-        w = 1.0
-        for pair in zip(xs, zs):
-            w *= layers.p_xz.prob(pair)
-        pair_marginals[tuple(zip(xs, zs))] = total(acc) / w
-    x_marginals = {}
-    for xs, acc in x_acc.items():
-        w = 1.0
-        for x in xs:
-            w *= layers.p_x.prob(x)
-        x_marginals[xs] = total(acc) / w
+        pairs = tuple(zip(xs, zs))
+        pair_marginals[pairs] = total(acc) / sequence_probability(layers.p_xz, pairs)
+    x_marginals = {xs: total(acc) / sequence_probability(layers.p_x, xs) for xs, acc in x_acc.items()}
 
     return SmoothedEnsemble(
         system,

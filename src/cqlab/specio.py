@@ -15,12 +15,12 @@ from typing import NamedTuple
 import numpy as np
 
 from .channels import CcqMac, CoupledMac, CqChannel, InterferenceChannel, _row_for
+from .linalg import require_state
 from .typicality import ClassicalDistribution
 
 SCHEMA = "cqlab-channel/1"
 
 ROW_TOL = 1e-9
-STATE_TOL = 1e-8
 
 
 class SpecError(ValueError):
@@ -104,15 +104,10 @@ def _parse_matrix(obj, where: str, dim: int | None = None) -> np.ndarray:
             if not ok:
                 raise SpecError(f"{where}[{i}][{j}]", "entries must be [re, im] pairs")
             out[i, j] = complex(entry[0], entry[1])
-    if float(np.abs(out - out.conj().T).max()) > STATE_TOL:
-        raise SpecError(where, "matrix is not Hermitian")
-    low = float(np.linalg.eigvalsh((out + out.conj().T) / 2.0).min())
-    if low < -STATE_TOL:
-        raise SpecError(where, f"matrix is not positive semidefinite (min eig {low:.3g})")
-    tr = float(np.real(np.trace(out)))
-    if abs(tr - 1.0) > STATE_TOL:
-        raise SpecError(where, f"matrix trace is {tr!r}, expected 1")
-    return out
+    try:
+        return require_state(out, "matrix")
+    except ValueError as exc:
+        raise SpecError(where, str(exc)) from exc
 
 
 def _dump_matrix(m: np.ndarray) -> list:

@@ -122,7 +122,8 @@ def sequence_counts(seq: Sequence) -> dict:
 
 
 def is_typical(dist: ClassicalDistribution, seq: Sequence, delta: float) -> bool:
-    """Membership in the relative-delta frequency-typical set.
+    """Membership in the relative-delta frequency-typical set, read off the
+    count windows the typical projectors use.
 
     Works for any positive ``delta``; never enumerates anything.
     """
@@ -136,13 +137,8 @@ def is_typical(dist: ClassicalDistribution, seq: Sequence, delta: float) -> bool
     for s in counts:
         if s not in known:
             raise ValueError(f"sequence contains unknown symbol {s!r}")
-    for s, p in zip(dist.symbols, dist.probs):
-        cnt = counts.get(s, 0)
-        if p <= 0:
-            if cnt:
-                return False
-            continue
-        if abs(cnt / n - p) > delta * p + WINDOW_SLACK:
+    for s, (lo, hi) in zip(dist.symbols, _typical_count_windows(dist.probs, n, delta)):
+        if not lo <= counts.get(s, 0) <= hi:
             return False
     return True
 
@@ -163,14 +159,21 @@ def typical_set(dist: ClassicalDistribution, n: int, delta: float) -> list[tuple
     ]
 
 
+def sequence_probability(dist: ClassicalDistribution, seq: Iterable) -> float:
+    """Product of the symbols' probabilities, multiplied in sequence order."""
+    w = 1.0
+    for s in seq:
+        w *= dist.prob(s)
+    return w
+
+
+def _ordered_total(masses: Sequence[float]) -> float:
+    """Sum of the masses, added one at a time in the given order."""
+    return float(np.add.accumulate(masses)[-1]) if len(masses) else 0.0
+
+
 def typical_mass(dist: ClassicalDistribution, n: int, delta: float) -> float:
-    mass = 0.0
-    for seq in typical_set(dist, n, delta):
-        w = 1.0
-        for s in seq:
-            w *= dist.prob(s)
-        mass += w
-    return mass
+    return _ordered_total([sequence_probability(dist, seq) for seq in typical_set(dist, n, delta)])
 
 
 @dataclass(frozen=True)
@@ -197,14 +200,14 @@ class TypicalityParams:
             raise ValueError("context dimensions must be positive")
         object.__setattr__(self, "context_dims", tuple(int(d) for d in self.context_dims))
 
-    @property
-    def log_context(self) -> float:
-        return math.log2(float(np.prod(self.context_dims)))
-
     def c(self, scale: float = 1.0) -> float:
         """Exponent correction at ``scale * delta``."""
-        d = scale * self.delta
-        return d * self.log_context - d * math.log2(d)
+        return exponent_correction(scale * self.delta, self.context_dims)
+
+
+def exponent_correction(d: float, context_dims: Sequence[int]) -> float:
+    """c(d) = d*log2(prod context_dims) - d*log2(d), for a window width d > 0."""
+    return d * math.log2(float(np.prod(context_dims))) - d * math.log2(d)
 
 
 def typicality_threshold_n(
@@ -256,16 +259,13 @@ def _snap_eigenvalues(w: np.ndarray) -> tuple[np.ndarray, bool]:
 
 
 def _typical_count_windows(q: np.ndarray, n: int, delta: float) -> list[tuple[int, int]]:
-    """Per-label inclusive count windows implied by the frequency condition."""
-    windows = []
-    for p in q:
-        if p <= 0:
-            windows.append((0, 0))
-            continue
-        lo = math.ceil(n * (p - delta * p) - n * WINDOW_SLACK)
-        hi = math.floor(n * (p + delta * p) + n * WINDOW_SLACK)
-        windows.append((max(0, lo), min(n, hi)))
-    return windows
+    """Per-label inclusive count windows: N(x)/n within delta*p(x) of p(x), and
+    N(x) = 0 when p(x) is zero.  The one rule for sequences and projectors."""
+    slack = n * WINDOW_SLACK
+    return [
+        (math.ceil(n * (p - delta * p) - slack), math.floor(n * (p + delta * p) + slack)) if p > 0 else (0, 0)
+        for p in q
+    ]
 
 
 def _typical_indices(groups, d: int, n: int, delta: float) -> np.ndarray:
@@ -291,8 +291,7 @@ def _kept_masses(probs: Sequence[np.ndarray], kept: np.ndarray) -> tuple[list[fl
     masses = np.ones(len(kept))
     for j, q in enumerate(probs):
         masses = masses * np.asarray(q, dtype=float)[kept[:, j]]
-    total = float(np.add.accumulate(masses)[-1]) if masses.size else 0.0
-    return masses.tolist(), total
+    return masses.tolist(), _ordered_total(masses)
 
 
 def typical_projector(rho, n: int, delta: float) -> Projector:
@@ -471,14 +470,8 @@ def verify_sequence_typicality(dist: ClassicalDistribution, n: int, params: Typi
     seqs = typical_set(dist, n, params.delta)
     h = dist.entropy()
     c = params.c()
-    masses = []
-    total = 0.0
-    for seq in seqs:
-        w = 1.0
-        for s in seq:
-            w *= dist.prob(s)
-        masses.append(w)
-        total += w
+    masses = [sequence_probability(dist, seq) for seq in seqs]
+    total = _ordered_total(masses)
     threshold = typicality_threshold_n(params, p_min=dist.p_min)
     checks = {
         "mass": Check(

@@ -154,6 +154,17 @@ class TestSpecIO:
         with pytest.raises(SpecError, match="positive semidefinite"):
             parse_channel(bad)
 
+    def test_state_check_names_the_state_field(self):
+        # min eigenvalue -5e-9 fails the 1e-9 state check at the state's own field
+        bad = {
+            "kind": "cq",
+            "input": {"symbols": ["0"], "probs": [1.0]},
+            "states": {"0": [[[1.0 + 5e-9, 0.0], [0.0, 0.0]], [[0.0, 0.0], [-5e-9, 0.0]]]},
+        }
+        with pytest.raises(SpecError, match="positive semidefinite") as exc_info:
+            parse_channel(bad)
+        assert exc_info.value.location == "spec.states.0"
+
     def test_json_errors_carry_line_and_column(self, tmp_path):
         path = tmp_path / "broken.json"
         path.write_text('{"kind": "cq",\n  "input": }')
@@ -234,6 +245,20 @@ class TestCliRegions:
         for entry in doc["regions"].values():
             assert entry["constraints"]
             assert isinstance(entry["boundary_samples"], dict)
+
+    @pytest.mark.parametrize("doc, kind", [(bb84_doc, "cq"), (ic_doc, "ccqq-ic")])
+    def test_delta_is_refused_where_no_region_takes_one(self, tmp_path, capsys, doc, kind):
+        spec = write_doc(tmp_path, doc())
+        out = tmp_path / "out"
+        assert main(["regions", "--spec", spec, "--out", str(out), "--delta", "0.1"]) == 2
+        err = capsys.readouterr().err
+        assert f"kind {kind!r}" in err and "omit delta" in err
+        assert not out.exists()
+        # the MAC kinds take a delta and turn weak
+        spec = write_doc(tmp_path, xor_mac_doc())
+        assert main(["regions", "--spec", spec, "--out", str(out), "--delta", "0.1"]) == 0
+        doc = json.loads((out / "regions.json").read_text())
+        assert {c["relation"] for c in doc["regions"]["ccq-mac"]["constraints"]} == {"<="}
 
     def test_missing_field_exits_2_and_names_it(self, tmp_path, capsys):
         doc = bb84_doc()

@@ -301,18 +301,26 @@ def test_trace_distance_unitary_invariance(seed, d):
 
 def test_density_operator_and_channel_share_the_hermitian_tolerance():
     # one matrix is a valid channel state exactly when it is a valid
-    # DensityOperator: both read HERMITIAN_RTOL
+    # DensityOperator: both run require_state, so they share HERMITIAN_RTOL
+    # and the 1e-9 slack on the smallest eigenvalue and on the trace
     from cqlab.channels import CqChannel
     from cqlab.typicality import ClassicalDistribution
 
     prior = ClassicalDistribution((0,), (1.0,))
+    cases = []
     for skew, valid in ((5e-10, True), (2e-9, False)):
-        a = np.array([[0.5, skew], [0.0, 0.5]], dtype=complex)
+        cases.append((np.array([[0.5, skew], [0.0, 0.5]]), valid, "not Hermitian"))
+    for low, valid in ((-5e-10, True), (-2e-9, False)):
+        cases.append((np.diag([1.0 - low, low]), valid, "positive semidefinite"))
+    for shift, valid in ((5e-10, True), (-5e-10, True), (2e-9, False), (-2e-9, False)):
+        cases.append((np.diag([0.5 + shift / 2, 0.5 + shift / 2]), valid, "expected 1"))
+    for m, valid, message in cases:
+        a = m.astype(complex)
         if valid:
             assert DensityOperator(a).dim == 2
             assert CqChannel(prior, {0: a}).dim == 2
         else:
-            with pytest.raises(ValueError, match="not Hermitian"):
+            with pytest.raises(ValueError, match=message):
                 DensityOperator(a)
-            with pytest.raises(ValueError, match="not Hermitian"):
+            with pytest.raises(ValueError, match=message):
                 CqChannel(prior, {0: a})

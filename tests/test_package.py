@@ -1,5 +1,6 @@
 """Package-wide checks: the source imports only what it uses, forms Kronecker
-products through one kernel, keeps one table row per channel kind, the
+products through one kernel, reads the typicality window slack and the state
+tolerance in one function each, keeps one table row per channel kind, the
 resource guards are fixed constants, and every dense entry point enforces
 DIM_CAP."""
 
@@ -99,6 +100,53 @@ def test_kron_check_sees_calls_and_references_but_not_docstrings():
 @pytest.mark.parametrize("path", sorted(SRC.glob("*.py")), ids=lambda p: p.name)
 def test_module_uses_the_kron_kernel_only(path):
     assert kron_uses(path.read_text()) == []
+
+
+def constant_readers(source: str, name: str) -> list[str]:
+    """Functions that read the module-level constant ``name``, "<module>" for
+    reads outside any function; importing it counts as a module-level read."""
+    readers = set()
+
+    def visit(node, where):
+        for child in ast.iter_child_nodes(node):
+            if isinstance(child, (ast.FunctionDef, ast.AsyncFunctionDef)):
+                visit(child, child.name)
+                continue
+            if isinstance(child, ast.Name) and child.id == name and isinstance(child.ctx, ast.Load):
+                readers.add(where)
+            elif isinstance(child, ast.Attribute) and child.attr == name:
+                readers.add(where)
+            elif isinstance(child, ast.ImportFrom) and any(a.name == name for a in child.names):
+                readers.add("<module>")
+            visit(child, where)
+
+    visit(ast.parse(source), "<module>")
+    return sorted(readers)
+
+
+def test_constant_reader_check_sees_every_form():
+    source = (
+        "from .typicality import WINDOW_SLACK\n"
+        "WINDOW_SLACK = 1e-12\n"
+        "def windows(n):\n"
+        "    return n * WINDOW_SLACK\n"
+        "def other(t):\n"
+        "    def inner():\n"
+        "        return t.WINDOW_SLACK\n"
+        "    return inner\n"
+        "SCALED = 2 * WINDOW_SLACK\n"
+    )
+    assert constant_readers(source, "WINDOW_SLACK") == ["<module>", "inner", "windows"]
+
+
+@pytest.mark.parametrize(
+    "name, owner",
+    [("WINDOW_SLACK", ("typicality.py", "_typical_count_windows")), ("STATE_TOL", ("linalg.py", "require_state"))],
+)
+def test_each_tolerance_is_read_by_its_one_rule(name, owner):
+    # the typicality window and the density-operator check are each written once
+    found = [(path.name, fn) for path in sorted(SRC.glob("*.py")) for fn in constant_readers(path.read_text(), name)]
+    assert found == [owner]
 
 
 def test_row_lookup_takes_the_nearest_listed_class():

@@ -1,5 +1,6 @@
 """Rate-region builders, membership semantics, and the layer-fixing transform."""
 
+import itertools
 import math
 
 import numpy as np
@@ -7,6 +8,7 @@ import pytest
 
 from cqlab.channels import CcqMac, CoupledMac, InterferenceChannel
 from cqlab.regions import (
+    ZERO_RATE_TOL,
     Constraint,
     RateRegion,
     RegionPart,
@@ -332,14 +334,51 @@ def test_sample_points_inside_and_failure():
         sample_points_inside(empty, rng, 5, max_tries=200)
 
 
+def scalar_member(region: RateRegion, point, margin: float, zero_vacuous: bool) -> bool:
+    """The membership convention transcribed one constraint at a time."""
+    for part in region.parts:
+        ok = True
+        for c in part.constraints:
+            lhs = sum(a * r for a, r in zip(c.coeffs, point))
+            if not c.strict:
+                ok = ok and lhs <= c.bound + margin
+            else:
+                vacuous = zero_vacuous and lhs <= ZERO_RATE_TOL and all(a >= 0 for a in c.coeffs)
+                ok = ok and (vacuous or lhs <= c.bound - margin)
+        if ok:
+            return True
+    return False
+
+
+def edge_points(region: RateRegion, margin: float) -> list:
+    """Per constraint: the point of its bound along its normal, and that
+    point moved off the bound by margin, 2*margin and 1e-15 either way."""
+    out = [(0.0,) * len(region.rate_names)]
+    for part in region.parts:
+        for c in part.constraints:
+            a = np.asarray(c.coeffs)
+            for shift in (0.0, margin, -margin, 2 * margin, -2 * margin, 1e-15, -1e-15):
+                out.append(tuple(float(v) for v in (c.bound + shift) * a / (a @ a)))
+    return out
+
+
 def test_region_mask_matches_scalar_membership():
-    region = disinterested_region(xor_mac())
     rng = np.random.default_rng(13)
-    pts = rng.uniform(0.0, 1.5, size=(200, 2))
-    for zv in (False, True):
-        mask = region_mask(region, pts, zero_vacuous=zv)
-        scalar = np.array([region.contains(tuple(p), zero_vacuous=zv) for p in pts])
-        assert np.array_equal(mask, scalar)
+    regions = (
+        disinterested_region(xor_mac()),
+        ccq_mac_region(identical_mac()),  # every bound zero: only the zero-rate rule admits points
+        ccq_mac_region(xor_mac(), delta=0.001),  # weak bounds
+        cmg_mac_region(copy_cmg()),
+    )
+    for region, margin in itertools.product(regions, (1e-9, 1e-6)):
+        k = len(region.rate_names)
+        pts = np.vstack([rng.uniform(0.0, 1.5, size=(200, k)), edge_points(region, margin)])
+        for zv in (False, True):
+            mask = region_mask(region, pts, margin=margin, zero_vacuous=zv)
+            scalar = [scalar_member(region, tuple(p), margin, zv) for p in pts]
+            assert mask.tolist() == scalar
+            assert mask.tolist() == [region.contains(tuple(p), margin, zv) for p in pts]
+            assert 0 < mask.sum() < len(pts)
 
 
 def test_region_validation():

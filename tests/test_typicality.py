@@ -94,6 +94,41 @@ def test_is_typical_matches_oracle_bulk():
             assert is_typical(d, seq, delta) == oracle_typical(probs, seq, delta)
 
 
+def compositions(n, k):
+    """One sequence per count vector of length-n sequences over range(k)."""
+    for cut in itertools.combinations(range(n + k - 1), k - 1):
+        counts = [b - a - 1 for a, b in zip((-1,) + cut, cut + (n + k - 1,))]
+        yield tuple(itertools.chain.from_iterable([sym] * c for sym, c in enumerate(counts)))
+
+
+@pytest.mark.parametrize(
+    "probs, n, delta",
+    [
+        ((0.5, 0.25, 0.25, 0.0), 8, 0.5),  # n*delta*p = 2, 1, 1: every window edge an integer
+        ((0.75, 0.25), 4, 1.0 / 3.0),  # n*delta*p = 1 up to the rounding of 1/3
+        ((0.5, 0.0, 0.5), 6, 1.0 / 3.0),
+        ((0.6, 0.4), 5, 0.5),
+        ((0.25, 0.75, 0.0), 8, 2.0),  # a scaled slack above 1 opens the lower edge
+    ],
+)
+def test_is_typical_matches_oracle_at_window_edges(probs, n, delta):
+    d = ClassicalDistribution(tuple(range(len(probs))), probs)
+    seen = set()
+    for seq in compositions(n, len(probs)):
+        got = is_typical(d, seq, delta)
+        assert got == oracle_typical(probs, seq, delta), seq
+        seen.add(got)
+    assert seen == {True, False}
+
+
+def test_window_edges_are_closed():
+    d = ClassicalDistribution((0, 1, 2, 3), (0.5, 0.25, 0.25, 0.0))
+    assert is_typical(d, (0, 0, 1, 1, 1, 2, 2, 2), 0.5)  # counts 2, 3, 3: both edges hit
+    assert is_typical(d, (0,) * 6 + (1, 2), 0.5)  # count 6 = upper edge of symbol 0
+    assert not is_typical(d, (0,) * 7 + (1,), 0.5)  # count 7 is past it
+    assert not is_typical(d, (0,) * 4 + (1, 1, 2, 3), 0.5)  # a zero-probability symbol occurs
+
+
 def test_is_typical_long_sequence_no_enumeration():
     d = ClassicalDistribution((0, 1), (0.5, 0.5))
     seq = tuple([0, 1] * 25)
