@@ -24,17 +24,13 @@ from typing import Mapping, Sequence
 
 import numpy as np
 
-from .linalg import as_matrix, require_hermitian, require_state
+from .linalg import as_matrix, require_state
 from .typicality import ClassicalDistribution, CqEnsemble, entropy_bits
 
 
 def von_neumann_entropy(rho) -> float:
-    """Entropy in bits of a PSD operator, ignoring eigenvalues <= 1e-14."""
-    a = require_hermitian(rho, what="state")
-    w = np.linalg.eigvalsh(a)
-    if w.size and float(np.min(w)) < -1e-9:
-        raise ValueError("state has a significantly negative eigenvalue")
-    return entropy_bits(w)
+    """Entropy in bits of a density operator, ignoring eigenvalues <= 1e-14."""
+    return entropy_bits(np.linalg.eigvalsh(require_state(rho)))
 
 
 def holevo_information(ensemble: CqEnsemble) -> float:

@@ -23,7 +23,6 @@ from dataclasses import dataclass, field
 from typing import Sequence
 
 import numpy as np
-from scipy.optimize import linprog
 
 from .channels import (
     CcqMac,
@@ -164,7 +163,13 @@ def _half_planes(part: RegionPart, k: int, box: float) -> list[tuple[np.ndarray,
 
 
 def chebyshev_center(part: RegionPart, k: int, box: float) -> tuple[np.ndarray, float] | None:
-    """Largest-ball center of the part within [0, box]^k, or None if empty."""
+    """Largest-ball center of the part within [0, box]^k, or None if empty.
+
+    The LP solver is imported here, its only use, so that the decoders and
+    every command but ``cqlab regions`` run without loading scipy.
+    """
+    from scipy.optimize import linprog
+
     planes = _half_planes(part, k, box)
     a = np.vstack([row for row, _, _ in planes])
     rhs = np.asarray([b - (1e-9 if strict else 0.0) for _, b, strict in planes])

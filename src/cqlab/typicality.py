@@ -11,6 +11,7 @@ All entropies and exponents are base 2 throughout the package.
 
 from __future__ import annotations
 
+import functools
 import math
 from dataclasses import dataclass
 from itertools import product as cartesian
@@ -258,14 +259,16 @@ def _snap_eigenvalues(w: np.ndarray) -> tuple[np.ndarray, bool]:
     return snapped, degenerate
 
 
-def _typical_count_windows(q: np.ndarray, n: int, delta: float) -> list[tuple[int, int]]:
+@functools.lru_cache(maxsize=1024)
+def _typical_count_windows(q: tuple[float, ...], n: int, delta: float) -> tuple[tuple[int, int], ...]:
     """Per-label inclusive count windows: N(x)/n within delta*p(x) of p(x), and
-    N(x) = 0 when p(x) is zero.  The one rule for sequences and projectors."""
+    N(x) = 0 when p(x) is zero.  The one rule for sequences and projectors,
+    formed once per (law, n, delta)."""
     slack = n * WINDOW_SLACK
-    return [
+    return tuple(
         (math.ceil(n * (p - delta * p) - slack), math.floor(n * (p + delta * p) + slack)) if p > 0 else (0, 0)
         for p in q
-    ]
+    )
 
 
 def _typical_indices(groups, d: int, n: int, delta: float) -> np.ndarray:
@@ -279,7 +282,7 @@ def _typical_indices(groups, d: int, n: int, delta: float) -> np.ndarray:
     keep = np.ones(len(grid), dtype=bool)
     for pos, q in groups:
         sub = grid[:, list(pos)]
-        for label, (lo, hi) in enumerate(_typical_count_windows(q, len(pos), delta)):
+        for label, (lo, hi) in enumerate(_typical_count_windows(tuple(q), len(pos), delta)):
             count = np.count_nonzero(sub == label, axis=1)
             keep &= (lo <= count) & (count <= hi)
     return grid[keep]

@@ -65,8 +65,14 @@ def test_bb84_average_state_entropy_frozen():
 
 
 def test_entropy_rejects_significantly_negative_eigenvalues():
-    with pytest.raises(ValueError):
+    with pytest.raises(ValueError, match="not positive semidefinite"):
         von_neumann_entropy(np.diag([1.2, -0.2]))
+
+
+def test_entropy_rejects_an_operator_that_is_not_unit_trace():
+    # entropy is defined on density operators; a trace-2 PSD operator is refused
+    with pytest.raises(ValueError, match="trace is 2.0, expected 1"):
+        von_neumann_entropy(np.eye(2))
 
 
 def test_holevo_orthogonal_pure_uniform_is_one_bit():

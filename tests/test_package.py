@@ -1,13 +1,17 @@
 """Package-wide checks: the source imports only what it uses, forms Kronecker
 products through one kernel, reads the typicality window slack and the state
 tolerance in one function each, keeps one table row per channel kind, the
-resource guards are fixed constants, and every dense entry point enforces
-DIM_CAP."""
+resource guards are fixed constants, every dense entry point enforces
+DIM_CAP, and only the rate-region sampler loads scipy."""
 
 import ast
 import importlib
 import inspect
+import json
+import os
 import pathlib
+import subprocess
+import sys
 
 import numpy as np
 import pytest
@@ -250,3 +254,42 @@ def test_dense_entry_points_refuse_dimensions_over_the_cap(entry):
         DENSE_ENTRY_POINTS[entry]()
     assert err.value.required == 2**N_OVER_CAP
     assert err.value.cap == DIM_CAP
+
+
+# Runs in a fresh interpreter: other tests in the session import scipy through
+# regions.chebyshev_center, so this process's sys.modules cannot show it.
+NO_SCIPY_CHILD = """
+import math, sys
+import cqlab
+from cqlab import cli, regions
+
+spec, out = sys.argv[1], sys.argv[2]
+assert cli.main(["simulate", "--spec", spec, "--out", out + "/sim", "--n", "4",
+                 "--delta", "0.99", "--rate", "0.5"]) == 0
+assert cli.main(["verify", "--suite", "typicality", "--out", out + "/verify"]) == 0
+assert "scipy" not in sys.modules, "decoding or verifying loaded scipy"
+
+# the triangle R1 + R2 <= 1 in the first quadrant: its incentre, r = 1/(2 + sqrt 2)
+part = regions.RegionPart("p", (regions.Constraint((1.0, 1.0), 1.0, strict=False),))
+x, r = regions.chebyshev_center(part, 2, 2.0)
+inradius = 1.0 / (2.0 + math.sqrt(2.0))
+assert abs(r - inradius) <= 1e-12 and all(abs(c - inradius) <= 1e-12 for c in x), (x, r)
+assert "scipy" in sys.modules
+"""
+
+
+def test_only_the_region_sampler_loads_scipy(tmp_path):
+    spec = tmp_path / "cq.json"
+    plus = [[[0.5, 0.0], [0.5, 0.0]], [[0.5, 0.0], [0.5, 0.0]]]
+    zero = [[[1.0, 0.0], [0.0, 0.0]], [[0.0, 0.0], [0.0, 0.0]]]
+    spec.write_text(json.dumps({
+        "kind": "cq",
+        "input": {"symbols": ["0", "1"], "probs": [0.5, 0.5]},
+        "states": {"0": zero, "1": plus},
+    }))
+    env = {**os.environ, "PYTHONPATH": os.pathsep.join(filter(None, [str(SRC.parent), os.environ.get("PYTHONPATH")]))}
+    child = subprocess.run(
+        [sys.executable, "-c", NO_SCIPY_CHILD, str(spec), str(tmp_path)],
+        env=env, capture_output=True, text=True, timeout=120,
+    )
+    assert child.returncode == 0, child.stderr

@@ -293,7 +293,7 @@ def old_typical_indices(groups, n, delta):
     to their positions and sorted."""
     keeps = []
     for pos, q in groups:
-        windows = _typical_count_windows(q, len(pos), delta)
+        windows = _typical_count_windows(tuple(q), len(pos), delta)
         kept = []
         for t in itertools.product(range(len(q)), repeat=len(pos)):
             counts = [t.count(i) for i in range(len(q))]
