@@ -37,6 +37,7 @@ from .linalg import (
     as_matrix,
     psd_leq_factors,
     require_hermitian,
+    require_state,
     trace_distance,
 )
 
@@ -408,11 +409,10 @@ def gentle_measurement_check(rho, m) -> dict:
     """Disturbance versus success probability for a single gentle operator.
 
     For 0 <= M <= I the collapse M rho M moves the state by at most
-    2*sqrt(1 - Tr[M rho M]) in trace norm.
+    2*sqrt(1 - Tr[M rho M]) in trace norm.  ``rho`` must be a density
+    operator of trace at most 1; anything else raises ``ValueError``.
     """
-    r = require_hermitian(rho, what="state")
-    if float(np.real(np.trace(r))) > 1.0 + 1e-9:
-        raise ValueError("state must have trace at most 1")
+    r = require_state(rho, "state", subnormalized=True)
     op = require_hermitian(m, what="measurement operator")
     w = np.linalg.eigvalsh(op)
     if w.size and (float(np.min(w)) < -1e-9 or float(np.max(w)) > 1.0 + 1e-9):

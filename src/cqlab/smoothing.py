@@ -10,19 +10,25 @@ family stays close to the original in trace distance while its marginals
 acquire explicit sup-norm ceilings, which is what the decoder analyses
 consume.
 
-Cost: every maximally mixed record (the atypical ones, and typical ones
-whose sandwich annihilates the state) shares one read-only I/D matrix,
-enters the marginals as a scalar mass and has its trace distance to the
-product state read off the symbols' spectra, O(D) per record with D = d^n.
-Only the typical records pay for dense D x D sandwiches, sums and
-eigendecompositions.
+Cost: no record holds a dense state of its own.  Every maximally mixed
+record (the atypical ones, and typical ones whose sandwich annihilates the
+state) shares one read-only I/D matrix, enters the marginals as a scalar
+mass and has its trace distance to the product state read off the symbols'
+spectra, O(D) per record with D = d^n.  A typical record is measured once
+at build, while its product state and its sandwiched state are both in
+hand: its denominator, its three overlap failures (elementwise against the
+dense projectors, O(D^2) each) and its trace distance (one D x D
+eigendecomposition).  The sandwiched state then enters the marginals and is
+dropped; the record keeps its (xs, zs) key's shared sandwich and forms the
+state again on read.  Verification reads the measured distances and builds
+no product state.
 """
 
 from __future__ import annotations
 
 import itertools
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from typing import Mapping, Sequence
 
 import numpy as np
@@ -140,6 +146,21 @@ def triple_layers(system: CqEnsemble) -> TripleLayers:
     )
 
 
+def _sandwiched(m: np.ndarray, rho: np.ndarray) -> np.ndarray:
+    return m @ rho @ m.conj().T
+
+
+def _normalized(sand: np.ndarray, denominator: float) -> np.ndarray:
+    state = sand / denominator
+    return (state + state.conj().T) / 2.0
+
+
+def _overlap(p: np.ndarray, rho: np.ndarray) -> float:
+    """Re Tr[P rho] for a Hermitian dense projector P, as the elementwise
+    sum of conj(P_ij) rho_ij = P_ji rho_ij: O(D^2), no D x D product."""
+    return float(np.real(np.vdot(p, rho)))
+
+
 @dataclass(frozen=True)
 class TripleRecord:
     """Outcome of smoothing one (x^n, z^n, y^n) sequence triple.
@@ -149,6 +170,14 @@ class TripleRecord:
     as is ``denominator``.  A typical triple whose sandwich traces to
     (numerically) zero keeps its tiny denominator for the report but carries
     the maximally mixed state and the ``zero_denominator`` flag.
+    ``distance`` is ||state - rho||_1 against the product state rho, measured
+    at build for a sandwiched record and None for a maximally mixed one.
+
+    A record holds no dense state: ``state`` is the shared read-only I/D of a
+    maximally mixed record, and a sandwiched record forms
+    (m rho m^dag) / denominator on each read from its (xs, zs) key's shared
+    sandwich m, by the expression of the build, so the array is bit-identical
+    to the one measured there.
     """
 
     xs: tuple
@@ -156,10 +185,21 @@ class TripleRecord:
     ys: tuple
     probability: float
     typical: bool
-    state: np.ndarray
     denominator: float | None = None
     overlap_failures: tuple | None = None
     zero_denominator: bool = False
+    distance: float | None = None
+    # the shared I/D of a maximally mixed record, the sandwich m of a smoothed one
+    _matrix: np.ndarray | None = field(default=None, repr=False, compare=False)
+    _system: CqEnsemble | None = field(default=None, repr=False, compare=False)
+
+    @property
+    def state(self) -> np.ndarray:
+        """The smoothed state; a sandwiched record forms a new array per read."""
+        if self.distance is None:
+            return self._matrix
+        rho = self._system.sequence_state(self.zipped)
+        return _normalized(_sandwiched(self._matrix, rho), self.denominator)
 
     @property
     def zipped(self) -> tuple:
@@ -271,8 +311,7 @@ def smoothed_states(
     # shared by every maximally mixed record, so no caller may write into it
     mixed = np.eye(dim, dtype=np.complex128) / float(dim)
     mixed.setflags(write=False)
-    pi_avg = typical_projector(layers.rho_bar, n, 2.0 * delta)
-    pi_avg_dense = pi_avg.dense()
+    pi_avg_dense = typical_projector(layers.rho_bar, n, 2.0 * delta).dense()
     x_cache: dict = {}
     sandwich_cache: dict = {}
 
@@ -297,40 +336,45 @@ def smoothed_states(
             if key not in sandwich_cache:
                 if xs not in x_cache:
                     x_cache[xs] = cond_typical_projector(layers.x_ens, xs, 6.0 * delta)
-                p_x = x_cache[xs]
-                p_xz = cond_typical_projector(layers.pair_ens, tuple(zip(xs, zs)), 6.0 * delta)
-                sandwich_cache[key] = (p_x, p_xz, pi_avg_dense @ p_x.dense() @ p_xz.dense())
+                p_x = x_cache[xs].dense()
+                p_xz = cond_typical_projector(layers.pair_ens, tuple(zip(xs, zs)), 6.0 * delta).dense()
+                sandwich_cache[key] = (p_x, p_xz, pi_avg_dense @ p_x @ p_xz)
             p_x, p_xz, m = sandwich_cache[key]
             rho_t = system.sequence_state(zipped)
             failures = tuple(
-                min(1.0, max(0.0, 1.0 - proj.trace_with(rho_t)))
-                for proj in (pi_avg, p_x, p_xz)
+                min(1.0, max(0.0, 1.0 - _overlap(proj, rho_t)))
+                for proj in (pi_avg_dense, p_x, p_xz)
             )
-            sand = m @ rho_t @ m.conj().T
+            sand = _sandwiched(m, rho_t)
             denominator = float(np.real(np.trace(sand)))
             if denominator <= DENOMINATOR_TOL:
+                state = mixed
                 record = TripleRecord(
-                    xs, zs, ys, prob, True, mixed,
+                    xs, zs, ys, prob, True,
                     denominator=denominator,
                     overlap_failures=failures,
                     zero_denominator=True,
+                    _matrix=mixed,
                 )
             else:
-                state = sand / denominator
-                state = (state + state.conj().T) / 2.0
+                state = _normalized(sand, denominator)
                 record = TripleRecord(
-                    xs, zs, ys, prob, True, state,
+                    xs, zs, ys, prob, True,
                     denominator=denominator,
                     overlap_failures=failures,
+                    distance=trace_distance(state, rho_t),
+                    _matrix=m,
+                    _system=system,
                 )
             typical_mass += prob
         else:
-            record = TripleRecord(xs, zs, ys, prob, False, mixed)
+            state = mixed
+            record = TripleRecord(xs, zs, ys, prob, False, _matrix=mixed)
 
         index[(xs, zs, ys)] = len(records)
         records.append(record)
         if complete and prob > 0:
-            weighted = None if record.state is mixed else prob * record.state
+            weighted = None if state is mixed else prob * state
             for acc in (pair_acc.setdefault((xs, zs), [0.0, 0.0]), x_acc.setdefault(xs, [0.0, 0.0]), avg_acc):
                 if weighted is None:
                     acc[1] += prob
@@ -408,9 +452,10 @@ def verify_smoothing_bounds(se: SmoothedEnsemble, epsilon: float | None = None) 
     (the verified inequality chain keeps the trace-distance and denominator
     rows valid even then, while the sup-norm constant needs epsilon < 1/64).
 
-    A maximally mixed record's trace distance comes from the product of the
-    symbols' spectra in O(D); only the sandwiched typical records build
-    their product state and run a dense D x D ``trace_distance``.
+    A sandwiched record's trace distance was measured at build
+    (``TripleRecord.distance``); a maximally mixed record's comes from the
+    product of the symbols' spectra in O(D).  No product state is built and
+    no dense trace distance runs here.
     """
     layers = se.layers
     n, delta = se.n, se.delta
@@ -432,13 +477,12 @@ def verify_smoothing_bounds(se: SmoothedEnsemble, epsilon: float | None = None) 
     checks: dict = {}
 
     # one trace distance per record, read by both the l1-triple and l1-global rows
-    distances: list = [None] * len(se.records)
-    mixed = []
-    for i, r in enumerate(se.records):
-        if r.typical and not r.zero_denominator:
-            distances[i] = trace_distance(r.state, se.system.sequence_state(r.zipped))
-        elif r.typical or (se.complete and r.probability > 0):
-            mixed.append(i)
+    distances = [r.distance for r in se.records]
+    mixed = [
+        i
+        for i, r in enumerate(se.records)
+        if r.distance is None and (r.typical or (se.complete and r.probability > 0))
+    ]
     zipped = [se.records[i].zipped for i in mixed]
     for i, dist in zip(mixed, _mixed_distances(se.system, zipped)):
         distances[i] = float(dist)

@@ -3,14 +3,17 @@
 The sequential chain and the square-root measurement work on state and
 element factors; a dense D x D product, eigendecomposition or chain
 conjugation creeping back in would keep every output but cost O(D^3) per
-message again.  Smoothing reads a maximally mixed record's trace distance
-off the symbols' spectra, so only typical records may build a product
+message again.  Smoothing measures each typical record once at build and
+reads a maximally mixed record's trace distance off the symbols' spectra,
+so verification builds no product state, and no record keeps a dense
 state.  Multi-sender candidates and their guarantees are checked in the
 candidates' own span, so building them forms no D x D matrix.  These tests
-count such calls through monkeypatching.
+count such calls through monkeypatching, and live memory through
+tracemalloc.
 """
 
 import sys
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -130,35 +133,55 @@ def diagonal_triple_system() -> CqEnsemble:
 
 
 def test_smoothing_builds_product_states_for_typical_records_only(monkeypatch):
+    """The build forms each typical record's product state and trace distance
+    exactly once and reads no overlap through ``Projector.trace_with``;
+    verification builds no product state and runs no dense trace distance."""
     system = diagonal_triple_system()
-    built: list = []
+    calls: dict = {"sequence_state": [], "trace_distance": 0, "trace_with": 0}
     sequence_state = CqEnsemble.sequence_state
+    trace_distance = cqlab.smoothing.trace_distance
+    trace_with = Projector.trace_with
 
     def counted_sequence_state(self, seq):
-        built.append(tuple(seq))
+        calls["sequence_state"].append(tuple(seq))
         return sequence_state(self, seq)
 
-    monkeypatch.setattr(CqEnsemble, "sequence_state", counted_sequence_state)
-    se = smoothed_states(system, 5, 0.7)
-    typical = {r.zipped for r in se.records if r.typical}
-    mixed = next(r.state for r in se.records if not r.typical)
-    assert 0 < len(typical) < len(se.records)
-    assert set(built) <= typical
-
-    built.clear()
-    distances: list = []
-    trace_distance = cqlab.smoothing.trace_distance
-
     def counted_trace_distance(a, b):
-        distances.append(a is mixed)
+        calls["trace_distance"] += 1
         return trace_distance(a, b)
 
+    def counted_trace_with(self, op):
+        calls["trace_with"] += 1
+        return trace_with(self, op)
+
+    monkeypatch.setattr(CqEnsemble, "sequence_state", counted_sequence_state)
     monkeypatch.setattr(cqlab.smoothing, "trace_distance", counted_trace_distance)
+    monkeypatch.setattr(Projector, "trace_with", counted_trace_with)
+    se = smoothed_states(system, 5, 0.7)
+    typical = [r.zipped for r in se.records if r.typical]
+    sandwiched = [r for r in se.records if r.typical and not r.zero_denominator]
+    assert 0 < len(sandwiched) == len(typical) < len(se.records)
+    assert calls == {"sequence_state": typical, "trace_distance": len(sandwiched), "trace_with": 0}
+
+    calls.update(sequence_state=[], trace_distance=0)
     report = verify_smoothing_bounds(se)
     assert all(c.passed for c in report["checks"].values())
-    assert len(built) + len(distances) <= 2 * len(typical)
-    assert set(built) <= typical
-    assert not any(distances)
+    assert calls == {"sequence_state": [], "trace_distance": 0, "trace_with": 0}
+
+
+def test_smoothed_records_hold_no_dense_state():
+    """Live memory after an n = 6 build: the marginals, the shared sandwiches
+    and the records' metadata, but no D x D state per typical record (the
+    1080 typical states alone would take 71 MB)."""
+    system = diagonal_triple_system()
+    tracemalloc.start()
+    try:
+        se = smoothed_states(system, 6, 0.35)
+        live, _ = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert sum(r.typical for r in se.records) == 1080
+    assert live < 20e6
 
 
 def test_candidate_checks_form_no_dense_matrix(monkeypatch):

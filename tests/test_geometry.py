@@ -443,6 +443,16 @@ def test_gentle_measurement_check():
         gentle_measurement_check(0.5 * np.eye(2), 2.0 * np.eye(2))
 
 
+def test_gentle_measurement_check_refuses_an_invalid_state():
+    m = np.diag([1.0, 0.5])
+    with pytest.raises(ValueError, match="not positive semidefinite"):
+        gentle_measurement_check(np.diag([1.2, -0.2]), m)
+    with pytest.raises(ValueError, match="at most 1"):
+        gentle_measurement_check(np.diag([0.7, 0.4]), m)
+    # a subnormalized state is accepted
+    assert gentle_measurement_check(np.diag([0.5, 0.25]), m)["holds"]
+
+
 def test_sequential_collapse_rejects_mismatched_dims():
     with pytest.raises(ValueError):
         sequential_collapse(np.eye(2) / 2, [(Projector.identity(3), "success")])

@@ -1,6 +1,6 @@
 """Package-wide checks: the source imports only what it uses, forms Kronecker
 products through one kernel, reads the typicality window slack and the state
-tolerance in one function each, keeps one table row per channel kind, the
+tolerance in one function each, smooths without the dense trace_with, keeps one table row per channel kind, the
 resource guards are fixed constants, every dense entry point enforces
 DIM_CAP, and only the rate-region sampler loads scipy."""
 
@@ -107,8 +107,9 @@ def test_module_uses_the_kron_kernel_only(path):
 
 
 def constant_readers(source: str, name: str) -> list[str]:
-    """Functions that read the module-level constant ``name``, "<module>" for
-    reads outside any function; importing it counts as a module-level read."""
+    """Functions that read ``name``, a module-level constant or an attribute,
+    "<module>" for reads outside any function; importing it counts as a
+    module-level read."""
     readers = set()
 
     def visit(node, where):
@@ -151,6 +152,12 @@ def test_each_tolerance_is_read_by_its_one_rule(name, owner):
     # the typicality window and the density-operator check are each written once
     found = [(path.name, fn) for path in sorted(SRC.glob("*.py")) for fn in constant_readers(path.read_text(), name)]
     assert found == [owner]
+
+
+def test_smoothing_reads_no_overlap_through_trace_with():
+    # trace_with forms a dense D x D product; smoothing reads its overlaps
+    # elementwise against the projectors' dense forms
+    assert constant_readers((SRC / "smoothing.py").read_text(), "trace_with") == []
 
 
 def test_row_lookup_takes_the_nearest_listed_class():

@@ -17,7 +17,13 @@ from cqlab.smoothing import (
     triple_layers,
     verify_smoothing_bounds,
 )
-from cqlab.typicality import ClassicalDistribution, CqEnsemble, is_typical
+from cqlab.typicality import (
+    ClassicalDistribution,
+    CqEnsemble,
+    cond_typical_projector,
+    is_typical,
+    typical_projector,
+)
 
 KET0 = np.array([[1.0, 0.0], [0.0, 0.0]])
 KET1 = np.array([[0.0, 0.0], [0.0, 1.0]])
@@ -108,7 +114,8 @@ def kind_state(d, kind, seed):
     """A d-level state with a spectrum of the given kind in a random eigenbasis.
 
     Distinct seeds give mutually non-commuting states; a degenerate qubit
-    state is I/2, a degenerate qutrit has a doubled eigenvalue.
+    state is I/2, a degenerate qutrit has a doubled eigenvalue.  A
+    "diagonal" state has a generic spectrum in the computational basis.
     """
     rng = np.random.default_rng(seed)
     if kind == "pure":
@@ -120,6 +127,8 @@ def kind_state(d, kind, seed):
         w[0] = 1.0 if d == 2 else rng.uniform(0.1, 3.0)
     else:
         w = rng.uniform(0.05, 1.0, size=d)
+    if kind == "diagonal":
+        return np.diag(w / w.sum()).astype(complex)
     q, _ = np.linalg.qr(rng.normal(size=(d, d)) + 1j * rng.normal(size=(d, d)))
     rho = (q * (w / w.sum())) @ q.conj().T
     return (rho + rho.conj().T) / 2.0
@@ -313,6 +322,68 @@ def test_scalar_mass_marginals_match_per_record_accumulation(d, kinds, seed, n, 
         w = math.prod(se.layers.p_x.prob(x) for x in xs)
         assert np.max(np.abs(total / w - se.x_marginals[xs])) < 1e-12
     assert np.max(np.abs(avg - se.average)) < 1e-12
+
+
+def eager_records(system, n, delta):
+    """The eager build, kept as the oracle: per typical triple, its sandwiched
+    state formed and kept (None when the sandwich annihilates it), its
+    denominator and its overlap failures read through ``Projector.trace_with``."""
+    layers = triple_layers(system)
+    pi_avg = typical_projector(layers.rho_bar, n, 2.0 * delta)
+    out = {}
+    for zipped in itertools.product(system.dist.support, repeat=n):
+        if not is_typical(system.dist, zipped, delta):
+            continue
+        xs = tuple(s[0] for s in zipped)
+        pairs = tuple((s[0], s[1]) for s in zipped)
+        p_x = cond_typical_projector(layers.x_ens, xs, 6.0 * delta)
+        p_xz = cond_typical_projector(layers.pair_ens, pairs, 6.0 * delta)
+        m = pi_avg.dense() @ p_x.dense() @ p_xz.dense()
+        rho = system.sequence_state(zipped)
+        failures = tuple(min(1.0, max(0.0, 1.0 - p.trace_with(rho))) for p in (pi_avg, p_x, p_xz))
+        sand = m @ rho @ m.conj().T
+        denominator = float(np.real(np.trace(sand)))
+        state = None
+        if denominator > smoothing.DENOMINATOR_TOL:
+            state = sand / denominator
+            state = (state + state.conj().T) / 2.0
+        out[zipped] = (state, denominator, failures)
+    return out
+
+
+@settings(max_examples=40)
+@given(
+    d=st.sampled_from((2, 3)),
+    kinds=st.lists(st.sampled_from(STATE_KINDS + ("diagonal",)), min_size=3, max_size=3),
+    seed=st.integers(0, 2**32 - 1),
+    layered=st.booleans(),
+    n=st.integers(1, 4),
+    delta=st.sampled_from((0.35, 0.5, 0.9)),
+)
+def test_records_match_the_eager_build(d, kinds, seed, layered, n, delta):
+    # the layered law (1/4, 1/4, 1/2) has typical triples at n = 3 and 4, the
+    # flat one (1/2, 1/2) at n = 2, 3 and 4
+    z_rows = {0: {0: 0.5, 1: 0.5}, 1: {0: 1.0}} if layered else {0: {0: 1.0}, 1: {1: 1.0}}
+    triples = [(x, z, "y") for x in z_rows for z in z_rows[x]]
+    states = {t: kind_state(d, kind, (seed, i)) for i, (t, kind) in enumerate(zip(triples, kinds))}
+    system = triple_system({0: 0.5, 1: 0.5}, z_rows, {"y": 1.0}, lambda *t: states[t])
+    se = smoothed_states(system, n, delta)
+    eager = eager_records(system, n, delta)
+    mixed = np.eye(d**n) / d**n
+    assert {r.zipped for r in se.records if r.typical} == eager.keys()
+    for r in se.records:
+        if not r.typical:
+            assert np.array_equal(r.state, mixed) and r.distance is None
+            continue
+        state, denominator, failures = eager[r.zipped]
+        assert r.denominator == denominator
+        assert np.max(np.abs(np.subtract(r.overlap_failures, failures))) <= 1e-12
+        if state is None:
+            assert r.zero_denominator and r.distance is None
+            assert np.array_equal(r.state, mixed)
+        else:
+            assert np.array_equal(r.state, state)
+            assert r.distance == trace_distance(state, system.sequence_state(r.zipped))
 
 
 def test_states_are_density_operators():
