@@ -14,14 +14,21 @@ Cost: no record holds a dense state of its own.  Every maximally mixed
 record (the atypical ones, and typical ones whose sandwich annihilates the
 state) shares one read-only I/D matrix, enters the marginals as a scalar
 mass and has its trace distance to the product state read off the symbols'
-spectra, O(D) per record with D = d^n.  A typical record is measured once
-at build, while its product state and its sandwiched state are both in
-hand: its denominator, its three overlap failures (elementwise against the
-dense projectors, O(D^2) each) and its trace distance (one D x D
-eigendecomposition).  The sandwiched state then enters the marginals and is
-dropped; the record keeps its (xs, zs) key's shared sandwich and forms the
-state again on read.  Verification reads the measured distances and builds
-no product state.
+spectra, O(D) per record with D = d^n.  A typical record's scalars are
+those of its joint type (its symbol counts): permuting the n positions
+conjugates the product state and both conditional projectors by one
+permutation unitary and leaves the average-state projector fixed, so the
+denominator, the three overlap failures and the trace distance are the same
+for every record of a type.  They are measured once per type, on its first
+record in enumeration order: the overlaps elementwise against the dense
+projectors (O(D^2) each), the sandwich and the trace distance (one D x D
+eigendecomposition).  The type's denominator decides ``zero_denominator``
+for all of its records.  The marginals use linearity: each (xs, zs) key
+sums p rho_t / denominator over its sandwiched records and is sandwiched
+once, and the x-marginals and the average add up those per-key parts.  A
+sandwiched record keeps its key's shared sandwich and forms its state on
+read.  Verification reads the measured distances and builds no product
+state.
 """
 
 from __future__ import annotations
@@ -42,6 +49,7 @@ from .typicality import (
     cond_typical_projector,
     entropy_bits,
     is_typical,
+    sequence_counts,
     sequence_probability,
     typical_projector,
     typicality_threshold_n,
@@ -170,14 +178,15 @@ class TripleRecord:
     as is ``denominator``.  A typical triple whose sandwich traces to
     (numerically) zero keeps its tiny denominator for the report but carries
     the maximally mixed state and the ``zero_denominator`` flag.
-    ``distance`` is ||state - rho||_1 against the product state rho, measured
-    at build for a sandwiched record and None for a maximally mixed one.
+    ``distance`` is ||state - rho||_1 against the product state rho, None for
+    a maximally mixed record.  These scalars are per joint type: a typical
+    record carries those measured on the first record of its type, which
+    agree with its own to rounding.
 
     A record holds no dense state: ``state`` is the shared read-only I/D of a
     maximally mixed record, and a sandwiched record forms
     (m rho m^dag) / denominator on each read from its (xs, zs) key's shared
-    sandwich m, by the expression of the build, so the array is bit-identical
-    to the one measured there.
+    sandwich m, its own product state rho and its type's denominator.
     """
 
     xs: tuple
@@ -314,10 +323,13 @@ def smoothed_states(
     pi_avg_dense = typical_projector(layers.rho_bar, n, 2.0 * delta).dense()
     x_cache: dict = {}
     sandwich_cache: dict = {}
+    # joint type -> (denominator, overlap failures, trace distance or None)
+    type_scalars: dict = {}
 
     records: list = []
     index: dict = {}
-    # per marginal: [sum over the sandwiched records, mass of the mixed ones]
+    # per marginal: [sum over the sandwiched records, mass of the mixed ones];
+    # a pair slot first sums p rho_t / den over its key and is sandwiched once
     pair_acc: dict = {}
     x_acc: dict = {}
     avg_acc = [0.0, 0.0]
@@ -330,6 +342,7 @@ def smoothed_states(
         ys = tuple(s[2] for s in zipped)
         prob = sequence_probability(dist, zipped)
         typical = is_typical(dist, zipped, delta)
+        rho_t = None
 
         if typical:
             key = (xs, zs)
@@ -340,15 +353,22 @@ def smoothed_states(
                 p_xz = cond_typical_projector(layers.pair_ens, tuple(zip(xs, zs)), 6.0 * delta).dense()
                 sandwich_cache[key] = (p_x, p_xz, pi_avg_dense @ p_x @ p_xz)
             p_x, p_xz, m = sandwich_cache[key]
-            rho_t = system.sequence_state(zipped)
-            failures = tuple(
-                min(1.0, max(0.0, 1.0 - _overlap(proj, rho_t)))
-                for proj in (pi_avg_dense, p_x, p_xz)
-            )
-            sand = _sandwiched(m, rho_t)
-            denominator = float(np.real(np.trace(sand)))
-            if denominator <= DENOMINATOR_TOL:
-                state = mixed
+            joint_type = frozenset(sequence_counts(zipped).items())
+            if joint_type not in type_scalars:
+                # the type's first record stands for all of its permutations
+                rho_t = system.sequence_state(zipped)
+                failures = tuple(
+                    min(1.0, max(0.0, 1.0 - _overlap(proj, rho_t)))
+                    for proj in (pi_avg_dense, p_x, p_xz)
+                )
+                sand = _sandwiched(m, rho_t)
+                denominator = float(np.real(np.trace(sand)))
+                distance = None
+                if denominator > DENOMINATOR_TOL:
+                    distance = trace_distance(_normalized(sand, denominator), rho_t)
+                type_scalars[joint_type] = (denominator, failures, distance)
+            denominator, failures, distance = type_scalars[joint_type]
+            if distance is None:
                 record = TripleRecord(
                     xs, zs, ys, prob, True,
                     denominator=denominator,
@@ -357,34 +377,42 @@ def smoothed_states(
                     _matrix=mixed,
                 )
             else:
-                state = _normalized(sand, denominator)
                 record = TripleRecord(
                     xs, zs, ys, prob, True,
                     denominator=denominator,
                     overlap_failures=failures,
-                    distance=trace_distance(state, rho_t),
+                    distance=distance,
                     _matrix=m,
                     _system=system,
                 )
             typical_mass += prob
         else:
-            state = mixed
             record = TripleRecord(xs, zs, ys, prob, False, _matrix=mixed)
 
         index[(xs, zs, ys)] = len(records)
         records.append(record)
         if complete and prob > 0:
-            weighted = None if state is mixed else prob * state
-            for acc in (pair_acc.setdefault((xs, zs), [0.0, 0.0]), x_acc.setdefault(xs, [0.0, 0.0]), avg_acc):
-                if weighted is None:
+            pair = pair_acc.setdefault((xs, zs), [0.0, 0.0])
+            x_part = x_acc.setdefault(xs, [0.0, 0.0])
+            if record.distance is None:
+                for acc in (pair, x_part, avg_acc):
                     acc[1] += prob
-                else:
-                    acc[0] = acc[0] + weighted
+            else:
+                if rho_t is None:
+                    rho_t = system.sequence_state(zipped)
+                pair[0] = pair[0] + (prob / denominator) * rho_t
 
     if not complete:
         return SmoothedEnsemble(
             system, n, delta, layers, tuple(records), index, False
         )
+
+    # by linearity, a key's sandwiched records sum to m (sum_t p_t rho_t / den_t) m^dag
+    for (xs, zs), acc in pair_acc.items():
+        if isinstance(acc[0], np.ndarray):
+            acc[0] = _normalized(_sandwiched(sandwich_cache[(xs, zs)][2], acc[0]), 1.0)
+            for part in (x_acc[xs], avg_acc):
+                part[0] = part[0] + acc[0]
 
     def total(acc: list) -> np.ndarray:
         # the mixed records' shared I/D enters once, as their mass over D

@@ -3,17 +3,18 @@
 The sequential chain and the square-root measurement work on state and
 element factors; a dense D x D product, eigendecomposition or chain
 conjugation creeping back in would keep every output but cost O(D^3) per
-message again.  Smoothing measures each typical record once at build and
-reads a maximally mixed record's trace distance off the symbols' spectra,
-so verification builds no product state, and no record keeps a dense
-state.  Multi-sender candidates and their guarantees are checked in the
-candidates' own span, so building them forms no D x D matrix.  These tests
-count such calls through monkeypatching, and live memory through
-tracemalloc.
+message again.  Smoothing measures each typical joint type once at build,
+sandwiches each (xs, zs) key's marginal part once and reads a maximally
+mixed record's trace distance off the symbols' spectra, so verification
+builds no product state, and no record keeps a dense state.  Multi-sender
+candidates and their guarantees are checked in the candidates' own span, so
+building them forms no D x D matrix.  These tests count such calls through
+monkeypatching, and live memory through tracemalloc.
 """
 
 import sys
 import tracemalloc
+from collections import Counter
 
 import numpy as np
 import pytest
@@ -133,13 +134,16 @@ def diagonal_triple_system() -> CqEnsemble:
 
 
 def test_smoothing_builds_product_states_for_typical_records_only(monkeypatch):
-    """The build forms each typical record's product state and trace distance
-    exactly once and reads no overlap through ``Projector.trace_with``;
-    verification builds no product state and runs no dense trace distance."""
+    """The build runs one trace distance per sandwiched joint type and at
+    most one sandwich per joint type and per (xs, zs) key, forms each typical
+    record's product state once and reads no overlap through
+    ``Projector.trace_with``; verification builds no product state and runs
+    no dense trace distance."""
     system = diagonal_triple_system()
-    calls: dict = {"sequence_state": [], "trace_distance": 0, "trace_with": 0}
+    calls: dict = {"sequence_state": [], "trace_distance": 0, "sandwiched": 0, "trace_with": 0}
     sequence_state = CqEnsemble.sequence_state
     trace_distance = cqlab.smoothing.trace_distance
+    sandwiched = cqlab.smoothing._sandwiched
     trace_with = Projector.trace_with
 
     def counted_sequence_state(self, seq):
@@ -150,23 +154,33 @@ def test_smoothing_builds_product_states_for_typical_records_only(monkeypatch):
         calls["trace_distance"] += 1
         return trace_distance(a, b)
 
+    def counted_sandwiched(m, rho):
+        calls["sandwiched"] += 1
+        return sandwiched(m, rho)
+
     def counted_trace_with(self, op):
         calls["trace_with"] += 1
         return trace_with(self, op)
 
     monkeypatch.setattr(CqEnsemble, "sequence_state", counted_sequence_state)
     monkeypatch.setattr(cqlab.smoothing, "trace_distance", counted_trace_distance)
+    monkeypatch.setattr(cqlab.smoothing, "_sandwiched", counted_sandwiched)
     monkeypatch.setattr(Projector, "trace_with", counted_trace_with)
     se = smoothed_states(system, 5, 0.7)
-    typical = [r.zipped for r in se.records if r.typical]
-    sandwiched = [r for r in se.records if r.typical and not r.zero_denominator]
-    assert 0 < len(sandwiched) == len(typical) < len(se.records)
-    assert calls == {"sequence_state": typical, "trace_distance": len(sandwiched), "trace_with": 0}
+    typical = [r for r in se.records if r.typical]
+    sandwiched_types = {frozenset(Counter(r.zipped).items()) for r in typical if not r.zero_denominator}
+    types = {frozenset(Counter(r.zipped).items()) for r in typical}
+    keys = {(r.xs, r.zs) for r in typical}
+    assert 0 < len(sandwiched_types) < len(typical) < len(se.records)
+    assert calls["trace_distance"] == len(sandwiched_types)
+    assert calls["sandwiched"] <= len(types) + len(keys) < len(typical)
+    assert calls["trace_with"] == 0
+    assert calls["sequence_state"] == [r.zipped for r in typical]
 
-    calls.update(sequence_state=[], trace_distance=0)
+    calls.update(sequence_state=[], trace_distance=0, sandwiched=0)
     report = verify_smoothing_bounds(se)
     assert all(c.passed for c in report["checks"].values())
-    assert calls == {"sequence_state": [], "trace_distance": 0, "trace_with": 0}
+    assert calls == {"sequence_state": [], "trace_distance": 0, "sandwiched": 0, "trace_with": 0}
 
 
 def test_smoothed_records_hold_no_dense_state():

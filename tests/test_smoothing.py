@@ -2,6 +2,7 @@
 
 import itertools
 import math
+from collections import Counter
 from unittest import mock
 
 import numpy as np
@@ -375,15 +376,54 @@ def test_records_match_the_eager_build(d, kinds, seed, layered, n, delta):
         if not r.typical:
             assert np.array_equal(r.state, mixed) and r.distance is None
             continue
+        # a record's scalars are its joint type's, measured on another
+        # permutation of the triple, so they agree to rounding
         state, denominator, failures = eager[r.zipped]
-        assert r.denominator == denominator
+        assert abs(r.denominator - denominator) <= 1e-12
         assert np.max(np.abs(np.subtract(r.overlap_failures, failures))) <= 1e-12
         if state is None:
             assert r.zero_denominator and r.distance is None
             assert np.array_equal(r.state, mixed)
         else:
-            assert np.array_equal(r.state, state)
-            assert r.distance == trace_distance(state, system.sequence_state(r.zipped))
+            assert not r.zero_denominator
+            assert np.max(np.abs(r.state - state)) <= 1e-12
+            assert abs(r.distance - trace_distance(state, system.sequence_state(r.zipped))) <= 1e-12
+
+
+def joint_type(zipped):
+    return frozenset(Counter(zipped).items())
+
+
+@settings(max_examples=40)
+@given(
+    d=st.sampled_from((2, 3)),
+    kinds=st.lists(st.sampled_from(STATE_KINDS + ("diagonal",)), min_size=3, max_size=3),
+    seed=st.integers(0, 2**32 - 1),
+    layered=st.booleans(),
+    n=st.integers(2, 4),
+    delta=st.sampled_from((0.35, 0.5, 0.9)),
+)
+def test_eager_scalars_are_constant_on_each_joint_type(d, kinds, seed, layered, n, delta):
+    # Permuting the positions conjugates the product state and both
+    # conditional projectors by one permutation unitary and leaves the
+    # average-state projector fixed, so the sandwich's denominator, the
+    # overlap failures and the trace distance depend on the joint type alone.
+    z_rows = {0: {0: 0.5, 1: 0.5}, 1: {0: 1.0}} if layered else {0: {0: 1.0}, 1: {1: 1.0}}
+    triples = [(x, z, "y") for x in z_rows for z in z_rows[x]]
+    states = {t: kind_state(d, kind, (seed, i)) for i, (t, kind) in enumerate(zip(triples, kinds))}
+    system = triple_system({0: 0.5, 1: 0.5}, z_rows, {"y": 1.0}, lambda *t: states[t])
+    by_type = {}
+    for zipped, (state, denominator, failures) in eager_records(system, n, delta).items():
+        distance = None if state is None else trace_distance(state, system.sequence_state(zipped))
+        by_type.setdefault(joint_type(zipped), []).append((denominator, failures, distance))
+    for members in by_type.values():
+        first_den, first_failures, first_distance = members[0]
+        for denominator, failures, distance in members[1:]:
+            assert abs(denominator - first_den) <= 1e-12
+            assert np.max(np.abs(np.subtract(failures, first_failures))) <= 1e-12
+            assert (distance is None) == (first_distance is None)
+            if distance is not None:
+                assert abs(distance - first_distance) <= 1e-12
 
 
 def test_states_are_density_operators():
@@ -500,6 +540,32 @@ def test_caller_supplied_triples():
     report = verify_smoothing_bounds(se)
     assert report["checks"]["linf-pair"].informative
     assert report["checks"]["l1-global"].informative
+
+
+def test_caller_supplied_permutations_share_their_type_scalars():
+    # non-commuting states; the second triple permutes the first one's
+    # positions, so it reuses the scalars measured on the first
+    states = {(x, x, y): kind_state(2, "generic", (5, x, y)) for x in (0, 1) for y in (0, 1)}
+    system = triple_system(
+        {0: 0.5, 1: 0.5}, {0: {0: 1.0}, 1: {1: 1.0}}, {0: 0.5, 1: 0.5}, lambda x, z, y: states[(x, z, y)]
+    )
+    triple = ((1, 0, 1, 0), (1, 0, 1, 0), (1, 1, 0, 0))
+    order = (2, 0, 3, 1)
+    permuted = tuple(tuple(part[i] for i in order) for part in triple)
+    assert permuted != triple
+    se = smoothed_states(system, 4, 0.3, triples=[triple, permuted])
+    assert not se.complete
+    assert se.pair_marginals is None and se.x_marginals is None and se.average is None
+    assert se.typical_mass is None
+    full = smoothed_states(system, 4, 0.3)
+    for t in (triple, permuted):
+        a, b = se.record_for(*t), full.record_for(*t)
+        assert a.typical and b.typical and not a.zero_denominator and not b.zero_denominator
+        assert abs(a.denominator - b.denominator) <= 1e-12
+        assert np.max(np.abs(np.subtract(a.overlap_failures, b.overlap_failures))) <= 1e-12
+        assert abs(a.distance - b.distance) <= 1e-12
+        assert np.max(np.abs(a.state - b.state)) <= 1e-12
+        assert abs(a.distance - trace_distance(a.state, system.sequence_state(a.zipped))) <= 1e-12
 
 
 def test_typicality_flags_match_reference():
