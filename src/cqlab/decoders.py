@@ -19,10 +19,12 @@ States and elements are held as factors: a received state as A with
 rho = A A^dag (for product states the Kronecker product of per-symbol
 factors), a measurement element as F with E = F F^dag.  With D the output
 dimension and r a candidate's rank, each chain step costs O(r D^2) and the
-square-root measurement one thin SVD of the stacked element factors.  Two
-quantities stay dense, one D^3 product per message each, because their
-rounding is pinned: the ungated floor's target leak (see
-``seq_success_lower_bound``) and the measured leaks that set tau.
+square-root measurement one thin SVD of the stacked element factors.  The
+measured leaks that set tau are squared norms of the state factors too.
+A projector is read as a dense matrix in two places only: the ungated
+floor's target leak, one D^3 product per message kept because its rounding
+is pinned (see ``seq_success_lower_bound``), and the gate's failure
+operator.
 """
 
 from __future__ import annotations
@@ -297,8 +299,10 @@ def _run_sequential(
     on the gated factor W (W^dag A) and its target leak is
     ||A_g - V (V^dag A_g)||^2; without one the target leak stays the dense
     Tr rho - Tr[P rho], whose rounding is pinned, at one D^3 product per
-    message.  The last message's factor is collapsed once through the gate
-    and the complements, A <- A - V (V^dag A), and must agree to 1e-8.
+    message.  P is formed for that one product and dropped, so the chain
+    holds O(D^2) memory whatever the message count.  The last message's
+    factor is collapsed once through the gate and the complements,
+    A <- A - V (V^dag A), and must agree to 1e-8.
 
     With ``group_of`` set, the reported error counts a halt at any candidate
     of the sent message's group as a success, and the exact own-chain
@@ -398,7 +402,7 @@ class _Layout:
     conditioned on the picked codeword sequences zipped together.  Every
     outer layer narrows the candidate by one ``intersection_projector``
     step, with one (leak label, tau stage) pair in ``narrowings``; a
-    measured tau reads the mean leak 1 - Tr[rho Pi] of that outer layer.
+    measured tau reads the mean leak Tr[rho (I - Pi)] of that outer layer.
     """
 
     law: Callable  # channel -> law the zipped codeword tuple must be typical for
@@ -502,19 +506,18 @@ def _combine(parts: dict, build: Callable, empty) -> dict:
     return {m: built.get(p, empty) for m, p in parts.items()}
 
 
-def _leaks(parts: dict, dense: Callable, labels: Sequence[str]) -> list[list[float]]:
-    """Per outer layer, 1 - Tr[rho_m Pi] over the typical messages, in message order.
-
-    Dense, because tau = 1 - sqrt(mean leak) pins this rounding; one state
-    is held at a time.
-    """
+def _leaks(parts: dict, factors: Mapping, labels: Sequence[str]) -> list[list[float]]:
+    """Per outer layer, Tr[rho_m (I - Pi)] = ||A_m - V (V^dag A_m)||^2 over the
+    typical messages, in message order, from the state factor A_m and the
+    layer's columns V, so a layer holding the whole state reads about 0."""
     out: list[list[float]] = [[] for _ in labels]
     for m, p in parts.items():
         if p is None:
             continue
-        rho = dense(m)
+        a = factors[m]
         for leaks, outer, what in zip(out, p[1:], labels):
-            leaks.append(1.0 - _clip01(outer.trace_with(rho), what))
+            v = outer.support_columns()
+            leaks.append(_clip01(_sq(a - v @ (v.conj().T @ a)), what))
     return out
 
 
@@ -559,13 +562,13 @@ def _sequential(
     messages = _resolve_order(layout.messages(codebook.counts), order)
     parts = _parts(channel, codebook, messages, delta, layout)
     factor, dense = _states(channel, codebook, state_fn)
+    factors = {m: factor(m) for m in parts}
 
     details = {"delta": delta, **(details or {}), "typical": {m: p is not None for m, p in parts.items()}}
     notes, tau_of = _resolve_taus(tau, epsilon)  # validated on every row, used where it narrows
     taus: list[float] = []
     if layout.narrowings:
-        # dense leaks only here: a row without a narrowing builds no dense state
-        leaks = _leaks(parts, dense, [label for label, _ in layout.narrowings])
+        leaks = _leaks(parts, factors, [label for label, _ in layout.narrowings])
         taus = [tau_of(stage, eps) for (_, stage), eps in zip(layout.narrowings, leaks)]
         means = [float(np.mean(eps)) if eps else None for eps in leaks]
         single = len(taus) == 1
@@ -592,7 +595,7 @@ def _sequential(
     candidates = _combine(parts, candidate, Projector.zero(dim))
     if len(taus) > 1:
         details["chain_checks"] = checks
-    entries = [_Entry(m, candidates[m], factor(m), functools.partial(dense, m)) for m in parts]
+    entries = [_Entry(m, candidates[m], factors[m], functools.partial(dense, m)) for m in parts]
     return _run_sequential(
         entries,
         variant,
@@ -988,7 +991,7 @@ _FAMILIES: dict[type, _Family] = {
             None: _Layout(
                 law=lambda ch: ch.x_prior.product(ch.y_prior),
                 layers=(("pair_ensemble", 1.0, (0, 1)), ("y_ensemble", 6.0, (1,))),
-                narrowings=(("pair overlap", "pair/y intersection"),),
+                narrowings=(("pair leak", "pair/y intersection"),),
                 senders=2,
             ),
         },
@@ -1002,7 +1005,7 @@ _FAMILIES: dict[type, _Family] = {
             1: _Layout(
                 law=lambda ch: ch.labeled_state().dist,
                 layers=(("zy_ensemble", 1.0, (1, 2)), ("xy_ensemble", 6.0, (0, 2)), ("y_ensemble", 6.0, (2,))),
-                narrowings=(("xy overlap", "zy/xy intersection"), ("y overlap", "tilde/y intersection")),
+                narrowings=(("xy leak", "zy/xy intersection"), ("y leak", "tilde/y intersection")),
                 senders=3,
                 grouped=True,
             ),

@@ -37,6 +37,7 @@ from .linalg import (
     as_matrix,
     psd_leq_factors,
     require_hermitian,
+    require_projector,
     require_state,
     trace_distance,
 )
@@ -125,7 +126,12 @@ def _sum_outer(vectors: list[np.ndarray], dim: int) -> np.ndarray:
 def _as_projector(p) -> Projector:
     if isinstance(p, Projector):
         return p
-    return Projector.from_matrix(as_matrix(p))
+    return Projector.from_matrix(p)
+
+
+def _dense(p) -> np.ndarray:
+    """V V^dag of a Projector, or a raw projector matrix checked and read as given."""
+    return p.dense() if isinstance(p, Projector) else require_projector(p)
 
 
 def _support_pair(pa, pb) -> tuple[Projector, Projector]:
@@ -303,12 +309,7 @@ def intersection_projector(pa, pb, tau: float) -> Projector:
     kept_lines = paired_a[:, keep]
     images = np.where(shared, paired_a, pairs.b_lines)[:, keep]
 
-    meta = {"kept_count": images.shape[1], "tau": tau}
-    if images.shape[1]:
-        result = Projector.from_vectors(images.T, meta=meta)
-    else:
-        result = Projector.zero(pa.dim)
-        result.meta.update(meta)
+    result = Projector.from_vectors(images.T) if images.shape[1] else Projector.zero(pa.dim)
 
     bound = b @ pairs.gram.conj().T / math.sqrt(tau)
     if not psd_leq_factors(result.support_columns(), bound):
@@ -324,14 +325,15 @@ def intersection_projector(pa, pb, tau: float) -> Projector:
 class SeqStep:
     """One projective step: pass on the projector or on its complement."""
 
-    projector: Projector
+    projector: Projector | np.ndarray
     pass_on: str = "success"
 
     def effective(self) -> np.ndarray:
+        p = _dense(self.projector)
         if self.pass_on == "success":
-            return self.projector.dense()
+            return p
         if self.pass_on == "failure":
-            return self.projector.complement_dense()
+            return np.eye(len(p), dtype=np.complex128) - p
         raise ValueError(f"pass_on must be 'success' or 'failure', got {self.pass_on!r}")
 
 
@@ -376,14 +378,14 @@ def seq_success_lower_bound(rho, hostile: Sequence, target) -> float:
     decoders therefore keep this function's dense target term,
     Tr[rho] - Tr[T rho], for their ungated floors, since reference values
     pin its rounding; they sum the hostile terms as squared norms of the
-    state factor, and the gated floor wholly so.
+    state factor, and the gated floor wholly so.  A projector may be a
+    ``Projector`` or a raw matrix, which is checked and read as given.
     """
     r = as_matrix(rho)
     leak = 0.0
     for p in hostile:
-        leak += _as_projector(p).trace_with(r)
-    t = _as_projector(target)
-    leak += float(np.real(np.trace(r))) - t.trace_with(r)
+        leak += float(np.real(np.trace(_dense(p) @ r)))
+    leak += float(np.real(np.trace(r))) - float(np.real(np.trace(_dense(target) @ r)))
     leak = max(0.0, leak)
     return float(np.real(np.trace(r))) - 2.0 * math.sqrt(leak)
 
@@ -398,7 +400,7 @@ def key_inequality_check(v, projectors: Sequence) -> dict:
     chained = vec.copy()
     rhs = 0.0
     for p in projectors:
-        dense = _as_projector(p).dense()
+        dense = _dense(p)
         rhs += float(np.real(np.vdot(vec, vec) - np.vdot(vec, dense @ vec)))
         chained = dense @ chained
     lhs = float(np.real(np.vdot(vec - chained, vec - chained)))

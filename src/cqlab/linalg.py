@@ -3,8 +3,8 @@
 Everything operates on plain ``numpy`` arrays of ``complex128``.  Density
 operators and projectors get thin wrapper types that validate their defining
 invariants once at construction time; after that the code trusts them.  A
-projector has one form, orthonormal columns V, whose dense matrix V V^dag is
-formed on first use and cached.
+projector has one form, its orthonormal columns V; its dense matrix V V^dag
+is formed on each request and never kept.
 
 Eigendecompositions follow a fixed convention so repeated runs produce
 identical bases: eigenvalues are sorted in descending order and each
@@ -219,48 +219,46 @@ class DensityOperator:
         return hermitian_eig(self.matrix)
 
 
-class Projector:
-    """Orthogonal projector P = V V^dag held as orthonormal columns V.
+def require_projector(m) -> np.ndarray:
+    """``m`` as a projector matrix: Hermitian and idempotent within PROJECTOR_TOL * D."""
+    a = as_matrix(m)
+    budget = PROJECTOR_TOL * a.shape[0]
+    if np.max(np.abs(a - a.conj().T)) > budget:
+        raise ValueError("projector matrix is not Hermitian within tolerance")
+    if np.max(np.abs(a @ a - a)) > budget:
+        raise ValueError("projector matrix is not idempotent within tolerance")
+    return a
 
-    V (D x r, read-only) is the projector's one form; its rank is the column
-    count.  The dense matrix P is formed on first use and cached.  A
-    projector made from a matrix keeps that matrix as the dense cache and
-    derives V from it on the first ``support_columns`` call, so validating
-    a matrix costs no eigendecomposition until the columns are read.
+
+class Projector:
+    """Orthogonal projector P = V V^dag held as its orthonormal columns V.
+
+    V (D x r, read-only) is the projector's only form: ``dim`` and ``rank``
+    are its shape, and ``dense()`` forms V V^dag afresh on every call.
     """
 
-    __slots__ = ("dim", "_cols", "_dense", "meta")
+    __slots__ = ("_cols",)
 
-    def __init__(self, *, dim, cols=None, dense=None, meta=None):
-        if cols is not None:
-            cols.flags.writeable = False
-        self.dim = int(dim)
+    def __init__(self, cols: np.ndarray):
+        cols.flags.writeable = False
         self._cols = cols
-        self._dense = dense
-        self.meta = dict(meta or {})
 
     # -- constructors -------------------------------------------------
     @classmethod
-    def from_matrix(cls, p, meta=None) -> "Projector":
-        a = as_matrix(p)
-        d = a.shape[0]
-        budget = PROJECTOR_TOL * d
-        if np.max(np.abs(a - a.conj().T)) > budget:
-            raise ValueError("projector matrix is not Hermitian within tolerance")
-        if np.max(np.abs(a @ a - a)) > budget:
-            raise ValueError("projector matrix is not idempotent within tolerance")
-        return cls(dim=d, dense=a, meta=meta)
+    def from_matrix(cls, p) -> "Projector":
+        """The eigenvectors of a checked projector matrix with eigenvalue above 1/2."""
+        w, v = hermitian_eig(require_projector(p))
+        return cls(v[:, w > 0.5])
 
     @classmethod
-    def from_vectors(cls, vectors, meta=None) -> "Projector":
+    def from_vectors(cls, vectors) -> "Projector":
         vecs = orthonormal_basis(vectors)
         if not vecs:
             raise ValueError("cannot infer dimension from an empty vector list")
-        u = np.column_stack(vecs)
-        return cls(dim=u.shape[0], cols=u, meta=meta)
+        return cls(np.column_stack(vecs))
 
     @classmethod
-    def from_product_basis(cls, factors, indices, meta=None) -> "Projector":
+    def from_product_basis(cls, factors, indices) -> "Projector":
         """Span of the product-basis vectors named by the kept multi-indices.
 
         ``factors[j]`` holds position j's local basis as columns; each row of
@@ -285,45 +283,34 @@ class Projector:
         # row-major output: BLAS products of a column-major V differ in the last bits
         for f, column in zip(facs, idx.T):
             cols = np.multiply(cols[:, None, :], f[None, :, column], order="C").reshape(len(cols) * len(f), r)
-        return cls(dim=cols.shape[0], cols=cols, meta=meta)
+        return cls(cols)
 
     @classmethod
     def zero(cls, dim: int) -> "Projector":
-        return cls(dim=dim, cols=np.zeros((dim, 0), dtype=np.complex128))
+        return cls(np.zeros((dim, 0), dtype=np.complex128))
 
     @classmethod
     def identity(cls, dim: int) -> "Projector":
-        return cls(dim=dim, cols=np.eye(dim, dtype=np.complex128), dense=np.eye(dim, dtype=np.complex128))
+        return cls(np.eye(dim, dtype=np.complex128))
 
     # -- inspection ---------------------------------------------------
     @property
+    def dim(self) -> int:
+        return self._cols.shape[0]
+
+    @property
     def rank(self) -> int:
-        if self._cols is not None:
-            return self._cols.shape[1]
-        return int(round(float(np.real(np.trace(self._dense)))))
+        return self._cols.shape[1]
 
     def dense(self) -> np.ndarray:
-        if self._dense is None:
-            self._dense = self._cols @ self._cols.conj().T
-        return self._dense
+        return self._cols @ self._cols.conj().T
 
     def support_columns(self) -> np.ndarray:
         """Orthonormal columns spanning the range, in a deterministic order.
 
         Every call returns the same read-only array.
         """
-        if self._cols is None:
-            w, v = hermitian_eig(self._dense)
-            cols = v[:, w > 0.5]
-            cols.flags.writeable = False
-            self._cols = cols
         return self._cols
-
-    def complement_dense(self) -> np.ndarray:
-        return np.eye(self.dim, dtype=np.complex128) - self.dense()
-
-    def trace(self) -> float:
-        return float(self.rank)
 
     def trace_with(self, op) -> float:
         """Tr[P op] for Hermitian ``op``, from the dense form."""

@@ -348,8 +348,8 @@ def smoothed_states(
             key = (xs, zs)
             if key not in sandwich_cache:
                 if xs not in x_cache:
-                    x_cache[xs] = cond_typical_projector(layers.x_ens, xs, 6.0 * delta)
-                p_x = x_cache[xs].dense()
+                    x_cache[xs] = cond_typical_projector(layers.x_ens, xs, 6.0 * delta).dense()
+                p_x = x_cache[xs]
                 p_xz = cond_typical_projector(layers.pair_ens, tuple(zip(xs, zs)), 6.0 * delta).dense()
                 sandwich_cache[key] = (p_x, p_xz, pi_avg_dense @ p_x @ p_xz)
             p_x, p_xz, m = sandwich_cache[key]

@@ -13,7 +13,7 @@ from __future__ import annotations
 
 import functools
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from itertools import product as cartesian
 from typing import Hashable, Iterable, Mapping, Sequence
 
@@ -21,6 +21,7 @@ import numpy as np
 
 from .linalg import (
     Projector,
+    _kron,
     as_matrix,
     check_dim_cap,
     hermitian_eig,
@@ -237,26 +238,23 @@ def typicality_threshold_n(
     return int(math.ceil(value - 1e-9))
 
 
-def _snap_eigenvalues(w: np.ndarray) -> tuple[np.ndarray, bool]:
+def _snap_eigenvalues(w: np.ndarray) -> np.ndarray:
     """Replace eigenvalues equal within the merge tolerance by a shared value.
 
     Keeps one probability label per eigenvector; only the numerical values
     are unified so the frequency window treats exact degeneracies uniformly.
-    Returns the snapped values and a degeneracy flag.
     """
     snapped = w.astype(float).copy()
-    degenerate = False
     i = 0
     while i < len(snapped):
         j = i + 1
         while j < len(snapped) and abs(snapped[i] - snapped[j]) <= EIGENVALUE_MERGE_TOL:
             j += 1
         if j - i > 1:
-            degenerate = True
             snapped[i:j] = float(np.mean(snapped[i:j]))
         i = j
     snapped[snapped <= ZERO_EIGENVALUE_TOL] = 0.0
-    return snapped, degenerate
+    return snapped
 
 
 @functools.lru_cache(maxsize=1024)
@@ -302,9 +300,8 @@ def typical_projector(rho, n: int, delta: float) -> Projector:
 
     The result is diagonal in the tensor-power eigenbasis of ``rho``
     (deterministic descending eigenbasis), keeping the multi-indices whose
-    eigenvalue labels are frequency-typical for the eigenvalue distribution.
-    The metadata records the snapped eigenvalue labels and whether any exact
-    degeneracy was merged.
+    snapped eigenvalue labels are frequency-typical for the eigenvalue
+    distribution.
     """
     if delta <= 0:
         raise ValueError("delta must be positive")
@@ -312,42 +309,34 @@ def typical_projector(rho, n: int, delta: float) -> Projector:
     d = a.shape[0]
     check_dim_cap(d**n)
     w, v = hermitian_eig(a)
-    q, degenerate = _snap_eigenvalues(w)
-    kept = _typical_indices([(range(n), q)], d, n, delta)
-    return Projector.from_product_basis(
-        [v] * n,
-        kept,
-        meta={
-            "delta": delta,
-            "eigen_probs": tuple(float(x) for x in q),
-            "degenerate": degenerate,
-            "entropy": entropy_bits(q),
-        },
-    )
+    kept = _typical_indices([(range(n), _snap_eigenvalues(w))], d, n, delta)
+    return Projector.from_product_basis([v] * n, kept)
 
 
 @dataclass(frozen=True)
 class CqEnsemble:
-    """Finite family of density operators indexed by classical symbols."""
+    """Finite family of density operators indexed by classical symbols,
+    each checked by ``as_matrix`` once, at construction."""
 
     dist: ClassicalDistribution
     states: Mapping
+    _checked: dict = field(init=False, repr=False, compare=False)
 
     def __post_init__(self):
-        dims = set()
+        checked = {s: as_matrix(m) for s, m in self.states.items()}
         for s in self.dist.support:
-            if s not in self.states:
+            if s not in checked:
                 raise ValueError(f"missing state for symbol {s!r}")
-            dims.add(as_matrix(self.states[s]).shape[0])
-        if len(dims) != 1:
+        if len({checked[s].shape[0] for s in self.dist.support}) != 1:
             raise ValueError("ensemble states have inconsistent dimensions")
+        object.__setattr__(self, "_checked", checked)
 
     @property
     def dim(self) -> int:
-        return as_matrix(self.states[self.dist.support[0]]).shape[0]
+        return self._checked[self.dist.support[0]].shape[0]
 
     def state(self, symbol) -> np.ndarray:
-        return as_matrix(self.states[symbol])
+        return self._checked[symbol]
 
     def average_state(self) -> np.ndarray:
         out = np.zeros((self.dim, self.dim), dtype=np.complex128)
@@ -364,7 +353,10 @@ class CqEnsemble:
         return total
 
     def sequence_state(self, seq: Sequence) -> np.ndarray:
-        return tensor_product([self.state(s) for s in seq])
+        """Kronecker product of the states along ``seq``, guarded by the dimension cap."""
+        check_dim_cap(self.dim ** len(seq))
+        mats = [self._checked[s] for s in seq]
+        return functools.reduce(_kron, mats) if mats else np.ones((1, 1), dtype=np.complex128)
 
     def q_min(self) -> float:
         """Smallest positive eigenvalue across the ensemble states."""
@@ -390,31 +382,24 @@ def cond_typical_projector(ensemble: CqEnsemble, seq: Sequence, delta: float) ->
         raise ValueError("empty sequence")
     d = ensemble.dim
     check_dim_cap(d**n)
-    factors, groups, degenerate = _conditional_basis(ensemble, seq)
-    return Projector.from_product_basis(
-        factors,
-        _typical_indices(groups, d, n, delta),
-        meta={"delta": delta, "degenerate": degenerate, "symbols": tuple(seq)},
-    )
+    factors, groups = _conditional_basis(ensemble, seq)
+    return Projector.from_product_basis(factors, _typical_indices(groups, d, n, delta))
 
 
-def _conditional_basis(ensemble: CqEnsemble, seq: Sequence) -> tuple[list, list, bool]:
-    """Per-position eigenbases of the states along ``seq``, the symbol groups
-    as (positions, snapped labels), and whether any degeneracy was merged."""
+def _conditional_basis(ensemble: CqEnsemble, seq: Sequence) -> tuple[list, list]:
+    """Per-position eigenbases of the states along ``seq`` and the symbol
+    groups as (positions, snapped labels)."""
     positions: dict = {}
     for j, s in enumerate(seq):
         positions.setdefault(s, []).append(j)
     factors: list = [None] * len(seq)
     groups = []
-    degenerate = False
     for s, pos in positions.items():
         w, v = hermitian_eig(ensemble.state(s))
-        q, deg = _snap_eigenvalues(w)
-        degenerate = degenerate or deg
         for j in pos:
             factors[j] = v
-        groups.append((pos, q))
-    return factors, groups, degenerate
+        groups.append((pos, _snap_eigenvalues(w)))
+    return factors, groups
 
 
 def eigen_probs_along(ensemble: CqEnsemble, seq: Sequence) -> list[np.ndarray]:
@@ -424,7 +409,7 @@ def eigen_probs_along(ensemble: CqEnsemble, seq: Sequence) -> list[np.ndarray]:
     for s in seq:
         if s not in cache:
             w, _ = hermitian_eig(ensemble.state(s))
-            cache[s] = _snap_eigenvalues(w)[0]
+            cache[s] = _snap_eigenvalues(w)
         out.append(cache[s])
     return out
 
@@ -499,8 +484,8 @@ def verify_sequence_typicality(dist: ClassicalDistribution, n: int, params: Typi
 def verify_state_typicality(rho, n: int, params: TypicalityParams) -> dict:
     """Trace mass, support sandwich, and rank bound for a typical projector."""
     proj = typical_projector(rho, n, params.delta)
-    q = np.asarray(proj.meta["eigen_probs"])
-    h = float(proj.meta["entropy"])
+    q = _snap_eigenvalues(hermitian_eig(rho)[0])
+    h = float(entropy_bits(q))
     c = params.c()
     kept = _typical_indices([(range(n), q)], len(q), n, params.delta)
     masses, total = _kept_masses([q] * n, kept)
@@ -541,7 +526,7 @@ def verify_conditional_typicality(ensemble: CqEnsemble, seq: Sequence, params: T
     """
     n = len(seq)
     check_dim_cap(ensemble.dim**n)
-    _, groups, _ = _conditional_basis(ensemble, seq)
+    _, groups = _conditional_basis(ensemble, seq)
     kept = _typical_indices(groups, ensemble.dim, n, params.delta)
     rank = len(kept)
     masses, mass = _kept_masses(eigen_probs_along(ensemble, seq), kept)

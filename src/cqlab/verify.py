@@ -85,15 +85,8 @@ def suite_lemma_chain(seed: int = DEFAULT_SEED) -> list[dict]:
         dim = int(rng.integers(2, 17))
         k = int(rng.integers(0, 5))
         rho = _random_density(rng, dim)
-        hostile = [
-            _linalg.Projector.from_matrix(
-                _random_projector(rng, dim, int(rng.integers(1, dim + 1)))
-            )
-            for _ in range(k)
-        ]
-        target = _linalg.Projector.from_matrix(
-            _random_projector(rng, dim, int(rng.integers(1, dim + 1)))
-        )
+        hostile = [_random_projector(rng, dim, int(rng.integers(1, dim + 1))) for _ in range(k)]
+        target = _random_projector(rng, dim, int(rng.integers(1, dim + 1)))
         steps = [(p, "failure") for p in hostile] + [(target, "success")]
         success = _geometry.sequential_collapse(rho, steps).success_probability
         bound = _geometry.seq_success_lower_bound(rho, hostile, target)

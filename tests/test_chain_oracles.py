@@ -12,15 +12,17 @@ degenerate-spectrum states and with empty candidates.
 import time
 
 import numpy as np
-from hypothesis import given
+from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from cqlab.channels import CqChannel
+from cqlab.channels import CcqMac, CoupledMac, CqChannel
 from cqlab.decoders import (
     FactoredElement,
     _Entry,
     _nested_factor,
     _run_sequential,
+    ccq_mac_sequential_decode,
+    cmg_sequential_decode,
     cq_pgm_elements,
     cq_sequential_decode,
     pgm_decode,
@@ -298,3 +300,81 @@ def test_all_empty_elements_give_error_one_and_support_rank_zero(case, seed):
     assert report.details["support_rank"] == 0
     assert [o.error for o in report.outcomes] == [1.0] * len(book.messages())
     assert [o.bound for o in report.outcomes] == [2.0] * len(book.messages())
+
+
+LEAK_SPECTRA = ("pure", "rank-deficient", "half-identity")
+
+
+def output_state(rng: np.random.Generator, dim: int, kind: str) -> np.ndarray:
+    """A pure state, a random state of rank dim - 1 (pure for a qubit), or
+    the identity on a random plane over 2 (I/2 for a qubit), in a random basis."""
+    q = np.linalg.qr(rng.normal(size=(dim, dim)) + 1j * rng.normal(size=(dim, dim)))[0]
+    if kind == "pure":
+        w = np.eye(dim)[0]
+    elif kind == "rank-deficient":
+        w = np.append(rng.dirichlet(np.ones(max(1, dim - 1))), np.zeros(dim - max(1, dim - 1)))
+    else:
+        w = np.append([0.5, 0.5], np.zeros(dim - 2))
+    return (q * w) @ q.conj().T
+
+
+@st.composite
+def leak_cases(draw):
+    """(channel, codebook, delta, dense oracle of each outer layer's mean leak).
+
+    Uniform binary x, a constant y and qubit or qutrit outputs at n = 4, the
+    shortest block at which the uniform input tuples have typical members.
+    With 6 delta < 1 an outer layer's count windows cut nonzero eigenvalue
+    labels too, so its leaks are neither pure rounding nor whole.
+    """
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    dim = draw(st.sampled_from((2, 3)))
+    states = {(a, "y"): output_state(rng, dim, draw(st.sampled_from(LEAK_SPECTRA))) for a in (0, 1)}
+    bit = ClassicalDistribution((0, 1), (0.5, 0.5))
+    const = ClassicalDistribution(("y",), (1.0,))
+    n = 4
+    delta = draw(st.sampled_from((0.1, 0.125, 0.15)))
+    seed = draw(st.integers(0, 1000))
+    if draw(st.booleans()):
+        chan = CcqMac(bit, const, states)
+        book = sample_codebook(chan, (1.0, 0.0), n, seed)
+        law, out, outer = chan.x_prior.product(chan.y_prior), chan.pair_ensemble(), chan.y_ensemble()
+
+        def dense_leaks(xs, ys):
+            rho = out.sequence_state(tuple(zip(xs, ys)))
+            return [1.0 - np.trace(rho @ cond_typical_projector(outer, ys, 6.0 * delta).dense()).real]
+    else:
+        chan = CoupledMac(bit, {0: bit, 1: bit}, const, states)
+        book = sample_codebook(chan, (0.75, 0.5, 0.0), n, seed)
+        law, out = chan.labeled_state().dist, chan.zy_ensemble()
+        xy, y = chan.xy_ensemble(), chan.y_ensemble()
+
+        def dense_leaks(xs, zs, ys):
+            rho = out.sequence_state(tuple(zip(zs, ys)))
+            layers = (cond_typical_projector(xy, tuple(zip(xs, ys)), 6.0 * delta), cond_typical_projector(y, ys, 6.0 * delta))
+            return [1.0 - np.trace(rho @ p.dense()).real for p in layers]
+    leaks = [
+        dense_leaks(*seqs)
+        for seqs in map(book.sequences, book.messages())
+        if is_typical(law, tuple(zip(*seqs)), delta)
+    ]
+    means = [float(np.mean(layer)) for layer in zip(*leaks)] if leaks else None
+    return chan, book, delta, means
+
+
+@settings(max_examples=30)
+@given(leak_cases())
+def test_measured_epsilon_matches_the_dense_mean_leak(case):
+    # the decoder reads each leak as ||A - V (V^dag A)||^2 of the state
+    # factor A; the oracle is 1 - Re Tr[rho Pi] of the dense state and projector
+    chan, book, delta, means = case
+    if isinstance(chan, CcqMac):
+        measured = [ccq_mac_sequential_decode(chan, book, delta).details["measured_epsilon"]]
+    else:
+        measured = list(cmg_sequential_decode(chan, book, delta, 1).details["measured_epsilon"])
+    if means is None:
+        assert all(m is None for m in measured)
+        return
+    assert len(measured) == len(means)
+    for got, want in zip(measured, means):
+        assert abs(got - want) <= TOL

@@ -8,8 +8,9 @@ sandwiches each (xs, zs) key's marginal part once and reads a maximally
 mixed record's trace distance off the symbols' spectra, so verification
 builds no product state, and no record keeps a dense state.  Multi-sender
 candidates and their guarantees are checked in the candidates' own span, so
-building them forms no D x D matrix.  These tests count such calls through
-monkeypatching, and live memory through tracemalloc.
+building them forms no D x D matrix, and no projector keeps one.  These
+tests count such calls through monkeypatching, and live memory through
+tracemalloc.
 """
 
 import sys
@@ -33,6 +34,7 @@ from cqlab.decoders import (
     pgm_decode,
     sample_codebook,
 )
+from cqlab.geometry import key_inequality_check, seq_success_lower_bound, sequential_collapse
 from cqlab.linalg import Projector
 from cqlab.smoothing import smoothed_states, verify_smoothing_bounds
 from cqlab.typicality import ClassicalDistribution, CqEnsemble
@@ -93,6 +95,65 @@ def test_ungated_chain_reads_at_most_one_dense_trace_per_message(calls):
     report = cq_sequential_decode(CQ, book, 0.99)
     assert max(report.details["candidate_ranks"].values()) > 0
     assert 0 < calls["trace_with"] <= len(book.messages())
+
+
+def test_multi_sender_chains_read_at_most_one_dense_trace_per_message(calls):
+    """The measured leaks that set tau are squared norms of the state
+    factors, so only an ungated floor's target leak reads a dense trace:
+    one per message with a non-empty candidate."""
+    mac_book = sample_codebook(MAC, (0.35, 0.35), N, (0, 0))
+    cmg_book = sample_codebook(CMG, (0.35, 0.35, 0.0), N, (0, 0))
+    decodes = [lambda: ccq_mac_sequential_decode(MAC, mac_book, 0.99)] + [
+        lambda region=region: cmg_sequential_decode(CMG, cmg_book, 0.99, region) for region in (1, 2)
+    ]
+    for decode in decodes:
+        calls["trace_with"] = 0
+        report = decode()
+        assert any(report.details["typical"].values())
+        assert calls["trace_with"] <= sum(r > 0 for r in report.details["candidate_ranks"].values())
+
+
+def test_ungated_chain_keeps_no_dense_projector_per_message():
+    """The ungated floor forms each candidate's D x D matrix for its one
+    target-leak product and drops it: at n = 8 (D = 256, M = 16) the peak
+    stays below eight D x D complex matrices, where one per message would
+    need sixteen."""
+    book = sample_codebook(CQ, 0.5, 8, (0, 0))
+    assert len(book.messages()) == 16
+    tracemalloc.start()
+    try:
+        report = cq_sequential_decode(CQ, book, 0.99)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert max(report.details["candidate_ranks"].values()) > 0
+    assert peak < 8 * 256**2 * 16
+
+
+def test_dense_oracles_read_raw_matrices_without_an_eigendecomposition(monkeypatch):
+    """A raw projector matrix is checked and read as given by the oracles,
+    never turned into a Projector."""
+    rng = np.random.default_rng(11)
+    d = 6
+
+    def projector_matrix(rank: int) -> np.ndarray:
+        q = np.linalg.qr(rng.normal(size=(d, d)) + 1j * rng.normal(size=(d, d)))[0][:, :rank]
+        return q @ q.conj().T
+
+    hostile = [projector_matrix(r) for r in (1, 3)]
+    target = projector_matrix(4)
+    rho = projector_matrix(2) / 2
+    v = rng.normal(size=d) + 1j * rng.normal(size=d)
+
+    def refuse(*_, **__):
+        raise AssertionError("a dense oracle ran an eigendecomposition")
+
+    monkeypatch.setattr(np.linalg, "eigh", refuse)
+    monkeypatch.setattr(np.linalg, "eigvalsh", refuse)
+    steps = [(h, "failure") for h in hostile] + [(target, "success")]
+    success = sequential_collapse(rho, steps).success_probability
+    assert success >= seq_success_lower_bound(rho, hostile, target) - 1e-9
+    assert key_inequality_check(v / np.linalg.norm(v), hostile + [target])["holds"]
 
 
 def test_gated_chain_reads_no_dense_trace(calls):

@@ -112,7 +112,6 @@ def test_jordan_random_reconstruction():
 def test_intersection_projector_worked_example():
     pa, pb = planes_with_angles(4, [0.0, math.pi / 3])
     r = intersection_projector(pa, pb, tau=0.5)
-    assert r.meta["kept_count"] == 1
     assert r.rank == 1
     # cos^2(60 deg) = 0.25 < 0.5 drops the tilted plane, keeping the shared line
     assert np.allclose(r.dense(), proj(KET0.tolist() + [0.0, 0.0]), atol=1e-10)
@@ -121,7 +120,6 @@ def test_intersection_projector_worked_example():
 def test_intersection_projector_orthogonal_supports():
     r = intersection_projector(proj(KET0), proj(KET1), tau=0.5)
     assert r.rank == 0
-    assert r.meta["kept_count"] == 0
 
 
 def test_intersection_projector_boundary_kept():
@@ -129,7 +127,7 @@ def test_intersection_projector_boundary_kept():
     th = math.acos(math.sqrt(0.5))
     pa, pb = planes_with_angles(4, [th])
     r = intersection_projector(pa, pb, tau=0.5)
-    assert r.meta["kept_count"] == 1
+    assert r.rank == 1
 
 
 def test_intersection_projector_operator_bound_random():
@@ -174,7 +172,6 @@ def test_near_coincident_lines_reconstruct_both_projectors(theta):
     assert np.max(np.abs(decomp.reconstruct_second() - proj(b))) < 1e-8
     r = intersection_projector(proj(a, e[:, 2]), proj(b), 0.9)
     assert r.rank == 1
-    assert r.meta["kept_count"] == 1
 
 
 def test_zero_overlap_lines_are_never_kept():
@@ -182,7 +179,6 @@ def test_zero_overlap_lines_are_never_kept():
     e = np.eye(3, dtype=complex)
     r = intersection_projector(proj(e[:, 0], e[:, 1]), proj(e[:, 1]), 1e-13)
     assert r.rank == 1
-    assert r.meta["kept_count"] == 1
     assert np.allclose(r.dense(), proj(e[:, 1]), atol=1e-12)
     orthogonal = intersection_projector(proj(e[:, 0]), proj(e[:, 1]), 1e-13)
     assert orthogonal.rank == 0
@@ -281,7 +277,7 @@ def test_intersection_matches_the_dense_reference(case):
         assert not holds
         return
     assert holds
-    assert r.meta["kept_count"] == kept_ref
+    assert r.rank == kept_ref
     assert np.max(np.abs(r.dense() - r_ref)) <= 1e-12
     decomp = jordan_decompose(pa, pb)
     assert np.max(np.abs(decomp.reconstruct_first() - pa)) < 1e-8

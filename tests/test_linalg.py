@@ -21,6 +21,7 @@ from cqlab.linalg import (
     hermitian_eig,
     orthonormal_basis,
     psd_leq,
+    require_projector,
     tensor_product,
     trace_distance,
 )
@@ -255,7 +256,7 @@ def test_support_columns_are_built_once_and_read_only():
         [np.kron(np.kron(factors[0][:, a], factors[1][:, b]), factors[2][:, c]) for a, b, c in sorted(indices)]
     )
     assert np.array_equal(cols, oracle)
-    # dense-mode projectors keep the eigenvectors of their first decomposition
+    # a projector made from a matrix holds its eigenvectors with eigenvalue above 1/2
     q = Projector.from_matrix(p.dense())
     qcols = q.support_columns()
     assert q.support_columns() is qcols and not qcols.flags.writeable
@@ -281,10 +282,34 @@ def test_from_product_basis_rejects_bad_multi_indices():
 
 def test_projector_zero_and_identity():
     z = Projector.zero(3)
-    assert z.rank == 0 and z.trace() == 0.0
+    assert z.rank == 0 and z.dim == 3
+    assert np.array_equal(z.dense(), np.zeros((3, 3)))
     i = Projector.identity(3)
-    assert i.rank == 3
-    assert np.allclose(i.complement_dense(), np.zeros((3, 3)))
+    assert i.rank == 3 and i.dim == 3
+    assert np.array_equal(i.dense(), np.eye(3))
+
+
+def test_projector_is_its_columns_alone():
+    # one form: no cached dense matrix, no metadata, and every dense read
+    # is the same product V V^dag
+    assert Projector.__slots__ == ("_cols",)
+    for gone in ("meta", "complement_dense", "trace", "_dense"):
+        assert not hasattr(Projector, gone)
+    p = Projector.from_vectors([np.array([1.0, 0.0, 1.0]), np.array([0.0, 1.0, 1.0])])
+    cols = p.support_columns()
+    first = p.dense()
+    assert p.dense() is not first
+    assert np.array_equal(p.dense(), cols @ cols.conj().T) and np.array_equal(p.dense(), first)
+    assert (p.dim, p.rank) == cols.shape == (3, 2)
+
+
+def test_require_projector_checks_and_returns_the_matrix():
+    m = proj(KETP)
+    assert np.array_equal(require_projector(m), m)
+    with pytest.raises(ValueError, match="not idempotent"):
+        require_projector(np.diag([0.5, 0.0]))
+    with pytest.raises(ValueError, match="not Hermitian"):
+        require_projector(np.array([[1.0, 1e-3], [0.0, 0.0]]))
 
 
 @settings(max_examples=25, deadline=None)

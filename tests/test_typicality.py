@@ -167,7 +167,6 @@ def test_typical_projector_maximally_mixed():
         assert np.allclose(p.dense(), np.diag([0.0, 1.0, 1.0, 0.0]), atol=1e-12)
     p3 = typical_projector(rho, 3, 0.2)
     assert p3.rank == 0
-    assert p3.meta["degenerate"]
 
 
 def test_typical_projector_pure_state():
