@@ -711,8 +711,6 @@ def cmg_sequential_decode(
     A rate triple with R3 < I(Y:B|Z) belongs to region 1, so requesting
     region 2 there raises a warning.
     """
-    if region not in (1, 2):
-        raise ValueError("region must be 1 or 2")
     details: dict = {"region": region}
     if region == 2:
         r3 = codebook.rates[2]
@@ -772,8 +770,6 @@ def mac_pgm_elements(channel: CcqMac, codebook: Codebook, delta: float) -> dict:
 def cmg_pgm_elements(channel: CoupledMac, codebook: Codebook, delta: float, region: int) -> dict:
     """Region 1: Py Pxy Pzy Pxy Py per typical triple; region 2: Pi_z per
     typical pair.  FactoredElements, zero when atypical."""
-    if region not in (1, 2):
-        raise ValueError("region must be 1 or 2")
     return _pgm_elements(channel, codebook, delta, region)
 
 

@@ -26,7 +26,7 @@ DIM_CAP = 4096
 
 #: Largest |a - a^dag| entry, relative to max(1, max |a|), still Hermitian.
 HERMITIAN_RTOL = 1e-9
-#: Per-dimension budget on a projector matrix's asymmetry and idempotence defects.
+#: Per-dimension budget on a projector matrix's idempotence defect.
 PROJECTOR_TOL = 1e-9
 #: Singular values at or below this are dropped from a spanning set.
 RANK_TOL = 1e-10
@@ -220,12 +220,10 @@ class DensityOperator:
 
 
 def require_projector(m) -> np.ndarray:
-    """``m`` as a projector matrix: Hermitian and idempotent within PROJECTOR_TOL * D."""
-    a = as_matrix(m)
-    budget = PROJECTOR_TOL * a.shape[0]
-    if np.max(np.abs(a - a.conj().T)) > budget:
-        raise ValueError("projector matrix is not Hermitian within tolerance")
-    if np.max(np.abs(a @ a - a)) > budget:
+    """``m`` as a projector matrix: Hermitian by the one ``require_hermitian``
+    rule, and idempotent within PROJECTOR_TOL * D."""
+    a = require_hermitian(m, "projector matrix")
+    if np.max(np.abs(a @ a - a)) > PROJECTOR_TOL * a.shape[0]:
         raise ValueError("projector matrix is not idempotent within tolerance")
     return a
 

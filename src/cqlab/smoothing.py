@@ -471,6 +471,11 @@ def _mixed_distances(system: CqEnsemble, seqs: Sequence) -> np.ndarray:
     return out
 
 
+def _unavailable(names: Sequence[str], note: str) -> dict:
+    """Placeholder rows for checks that cannot be evaluated."""
+    return {name: Check(name, 0.0, 0.0, True, informative=True, note=note) for name in names}
+
+
 def verify_smoothing_bounds(se: SmoothedEnsemble, epsilon: float | None = None) -> dict:
     """Check the sup-norm ceilings and trace-distance bounds of the family.
 
@@ -484,6 +489,12 @@ def verify_smoothing_bounds(se: SmoothedEnsemble, epsilon: float | None = None) 
     (``TripleRecord.distance``); a maximally mixed record's comes from the
     product of the symbols' spectra in O(D).  No product state is built and
     no dense trace distance runs here.
+
+    Rows, in order: ``denominator`` and ``l1-triple`` over the typical
+    records, ``linf-pair``, ``linf-x`` and ``linf-average`` from one loop,
+    and ``l1-global``; a row that cannot be evaluated is an informative
+    placeholder.  ``vacuous`` marks a bound outside its quantity's range
+    (denominator <= 0, trace distance >= 2, operator norm >= 1).
     """
     layers = se.layers
     n, delta = se.n, se.delta
@@ -504,6 +515,9 @@ def verify_smoothing_bounds(se: SmoothedEnsemble, epsilon: float | None = None) 
 
     checks: dict = {}
 
+    def check(name: str, value: float, bound: float, passed: bool, vacuous: bool, note: str = "") -> None:
+        checks[name] = Check(name, value, bound, passed, informative=informative, note=note, vacuous=bool(vacuous))
+
     # one trace distance per record, read by both the l1-triple and l1-global rows
     distances = [r.distance for r in se.records]
     mixed = [
@@ -522,83 +536,42 @@ def verify_smoothing_bounds(se: SmoothedEnsemble, epsilon: float | None = None) 
         annihilated = sum(r.zero_denominator for r in typical)
         if annihilated:
             note += f"; {annihilated} annihilated by the sandwich (state set to I/D)"
-        checks["denominator"] = Check(
-            "denominator",
-            min_den,
-            den_bound,
-            min_den >= den_bound - 1e-12,
-            informative=informative,
-            note=note,
-        )
+        check("denominator", min_den, den_bound, min_den >= den_bound - 1e-12, den_bound <= 0.0, note)
         worst = 0.0
         for r, dist in zip(se.records, distances):
             if r.typical:
                 worst = max(worst, dist)
         l1_bound = 11.0 * root
-        checks["l1-triple"] = Check(
-            "l1-triple",
-            worst,
-            l1_bound,
-            worst <= l1_bound + 1e-12,
-            informative=informative,
-        )
+        check("l1-triple", worst, l1_bound, worst <= l1_bound + 1e-12, l1_bound >= 2.0)
     else:
-        checks["denominator"] = Check(
-            "denominator", 0.0, 0.0, True, informative=True, note="no typical triples"
-        )
-        checks["l1-triple"] = Check(
-            "l1-triple", 0.0, 0.0, True, informative=True, note="no typical triples"
-        )
+        checks.update(_unavailable(("denominator", "l1-triple"), "no typical triples"))
 
-    h_pair = layers.pair_ens.conditional_entropy()
-    h_x = layers.x_ens.conditional_entropy()
-    h_avg = entropy_bits(np.linalg.eigvalsh(layers.rho_bar))
     if se.complete:
+        # (name, marginals, law whose typical keys are checked or None for all, entropy, c)
         rows = (
-            ("linf-pair", se.pair_marginals, layers.p_xz, h_pair, c6),
-            ("linf-x", se.x_marginals, layers.p_x, h_x, c6),
+            ("linf-pair", se.pair_marginals, layers.p_xz, layers.pair_ens.conditional_entropy(), c6),
+            ("linf-x", se.x_marginals, layers.p_x, layers.x_ens.conditional_entropy(), c6),
+            ("linf-average", {(): se.average}, None, entropy_bits(np.linalg.eigvalsh(layers.rho_bar)), c2),
         )
         for name, marginals, mdist, h, c in rows:
             vals = [
                 operator_norm(mat)
                 for key, mat in marginals.items()
-                if is_typical(mdist, key, delta)
+                if mdist is None or is_typical(mdist, key, delta)
             ]
             bound = 4.0 * 2.0 ** (-n * (h - c))
             value = max(vals) if vals else 0.0
-            checks[name] = Check(
-                name,
-                value,
-                bound,
-                value <= bound * (1.0 + 1e-9),
-                informative=informative,
-                note=f"{len(vals)} typical marginals",
-            )
-        bound = 4.0 * 2.0 ** (-n * (h_avg - c2))
-        value = operator_norm(se.average)
-        checks["linf-average"] = Check(
-            "linf-average",
-            value,
-            bound,
-            value <= bound * (1.0 + 1e-9),
-            informative=informative,
-        )
+            note = "" if mdist is None else f"{len(vals)} typical marginals"
+            check(name, value, bound, value <= bound * (1.0 + 1e-9), bound >= 1.0, note)
         total = 0.0
         for r, dist in zip(se.records, distances):
             if r.probability > 0:
                 total += r.probability * dist
         g_bound = 13.0 * root
-        checks["l1-global"] = Check(
-            "l1-global",
-            total,
-            g_bound,
-            total <= g_bound + 1e-12,
-            informative=informative,
-        )
+        check("l1-global", total, g_bound, total <= g_bound + 1e-12, g_bound >= 2.0)
     else:
         note = "marginals unavailable (partial enumeration)"
-        for name in ("linf-pair", "linf-x", "linf-average", "l1-global"):
-            checks[name] = Check(name, 0.0, 0.0, True, informative=True, note=note)
+        checks.update(_unavailable(("linf-pair", "linf-x", "linf-average", "l1-global"), note))
 
     return {
         "n": n,

@@ -286,11 +286,18 @@ def _typical_indices(groups, d: int, n: int, delta: float) -> np.ndarray:
     return grid[keep]
 
 
-def _kept_masses(probs: Sequence[np.ndarray], kept: np.ndarray) -> tuple[list[float], float]:
-    """Product weight of each kept row under per-position label vectors, and
-    their total summed in row order (Tr[P rho] for rho diagonal in that basis)."""
+def _by_position(groups) -> list[np.ndarray]:
+    """Each position's labels from (positions, labels) groups, in position order."""
+    at = {j: q for pos, q in groups for j in pos}
+    return [at[j] for j in sorted(at)]
+
+
+def _kept_masses(groups, kept: np.ndarray) -> tuple[list[float], float]:
+    """Product weight of each kept row under the groups' labels, multiplied in
+    position order, and their total summed in row order (Tr[P rho] for rho
+    diagonal in that basis)."""
     masses = np.ones(len(kept))
-    for j, q in enumerate(probs):
+    for j, q in enumerate(_by_position(groups)):
         masses = masses * np.asarray(q, dtype=float)[kept[:, j]]
     return masses.tolist(), _ordered_total(masses)
 
@@ -404,18 +411,18 @@ def _conditional_basis(ensemble: CqEnsemble, seq: Sequence) -> tuple[list, list]
 
 def eigen_probs_along(ensemble: CqEnsemble, seq: Sequence) -> list[np.ndarray]:
     """Per-position snapped eigenvalue vectors of the states along ``seq``."""
-    cache: dict = {}
-    out = []
-    for s in seq:
-        if s not in cache:
-            w, _ = hermitian_eig(ensemble.state(s))
-            cache[s] = _snap_eigenvalues(w)
-        out.append(cache[s])
-    return out
+    return _by_position(_conditional_basis(ensemble, seq)[1])
 
 
 # ---------------------------------------------------------------------------
 # report-style verification
+#
+# Each report is a dict of Checks.  The three typical-set reports (sequences,
+# states, conditional projectors) share one builder for their mass, sandwich
+# and size checks, and every "probability at least 1 - epsilon" statement is
+# one mass check.  ``informative`` marks a check whose promise does not apply
+# (block length below its threshold, atypical input); ``vacuous`` marks a
+# bound outside the range of its quantity, which cannot fail.
 
 
 @dataclass
@@ -426,95 +433,90 @@ class Check:
     passed: bool
     informative: bool = False
     note: str = ""
+    vacuous: bool = False
 
 
-def _sandwich_check(
-    name: str, masses: Iterable[float], n: int, entropy: float, c: float
-) -> Check:
+def _mass_check(name: str, value: float, params: TypicalityParams, informative: bool, note: str) -> Check:
+    """``value`` against the promised floor 1 - epsilon."""
+    floor = 1.0 - params.epsilon
+    return Check(name, value, floor, value >= floor - 1e-12, informative=informative, note=note)
+
+
+def _sandwich_check(masses: list[float], n: int, entropy: float, c: float, informative: bool) -> Check:
+    """Every kept weight within [2^{-n(entropy + c)}, 2^{-n(entropy - c)}]."""
+    if not masses:
+        return Check("sandwich", 0.0, 0.0, True, informative=True, note="empty support")
     lo = 2.0 ** (-n * (entropy + c))
     hi = 2.0 ** (-n * (entropy - c))
-    worst_lo, worst_hi, ok = math.inf, -math.inf, True
-    count = 0
-    for m in masses:
-        count += 1
-        worst_lo = min(worst_lo, m)
-        worst_hi = max(worst_hi, m)
-        if not (lo * (1 - 1e-9) <= m <= hi * (1 + 1e-9)):
-            ok = False
-    if count == 0:
-        return Check(name, 0.0, 0.0, True, informative=True, note="empty support")
+    worst_lo, worst_hi = min(masses), max(masses)
     return Check(
-        name,
+        "sandwich",
         worst_lo,
         lo,
-        ok,
-        note=f"probabilities in [{worst_lo:.3e}, {worst_hi:.3e}], "
-        f"sandwich [{lo:.3e}, {hi:.3e}]",
+        lo * (1 - 1e-9) <= worst_lo and worst_hi <= hi * (1 + 1e-9),
+        informative=informative,
+        note=f"probabilities in [{worst_lo:.3e}, {worst_hi:.3e}], sandwich [{lo:.3e}, {hi:.3e}]",
     )
+
+
+def _typical_set_checks(
+    masses: list[float],
+    total: float,
+    size: int,
+    size_name: str,
+    n: int,
+    h: float,
+    params: TypicalityParams,
+    threshold: int,
+    typical: bool = True,
+    note: str = "",
+) -> dict:
+    """The mass, sandwich and size checks of one typical set.
+
+    ``masses`` are the kept sequences' or basis vectors' weights and
+    ``total`` their ordered sum; ``size`` of them are kept, against
+    2^{n(h + c)}.  The mass is promised from ``threshold`` on, and nothing
+    is promised for an atypical input (``typical=False``), which makes all
+    three checks informative.  ``note`` is appended to the mass check's note.
+    """
+    c = params.c()
+    bound = 2.0 ** (n * (h + c))
+    return {
+        "mass": _mass_check("mass", total, params, n < threshold or not typical, f"threshold n >= {threshold}{note}"),
+        "sandwich": _sandwich_check(masses, n, h, c, informative=not typical),
+        size_name: Check(size_name, float(size), bound, size <= bound * (1 + 1e-9), informative=not typical),
+    }
 
 
 def verify_sequence_typicality(dist: ClassicalDistribution, n: int, params: TypicalityParams) -> dict:
     """Mass, per-sequence sandwich, and cardinality checks by enumeration."""
     seqs = typical_set(dist, n, params.delta)
-    h = dist.entropy()
-    c = params.c()
     masses = [sequence_probability(dist, seq) for seq in seqs]
-    total = _ordered_total(masses)
     threshold = typicality_threshold_n(params, p_min=dist.p_min)
-    checks = {
-        "mass": Check(
-            "mass",
-            total,
-            1.0 - params.epsilon,
-            total >= 1.0 - params.epsilon - 1e-12,
-            informative=n < threshold,
-            note=f"threshold n >= {threshold}",
-        ),
-        "sandwich": _sandwich_check("sandwich", masses, n, h, c),
-        "cardinality": Check(
-            "cardinality",
-            float(len(seqs)),
-            2.0 ** (n * (h + c)),
-            len(seqs) <= 2.0 ** (n * (h + c)) * (1 + 1e-9),
-        ),
-    }
-    return checks
+    return _typical_set_checks(
+        masses, _ordered_total(masses), len(seqs), "cardinality", n, dist.entropy(), params, threshold
+    )
 
 
 def verify_state_typicality(rho, n: int, params: TypicalityParams) -> dict:
     """Trace mass, support sandwich, and rank bound for a typical projector."""
-    proj = typical_projector(rho, n, params.delta)
-    q = _snap_eigenvalues(hermitian_eig(rho)[0])
-    h = float(entropy_bits(q))
-    c = params.c()
-    kept = _typical_indices([(range(n), q)], len(q), n, params.delta)
-    masses, total = _kept_masses([q] * n, kept)
-    q_min = float(min(x for x in q if x > 0))
-    threshold = typicality_threshold_n(params, q_min=q_min)
+    a = as_matrix(rho)
+    check_dim_cap(a.shape[0] ** n)
+    w, v = hermitian_eig(a)
+    q = _snap_eigenvalues(w)
+    groups = [(range(n), q)]
+    kept = _typical_indices(groups, len(q), n, params.delta)
+    proj = Projector.from_product_basis([v] * n, kept)
+    masses, total = _kept_masses(groups, kept)
+    threshold = typicality_threshold_n(params, q_min=float(min(x for x in q if x > 0)))
+    checks = _typical_set_checks(masses, total, proj.rank, "rank", n, float(entropy_bits(q)), params, threshold)
     commutes = True
     if proj.dim <= 256:
         dense = proj.dense()
-        power = tensor_product([as_matrix(rho)] * n)
+        power = tensor_product([a] * n)
         comm = dense @ power - power @ dense
         commutes = float(np.max(np.abs(comm))) <= 1e-9
-    checks = {
-        "mass": Check(
-            "mass",
-            total,
-            1.0 - params.epsilon,
-            total >= 1.0 - params.epsilon - 1e-12,
-            informative=n < threshold,
-            note=f"threshold n >= {threshold}",
-        ),
-        "sandwich": _sandwich_check("sandwich", masses, n, h, c),
-        "rank": Check(
-            "rank",
-            float(proj.rank),
-            2.0 ** (n * (h + c)),
-            proj.rank <= 2.0 ** (n * (h + c)) * (1 + 1e-9),
-        ),
-        "commutes": Check("commutes", 0.0, 0.0, commutes, note="skipped above dim 256" if proj.dim > 256 else ""),
-    }
+    checks["commutes"] = Check("commutes", 0.0, 0.0, commutes, note="skipped above dim 256" if proj.dim > 256 else "")
     return checks
 
 
@@ -528,33 +530,13 @@ def verify_conditional_typicality(ensemble: CqEnsemble, seq: Sequence, params: T
     check_dim_cap(ensemble.dim**n)
     _, groups = _conditional_basis(ensemble, seq)
     kept = _typical_indices(groups, ensemble.dim, n, params.delta)
-    rank = len(kept)
-    masses, mass = _kept_masses(eigen_probs_along(ensemble, seq), kept)
-    h_cond = ensemble.conditional_entropy()
-    c = params.c()
+    masses, mass = _kept_masses(groups, kept)
     seq_typical = is_typical(ensemble.dist, seq, params.delta)
     threshold = typicality_threshold_n(params, p_min=ensemble.dist.p_min, q_min=ensemble.q_min())
-    checks = {
-        "mass": Check(
-            "mass",
-            mass,
-            1.0 - params.epsilon,
-            mass >= 1.0 - params.epsilon - 1e-12,
-            informative=(n < threshold) or not seq_typical,
-            note=f"threshold n >= {threshold}; input typical: {seq_typical}",
-        ),
-        "sandwich": _sandwich_check("sandwich", masses, n, h_cond, c),
-        "rank": Check(
-            "rank",
-            float(rank),
-            2.0 ** (n * (h_cond + c)),
-            rank <= 2.0 ** (n * (h_cond + c)) * (1 + 1e-9),
-            informative=not seq_typical,
-        ),
-    }
-    if not seq_typical:
-        checks["sandwich"].informative = True
-    return checks
+    return _typical_set_checks(
+        masses, mass, len(kept), "rank", n, ensemble.conditional_entropy(), params, threshold,
+        typical=seq_typical, note=f"; input typical: {seq_typical}",
+    )
 
 
 def verify_averaged_state_overlaps(
@@ -574,25 +556,15 @@ def verify_averaged_state_overlaps(
     pairs = list(zip(xn, yn))
     rho_pair = pair_ensemble.sequence_state(pairs)
     n = len(pairs)
-    avg = pair_ensemble.average_state()
-    proj_avg = typical_projector(avg, n, 2.0 * params.delta)
-    proj_cond = cond_typical_projector(x_ensemble, xn, 6.0 * params.delta)
-    t_avg = proj_avg.trace_with(rho_pair)
-    t_cond = proj_cond.trace_with(rho_pair)
+    projs = {
+        "average_overlap": typical_projector(pair_ensemble.average_state(), n, 2.0 * params.delta),
+        "conditional_overlap": cond_typical_projector(x_ensemble, xn, 6.0 * params.delta),
+    }
     jointly_typical = is_typical(pair_ensemble.dist, pairs, params.delta)
     threshold = typicality_threshold_n(params, p_min=pair_ensemble.dist.p_min, q_min=pair_ensemble.q_min())
     info = (n < threshold) or not jointly_typical
     note = f"threshold n >= {threshold}; pair typical: {jointly_typical}"
-    return {
-        "average_overlap": Check(
-            "average_overlap", t_avg, 1.0 - params.epsilon,
-            t_avg >= 1.0 - params.epsilon - 1e-12, informative=info, note=note,
-        ),
-        "conditional_overlap": Check(
-            "conditional_overlap", t_cond, 1.0 - params.epsilon,
-            t_cond >= 1.0 - params.epsilon - 1e-12, informative=info, note=note,
-        ),
-    }
+    return {name: _mass_check(name, p.trace_with(rho_pair), params, info, note) for name, p in projs.items()}
 
 
 def verify_typicality_bounds(subject, n_or_seq, params: TypicalityParams) -> dict:

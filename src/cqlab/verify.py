@@ -182,12 +182,11 @@ def suite_gentle(seed: int = DEFAULT_SEED) -> list[dict]:
     return rows
 
 
-def _rows_from_checks(prefix: str, checks) -> list[dict]:
+def _rows_from_checks(prefix: str, checks: dict) -> list[dict]:
     # report-style checks mix bound directions; slack is the unsigned
     # distance to the bound, made negative when the check fails
-    items = checks.items() if hasattr(checks, "items") else ((c.name, c) for c in checks)
     rows = []
-    for name, c in items:
+    for name, c in checks.items():
         holds = bool(c.passed or c.informative)
         gap = abs(c.value - c.bound)
         rows.append(
@@ -248,57 +247,36 @@ def suite_smoothing(seed: int = DEFAULT_SEED) -> list[dict]:
 def suite_decoders(seed: int = DEFAULT_SEED) -> list[dict]:
     """Bound flags from small sequential and square-root decode runs."""
     rng = np.random.default_rng((seed, 8))
-    rows = []
 
     def qubit(r):
         v = r.normal(size=2) + 1j * r.normal(size=2)
         v /= np.linalg.norm(v)
         return np.outer(v, v.conj())
 
+    # (row id, channel, rates, codebook seed, variant, delta, region), channels drawn in row order
+    table = []
     unif = _typicality.ClassicalDistribution((0, 1), (0.5, 0.5))
     for i in range(3):
         chan = _channels.CqChannel(unif, {0: qubit(rng), 1: qubit(rng)})
         for variant in ("seq", "seq-gated", "pgm"):
-            res = _decoders.monte_carlo_avg_error(
-                chan, 0.3, 4, 2, (seed, 8, i), variant, delta=0.9
-            )
-            rows.append(
-                {
-                    "id": f"decoders-cq-{i}-{variant}",
-                    "holds": bool(res["all_bounds_satisfied"]),
-                    "slack": 0.0 if res["all_bounds_satisfied"] else -1.0,
-                    "note": f"mean_error={res['mean_error']:.6f}",
-                }
-            )
+            table.append((f"decoders-cq-{i}-{variant}", chan, 0.3, (seed, 8, i), variant, 0.9, None))
     for i in range(2):
-        mac = _channels.CcqMac(
-            unif, unif, {(x, y): qubit(rng) for x in (0, 1) for y in (0, 1)}
-        )
-        res = _decoders.monte_carlo_avg_error(
-            mac, (0.25, 0.25), 4, 2, (seed, 9, i), "seq", delta=0.25
-        )
-        rows.append(
-            {
-                "id": f"decoders-mac-{i}",
-                "holds": bool(res["all_bounds_satisfied"]),
-                "slack": 0.0 if res["all_bounds_satisfied"] else -1.0,
-                "note": f"mean_error={res['mean_error']:.6f}",
-            }
-        )
-    zrows = {0: unif, 1: unif}
+        mac = _channels.CcqMac(unif, unif, {(x, y): qubit(rng) for x in (0, 1) for y in (0, 1)})
+        table.append((f"decoders-mac-{i}", mac, (0.25, 0.25), (seed, 9, i), "seq", 0.25, None))
     ydist = _typicality.ClassicalDistribution(("y",), (1.0,))
     for i, region in ((0, 1), (1, 2)):
-        cmg = _channels.CoupledMac(
-            unif, zrows, ydist, {(z, "y"): qubit(rng) for z in (0, 1)}
-        )
-        res = _decoders.monte_carlo_avg_error(
-            cmg, (0.25, 0.25, 0.0), 4, 2, (seed, 10, i), "seq", delta=0.25, region=region
-        )
+        cmg = _channels.CoupledMac(unif, {0: unif, 1: unif}, ydist, {(z, "y"): qubit(rng) for z in (0, 1)})
+        table.append((f"decoders-cmg-region{region}", cmg, (0.25, 0.25, 0.0), (seed, 10, i), "seq", 0.25, region))
+
+    rows = []
+    for row_id, chan, rates, book_seed, variant, delta, region in table:
+        res = _decoders.monte_carlo_avg_error(chan, rates, 4, 2, book_seed, variant, delta=delta, region=region)
+        holds = bool(res["all_bounds_satisfied"])
         rows.append(
             {
-                "id": f"decoders-cmg-region{region}",
-                "holds": bool(res["all_bounds_satisfied"]),
-                "slack": 0.0 if res["all_bounds_satisfied"] else -1.0,
+                "id": row_id,
+                "holds": holds,
+                "slack": 0.0 if holds else -1.0,
                 "note": f"mean_error={res['mean_error']:.6f}",
             }
         )

@@ -594,8 +594,10 @@ class TestCoupledSenderDecoder:
     def test_region_argument_is_validated(self):
         chan = coupled_channel_for_tests()
         book = crafted_cmg_codebook(chan)
-        with pytest.raises(ValueError, match="region must be 1 or 2"):
+        with pytest.raises(ValueError, match="needs region 1 or 2"):
             cmg_sequential_decode(chan, book, 0.25, 3)
+        with pytest.raises(ValueError, match="needs region 1 or 2"):
+            cmg_pgm_elements(chan, book, 0.25, 3)
 
     @pytest.mark.parametrize("region", [1, 2])
     def test_tau_and_epsilon_are_validated_in_both_regions(self, region):

@@ -324,6 +324,28 @@ def test_trace_distance_unitary_invariance(seed, d):
     assert abs(t1 - t2) < 1e-10
 
 
+def test_projector_checks_share_the_hermitian_tolerance():
+    # a projector matrix is Hermitian by the same HERMITIAN_RTOL rule as a
+    # state, so the dense oracles accept exactly the matrices Projector takes
+    from cqlab.geometry import sequential_collapse
+
+    rho = np.eye(4, dtype=complex) / 4
+    for skew, valid in ((5e-10, True), (3e-9, False)):
+        m = np.diag([1.0, 0.0, 0.0, 0.0]).astype(complex)
+        m[0, 1] = skew
+        if valid:
+            assert np.array_equal(require_projector(m), m)
+            assert sequential_collapse(rho, [(m, "success")]).success_probability == pytest.approx(0.25)
+            assert Projector.from_matrix(m).rank == 1
+        else:
+            with pytest.raises(ValueError, match="projector matrix is not Hermitian"):
+                require_projector(m)
+            with pytest.raises(ValueError, match="projector matrix is not Hermitian"):
+                sequential_collapse(rho, [(m, "success")])
+            with pytest.raises(ValueError, match="projector matrix is not Hermitian"):
+                Projector.from_matrix(m)
+
+
 def test_density_operator_and_channel_share_the_hermitian_tolerance():
     # one matrix is a valid channel state exactly when it is a valid
     # DensityOperator: both run require_state, so they share HERMITIAN_RTOL

@@ -1,7 +1,8 @@
-"""Package-wide checks: the source imports only what it uses, forms Kronecker
-products through one kernel, reads the typicality window slack and the state
-tolerance in one function each, smooths without the dense trace_with, keeps one table row per channel kind, the
-resource guards are fixed constants, every dense entry point enforces
+"""Package-wide checks: the source imports only what it uses and reads every
+private name it defines, forms Kronecker products through one kernel, reads
+the typicality window slack and the state tolerance in one function each,
+smooths without the dense trace_with, keeps one table row per channel kind,
+the resource guards are fixed constants, every dense entry point enforces
 DIM_CAP, and only the rate-region sampler loads scipy."""
 
 import ast
@@ -68,6 +69,62 @@ def test_unused_import_check_sees_every_form():
 @pytest.mark.parametrize("path", MODULES, ids=lambda p: p.name)
 def test_module_has_no_unused_imports(path):
     assert unused_imports(path.read_text()) == []
+
+
+def unreferenced_private_names(sources: dict[str, str]) -> list[str]:
+    """Private (``_``-prefixed, not dunder) module-level functions, classes and
+    constants that no module of ``sources`` reads, calls or imports."""
+    defined: dict[str, str] = {}
+    used: set[str] = set()
+    for fname, source in sources.items():
+        tree = ast.parse(source)
+        for node in tree.body:
+            if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef)):
+                names = [node.name]
+            elif isinstance(node, ast.Assign):
+                names = [t.id for t in node.targets if isinstance(t, ast.Name)]
+            elif isinstance(node, ast.AnnAssign) and isinstance(node.target, ast.Name):
+                names = [node.target.id]
+            else:
+                names = []
+            for name in names:
+                if name.startswith("_") and not name.startswith("__"):
+                    defined[name] = fname
+        for node in ast.walk(tree):
+            if isinstance(node, ast.Name) and isinstance(node.ctx, ast.Load):
+                used.add(node.id)
+            elif isinstance(node, ast.Attribute):
+                used.add(node.attr)
+            elif isinstance(node, ast.ImportFrom):
+                used.update(alias.name for alias in node.names)
+    return sorted(f"{fname}: {name}" for name, fname in defined.items() if name not in used)
+
+
+def test_unreferenced_private_check_sees_every_form():
+    sources = {
+        "a.py": (
+            "__all__ = ['f']\n"
+            "_CAP = 4\n"
+            "_DEAD: int = 1\n"
+            "def _helper():\n"
+            "    return _CAP\n"
+            "def _unused():\n"
+            "    return 0\n"
+            "class _Row:\n"
+            "    pass\n"
+            "def f():\n"
+            "    _unused = 1\n"
+            "    return _helper()\n"
+        ),
+        "b.py": "from .a import _Row\n",
+    }
+    assert unreferenced_private_names(sources) == ["a.py: _DEAD", "a.py: _unused"]
+
+
+def test_source_has_no_unreferenced_private_names():
+    # dead private helpers are deleted, not kept beside their replacement
+    sources = {path.name: path.read_text() for path in sorted(SRC.glob("*.py"))}
+    assert unreferenced_private_names(sources) == []
 
 
 def kron_uses(source: str) -> list[str]:
@@ -146,7 +203,11 @@ def test_constant_reader_check_sees_every_form():
 
 @pytest.mark.parametrize(
     "name, owner",
-    [("WINDOW_SLACK", ("typicality.py", "_typical_count_windows")), ("STATE_TOL", ("linalg.py", "require_state"))],
+    [
+        ("WINDOW_SLACK", ("typicality.py", "_typical_count_windows")),
+        ("STATE_TOL", ("linalg.py", "require_state")),
+        ("PROJECTOR_TOL", ("linalg.py", "require_projector")),
+    ],
 )
 def test_each_tolerance_is_read_by_its_one_rule(name, owner):
     # the typicality window and the density-operator check are each written once

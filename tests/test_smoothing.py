@@ -496,6 +496,34 @@ def test_verify_bounds_random_qubit_states():
     assert checks["linf-average"].value > 0
 
 
+def test_bounds_outside_their_range_are_vacuous():
+    # at n = 6, delta = 0.35 every bound lies outside the range of its quantity:
+    # a denominator bound <= 0, trace-distance bounds >= 2, operator-norm bounds >= 1
+    checks = verify_smoothing_bounds(smoothed_states(diagonal_system(), 6, 0.35))["checks"]
+    bounds = {name: c.bound for name, c in checks.items()}
+    expected = {
+        "denominator": -3.29,
+        "l1-triple": 9.44,
+        "linf-pair": 9.0e9,
+        "linf-x": 9.0e9,
+        "linf-average": 3.2e4,
+        "l1-global": 11.2,
+    }
+    assert bounds == pytest.approx(expected, rel=1e-2)
+    assert [name for name, c in checks.items() if c.vacuous] == list(expected)
+
+
+def test_bounds_inside_their_range_are_not_vacuous():
+    # one typical triple of identical pure states: measured epsilon ~ 0
+    se = smoothed_states(pure_system(), 4, 0.3, triples=[((0, 1, 0, 1), (0, 1, 0, 1), (0, 0, 0, 0))])
+    checks = verify_smoothing_bounds(se)["checks"]
+    assert 0.0 < checks["denominator"].bound < 1.0 and not checks["denominator"].vacuous
+    assert 0.0 < checks["l1-triple"].bound < 2.0 and not checks["l1-triple"].vacuous
+    # rows that cannot be evaluated are placeholders, not bounds
+    assert checks["linf-x"].note == "marginals unavailable (partial enumeration)"
+    assert not any(checks[name].vacuous for name in ("linf-pair", "linf-x", "linf-average", "l1-global"))
+
+
 def test_theoretical_regime_switch():
     se = smoothed_states(pure_system(), 4, 0.3)
     report = verify_smoothing_bounds(se, epsilon=0.01)

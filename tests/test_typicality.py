@@ -15,6 +15,7 @@ from hypothesis import strategies as st
 
 from cqlab.linalg import DimensionCapError, Projector, hermitian_eig, psd_leq, tensor_product
 from cqlab.typicality import (
+    _conditional_basis,
     _typical_count_windows,
     _typical_indices,
     ClassicalDistribution,
@@ -28,6 +29,7 @@ from cqlab.typicality import (
     typical_set,
     typicality_threshold_n,
     verify_averaged_state_overlaps,
+    verify_conditional_typicality,
     verify_typicality_bounds,
 )
 
@@ -408,6 +410,55 @@ def test_verify_conditional_report_pure():
     assert checks["mass"].passed
     assert checks["sandwich"].passed
     assert checks["rank"].passed
+
+
+@pytest.mark.parametrize(
+    "params",
+    # threshold 1, so the mass is promised at n = 4; then a threshold far above 4
+    [TypicalityParams(0.99, 0.99, (1,)), TypicalityParams(0.5, 0.2, (2, 2))],
+)
+@pytest.mark.parametrize("seq, typical", [((0, 1, 0, 1), True), ((0, 0, 0, 0), False)])
+def test_conditional_report_informative_flags(params, seq, typical):
+    ens = bb84_ensemble()
+    assert is_typical(ens.dist, seq, params.delta) == typical
+    threshold = typicality_threshold_n(params, p_min=ens.dist.p_min, q_min=ens.q_min())
+    checks = verify_conditional_typicality(ens, seq, params)
+    # atypical input: nothing is promised; typical input: only the mass waits for the threshold
+    assert checks["mass"].informative == (len(seq) < threshold or not typical)
+    assert checks["sandwich"].informative == (not typical)
+    assert checks["rank"].informative == (not typical)
+    assert checks["mass"].note == f"threshold n >= {threshold}; input typical: {typical}"
+
+
+def test_state_report_rank_is_the_typical_projector_rank():
+    rng = np.random.default_rng(3)
+    g = rng.normal(size=(3, 3)) + 1j * rng.normal(size=(3, 3))
+    generic = g @ g.conj().T / np.trace(g @ g.conj().T).real
+    params = TypicalityParams(0.4, 0.3, (3,))
+    for rho in (generic, np.eye(3, dtype=complex) / 3, 0.5 * proj(KET0) + 0.5 * proj(KETP)):
+        for n in (1, 3, 5):
+            checks = verify_typicality_bounds(rho, n, params)
+            assert checks["rank"].value == typical_projector(rho, n, params.delta).rank
+
+
+def test_eigen_probs_along_reads_the_conditional_groups():
+    # degenerate spectra: the near-equal pair is snapped to one shared label
+    dist = ClassicalDistribution((0, 1, 2), (0.25, 0.25, 0.5))
+    states = {
+        0: np.diag([0.5 + 1e-14, 0.5 - 1e-14]).astype(complex),
+        1: proj(KETP),
+        2: 0.5 * proj(KET0) + 0.5 * proj(KETP),
+    }
+    ens = CqEnsemble(dist, states)
+    seq = (2, 0, 1, 0, 2)
+    probs = eigen_probs_along(ens, seq)
+    _, groups = _conditional_basis(ens, seq)
+    assert len(probs) == len(seq)
+    for pos, q in groups:
+        for j in pos:
+            assert np.array_equal(probs[j], q)
+    assert np.array_equal(probs[1], [0.5, 0.5])
+    assert np.allclose(probs[2], [1.0, 0.0], atol=1e-12)
 
 
 def test_averaged_state_overlap_report():
