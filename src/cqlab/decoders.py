@@ -20,11 +20,11 @@ rho = A A^dag (for product states the Kronecker product of per-symbol
 factors), a measurement element as F with E = F F^dag.  With D the output
 dimension and r a candidate's rank, each chain step costs O(r D^2) and the
 square-root measurement one thin SVD of the stacked element factors.  The
-measured leaks that set tau are squared norms of the state factors too.
-A projector is read as a dense matrix in two places only: the ungated
-floor's target leak, one D^3 product per message kept because its rounding
-is pinned (see ``seq_success_lower_bound``), and the gate's failure
-operator.
+measured leaks that set tau and the success floors are squared norms of
+the state factors too.  A projector is read as a dense matrix in two places
+only: the gate's failure operator, and the target leak of an ungated floor
+whose leak lies below ``DENSE_FLOOR_LEAK``, one D^3 product per such row,
+kept because its rounding is pinned (see ``seq_success_lower_bound``).
 """
 
 from __future__ import annotations
@@ -51,6 +51,13 @@ CODEBOOK_CAP = 2**20
 TAU_FLOOR = 1e-9
 # Slack granted when comparing exact probabilities against their bounds.
 BOUND_TOL = 1e-9
+# An ungated floor whose factor-form leak lies below this re-reads its total
+# and target leak from the dense state.  The floor Tr rho - 2 sqrt(leak) moves
+# by |d leak| / sqrt(leak), and the dense and factor leaks differ by O(D eps),
+# at most about 1e-14 at D <= 4096, so above 1e-4 the two reads give floors
+# within 1e-12.  Below it the leak may be rounding noise that reference values
+# pin; a reference regeneration removes the dense read and this constant.
+DENSE_FLOOR_LEAK = 1e-4
 
 _PROB_TOL = 1e-9
 # Eigenvalues at or below this fraction of the largest are rounding, not state.
@@ -216,13 +223,18 @@ def sample_codebook(channel, rates, n: int, seed) -> Codebook:
 
 @dataclass(frozen=True)
 class MessageOutcome:
-    """Exact result for one sent message next to its closed-form bound."""
+    """Exact result for one sent message next to its closed-form bound.
+
+    ``bound_vacuous`` says the bound cannot fail: a success floor at or
+    below 0, or an error ceiling at or above 1.
+    """
 
     message: object
     error: float
     success: float
     bound: float
     bound_satisfied: bool
+    bound_vacuous: bool
 
 
 @dataclass(frozen=True)
@@ -253,6 +265,11 @@ class DecodeReport:
     def all_bounds_satisfied(self) -> bool:
         return all(o.bound_satisfied for o in self.outcomes)
 
+    @property
+    def vacuous_bounds(self) -> int:
+        """How many outcomes' bounds cannot fail (see ``MessageOutcome``)."""
+        return sum(o.bound_vacuous for o in self.outcomes)
+
 
 def _resolve_order(messages: list, order) -> list:
     if order is None:
@@ -268,7 +285,7 @@ class _Entry:
     message: object
     projector: Projector
     factor: np.ndarray  # A with rho = A A^dag
-    state: Callable[[], np.ndarray]  # the dense rho, read only by the ungated floor
+    state: Callable[[], np.ndarray]  # the dense rho, formed only for an ungated floor below DENSE_FLOOR_LEAK
 
 
 def _sq(a: np.ndarray) -> float:
@@ -294,15 +311,16 @@ def _run_sequential(
     columns V, X = V^dag B gives message j's success ||X A_j||^2 and B
     becomes B - V X, so each non-empty candidate costs O(r D^2).
 
-    Each floor is ``seq_success_lower_bound`` with its hostile leaks summed
-    as ||V_i^dag A||^2 over the earlier candidates.  With a gate W it works
-    on the gated factor W (W^dag A) and its target leak is
-    ||A_g - V (V^dag A_g)||^2; without one the target leak stays the dense
-    Tr rho - Tr[P rho], whose rounding is pinned, at one D^3 product per
-    message.  P is formed for that one product and dropped, so the chain
-    holds O(D^2) memory whatever the message count.  The last message's
-    factor is collapsed once through the gate and the complements,
-    A <- A - V (V^dag A), and must agree to 1e-8.
+    Each floor is ``seq_success_lower_bound`` read from a factor G: A, or
+    the gated factor W (W^dag A) with a gate W.  Its total is ||G||^2, its
+    hostile leaks are ||V_i^dag G||^2 over the earlier candidates and its
+    target leak is ||G - V (V^dag G)||^2.  An ungated row whose leak is
+    below ``DENSE_FLOOR_LEAK`` re-reads its total and target leak from the
+    dense state, Tr rho and Tr rho - Tr[P rho], whose rounding is pinned:
+    ``ent.state()`` is formed for that row only, and P for its one D^3
+    product, then dropped, so the chain holds O(D^2) memory whatever the
+    message count.  The last message's factor is collapsed once through the
+    gate and the complements, A <- A - V (V^dag A), and must agree to 1e-8.
 
     With ``group_of`` set, the reported error counts a halt at any candidate
     of the sent message's group as a success, and the exact own-chain
@@ -334,16 +352,15 @@ def _run_sequential(
             for peer in peers.get(ent.message, ()):
                 grouped[peer.message] += _sq(x @ peer.factor)
             failure = failure - cols @ x
-        if gate is None:
-            base = ent.factor
+        base = ent.factor if gate is None else gate_cols @ (gate_cols.conj().T @ ent.factor)
+        total = _sq(base)
+        target = _sq(base - cols @ (cols.conj().T @ base))
+        hostile_leak = sum(_sq(v.conj().T @ base) for v in hostile)
+        if gate is None and hostile_leak + target < DENSE_FLOOR_LEAK:
             rho = ent.state()
             total = float(np.real(np.trace(rho)))
             target = total - own.trace_with(rho) if own.rank > 0 else total
-        else:
-            base = gate_cols @ (gate_cols.conj().T @ ent.factor)
-            total = _sq(base)
-            target = _sq(base - cols @ (cols.conj().T @ base))
-        leak = sum(_sq(v.conj().T @ base) for v in hostile) + target
+        leak = hostile_leak + target
         bounds[ent.message] = total - 2.0 * math.sqrt(max(0.0, leak))
         if own.rank > 0:
             hostile.append(cols)
@@ -373,6 +390,7 @@ def _run_sequential(
                 success=own_success,
                 bound=bound,
                 bound_satisfied=own_success >= max(0.0, bound) - BOUND_TOL,
+                bound_vacuous=bound <= 0.0,
             )
         )
 
@@ -853,6 +871,7 @@ def pgm_decode(
                 success=success,
                 bound=bound,
                 bound_satisfied=error <= bound + BOUND_TOL,
+                bound_vacuous=bound >= 1.0,
             )
         )
 

@@ -375,11 +375,12 @@ def seq_success_lower_bound(rho, hostile: Sequence, target) -> float:
     The floor is ill-conditioned near leak = 0, where its slope
     -1/sqrt(leak) is unbounded: with a leak of order 1e-16, which is pure
     rounding, 1e-16 more rounding moves the floor by about 1e-8.  The
-    decoders therefore keep this function's dense target term,
-    Tr[rho] - Tr[T rho], for their ungated floors, since reference values
-    pin its rounding; they sum the hostile terms as squared norms of the
-    state factor, and the gated floor wholly so.  A projector may be a
-    ``Projector`` or a raw matrix, which is checked and read as given.
+    decoders read every term as a squared norm of the state factor, except
+    for an ungated floor whose leak is below ``DENSE_FLOOR_LEAK``: that
+    one keeps this function's dense total and target term,
+    Tr[rho] - Tr[T rho], since reference values pin its rounding.  A
+    projector may be a ``Projector`` or a raw matrix, which is checked and
+    read as given.
     """
     r = as_matrix(rho)
     leak = 0.0

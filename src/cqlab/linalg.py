@@ -138,7 +138,8 @@ def psd_leq(a, b, tol: float = 1e-9) -> bool:
     """Loewner comparison ``a <= b`` up to ``tol``.
 
     True when the smallest eigenvalue of ``b - a`` is at least
-    ``-tol * max(1, ||b||)``.
+    ``-tol * max(1, ||b||)``.  ||b|| is read off one ``eigvalsh`` of the
+    already checked ``b``, the value ``operator_norm(b)`` gives.
     """
     x = require_hermitian(a, what="first operand")
     y = require_hermitian(b, what="second operand")
@@ -146,7 +147,7 @@ def psd_leq(a, b, tol: float = 1e-9) -> bool:
         raise ValueError(f"dimension mismatch: {x.shape} vs {y.shape}")
     gap = (y - x + (y - x).conj().T) / 2.0
     lo = float(np.min(np.linalg.eigvalsh(gap))) if gap.size else 0.0
-    return lo >= -tol * max(1.0, operator_norm(y))
+    return lo >= -tol * max(1.0, float(np.max(np.abs(np.linalg.eigvalsh(y)), initial=0.0)))
 
 
 def psd_leq_factors(x: np.ndarray, y: np.ndarray) -> bool:

@@ -9,14 +9,18 @@ dense products, on random channels with pure, rank-deficient, mixed and
 degenerate-spectrum states and with empty candidates.
 """
 
+import math
 import time
+from unittest import mock
 
 import numpy as np
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from cqlab import decoders
 from cqlab.channels import CcqMac, CoupledMac, CqChannel
 from cqlab.decoders import (
+    DENSE_FLOOR_LEAK,
     FactoredElement,
     _Entry,
     _nested_factor,
@@ -378,3 +382,106 @@ def test_measured_epsilon_matches_the_dense_mean_leak(case):
     assert len(measured) == len(means)
     for got, want in zip(measured, means):
         assert abs(got - want) <= TOL
+
+
+def sq(a: np.ndarray) -> float:
+    return float(np.vdot(a, a).real)
+
+
+def dense_floor_chain(entries, gate, group_of) -> list[tuple[float, float, float]]:
+    """(error, floor, factor leak) per message from the failure-operator
+    chain, with every ungated floor's total and target leak read from the
+    dense state: Tr rho and Tr rho - Tr[P rho].  The hostile leaks are
+    ||V_i^dag G||^2, and a gated floor reads G = W (W^dag A) throughout.
+    The factor leak is the hostile sum plus ||G - V (V^dag G)||^2."""
+    dim = entries[0].projector.dim
+    failure = np.eye(dim, dtype=complex) if gate is None else gate.dense()
+    w = None if gate is None else gate.support_columns()
+    own, grouped, rows, hostile = {}, {e.message: 0.0 for e in entries}, [], []
+    for ent in entries:
+        v = ent.projector.support_columns()
+        own[ent.message] = 0.0
+        if v.shape[1]:
+            x = v.conj().T @ failure
+            own[ent.message] = sq(x @ ent.factor)
+            if group_of is not None:
+                for peer in entries:
+                    if group_of(peer.message) == group_of(ent.message):
+                        grouped[peer.message] += sq(x @ peer.factor)
+            failure = failure - v @ x
+        base = ent.factor if w is None else w @ (w.conj().T @ ent.factor)
+        hostile_leak = sum(sq(h.conj().T @ base) for h in hostile)
+        factor_target = sq(base - v @ (v.conj().T @ base))
+        if w is None:
+            rho = ent.state()
+            total = float(np.real(np.trace(rho)))
+            target = total - ent.projector.trace_with(rho) if v.shape[1] else total
+        else:
+            total, target = sq(base), factor_target
+        floor = total - 2.0 * math.sqrt(max(0.0, hostile_leak + target))
+        rows.append((floor, hostile_leak + factor_target))
+        if v.shape[1]:
+            hostile.append(v)
+    success = grouped if group_of is not None else own
+    return [(1.0 - clip(success[e.message]), floor, leak) for e, (floor, leak) in zip(entries, rows)]
+
+
+@st.composite
+def floor_cases(draw):
+    """(decode, gated) for a cq, ccq-mac or cmg region 1/2 channel at n <= 4
+    with qubit or qutrit outputs that are pure, rank-deficient or I/2, in
+    lexicographic or reversed decode order.  Uniform binary x and a constant
+    y, as in ``leak_cases``; cq blocks shorter than 4 and small deltas give
+    atypical and all-empty books too."""
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    dim = draw(st.sampled_from((2, 3)))
+    states = {(a, "y"): output_state(rng, dim, draw(st.sampled_from(LEAK_SPECTRA))) for a in (0, 1)}
+    bit = ClassicalDistribution((0, 1), (0.5, 0.5))
+    const = ClassicalDistribution(("y",), (1.0,))
+    family = draw(st.sampled_from(("cq", "ccq-mac", "cmg-1", "cmg-2")))
+    n = draw(st.sampled_from((1, 2, 3, 4, 4, 4))) if family == "cq" else 4
+    delta = draw(st.sampled_from((0.1, 0.25, 0.5, 0.99)))
+    seed = draw(st.integers(0, 1000))
+    gated = family == "cq" and draw(st.booleans())
+    if family == "cq":
+        chan = CqChannel(bit, {a: states[(a, "y")] for a in (0, 1)})
+        book = sample_codebook(chan, draw(st.sampled_from((0.25, 0.5, 0.75))), n, seed)
+        decode = lambda order: cq_sequential_decode(chan, book, delta, order, gated=gated)
+    elif family == "ccq-mac":
+        chan = CcqMac(bit, const, states)
+        book = sample_codebook(chan, (0.75, 0.0), n, seed)
+        decode = lambda order: ccq_mac_sequential_decode(chan, book, delta, order)
+    else:
+        chan = CoupledMac(bit, {0: bit, 1: bit}, const, states)
+        book = sample_codebook(chan, (0.5, 0.25, 0.0), n, seed)
+        region = int(family[-1])
+        decode = lambda order: cmg_sequential_decode(chan, book, delta, region, order=order)
+    reverse = draw(st.booleans())
+    return (lambda: decode(list(reversed(decode(None).details["order"])) if reverse else None)), gated
+
+
+@settings(max_examples=60, deadline=None)
+@given(floor_cases())
+def test_floors_from_factors_match_the_dense_floor_chain(case):
+    # errors are bit-equal to the dense-floor chain; a floor whose factor
+    # leak is below DENSE_FLOOR_LEAK reads densely and is bit-equal too,
+    # every other floor reads the factors and lies within 1e-12
+    decode, gated = case
+    seen = []
+    run = decoders._run_sequential
+
+    def capture(entries, variant, **kwargs):
+        seen.append((entries, kwargs))
+        return run(entries, variant, **kwargs)
+
+    with mock.patch.object(decoders, "_run_sequential", capture):
+        report = decode()
+    entries, kwargs = seen[-1]
+    oracle = dense_floor_chain(entries, kwargs.get("gate"), kwargs.get("group_of"))
+    assert [o.message for o in report.outcomes] == [e.message for e in entries]
+    for outcome, (error, floor, leak) in zip(report.outcomes, oracle):
+        assert outcome.error == error
+        if gated or leak < DENSE_FLOOR_LEAK:
+            assert outcome.bound == floor
+        else:
+            assert abs(outcome.bound - floor) <= TOL

@@ -25,6 +25,7 @@ import cqlab.geometry
 import cqlab.smoothing
 from cqlab.channels import CcqMac, CoupledMac, CqChannel
 from cqlab.decoders import (
+    DENSE_FLOOR_LEAK,
     ccq_mac_sequential_decode,
     cmg_pgm_elements,
     cmg_sequential_decode,
@@ -90,17 +91,77 @@ def calls(monkeypatch):
     return counts
 
 
-def test_ungated_chain_reads_at_most_one_dense_trace_per_message(calls):
+@pytest.fixture
+def chains(monkeypatch):
+    """The entries of each sequential chain walked, in call order."""
+    seen = []
+    run = cqlab.decoders._run_sequential
+
+    def capture(entries, *args, **kwargs):
+        seen.append(entries)
+        return run(entries, *args, **kwargs)
+
+    monkeypatch.setattr(cqlab.decoders, "_run_sequential", capture)
+    return seen
+
+
+def dense_floor_rows(entries) -> int:
+    """Rows whose ungated floor leak, read from the state factors (the
+    hostile ||V_i^dag A||^2 plus ||A - V (V^dag A)||^2), is below
+    DENSE_FLOOR_LEAK: the rows that re-read their floor densely."""
+    rows, hostile = 0, []
+    for ent in entries:
+        a, v = ent.factor, ent.projector.support_columns()
+        leak = sum(np.linalg.norm(h.conj().T @ a) ** 2 for h in hostile) + np.linalg.norm(a - v @ (v.conj().T @ a)) ** 2
+        rows += leak < DENSE_FLOOR_LEAK
+        hostile.append(v)
+    return rows
+
+
+def test_ungated_chain_reads_at_most_one_dense_trace_per_message(calls, chains):
+    # one dense trace per row whose leak is below DENSE_FLOOR_LEAK, and none
+    # for the others, whose floors read only the state factors
     book = sample_codebook(CQ, 0.5, N, (0, 0))
     report = cq_sequential_decode(CQ, book, 0.99)
     assert max(report.details["candidate_ranks"].values()) > 0
-    assert 0 < calls["trace_with"] <= len(book.messages())
+    dense = dense_floor_rows(chains[-1])
+    assert 0 < dense < len(book.messages())
+    assert calls["trace_with"] == dense
 
 
-def test_multi_sender_chains_read_at_most_one_dense_trace_per_message(calls):
-    """The measured leaks that set tau are squared norms of the state
-    factors, so only an ungated floor's target leak reads a dense trace:
-    one per message with a non-empty candidate."""
+def test_ungated_cq_large_decode_reads_one_dense_trace(calls):
+    # the n = 8 book of 16 messages: only the first message's floor, which
+    # has no earlier candidate and a leak of rounding size, reads densely
+    book = sample_codebook(CQ, 0.5, 8, (0, 0))
+    assert len(book.messages()) == 16
+    cq_sequential_decode(CQ, book, 0.99)
+    assert calls["trace_with"] == 1
+
+
+def test_state_fn_is_read_once_per_message_and_once_per_dense_floor(chains):
+    # each message's state is factored from one read; only the rows whose
+    # floor reads densely read it again, and the gated decode never does
+    book = sample_codebook(CQ, 0.5, 4, (5, 0))
+    ens = CQ.ensemble()
+    reads = []
+
+    def state_fn(xs):
+        reads.append(xs)
+        return ens.sequence_state(xs)
+
+    cq_sequential_decode(CQ, book, 0.99, state_fn=state_fn)
+    dense = dense_floor_rows(chains[-1])
+    assert 0 < dense < len(book.messages())
+    assert len(reads) == len(book.messages()) + dense
+    reads.clear()
+    cq_sequential_decode(CQ, book, 0.99, gated=True, state_fn=state_fn)
+    assert len(reads) == len(book.messages())
+
+
+def test_multi_sender_chains_read_at_most_one_dense_trace_per_message(calls, chains):
+    """The measured leaks that set tau and the floors are squared norms of
+    the state factors, so only an ungated floor whose leak is below
+    DENSE_FLOOR_LEAK reads a dense trace."""
     mac_book = sample_codebook(MAC, (0.35, 0.35), N, (0, 0))
     cmg_book = sample_codebook(CMG, (0.35, 0.35, 0.0), N, (0, 0))
     decodes = [lambda: ccq_mac_sequential_decode(MAC, mac_book, 0.99)] + [
@@ -110,14 +171,14 @@ def test_multi_sender_chains_read_at_most_one_dense_trace_per_message(calls):
         calls["trace_with"] = 0
         report = decode()
         assert any(report.details["typical"].values())
-        assert calls["trace_with"] <= sum(r > 0 for r in report.details["candidate_ranks"].values())
+        assert calls["trace_with"] == dense_floor_rows(chains[-1])
 
 
 def test_ungated_chain_keeps_no_dense_projector_per_message():
-    """The ungated floor forms each candidate's D x D matrix for its one
-    target-leak product and drops it: at n = 8 (D = 256, M = 16) the peak
-    stays below eight D x D complex matrices, where one per message would
-    need sixteen."""
+    """An ungated floor that reads densely forms its candidate's D x D
+    matrix for its one target-leak product and drops it: at n = 8 (D = 256,
+    M = 16) the peak stays below eight D x D complex matrices, where one per
+    message would need sixteen."""
     book = sample_codebook(CQ, 0.5, 8, (0, 0))
     assert len(book.messages()) == 16
     tracemalloc.start()

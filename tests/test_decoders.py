@@ -228,8 +228,9 @@ class TestCqSequentialDecoder:
 
     def test_empty_candidates_are_reported(self):
         # typical codewords whose candidates are all empty: the error is 1.0
-        # while every (negative) floor holds; the ranks say why and the
-        # report flags the run as degenerate, gated or not
+        # while every (negative) floor holds; the ranks say why, the report
+        # flags the run as degenerate, gated or not, and counts every floor
+        # as vacuous, as it counts the square-root measurement's ceilings of 2
         noisy = 0.05 * np.eye(2)
         chan = CqChannel(UNIF, {0: 0.9 * KET0 + noisy, 1: 0.9 * PLUS + noisy})
         book = sample_codebook(chan, 0.5, 6, (7, 0))
@@ -240,6 +241,22 @@ class TestCqSequentialDecoder:
             assert report.all_bounds_satisfied
             assert report.details["candidate_ranks"] == {m: 0 for m in book.messages()}
             assert report.details["degenerate"] == "all candidates empty"
+            assert all(o.bound_vacuous for o in report.outcomes)
+            assert report.vacuous_bounds == len(book.messages())
+        pgm = pgm_decode(chan, book, cq_pgm_elements(chan, book, 0.99))
+        assert [o.bound for o in pgm.outcomes] == [2.0] * len(book.messages())
+        assert pgm.vacuous_bounds == len(book.messages())
+
+    def test_vacuous_bounds_are_only_those_that_cannot_fail(self):
+        # the pinned cq rows: floors near 1, -1, -1.45 and -0.41, and pgm
+        # ceilings of 5, 5, 5 and 2, so only the first floor can fail
+        chan = bb84_channel()
+        book = sample_codebook(chan, 0.5, 4, (5, 0))
+        seq = cq_sequential_decode(chan, book, 0.99)
+        pgm = pgm_decode(chan, book, cq_pgm_elements(chan, book, 0.99))
+        assert [o.bound_vacuous for o in seq.outcomes] == [False, True, True, True]
+        assert seq.vacuous_bounds == 3
+        assert pgm.vacuous_bounds == 4
 
     def test_duplicate_codeword_loses_to_first_occurrence(self):
         chan = bit_channel()

@@ -19,8 +19,10 @@ from cqlab.linalg import (
     Projector,
     _kron,
     hermitian_eig,
+    operator_norm,
     orthonormal_basis,
     psd_leq,
+    require_hermitian,
     require_projector,
     tensor_product,
     trace_distance,
@@ -132,6 +134,40 @@ def test_psd_leq_respects_tolerance():
     a = np.eye(2)
     assert psd_leq(a, a - 1e-12 * np.eye(2), tol=1e-9)
     assert not psd_leq(a, a - 1e-3 * np.eye(2), tol=1e-9)
+
+
+def psd_leq_through_operator_norm(a, b, tol: float) -> bool:
+    """The Loewner comparison with ||b|| taken by ``operator_norm``."""
+    x, y = require_hermitian(a), require_hermitian(b)
+    gap = (y - x + (y - x).conj().T) / 2.0
+    lo = float(np.min(np.linalg.eigvalsh(gap))) if gap.size else 0.0
+    return lo >= -tol * max(1.0, operator_norm(y))
+
+
+def psd_leq_pairs():
+    """Random Hermitian pairs at several scales, and pairs whose gap sits on
+    the tolerance edge -tol * max(1, ||b||) or one relative step either side."""
+    rng = np.random.default_rng(29)
+    for d in (1, 2, 3, 5, 8):
+        for scale in (1e-3, 1.0, 40.0):
+            a, b = scale * random_hermitian(rng, d), scale * random_hermitian(rng, d)
+            yield a, b
+            yield b, a
+            yield a, a
+    yield np.zeros((0, 0)), np.zeros((0, 0))
+    for top in (0.5, 1.0, 3.0):  # ||b|| below, at and above 1
+        edge = 1e-9 * max(1.0, top)
+        for step in (1.0 - 1e-6, 1.0, 1.0 + 1e-6):
+            b = np.diag([top, -edge * step]).astype(complex)
+            yield np.zeros((2, 2)), b
+            u = np.linalg.qr(rng.normal(size=(2, 2)) + 1j * rng.normal(size=(2, 2)))[0]
+            yield np.zeros((2, 2)), u @ b @ u.conj().T
+
+
+def test_psd_leq_verdicts_equal_the_operator_norm_expression():
+    verdicts = [(psd_leq(a, b, tol=1e-9), psd_leq_through_operator_norm(a, b, 1e-9)) for a, b in psd_leq_pairs()]
+    assert all(got == want for got, want in verdicts)
+    assert {want for _, want in verdicts} == {True, False}
 
 
 def test_tensor_product_values_and_cap():

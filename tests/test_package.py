@@ -207,10 +207,12 @@ def test_constant_reader_check_sees_every_form():
         ("WINDOW_SLACK", ("typicality.py", "_typical_count_windows")),
         ("STATE_TOL", ("linalg.py", "require_state")),
         ("PROJECTOR_TOL", ("linalg.py", "require_projector")),
+        ("DENSE_FLOOR_LEAK", ("decoders.py", "_run_sequential")),
     ],
 )
 def test_each_tolerance_is_read_by_its_one_rule(name, owner):
-    # the typicality window and the density-operator check are each written once
+    # the typicality window, the density-operator check and the floors'
+    # dense re-read are each written once
     found = [(path.name, fn) for path in sorted(SRC.glob("*.py")) for fn in constant_readers(path.read_text(), name)]
     assert found == [owner]
 
