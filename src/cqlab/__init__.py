@@ -49,15 +49,11 @@ from .smoothing import SmoothedEnsemble, smoothed_states
 from .decoders import (
     Codebook,
     DecodeReport,
-    ccq_mac_sequential_decode,
-    cmg_pgm_elements,
-    cmg_sequential_decode,
-    cq_pgm_elements,
-    cq_sequential_decode,
-    mac_pgm_elements,
     monte_carlo_avg_error,
     pgm_decode,
+    pgm_elements,
     sample_codebook,
+    sequential_decode,
     smoothed_state_lookup,
     trajectory_estimate,
 )
@@ -87,26 +83,22 @@ __all__ = [
     "SmoothedEnsemble",
     "TypicalityParams",
     "ccq_mac_region",
-    "ccq_mac_sequential_decode",
-    "cmg_pgm_elements",
-    "cmg_sequential_decode",
     "cond_typical_projector",
-    "cq_pgm_elements",
-    "cq_sequential_decode",
     "entropy_bits",
     "hermitian_eig",
     "holevo_information",
     "intersection_projector",
     "is_typical",
     "jordan_decompose",
-    "mac_pgm_elements",
     "monte_carlo_avg_error",
     "orthonormal_basis",
     "pgm_decode",
+    "pgm_elements",
     "psd_leq",
     "region_mask",
     "sample_codebook",
     "sequential_collapse",
+    "sequential_decode",
     "seq_success_lower_bound",
     "serialize_channel",
     "smoothed_state_lookup",

@@ -2,18 +2,20 @@
 
 Encoders draw i.i.d. codewords from the channel input laws with one RNG
 stream per message, so enlarging a codebook never disturbs the codewords
-already drawn.  Decoding is one pipeline read off a table.  Each decode
-target (the cq channel, the ccq-MAC, and regions 1 and 2 of the coupled
-MAC) is a ``_Layout`` row: the law its codeword tuples must be typical
-for, and its conditionally typical projectors from the candidate outward,
-each outer one narrowing the candidate by one ``intersection_projector``
-step.  ``_parts`` builds each message's projectors (None when its codeword
-tuple is not typical); ``_sequential`` folds them into one candidate per
-message and walks the chain once (``_run_sequential``, checked on each run
-against a collapse of the last message's state), while ``_pgm_elements``
-turns the same parts into nested factors for ``pgm_decode``.  Every run
-reports the matching closed-form bound next to the simulated value;
-``_FAMILIES`` holds what differs per channel type.
+already drawn.  Decoding is one pipeline read off a table, with one entry
+point per decoder.  Each decode target (the cq channel, the ccq-MAC, and
+regions 1 and 2 of the coupled MAC) is a ``_Layout`` row: the law its
+codeword tuples must be typical for, and its conditionally typical
+projectors from the candidate outward, each outer one narrowing the
+candidate by one ``intersection_projector`` step.  ``_parts`` builds each
+message's projectors (None when its codeword tuple is not typical);
+``sequential_decode`` folds them into one candidate per message and walks
+the chain once (``_run_sequential``, checked on each run against a collapse
+of the last message's state), while ``pgm_elements`` turns the same parts
+into nested factors for ``pgm_decode``.  Every run reports the matching
+closed-form bound next to the simulated value; ``_FAMILIES`` holds what
+differs per channel type, down to the gate, the variant names and the
+region-2 rate check, so neither entry point branches on the family.
 
 States and elements are held as factors: a received state as A with
 rho = A A^dag (for product states the Kronecker product of per-symbol
@@ -421,13 +423,16 @@ class _Layout:
     outer layer narrows the candidate by one ``intersection_projector``
     step, with one (leak label, tau stage) pair in ``narrowings``; a
     measured tau reads the mean leak Tr[rho (I - Pi)] of that outer layer.
+    ``variant`` names the sequential decode of the row in its reports.
     """
 
     law: Callable  # channel -> law the zipped codeword tuple must be typical for
     layers: tuple[tuple[str, float, tuple[int, ...]], ...]
+    variant: str
     narrowings: tuple[tuple[str, str], ...] = ()
     senders: int = 1  # leading senders whose messages are decoded
     grouped: bool = False  # errors count a halt anywhere in the sent (m1, m2) group
+    check_rates: Callable | None = None  # (channel, rates) -> details; warns on rates of another row
 
     def messages(self, counts: Sequence[int]) -> list:
         return _lex(counts[: self.senders])
@@ -551,39 +556,74 @@ def _nested_factor(layers: Sequence[Projector]) -> np.ndarray:
     return cols[-1] @ functools.reduce(np.matmul, grams) if grams else cols[-1]
 
 
-def _sequential(
+def sequential_decode(
     channel,
     codebook: Codebook,
     delta: float,
-    region: int | None,
-    variant: str,
     *,
-    order: Sequence | None,
-    gate: Projector | None = None,
+    region: int | None = None,
+    order: Sequence | None = None,
+    gated: bool = False,
     tau: float | None = None,
     epsilon: float | None = None,
-    state_fn: Callable | None,
-    details: Mapping | None = None,
+    state_fn: Callable | None = None,
 ) -> DecodeReport:
-    """The sequential decode of one table row.
+    """Decode any decodable channel by candidate-projector elimination.
 
-    Each typical message's candidate folds its layers from the inside out,
-    one ``intersection_projector`` per narrowing; an empty layer or an
-    empty intermediate candidate gives the zero projector.  The taus come
-    from ``tau``, ``epsilon`` or the measured leaks.  A candidate narrowed
-    twice is checked against its product envelope, counted in
-    details["chain_checks"].
+    The receiver tries the messages in ``order`` (lexicographic by default),
+    projecting onto each candidate in turn; each message's exact chain
+    success is reported next to its ``seq_success_lower_bound`` floor.  An
+    atypical codeword tuple, an empty layer or an empty intermediate
+    candidate gives the zero projector.  The candidate per row:
+
+    - cq channel ("cq-sequential"): the conditional typical projector of the
+      codeword at slack ``delta``.  ``gated=True`` ("cq-sequential-gated")
+      first passes the typical projector of the averaged output at slack
+      2*delta; the floor then applies to the gated state.
+    - ccq-MAC ("ccq-mac-sequential"): the part of the pair-conditional
+      typical subspace (slack ``delta``) that lies almost inside the
+      y-conditional one (slack 6*delta).
+    - coupled MAC, region 1 ("cmg-sequential-region1"), decoding (m1, m2, m3)
+      jointly: the zy-conditional typical subspace (slack delta) narrowed
+      into the xy-conditional one (slack 6*delta) and then into the
+      y-conditional one (slack 6*delta).  Every such candidate is checked
+      against the product envelope tilde <= (tau1*tau2)^-1 Py Pxy Pzy Pxy Py,
+      counted in details["chain_checks"].  The reported error counts
+      recovery of (m1, m2); exact triple errors sit in
+      details["joint_errors"].
+    - coupled MAC, region 2 ("cmg-sequential-region2"), decoding (m1, m2)
+      only: the z-conditional typical subspace at slack ``delta`` for typical
+      (x, z) pairs, with the third sender's codeword averaged out of the
+      received state.  A rate triple with R3 < I(Y:B|Z) belongs to region 1,
+      so region 2 there warns; details["r3_threshold"] holds I(Y:B|Z).
+
+    Each narrowing is one ``intersection_projector`` at overlap threshold
+    tau, by default 1 - sqrt(measured epsilon), the measured value being
+    the mean leak Tr[rho (I - Pi)] of the outer layer over the typical
+    messages; ``epsilon`` switches to the closed-form tau and ``tau`` fixes
+    it.  Both are validated on every row and used where it narrows.
+    ``region`` (1 or 2) is required for the coupled MAC and refused
+    elsewhere, and ``gated`` is refused on a family without a gate.
+    ``state_fn(*sequences)`` may replace the product sequence states, e.g.
+    with smoothed ones.
     """
     started = time.perf_counter()
-    layout = _family(channel).layout(region)
+    family = _family(channel)
+    layout = family.layout(region)
+    if gated and family.gate is None:
+        raise ValueError("a gated decode is not available for this channel")
+    notes, tau_of = _resolve_taus(tau, epsilon)
+    details: dict = {} if region is None else {"region": region}
+    if layout.check_rates is not None:
+        details.update(layout.check_rates(channel, codebook.rates))
+    gate = family.gate(channel, codebook.n, delta) if gated else None
     dim = channel.dim**codebook.n
     messages = _resolve_order(layout.messages(codebook.counts), order)
     parts = _parts(channel, codebook, messages, delta, layout)
     factor, dense = _states(channel, codebook, state_fn)
     factors = {m: factor(m) for m in parts}
 
-    details = {"delta": delta, **(details or {}), "typical": {m: p is not None for m, p in parts.items()}}
-    notes, tau_of = _resolve_taus(tau, epsilon)  # validated on every row, used where it narrows
+    details = {"delta": delta, **details, "typical": {m: p is not None for m, p in parts.items()}}
     taus: list[float] = []
     if layout.narrowings:
         leaks = _leaks(parts, factors, [label for label, _ in layout.narrowings])
@@ -616,35 +656,12 @@ def _sequential(
     entries = [_Entry(m, candidates[m], factors[m], functools.partial(dense, m)) for m in parts]
     return _run_sequential(
         entries,
-        variant,
+        layout.variant + ("-gated" if gated else ""),
         gate=gate,
         group_of=(lambda m: (m[0], m[1])) if layout.grouped else None,
         details=details,
         started=started,
     )
-
-
-def cq_sequential_decode(
-    channel: CqChannel,
-    codebook: Codebook,
-    delta: float,
-    order: Sequence | None = None,
-    *,
-    gated: bool = False,
-    state_fn: Callable | None = None,
-) -> DecodeReport:
-    """Single-sender decode by candidate-projector elimination.
-
-    Candidate m carries the conditional typical projector of its codeword
-    at slack ``delta``, or the zero projector when the codeword is not a
-    typical input sequence.  ``gated=True`` prepends a success-pass through
-    the typical projector of the averaged output at slack 2*delta; the
-    reported bound then applies to the gated state.  ``state_fn(xs)`` may
-    replace the product sequence states, e.g. with smoothed ones.
-    """
-    gate = typical_projector(channel.ensemble().average_state(), codebook.n, 2.0 * delta) if gated else None
-    variant = "cq-sequential-gated" if gated else "cq-sequential"
-    return _sequential(channel, codebook, delta, None, variant, order=order, gate=gate, state_fn=state_fn)
 
 
 def _measured_tau(epsilons: list[float], warnings_out: list[str], stage: str) -> float:
@@ -675,77 +692,6 @@ def _resolve_taus(tau, epsilon) -> tuple[list[str], Callable]:
     return notes, lambda stage, eps: _measured_tau(eps, notes, stage)
 
 
-def ccq_mac_sequential_decode(
-    channel: CcqMac,
-    codebook: Codebook,
-    delta: float,
-    order: Sequence | None = None,
-    *,
-    tau: float | None = None,
-    epsilon: float | None = None,
-    state_fn: Callable | None = None,
-) -> DecodeReport:
-    """Two-sender joint decode through near-intersection projectors.
-
-    For each typical codeword pair the candidate projector spans the part
-    of the pair-conditional typical subspace (slack ``delta``) that lies
-    almost inside the y-conditional one (slack 6*delta); atypical pairs get
-    the zero projector.  The overlap threshold tau defaults to
-    1 - sqrt(measured epsilon), the measured value being the mean leakage
-    1 - Tr[rho_pair * Pi_y] over the codebook's typical pairs; passing
-    ``epsilon`` switches to the closed-form tau, passing ``tau`` fixes it.
-    """
-    return _sequential(
-        channel, codebook, delta, None, "ccq-mac-sequential",
-        order=order, tau=tau, epsilon=epsilon, state_fn=state_fn,
-    )
-
-
-def cmg_sequential_decode(
-    channel: CoupledMac,
-    codebook: Codebook,
-    delta: float,
-    region: int,
-    *,
-    order: Sequence | None = None,
-    tau: float | None = None,
-    epsilon: float | None = None,
-    state_fn: Callable | None = None,
-) -> DecodeReport:
-    """Three-sender decode recovering the first two messages.
-
-    Region 1 decodes (m1, m2, m3) jointly: each typical codeword triple
-    carries a projector built by two near-intersections, the zy-conditional
-    typical subspace (slack delta) narrowed into the xy-conditional one
-    (slack 6*delta) and then into the y-conditional one (slack 6*delta);
-    the product bound tilde <= (tau1*tau2)^[-1] Py Pxy Pzy Pxy Py is
-    verified for every constructed projector.  The reported per-message
-    error counts recovery of (m1, m2); exact triple errors sit in
-    details["joint_errors"].
-
-    Region 2 decodes (m1, m2) only, projecting onto the z-conditional
-    typical subspace at slack ``delta`` for typical (x, z) codeword pairs,
-    with the third sender's codeword averaged out of the received state.
-    A rate triple with R3 < I(Y:B|Z) belongs to region 1, so requesting
-    region 2 there raises a warning.
-    """
-    details: dict = {"region": region}
-    if region == 2:
-        r3 = codebook.rates[2]
-        threshold = channel.labeled_state().mutual_information("Y:B|Z")
-        if r3 < threshold - 1e-12:
-            warnings.warn(
-                f"region 2 requested with R3 = {r3:.6g} < I(Y:B|Z) = {threshold:.6g}; "
-                "such rate triples belong to region 1",
-                stacklevel=2,
-            )
-        details["r3_threshold"] = threshold
-    return _sequential(
-        channel, codebook, delta, region, f"cmg-sequential-region{region}",
-        order=order, tau=tau, epsilon=epsilon, state_fn=state_fn, details=details,
-    )
-
-
 @dataclass(frozen=True, eq=False)
 class FactoredElement:
     """Measurement element E = F F^dag held as its read-only factor F (D x r).
@@ -767,28 +713,19 @@ class FactoredElement:
         return self.factor @ self.factor.conj().T
 
 
-def _pgm_elements(channel, codebook: Codebook, delta: float, region: int | None) -> dict:
-    """One row's nested factors as FactoredElements, the zero element when atypical."""
+def pgm_elements(channel, codebook: Codebook, delta: float, *, region: int | None = None) -> dict:
+    """Per message, its row's square-root element as a FactoredElement:
+    the row's layers nested from the candidate outward, or the zero element
+    when the codeword tuple is atypical.
+
+    That is Pi_x for the cq channel, Pi_y Pi_xy Pi_y (slacks 6*delta and
+    delta) for the ccq-MAC, Py Pxy Pzy Pxy Py per typical triple in region 1
+    of the coupled MAC and Pi_z per typical (x, z) pair in its region 2.
+    """
     layout = _family(channel).layout(region)
     parts = _parts(channel, codebook, layout.messages(codebook.counts), delta, layout)
     empty = FactoredElement(np.zeros((channel.dim**codebook.n, 0), dtype=np.complex128))
     return _combine(parts, lambda *layers: FactoredElement(_nested_factor(layers)), empty)
-
-
-def cq_pgm_elements(channel: CqChannel, codebook: Codebook, delta: float) -> dict:
-    """Conditional typical projectors Pi_x as FactoredElements, zero when atypical."""
-    return _pgm_elements(channel, codebook, delta, None)
-
-
-def mac_pgm_elements(channel: CcqMac, codebook: Codebook, delta: float) -> dict:
-    """Elements Pi_y Pi_xy Pi_y (slacks 6*delta and delta) as FactoredElements, zero when atypical."""
-    return _pgm_elements(channel, codebook, delta, None)
-
-
-def cmg_pgm_elements(channel: CoupledMac, codebook: Codebook, delta: float, region: int) -> dict:
-    """Region 1: Py Pxy Pzy Pxy Py per typical triple; region 2: Pi_z per
-    typical pair.  FactoredElements, zero when atypical."""
-    return _pgm_elements(channel, codebook, delta, region)
 
 
 def _element_factor(m, op) -> np.ndarray:
@@ -955,28 +892,21 @@ def smoothed_state_lookup(smoothed: SmoothedEnsemble) -> Callable:
 class _Family:
     """What the pipeline needs to know about one channel type.
 
-    ``sequential`` and ``elements`` name this module's public decoder and
-    element builder; they are looked up when a decode runs.  ``layouts``
-    maps each decode region to its row, keyed by None for a family without
-    regions.
+    ``layouts`` maps each decode region to its row, keyed by None for a
+    family without regions.  ``gate`` builds the projector a gated
+    sequential decode passes first; a family without one has no gated
+    variant.
     """
 
     laws: Callable  # channel -> input law per sender, None for a coupled sender
     output: tuple[str, tuple[int, ...]]  # received-state ensemble method, picked senders
-    sequential: str
-    elements: str
     layouts: Mapping
-    variants: tuple[str, ...] = ("seq", "pgm")
+    gate: Callable | None = None  # (channel, n, delta) -> Projector
 
     @property
     def regions(self) -> bool:
         """Both decoders take region 1 or 2."""
         return None not in self.layouts
-
-    @property
-    def tunable(self) -> bool:
-        """The sequential decoder takes tau and epsilon."""
-        return any(row.narrowings for row in self.layouts.values())
 
     def layout(self, region: int | None) -> _Layout:
         if not self.regions:
@@ -988,24 +918,36 @@ class _Family:
         return self.layouts[region]
 
 
+def _region2_rates(channel: CoupledMac, rates: tuple[float, ...]) -> dict:
+    """Warns when R3 < I(Y:B|Z): such rate triples belong to region 1."""
+    r3 = rates[2]
+    threshold = channel.labeled_state().mutual_information("Y:B|Z")
+    if r3 < threshold - 1e-12:
+        warnings.warn(
+            f"region 2 requested with R3 = {r3:.6g} < I(Y:B|Z) = {threshold:.6g}; "
+            "such rate triples belong to region 1",
+            stacklevel=3,
+        )
+    return {"r3_threshold": threshold}
+
+
 _FAMILIES: dict[type, _Family] = {
     CqChannel: _Family(
         laws=lambda ch: (ch.prior,),
         output=("ensemble", (0,)),
-        sequential="cq_sequential_decode",
-        elements="cq_pgm_elements",
-        layouts={None: _Layout(law=lambda ch: ch.prior, layers=(("ensemble", 1.0, (0,)),))},
-        variants=("seq", "seq-gated", "pgm"),
+        layouts={
+            None: _Layout(law=lambda ch: ch.prior, layers=(("ensemble", 1.0, (0,)),), variant="cq-sequential"),
+        },
+        gate=lambda ch, n, delta: typical_projector(ch.ensemble().average_state(), n, 2.0 * delta),
     ),
     CcqMac: _Family(
         laws=lambda ch: (ch.x_prior, ch.y_prior),
         output=("pair_ensemble", (0, 1)),
-        sequential="ccq_mac_sequential_decode",
-        elements="mac_pgm_elements",
         layouts={
             None: _Layout(
                 law=lambda ch: ch.x_prior.product(ch.y_prior),
                 layers=(("pair_ensemble", 1.0, (0, 1)), ("y_ensemble", 6.0, (1,))),
+                variant="ccq-mac-sequential",
                 narrowings=(("pair leak", "pair/y intersection"),),
                 senders=2,
             ),
@@ -1014,18 +956,23 @@ _FAMILIES: dict[type, _Family] = {
     CoupledMac: _Family(
         laws=lambda ch: (ch.x_prior, None, ch.y_prior),
         output=("zy_ensemble", (1, 2)),
-        sequential="cmg_sequential_decode",
-        elements="cmg_pgm_elements",
         layouts={
             1: _Layout(
                 law=lambda ch: ch.labeled_state().dist,
                 layers=(("zy_ensemble", 1.0, (1, 2)), ("xy_ensemble", 6.0, (0, 2)), ("y_ensemble", 6.0, (2,))),
+                variant="cmg-sequential-region1",
                 narrowings=(("xy leak", "zy/xy intersection"), ("y leak", "tilde/y intersection")),
                 senders=3,
                 grouped=True,
             ),
             # the third sender's codeword is averaged out of the received state
-            2: _Layout(law=lambda ch: ch.xz_dist(), layers=(("z_ensemble", 1.0, (1,)),), senders=2),
+            2: _Layout(
+                law=lambda ch: ch.xz_dist(),
+                layers=(("z_ensemble", 1.0, (1,)),),
+                variant="cmg-sequential-region2",
+                senders=2,
+                check_rates=_region2_rates,
+            ),
         },
     ),
 }
@@ -1056,30 +1003,26 @@ def monte_carlo_avg_error(
     """Average decode error over independently seeded codebooks.
 
     Trial t redraws the codebook with seed (seed..., t) and runs the
-    decoder named by ``variant``: "seq" for the sequential chain,
-    "seq-gated" for the single-sender gated chain, "pgm" for the
-    square-root measurement over the standard projector elements.
-    ``keep_reports`` retains the per-trial DecodeReport objects.
+    decoder named by ``variant``: "seq" for ``sequential_decode``,
+    "seq-gated" for its gated chain (where the family has a gate), "pgm"
+    for ``pgm_decode`` over the ``pgm_elements``.  A bad region, tau or
+    epsilon is refused before any codebook is drawn, whichever decoder
+    runs.  ``keep_reports`` retains the per-trial DecodeReport objects.
     """
     if trials < 1:
         raise ValueError("trials must be at least 1")
     key = _seed_key(seed)
-
-    family = _family(channel)
-    family.layout(region)  # refuses a missing region, or one the family does not take
-    if variant not in family.variants:
+    _family(channel).layout(region)
+    _resolve_taus(tau, epsilon)
+    if variant not in ("seq", "seq-gated", "pgm"):
         raise ValueError(f"decoder variant {variant!r} is not available for this channel")
-    where = {"region": region} if family.regions else {}
-    options = {**where, "gated": True} if variant == "seq-gated" else dict(where)
-    if family.tunable:
-        options.update(tau=tau, epsilon=epsilon)
 
     def run(book: Codebook) -> DecodeReport:
-        # looked up by name on every call, so a wrapper bound in this module is honoured
         if variant == "pgm":
-            elements = globals()[family.elements](channel, book, delta, **where)
-            return pgm_decode(channel, book, elements)
-        return globals()[family.sequential](channel, book, delta, order=order, **options)
+            return pgm_decode(channel, book, pgm_elements(channel, book, delta, region=region))
+        return sequential_decode(
+            channel, book, delta, region=region, order=order, gated=variant == "seq-gated", tau=tau, epsilon=epsilon,
+        )
 
     averages: list[float] = []
     bound_means: list[float] = []

@@ -270,16 +270,16 @@ def suite_decoders(seed: int = DEFAULT_SEED) -> list[dict]:
 
     rows = []
     for row_id, chan, rates, book_seed, variant, delta, region in table:
-        res = _decoders.monte_carlo_avg_error(chan, rates, 4, 2, book_seed, variant, delta=delta, region=region)
-        holds = bool(res["all_bounds_satisfied"])
-        rows.append(
-            {
-                "id": row_id,
-                "holds": holds,
-                "slack": 0.0 if holds else -1.0,
-                "note": f"mean_error={res['mean_error']:.6f}",
-            }
+        res = _decoders.monte_carlo_avg_error(
+            chan, rates, 4, 2, book_seed, variant, delta=delta, region=region, keep_reports=True
         )
+        holds = bool(res["all_bounds_satisfied"])
+        note = f"mean_error={res['mean_error']:.6f}"
+        # a trial whose candidates are all empty decodes nothing, and its bounds cannot fail
+        empty = sum("degenerate" in report.details for report in res["reports"])
+        if empty:
+            note += f"; all candidates empty in {empty}/{len(res['reports'])} trials"
+        rows.append({"id": row_id, "holds": holds, "slack": 0.0 if holds else -1.0, "note": note})
     return rows
 
 

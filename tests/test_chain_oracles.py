@@ -25,12 +25,10 @@ from cqlab.decoders import (
     _Entry,
     _nested_factor,
     _run_sequential,
-    ccq_mac_sequential_decode,
-    cmg_sequential_decode,
-    cq_pgm_elements,
-    cq_sequential_decode,
     pgm_decode,
+    pgm_elements,
     sample_codebook,
+    sequential_decode,
 )
 from cqlab.geometry import SeqStep, seq_success_lower_bound, sequential_collapse
 from cqlab.linalg import Projector, hermitian_eig
@@ -108,7 +106,7 @@ def clip(p: float) -> float:
 @given(cq_cases(), st.booleans())
 def test_fast_chain_matches_collapse_of_every_message(case, gated):
     chan, book, delta = case
-    report = cq_sequential_decode(chan, book, delta, gated=gated)
+    report = sequential_decode(chan, book, delta, gated=gated)
     ens = chan.ensemble()
     cands = cq_candidates(chan, book, delta)
     head = []
@@ -185,7 +183,7 @@ def test_reported_bounds_equal_the_bound_over_every_earlier_candidate(entries, g
 
 def assert_floors_over_every_earlier_candidate(chan, book, delta, gated) -> list[float]:
     """The decoder's floors, each checked on the leak scale against the full hostile list."""
-    report = cq_sequential_decode(chan, book, delta, gated=gated)
+    report = sequential_decode(chan, book, delta, gated=gated)
     ens = chan.ensemble()
     cands = cq_candidates(chan, book, delta)
     g = typical_projector(ens.average_state(), book.n, 2.0 * delta).dense() if gated else None
@@ -247,7 +245,7 @@ def cq_states(chan, book) -> dict:
 @given(cq_cases())
 def test_pgm_traces_match_dense_products(case):
     chan, book, delta = case
-    elements = cq_pgm_elements(chan, book, delta)
+    elements = pgm_elements(chan, book, delta)
     report = pgm_decode(chan, book, elements)
     assert_pgm_matches_oracle(report, {m: e.dense() for m, e in elements.items()}, cq_states(chan, book))
 
@@ -373,9 +371,9 @@ def test_measured_epsilon_matches_the_dense_mean_leak(case):
     # factor A; the oracle is 1 - Re Tr[rho Pi] of the dense state and projector
     chan, book, delta, means = case
     if isinstance(chan, CcqMac):
-        measured = [ccq_mac_sequential_decode(chan, book, delta).details["measured_epsilon"]]
+        measured = [sequential_decode(chan, book, delta).details["measured_epsilon"]]
     else:
-        measured = list(cmg_sequential_decode(chan, book, delta, 1).details["measured_epsilon"])
+        measured = list(sequential_decode(chan, book, delta, region=1).details["measured_epsilon"])
     if means is None:
         assert all(m is None for m in measured)
         return
@@ -446,16 +444,16 @@ def floor_cases(draw):
     if family == "cq":
         chan = CqChannel(bit, {a: states[(a, "y")] for a in (0, 1)})
         book = sample_codebook(chan, draw(st.sampled_from((0.25, 0.5, 0.75))), n, seed)
-        decode = lambda order: cq_sequential_decode(chan, book, delta, order, gated=gated)
+        decode = lambda order: sequential_decode(chan, book, delta, order=order, gated=gated)
     elif family == "ccq-mac":
         chan = CcqMac(bit, const, states)
         book = sample_codebook(chan, (0.75, 0.0), n, seed)
-        decode = lambda order: ccq_mac_sequential_decode(chan, book, delta, order)
+        decode = lambda order: sequential_decode(chan, book, delta, order=order)
     else:
         chan = CoupledMac(bit, {0: bit, 1: bit}, const, states)
         book = sample_codebook(chan, (0.5, 0.25, 0.0), n, seed)
         region = int(family[-1])
-        decode = lambda order: cmg_sequential_decode(chan, book, delta, region, order=order)
+        decode = lambda order: sequential_decode(chan, book, delta, region=region, order=order)
     reverse = draw(st.booleans())
     return (lambda: decode(list(reversed(decode(None).details["order"])) if reverse else None)), gated
 

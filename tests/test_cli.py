@@ -9,7 +9,7 @@ import pytest
 import cqlab.geometry
 from cqlab.channels import CcqMac, CoupledMac, CqChannel, InterferenceChannel
 from cqlab.cli import main
-from cqlab.decoders import cq_sequential_decode, sample_codebook
+from cqlab.decoders import sample_codebook, sequential_decode
 from cqlab.specio import (
     SpecError,
     dump_channel,
@@ -197,6 +197,17 @@ class TestVerifySuites:
         assert all("slack" in row and "id" in row for row in report["instances"])
         assert min(row["slack"] for row in report["instances"]) >= -1e-9
 
+    def test_decoders_suite_names_degenerate_trials(self):
+        # a trial whose candidates are all empty reads error 1 with every bound
+        # "satisfied"; the note says so, and holds and slack are unchanged
+        rows = {row["id"]: row for row in run_suite("decoders", seed=0)["instances"]}
+        for row_id in ("decoders-mac-0", "decoders-mac-1", "decoders-cmg-region2"):
+            assert rows[row_id]["note"] == "mean_error=1.000000; all candidates empty in 2/2 trials"
+        assert rows["decoders-cmg-region1"]["note"].endswith("; all candidates empty in 1/2 trials")
+        assert all(row["holds"] and row["slack"] == 0.0 for row in rows.values())
+        cq_notes = [row["note"] for row_id, row in rows.items() if row_id.startswith("decoders-cq-")]
+        assert len(cq_notes) == 9 and not any("empty" in note for note in cq_notes)
+
     def test_unknown_suite_rejected(self):
         with pytest.raises(ValueError, match="unknown suite"):
             run_suite("nonsense")
@@ -282,7 +293,7 @@ class TestCliSimulate:
         summary = json.loads((out / "summary.json").read_text())
         channel = parse_channel(bb84_doc())
         book = sample_codebook(channel, 0.0, 4, (3, 0))
-        direct = cq_sequential_decode(channel, book, 0.99)
+        direct = sequential_decode(channel, book, 0.99)
         assert summary["result"]["mean_error"] == direct.average_error
         assert summary["result"]["bound_kind"] == "success-floor"
 
@@ -362,6 +373,22 @@ class TestCliSimulate:
         capsys.readouterr()
         assert main(base + ["--out", str(tmp_path / "re"), "--region", "2", "--epsilon", "5"]) == 2
         assert "epsilon must lie in (0, 1)" in capsys.readouterr().err
+
+    def test_out_of_range_epsilon_is_refused_by_every_decoder(self, tmp_path, capsys):
+        # cq rows and the square-root decoder take no epsilon, yet refuse a bad one
+        cases = [
+            (bb84_doc(), ["--rate", "0.25"], ("seq", "seq-gated", "pgm")),
+            (xor_mac_doc(), ["--rate", "0.25", "--rate", "0.25"], ("seq", "pgm")),
+        ]
+        for i, (doc, rates, decoders) in enumerate(cases):
+            spec = write_doc(tmp_path, doc, f"spec{i}.json")
+            for decoder in decoders:
+                capsys.readouterr()
+                argv = ["simulate", "--spec", spec, "--out", str(tmp_path / f"o{i}{decoder}"), "--n", "4",
+                        "--delta", "0.99", *rates, "--decoder", decoder]
+                assert main(argv + ["--epsilon", "5"]) == 2
+                assert "epsilon must lie in (0, 1)" in capsys.readouterr().err
+                assert main(argv + ["--epsilon", "0.25"]) == 0
 
     def test_exit_codes(self, tmp_path, capsys):
         spec = write_doc(tmp_path, bb84_doc())

@@ -26,14 +26,10 @@ import cqlab.smoothing
 from cqlab.channels import CcqMac, CoupledMac, CqChannel
 from cqlab.decoders import (
     DENSE_FLOOR_LEAK,
-    ccq_mac_sequential_decode,
-    cmg_pgm_elements,
-    cmg_sequential_decode,
-    cq_pgm_elements,
-    cq_sequential_decode,
-    mac_pgm_elements,
     pgm_decode,
+    pgm_elements,
     sample_codebook,
+    sequential_decode,
 )
 from cqlab.geometry import key_inequality_check, seq_success_lower_bound, sequential_collapse
 from cqlab.linalg import Projector
@@ -122,7 +118,7 @@ def test_ungated_chain_reads_at_most_one_dense_trace_per_message(calls, chains):
     # one dense trace per row whose leak is below DENSE_FLOOR_LEAK, and none
     # for the others, whose floors read only the state factors
     book = sample_codebook(CQ, 0.5, N, (0, 0))
-    report = cq_sequential_decode(CQ, book, 0.99)
+    report = sequential_decode(CQ, book, 0.99)
     assert max(report.details["candidate_ranks"].values()) > 0
     dense = dense_floor_rows(chains[-1])
     assert 0 < dense < len(book.messages())
@@ -134,7 +130,7 @@ def test_ungated_cq_large_decode_reads_one_dense_trace(calls):
     # has no earlier candidate and a leak of rounding size, reads densely
     book = sample_codebook(CQ, 0.5, 8, (0, 0))
     assert len(book.messages()) == 16
-    cq_sequential_decode(CQ, book, 0.99)
+    sequential_decode(CQ, book, 0.99)
     assert calls["trace_with"] == 1
 
 
@@ -149,12 +145,12 @@ def test_state_fn_is_read_once_per_message_and_once_per_dense_floor(chains):
         reads.append(xs)
         return ens.sequence_state(xs)
 
-    cq_sequential_decode(CQ, book, 0.99, state_fn=state_fn)
+    sequential_decode(CQ, book, 0.99, state_fn=state_fn)
     dense = dense_floor_rows(chains[-1])
     assert 0 < dense < len(book.messages())
     assert len(reads) == len(book.messages()) + dense
     reads.clear()
-    cq_sequential_decode(CQ, book, 0.99, gated=True, state_fn=state_fn)
+    sequential_decode(CQ, book, 0.99, gated=True, state_fn=state_fn)
     assert len(reads) == len(book.messages())
 
 
@@ -164,8 +160,8 @@ def test_multi_sender_chains_read_at_most_one_dense_trace_per_message(calls, cha
     DENSE_FLOOR_LEAK reads a dense trace."""
     mac_book = sample_codebook(MAC, (0.35, 0.35), N, (0, 0))
     cmg_book = sample_codebook(CMG, (0.35, 0.35, 0.0), N, (0, 0))
-    decodes = [lambda: ccq_mac_sequential_decode(MAC, mac_book, 0.99)] + [
-        lambda region=region: cmg_sequential_decode(CMG, cmg_book, 0.99, region) for region in (1, 2)
+    decodes = [lambda: sequential_decode(MAC, mac_book, 0.99)] + [
+        lambda region=region: sequential_decode(CMG, cmg_book, 0.99, region=region) for region in (1, 2)
     ]
     for decode in decodes:
         calls["trace_with"] = 0
@@ -183,7 +179,7 @@ def test_ungated_chain_keeps_no_dense_projector_per_message():
     assert len(book.messages()) == 16
     tracemalloc.start()
     try:
-        report = cq_sequential_decode(CQ, book, 0.99)
+        report = sequential_decode(CQ, book, 0.99)
         _, peak = tracemalloc.get_traced_memory()
     finally:
         tracemalloc.stop()
@@ -219,7 +215,7 @@ def test_dense_oracles_read_raw_matrices_without_an_eigendecomposition(monkeypat
 
 def test_gated_chain_reads_no_dense_trace(calls):
     book = sample_codebook(CQ, 0.5, N, (0, 0))
-    report = cq_sequential_decode(CQ, book, 0.99, gated=True)
+    report = sequential_decode(CQ, book, 0.99, gated=True)
     assert max(report.details["candidate_ranks"].values()) > 0
     assert calls["trace_with"] == 0
     assert calls["sequence_state"] == 0
@@ -227,11 +223,11 @@ def test_gated_chain_reads_no_dense_trace(calls):
 
 def test_no_decoder_runs_a_dense_collapse(calls):
     # the fixture makes sequential_collapse raise
-    cq_sequential_decode(CQ, sample_codebook(CQ, 0.5, N, (0, 0)), 0.99)
-    ccq_mac_sequential_decode(MAC, sample_codebook(MAC, (0.35, 0.35), N, (0, 0)), 0.99)
+    sequential_decode(CQ, sample_codebook(CQ, 0.5, N, (0, 0)), 0.99)
+    sequential_decode(MAC, sample_codebook(MAC, (0.35, 0.35), N, (0, 0)), 0.99)
     book = sample_codebook(CMG, (0.35, 0.35, 0.0), N, (0, 0))
     for region in (1, 2):
-        cmg_sequential_decode(CMG, book, 0.99, region)
+        sequential_decode(CMG, book, 0.99, region=region)
 
 
 def test_pgm_over_built_elements_runs_no_dense_eigendecomposition(calls):
@@ -239,9 +235,9 @@ def test_pgm_over_built_elements_runs_no_dense_eigendecomposition(calls):
     mac_book = sample_codebook(MAC, (0.35, 0.35), N, (0, 0))
     cmg_book = sample_codebook(CMG, (0.35, 0.35, 0.0), N, (0, 0))
     runs = [
-        (CQ, cq_book, cq_pgm_elements(CQ, cq_book, 0.99)),
-        (MAC, mac_book, mac_pgm_elements(MAC, mac_book, 0.99)),
-    ] + [(CMG, cmg_book, cmg_pgm_elements(CMG, cmg_book, 0.99, region)) for region in (1, 2)]
+        (CQ, cq_book, pgm_elements(CQ, cq_book, 0.99)),
+        (MAC, mac_book, pgm_elements(MAC, mac_book, 0.99)),
+    ] + [(CMG, cmg_book, pgm_elements(CMG, cmg_book, 0.99, region=region)) for region in (1, 2)]
     for channel, book, elements in runs:
         report = pgm_decode(channel, book, elements)
         assert report.details["support_rank"] > 0
@@ -351,8 +347,8 @@ def test_candidate_checks_form_no_dense_matrix(monkeypatch):
         monkeypatch.setattr(np.linalg, name, counted_decomposition(getattr(np.linalg, name)))
     monkeypatch.setattr(Projector, "dense", counted_dense)
 
-    mac = ccq_mac_sequential_decode(MAC, sample_codebook(MAC, (0.35, 0.35), N, (0, 0)), 0.99)
-    cmg = cmg_sequential_decode(CMG, sample_codebook(CMG, (0.35, 0.35, 0.0), N, (0, 0)), 0.99, 1)
+    mac = sequential_decode(MAC, sample_codebook(MAC, (0.35, 0.35), N, (0, 0)), 0.99)
+    cmg = sequential_decode(CMG, sample_codebook(CMG, (0.35, 0.35, 0.0), N, (0, 0)), 0.99, region=1)
     assert max(mac.details["candidate_ranks"].values()) > 0
     assert cmg.details["chain_checks"] > 0
     assert counts == {"decomposition": 0, "dense": 0}

@@ -1,6 +1,7 @@
 """Tests for codebook sampling, projection-chain decoders, and the PGM."""
 
 import contextlib
+import functools
 import itertools
 import math
 import warnings
@@ -11,15 +12,11 @@ import pytest
 from cqlab.channels import CcqMac, CoupledMac, CqChannel
 from cqlab.decoders import (
     Codebook,
-    ccq_mac_sequential_decode,
-    cmg_pgm_elements,
-    cmg_sequential_decode,
-    cq_pgm_elements,
-    cq_sequential_decode,
-    mac_pgm_elements,
     monte_carlo_avg_error,
     pgm_decode,
+    pgm_elements,
     sample_codebook,
+    sequential_decode,
     smoothed_state_lookup,
     trajectory_estimate,
 )
@@ -95,7 +92,7 @@ class TestCodebookSampling:
     def test_zero_rate_single_message_decodes(self):
         book = sample_codebook(bb84_channel(), 0.0, 4, 3)
         assert book.messages() == [1]
-        report = cq_sequential_decode(bb84_channel(), book, 0.99)
+        report = sequential_decode(bb84_channel(), book, 0.99)
         assert len(report.outcomes) == 1
 
     def test_same_seed_reproduces_and_prefixes_agree(self):
@@ -172,7 +169,7 @@ class TestCqSequentialDecoder:
         chan = bb84_channel()
         book = sample_codebook(chan, 0.0, 4, 3)
         xs = book.codewords[0][1]
-        report = cq_sequential_decode(chan, book, 0.99)
+        report = sequential_decode(chan, book, 0.99)
         ens = chan.ensemble()
         proj = cond_typical_projector(ens, xs, 0.99)
         rho = ens.sequence_state(xs)
@@ -183,7 +180,7 @@ class TestCqSequentialDecoder:
         # [DERIVED] pinned values for the seed-7 codebook at delta = 0.99
         chan = bb84_channel()
         book = sample_codebook(chan, 0.25, 4, 7)
-        report = cq_sequential_decode(chan, book, 0.99)
+        report = sequential_decode(chan, book, 0.99)
         assert report.variant == "cq-sequential"
         assert report.bound_kind == "success-floor"
         assert report.outcomes[0].error == pytest.approx(0.0, abs=1e-12)
@@ -200,7 +197,7 @@ class TestCqSequentialDecoder:
             channel=chan, n=4, rates=(0.5,), codewords=(words,), counts=(4,), seed=(0,)
         )
         for perm in itertools.permutations(book.messages()):
-            report = cq_sequential_decode(chan, book, 0.25, order=list(perm))
+            report = sequential_decode(chan, book, 0.25, order=list(perm))
             assert max(report.errors.values()) <= 1e-12
             assert report.all_bounds_satisfied
             assert report.details["order"] == tuple(perm)
@@ -211,7 +208,7 @@ class TestCqSequentialDecoder:
             rng = np.random.default_rng(100 + seed)
             chan = random_qubit_channel(rng)
             book = sample_codebook(chan, 0.4, 3, seed)
-            report = cq_sequential_decode(chan, book, 0.9)
+            report = sequential_decode(chan, book, 0.9)
             assert report.all_bounds_satisfied
 
     def test_atypical_codeword_gets_zero_projector(self):
@@ -220,7 +217,7 @@ class TestCqSequentialDecoder:
         book = Codebook(
             channel=chan, n=4, rates=(0.25,), codewords=(words,), counts=(2,), seed=(0,)
         )
-        report = cq_sequential_decode(chan, book, 0.25)
+        report = sequential_decode(chan, book, 0.25)
         assert not is_typical(chan.prior, (0, 0, 0, 0), 0.25)
         assert report.details["typical"][1] is False
         assert report.outcomes[0].error == 1.0
@@ -235,7 +232,7 @@ class TestCqSequentialDecoder:
         chan = CqChannel(UNIF, {0: 0.9 * KET0 + noisy, 1: 0.9 * PLUS + noisy})
         book = sample_codebook(chan, 0.5, 6, (7, 0))
         for gated in (False, True):
-            report = cq_sequential_decode(chan, book, 0.99, gated=gated)
+            report = sequential_decode(chan, book, 0.99, gated=gated)
             assert sum(report.details["typical"].values()) == 6
             assert report.average_error == 1.0
             assert report.all_bounds_satisfied
@@ -243,7 +240,7 @@ class TestCqSequentialDecoder:
             assert report.details["degenerate"] == "all candidates empty"
             assert all(o.bound_vacuous for o in report.outcomes)
             assert report.vacuous_bounds == len(book.messages())
-        pgm = pgm_decode(chan, book, cq_pgm_elements(chan, book, 0.99))
+        pgm = pgm_decode(chan, book, pgm_elements(chan, book, 0.99))
         assert [o.bound for o in pgm.outcomes] == [2.0] * len(book.messages())
         assert pgm.vacuous_bounds == len(book.messages())
 
@@ -252,8 +249,8 @@ class TestCqSequentialDecoder:
         # ceilings of 5, 5, 5 and 2, so only the first floor can fail
         chan = bb84_channel()
         book = sample_codebook(chan, 0.5, 4, (5, 0))
-        seq = cq_sequential_decode(chan, book, 0.99)
-        pgm = pgm_decode(chan, book, cq_pgm_elements(chan, book, 0.99))
+        seq = sequential_decode(chan, book, 0.99)
+        pgm = pgm_decode(chan, book, pgm_elements(chan, book, 0.99))
         assert [o.bound_vacuous for o in seq.outcomes] == [False, True, True, True]
         assert seq.vacuous_bounds == 3
         assert pgm.vacuous_bounds == 4
@@ -264,7 +261,7 @@ class TestCqSequentialDecoder:
         book = Codebook(
             channel=chan, n=4, rates=(0.25,), codewords=(words,), counts=(2,), seed=(0,)
         )
-        report = cq_sequential_decode(chan, book, 0.25)
+        report = sequential_decode(chan, book, 0.25)
         assert report.outcomes[0].error == 0.0
         assert report.outcomes[1].error == 1.0
         assert report.all_bounds_satisfied
@@ -272,8 +269,8 @@ class TestCqSequentialDecoder:
     def test_reversed_order_flips_which_message_pays(self):
         chan = bb84_channel()
         book = sample_codebook(chan, 0.25, 4, 7)
-        lex = cq_sequential_decode(chan, book, 0.99)
-        rev = cq_sequential_decode(chan, book, 0.99, order=[2, 1])
+        lex = sequential_decode(chan, book, 0.99)
+        rev = sequential_decode(chan, book, 0.99, order=[2, 1])
         assert rev.details["order"] == (2, 1)
         assert rev.errors[2] < lex.errors[2]
 
@@ -283,8 +280,8 @@ class TestCqSequentialDecoder:
         book = Codebook(
             channel=chan, n=4, rates=(0.25,), codewords=(words,), counts=(2,), seed=(0,)
         )
-        plain = cq_sequential_decode(chan, book, 0.25)
-        gated = cq_sequential_decode(chan, book, 0.25, gated=True)
+        plain = sequential_decode(chan, book, 0.25)
+        gated = sequential_decode(chan, book, 0.25, gated=True)
         assert gated.variant == "cq-sequential-gated"
         for m in book.messages():
             assert gated.errors[m] == pytest.approx(plain.errors[m], abs=1e-12)
@@ -293,7 +290,7 @@ class TestCqSequentialDecoder:
     def test_gated_bound_holds_on_bb84(self):
         chan = bb84_channel()
         book = sample_codebook(chan, 0.25, 4, 7)
-        report = cq_sequential_decode(chan, book, 0.99, gated=True)
+        report = sequential_decode(chan, book, 0.99, gated=True)
         assert report.all_bounds_satisfied
 
     def test_trajectory_sampler_agrees_with_exact_chain(self):
@@ -346,8 +343,8 @@ class TestCqSequentialDecoder:
         chan = bb84_channel()
         book = sample_codebook(chan, 0.25, 4, 7)
         ens = chan.ensemble()
-        plain = cq_sequential_decode(chan, book, 0.99)
-        via_fn = cq_sequential_decode(
+        plain = sequential_decode(chan, book, 0.99)
+        via_fn = sequential_decode(
             chan, book, 0.99, state_fn=lambda xs: ens.sequence_state(xs)
         )
         for m in book.messages():
@@ -361,10 +358,10 @@ class TestCqSequentialDecoder:
         system = CqEnsemble(trip, {(0, "z", "y"): KET0, (1, "z", "y"): PLUS})
         triples = [(book.codewords[0][m], ("z",) * 4, ("y",) * 4) for m in (1, 2)]
         smoothed = smoothed_states(system, 4, 0.2, triples=triples)
-        report = cq_sequential_decode(
+        report = sequential_decode(
             chan, book, 0.99, state_fn=smoothed_state_lookup(smoothed)
         )
-        plain = cq_sequential_decode(chan, book, 0.99)
+        plain = sequential_decode(chan, book, 0.99)
         assert report.all_bounds_satisfied
         assert report.errors != plain.errors
 
@@ -384,8 +381,8 @@ class TestCqSequentialDecoder:
         with pytest.raises(ValueError):
             state[0, 0] = 1.0
         assert np.array_equal(state, np.eye(16) / 16.0)
-        seq = cq_sequential_decode(chan, book, 0.99, state_fn=lookup)
-        pgm = pgm_decode(chan, book, cq_pgm_elements(chan, book, 0.99), state_fn=lookup)
+        seq = sequential_decode(chan, book, 0.99, state_fn=lookup)
+        pgm = pgm_decode(chan, book, pgm_elements(chan, book, 0.99), state_fn=lookup)
         for report in (seq, pgm):
             assert set(report.errors) == set(book.messages())
             assert all(0.0 <= e <= 1.0 for e in report.errors.values())
@@ -394,15 +391,15 @@ class TestCqSequentialDecoder:
         chan = bb84_channel()
         book = sample_codebook(chan, 0.25, 4, 7)
         with pytest.raises(ValueError, match="permutation"):
-            cq_sequential_decode(chan, book, 0.99, order=[1, 1])
+            sequential_decode(chan, book, 0.99, order=[1, 1])
         with pytest.raises(ValueError, match="permutation"):
-            cq_sequential_decode(chan, book, 0.99, order=[1])
+            sequential_decode(chan, book, 0.99, order=[1])
 
     def test_dimension_cap_trips_on_long_blocks(self):
         chan = bit_channel()
         book = sample_codebook(chan, 0.1, 13, 1)
         with pytest.raises(DimensionCapError):
-            cq_sequential_decode(chan, book, 0.5)
+            sequential_decode(chan, book, 0.5)
 
 
 class TestMacSequentialDecoder:
@@ -411,7 +408,7 @@ class TestMacSequentialDecoder:
         # atypical pairs get zero projectors and fail outright
         mac = crossover_mac()
         book = crafted_mac_codebook(mac)
-        report = ccq_mac_sequential_decode(mac, book, 0.25)
+        report = sequential_decode(mac, book, 0.25)
         assert report.variant == "ccq-mac-sequential"
         assert report.errors[(1, 1)] == pytest.approx(0.46920995705504487, abs=1e-9)
         assert report.errors[(1, 2)] == pytest.approx(0.5137679814671247, abs=1e-9)
@@ -432,7 +429,7 @@ class TestMacSequentialDecoder:
         states = {(0, 0): KET0, (0, 1): KET1, (1, 0): KET1, (1, 1): KET0}
         mac = CcqMac(UNIF, UNIF, states)
         book = crafted_mac_codebook(mac)
-        report = ccq_mac_sequential_decode(mac, book, 0.25)
+        report = sequential_decode(mac, book, 0.25)
         assert [report.errors[m] for m in book.messages()] == [0.0, 0.0, 1.0, 1.0]
         assert report.details["measured_epsilon"] == 0.0
         assert report.details["tau"] == 1.0
@@ -441,7 +438,7 @@ class TestMacSequentialDecoder:
         # [TRIVIAL] lexicographically first message sees a one-step chain
         mac = crossover_mac()
         book = crafted_mac_codebook(mac)
-        report = ccq_mac_sequential_decode(mac, book, 0.25)
+        report = sequential_decode(mac, book, 0.25)
         xs, ys = book.sequences((1, 1))
         pair_seq = tuple(zip(xs, ys))
         pair_proj = cond_typical_projector(mac.pair_ensemble(), pair_seq, 0.25)
@@ -463,7 +460,7 @@ class TestMacSequentialDecoder:
             channel=mac, n=4, rates=(0.25, 0.25), codewords=(xw, yw), counts=(2, 2),
             seed=(0,),
         )
-        report = ccq_mac_sequential_decode(mac, book, 0.25)
+        report = sequential_decode(mac, book, 0.25)
         assert all(report.details["typical"].values())
         assert [report.errors[m] for m in book.messages()] == [0.0, 0.0, 1.0, 1.0]
         assert report.average_error == 0.5
@@ -475,7 +472,7 @@ class TestMacSequentialDecoder:
             states = {(x, y): random_pure_qubit(rng) for x in (0, 1) for y in (0, 1)}
             mac = CcqMac(UNIF, UNIF, states)
             book = crafted_mac_codebook(mac)
-            report = ccq_mac_sequential_decode(mac, book, 0.25)
+            report = sequential_decode(mac, book, 0.25)
             assert report.all_bounds_satisfied
             assert 0.0 < report.details["tau"] <= 1.0
 
@@ -483,12 +480,12 @@ class TestMacSequentialDecoder:
         mac = crossover_mac()
         book = crafted_mac_codebook(mac)
         with pytest.raises(ValueError, match="not both"):
-            ccq_mac_sequential_decode(mac, book, 0.25, tau=0.5, epsilon=0.1)
+            sequential_decode(mac, book, 0.25, tau=0.5, epsilon=0.1)
         with pytest.raises(ValueError, match="tau must lie"):
-            ccq_mac_sequential_decode(mac, book, 0.25, tau=0.0)
+            sequential_decode(mac, book, 0.25, tau=0.0)
         with pytest.raises(ValueError, match="epsilon must lie"):
-            ccq_mac_sequential_decode(mac, book, 0.25, epsilon=1.0)
-        explicit = ccq_mac_sequential_decode(mac, book, 0.25, epsilon=0.25)
+            sequential_decode(mac, book, 0.25, epsilon=1.0)
+        explicit = sequential_decode(mac, book, 0.25, epsilon=0.25)
         assert explicit.details["tau"] == pytest.approx(0.5, abs=1e-12)
 
     def test_tiny_tau_keeps_no_line_outside_the_y_subspace(self):
@@ -503,7 +500,7 @@ class TestMacSequentialDecoder:
             counts=(2, 1), seed=(0,),
         )
         ranks = [
-            ccq_mac_sequential_decode(mac, book, 5.0, tau=tau).details["candidate_ranks"] for tau in (0.5, 1e-13)
+            sequential_decode(mac, book, 5.0, tau=tau).details["candidate_ranks"] for tau in (0.5, 1e-13)
         ]
         assert ranks[0] == ranks[1] == {(1, 1): 1, (2, 1): 1}
 
@@ -548,9 +545,9 @@ class TestCoupledSenderDecoder:
             triple = sample_codebook(chan, (0.5, 0.0, 0.0), 4, seed)
             single = sample_codebook(cq_chan, 0.5, 4, seed)
             assert triple.codewords[0] == single.codewords[0]
-            base = cq_sequential_decode(cq_chan, single, 0.3)
+            base = sequential_decode(cq_chan, single, 0.3)
             for region in (1, 2):
-                rep = cmg_sequential_decode(chan, triple, 0.3, region)
+                rep = sequential_decode(chan, triple, 0.3, region=region)
                 got = [o.error for o in rep.outcomes]
                 want = [o.error for o in base.outcomes]
                 assert max(abs(g - w) for g, w in zip(got, want)) == 0.0
@@ -560,7 +557,7 @@ class TestCoupledSenderDecoder:
         # inequality check against its product envelope
         chan = coupled_channel_for_tests()
         book = crafted_cmg_codebook(chan)
-        report = cmg_sequential_decode(chan, book, 0.25, 1)
+        report = sequential_decode(chan, book, 0.25, region=1)
         assert report.variant == "cmg-sequential-region1"
         assert report.errors[(1, 1, 1)] == pytest.approx(0.5574405896869543, abs=1e-9)
         assert report.errors[(1, 2, 1)] == 1.0
@@ -576,7 +573,7 @@ class TestCoupledSenderDecoder:
         # record shows the miss while the pair-level outcome stays a success
         chan = coupled_channel_for_tests()
         book = crafted_cmg_codebook(chan, m3=2)
-        report = cmg_sequential_decode(chan, book, 0.25, 1)
+        report = sequential_decode(chan, book, 0.25, region=1)
         joint = report.details["joint_errors"]
         assert joint[(1, 1, 2)] == 1.0
         assert report.errors[(1, 1, 2)] == pytest.approx(
@@ -587,7 +584,7 @@ class TestCoupledSenderDecoder:
         # [DERIVED] pinned run of the inner-sender-only chain
         chan = coupled_channel_for_tests()
         book = crafted_cmg_codebook(chan)
-        report = cmg_sequential_decode(chan, book, 0.25, 2)
+        report = sequential_decode(chan, book, 0.25, region=2)
         assert report.variant == "cmg-sequential-region2"
         assert report.errors[(1, 1)] == pytest.approx(0.0, abs=1e-12)
         assert report.errors[(1, 2)] == pytest.approx(0.049794324619781394, abs=1e-9)
@@ -603,18 +600,18 @@ class TestCoupledSenderDecoder:
         assert info > 0.5
         low = sample_codebook(chan, (0.25, 0.25, 0.1), 4, 3)
         with pytest.warns(UserWarning, match="region 2 requested"):
-            cmg_sequential_decode(chan, low, 0.25, 2)
+            sequential_decode(chan, low, 0.25, region=2)
         high = sample_codebook(chan, (0.25, 0.25, info + 0.05), 4, 3)
         with warnings_none():
-            cmg_sequential_decode(chan, high, 0.25, 2)
+            sequential_decode(chan, high, 0.25, region=2)
 
     def test_region_argument_is_validated(self):
         chan = coupled_channel_for_tests()
         book = crafted_cmg_codebook(chan)
         with pytest.raises(ValueError, match="needs region 1 or 2"):
-            cmg_sequential_decode(chan, book, 0.25, 3)
+            sequential_decode(chan, book, 0.25, region=3)
         with pytest.raises(ValueError, match="needs region 1 or 2"):
-            cmg_pgm_elements(chan, book, 0.25, 3)
+            pgm_elements(chan, book, 0.25, region=3)
 
     @pytest.mark.parametrize("region", [1, 2])
     def test_tau_and_epsilon_are_validated_in_both_regions(self, region):
@@ -622,11 +619,31 @@ class TestCoupledSenderDecoder:
         chan = coupled_channel_for_tests()
         book = crafted_cmg_codebook(chan)
         with pytest.raises(ValueError, match="not both"):
-            cmg_sequential_decode(chan, book, 0.25, region, tau=0.5, epsilon=0.1)
+            sequential_decode(chan, book, 0.25, region=region, tau=0.5, epsilon=0.1)
         with pytest.raises(ValueError, match="tau must lie"):
-            cmg_sequential_decode(chan, book, 0.25, region, tau=-3.0)
+            sequential_decode(chan, book, 0.25, region=region, tau=-3.0)
         with pytest.raises(ValueError, match="epsilon must lie"):
-            cmg_sequential_decode(chan, book, 0.25, region, epsilon=5.0)
+            sequential_decode(chan, book, 0.25, region=region, epsilon=5.0)
+
+
+def test_rows_refuse_what_their_family_does_not_take():
+    # one entry point per decoder: each family's rows refuse a gate they do
+    # not have and a region they do not take, with the same messages for both
+    cq, mac, cmg = bb84_channel(), crossover_mac(), coupled_channel_for_tests()
+    cq_book, mac_book, cmg_book = sample_codebook(cq, 0.25, 4, 1), crafted_mac_codebook(mac), crafted_cmg_codebook(cmg)
+    assert sequential_decode(cq, cq_book, 0.99, gated=True).variant == "cq-sequential-gated"
+    with pytest.raises(ValueError, match="gated decode is not available"):
+        sequential_decode(mac, mac_book, 0.25, gated=True)
+    for region in (1, 2):
+        with pytest.raises(ValueError, match="gated decode is not available"):
+            sequential_decode(cmg, cmg_book, 0.25, region=region, gated=True)
+    for build in (sequential_decode, pgm_elements):
+        for chan, book in ((cq, cq_book), (mac, mac_book)):
+            with pytest.raises(ValueError, match="region 1 given, but only a coupled three-sender channel takes one"):
+                build(chan, book, 0.25, region=1)
+        for region in (None, 0, 3):
+            with pytest.raises(ValueError, match="a coupled three-sender channel needs region 1 or 2"):
+                build(cmg, cmg_book, 0.25, region=region)
 
 
 class TestPrettyGoodMeasurement:
@@ -634,7 +651,7 @@ class TestPrettyGoodMeasurement:
         # [TRIVIAL] one message: Upsilon is the support projector of Pi
         chan = bb84_channel()
         book = sample_codebook(chan, 0.0, 4, 3)
-        elements = cq_pgm_elements(chan, book, 0.99)
+        elements = pgm_elements(chan, book, 0.99)
         report = pgm_decode(chan, book, elements)
         ens = chan.ensemble()
         proj = cond_typical_projector(ens, book.codewords[0][1], 0.99)
@@ -650,7 +667,7 @@ class TestPrettyGoodMeasurement:
         book = Codebook(
             channel=chan, n=4, rates=(0.5,), codewords=(words,), counts=(4,), seed=(0,)
         )
-        report = pgm_decode(chan, book, cq_pgm_elements(chan, book, 0.25))
+        report = pgm_decode(chan, book, pgm_elements(chan, book, 0.25))
         assert max(report.errors.values()) <= 1e-12
         assert report.all_bounds_satisfied
 
@@ -658,7 +675,7 @@ class TestPrettyGoodMeasurement:
         # [DERIVED] recompute Upsilon_i = S^{-1/2} Pi_i S^{-1/2} from scratch
         chan = bb84_channel()
         book = sample_codebook(chan, 0.25, 4, 7)
-        elements = cq_pgm_elements(chan, book, 0.99)
+        elements = pgm_elements(chan, book, 0.99)
         report = pgm_decode(chan, book, elements)
         dense = {m: e.dense() for m, e in elements.items()}
         sigma = sum(dense.values())
@@ -678,14 +695,14 @@ class TestPrettyGoodMeasurement:
             rng = np.random.default_rng(500 + seed)
             chan = random_qubit_channel(rng)
             book = sample_codebook(chan, 0.5, 3, seed)
-            report = pgm_decode(chan, book, cq_pgm_elements(chan, book, 0.9))
+            report = pgm_decode(chan, book, pgm_elements(chan, book, 0.9))
             assert report.bound_kind == "error-ceiling"
             assert report.all_bounds_satisfied
 
     def test_mac_recipe_runs_with_bounds(self):
         mac = crossover_mac()
         book = crafted_mac_codebook(mac)
-        elements = mac_pgm_elements(mac, book, 0.25)
+        elements = pgm_elements(mac, book, 0.25)
         for m, e in elements.items():
             low = float(np.linalg.eigvalsh(e.dense()).min())
             assert low > -1e-9
@@ -697,14 +714,14 @@ class TestPrettyGoodMeasurement:
         chan = coupled_channel_for_tests()
         book = crafted_cmg_codebook(chan)
         for region in (1, 2):
-            elements = cmg_pgm_elements(chan, book, 0.25, region=region)
+            elements = pgm_elements(chan, book, 0.25, region=region)
             report = pgm_decode(chan, book, elements)
             assert report.all_bounds_satisfied
 
     def test_callable_recipe_matches_mapping(self):
         chan = bb84_channel()
         book = sample_codebook(chan, 0.25, 4, 7)
-        elements = cq_pgm_elements(chan, book, 0.99)
+        elements = pgm_elements(chan, book, 0.99)
         via_map = pgm_decode(chan, book, elements)
         via_fn = pgm_decode(chan, book, lambda m, seqs: elements[m])
         for m in book.messages():
@@ -827,18 +844,18 @@ class TestMonteCarlo:
             "cmg-mac": (coupled_channel_for_tests(), (0.25, 0.25, 0.0), 5, 8),
         }
         direct = {
-            ("cq", "seq", None): lambda ch, bk: cq_sequential_decode(ch, bk, 0.99),
-            ("cq", "seq-gated", None): lambda ch, bk: cq_sequential_decode(ch, bk, 0.99, gated=True),
-            ("cq", "pgm", None): lambda ch, bk: pgm_decode(ch, bk, cq_pgm_elements(ch, bk, 0.99)),
-            ("ccq-mac", "seq", None): lambda ch, bk: ccq_mac_sequential_decode(ch, bk, 0.99),
-            ("ccq-mac", "pgm", None): lambda ch, bk: pgm_decode(ch, bk, mac_pgm_elements(ch, bk, 0.99)),
+            ("cq", "seq", None): lambda ch, bk: sequential_decode(ch, bk, 0.99),
+            ("cq", "seq-gated", None): lambda ch, bk: sequential_decode(ch, bk, 0.99, gated=True),
+            ("cq", "pgm", None): lambda ch, bk: pgm_decode(ch, bk, pgm_elements(ch, bk, 0.99)),
+            ("ccq-mac", "seq", None): lambda ch, bk: sequential_decode(ch, bk, 0.99),
+            ("ccq-mac", "pgm", None): lambda ch, bk: pgm_decode(ch, bk, pgm_elements(ch, bk, 0.99)),
         }
         for region in (1, 2):
             direct[("cmg-mac", "seq", region)] = (
-                lambda ch, bk, r=region: cmg_sequential_decode(ch, bk, 0.99, r)
+                lambda ch, bk, r=region: sequential_decode(ch, bk, 0.99, region=r)
             )
             direct[("cmg-mac", "pgm", region)] = (
-                lambda ch, bk, r=region: pgm_decode(ch, bk, cmg_pgm_elements(ch, bk, 0.99, r))
+                lambda ch, bk, r=region: pgm_decode(ch, bk, pgm_elements(ch, bk, 0.99, region=r))
             )
         assert set(direct) == set(PINNED_ROWS)
         for (family, variant, region), decode in direct.items():
@@ -891,6 +908,34 @@ class TestMonteCarlo:
             float(errs.std(ddof=1) / math.sqrt(len(errs))), abs=1e-15
         )
 
+    def test_out_of_range_tau_and_epsilon_are_refused_by_every_decoder(self):
+        # validated on every call, also where no row narrows (cq, cmg region 2)
+        # and for the square-root decoder, which takes neither
+        coupled = coupled_channel_for_tests()
+        cases = [
+            (bb84_channel(), 0.25, None, ("seq", "seq-gated", "pgm")),
+            (crossover_mac(), (0.25, 0.25), None, ("seq", "pgm")),
+            (coupled, (0.25, 0.25, 0.0), 1, ("seq", "pgm")),
+            (coupled, (0.25, 0.25, 0.0), 2, ("seq", "pgm")),
+        ]
+        for chan, rates, region, variants in cases:
+            for variant in variants:
+                run = functools.partial(monte_carlo_avg_error, chan, rates, 4, 1, 0, variant, delta=0.25, region=region)
+                with pytest.raises(ValueError, match="epsilon must lie in"):
+                    run(epsilon=5.0)
+                with pytest.raises(ValueError, match="tau must lie in"):
+                    run(tau=-3.0)
+                with pytest.raises(ValueError, match="not both"):
+                    run(tau=0.5, epsilon=0.1)
+        chan = bb84_channel()
+        with pytest.raises(ValueError, match="tau must lie in"):
+            sequential_decode(chan, sample_codebook(chan, 0.25, 4, 1), 0.99, tau=-3.0)
+        # in range, a decode without a narrowing ignores them, as before
+        for variant in ("seq", "pgm"):
+            expected = monte_carlo_avg_error(chan, 0.25, 4, 2, 11, variant, delta=0.99)
+            for given in ({"epsilon": 0.25}, {"tau": 0.5}):
+                assert monte_carlo_avg_error(chan, 0.25, 4, 2, 11, variant, delta=0.99, **given) == expected
+
     def test_variant_dispatch(self):
         chan = bb84_channel()
         pgm = monte_carlo_avg_error(chan, 0.25, 4, 2, 11, "pgm", delta=0.99)
@@ -921,13 +966,11 @@ def test_public_surface_is_unchanged():
         "CcqMac", "ClassicalDistribution", "Codebook", "CoupledMac", "CqChannel", "CqEnsemble",
         "DIM_CAP", "DecodeReport", "DensityOperator", "DimensionCapError", "InterferenceChannel",
         "Projector", "RateRegion", "SmoothedEnsemble", "SpecError", "TypicalityParams",
-        "__version__", "ccq_mac_region", "ccq_mac_sequential_decode", "cmg_pgm_elements",
-        "cmg_sequential_decode", "cond_typical_projector", "cq_pgm_elements",
-        "cq_sequential_decode", "dump_channel", "entropy_bits", "hermitian_eig",
-        "holevo_information", "intersection_projector", "is_typical", "jordan_decompose",
-        "load_channel", "mac_pgm_elements", "monte_carlo_avg_error", "orthonormal_basis",
-        "parse_channel", "pgm_decode", "psd_leq", "region_mask", "run_suite", "run_suites",
-        "sample_codebook", "seq_success_lower_bound", "sequential_collapse",
-        "serialize_channel", "smoothed_state_lookup", "smoothed_states", "tensor_product",
-        "trace_distance", "typical_projector", "typical_set",
+        "__version__", "ccq_mac_region", "cond_typical_projector", "dump_channel",
+        "entropy_bits", "hermitian_eig", "holevo_information", "intersection_projector",
+        "is_typical", "jordan_decompose", "load_channel", "monte_carlo_avg_error",
+        "orthonormal_basis", "parse_channel", "pgm_decode", "pgm_elements", "psd_leq",
+        "region_mask", "run_suite", "run_suites", "sample_codebook", "seq_success_lower_bound",
+        "sequential_collapse", "sequential_decode", "serialize_channel", "smoothed_state_lookup",
+        "smoothed_states", "tensor_product", "trace_distance", "typical_projector", "typical_set",
     ]

@@ -21,11 +21,10 @@ import cqlab
 from cqlab import decoders, regions, specio
 from cqlab.channels import CcqMac, CoupledMac, CqChannel, InterferenceChannel, _row_for
 from cqlab.decoders import (
-    ccq_mac_sequential_decode,
-    cmg_sequential_decode,
-    mac_pgm_elements,
     pgm_decode,
+    pgm_elements,
     sample_codebook,
+    sequential_decode,
 )
 from cqlab.linalg import DIM_CAP, DimensionCapError
 from cqlab.smoothing import smoothed_states
@@ -305,9 +304,9 @@ def _book(channel, senders: int):
 
 
 DENSE_ENTRY_POINTS = {
-    "ccq_mac_sequential_decode": lambda: ccq_mac_sequential_decode(MAC, _book(MAC, 2), 0.5),
-    "cmg_sequential_decode": lambda: cmg_sequential_decode(CMG, _book(CMG, 3), 0.5, 1),
-    "mac_pgm_elements": lambda: mac_pgm_elements(MAC, _book(MAC, 2), 0.5),
+    "pgm_elements-mac": lambda: pgm_elements(MAC, _book(MAC, 2), 0.5),
+    "sequential_decode-cmg": lambda: sequential_decode(CMG, _book(CMG, 3), 0.5, region=1),
+    "sequential_decode-mac": lambda: sequential_decode(MAC, _book(MAC, 2), 0.5),
     "pgm_decode": lambda: pgm_decode(MAC, _book(MAC, 2), {(1, 1): np.eye(2)}),
     "smoothed_states": lambda: smoothed_states(TRIPLE_SYSTEM, N_OVER_CAP, 0.5, triples=[]),
     "verify_conditional_typicality": lambda: verify_conditional_typicality(
