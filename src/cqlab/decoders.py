@@ -20,13 +20,14 @@ region-2 rate check, so neither entry point branches on the family.
 States and elements are held as factors: a received state as A with
 rho = A A^dag (for product states the Kronecker product of per-symbol
 factors), a measurement element as F with E = F F^dag.  With D the output
-dimension and r a candidate's rank, each chain step costs O(r D^2) and the
-square-root measurement one thin SVD of the stacked element factors.  The
-measured leaks that set tau and the success floors are squared norms of
-the state factors too.  A projector is read as a dense matrix in two places
-only: the gate's failure operator, and the target leak of an ungated floor
-whose leak lies below ``DENSE_FLOOR_LEAK``, one D^3 product per such row,
-kept because its rounding is pinned (see ``seq_success_lower_bound``).
+dimension, r a candidate's rank and s the summed ranks of the candidates
+passed, each chain step costs O(D (r_G + s) r) on a low-rank failure
+operator (r_G the gate's rank), and the square-root measurement one thin
+SVD of the stacked element factors.  The measured leaks that set tau and
+the success floors are squared norms of the state factors too.  A projector
+is read as a dense matrix in one place only: the target leak of an ungated
+floor whose leak lies below ``DENSE_FLOOR_LEAK``, one D^3 product per such
+row, kept because its rounding is pinned (see ``seq_success_lower_bound``).
 """
 
 from __future__ import annotations
@@ -308,21 +309,31 @@ def _run_sequential(
 
     Message k's chain takes the failure branch of every earlier candidate
     and the success branch of its own projector (after the gate, when one
-    is present).  One dense failure operator B, the gate (or I) followed by
-    the complements passed so far, carries the chain: for candidate j with
-    columns V, X = V^dag B gives message j's success ||X A_j||^2 and B
-    becomes B - V X, so each non-empty candidate costs O(r D^2).
+    is present).  The failure operator, the gate (or I) followed by the
+    complements passed so far, is held as B = G - L R^dag: G is I or W W^dag
+    for the gate's columns W, L stacks the columns V_i of the non-empty
+    candidates passed and R stacks B^dag V_i as B stood at each.  For
+    candidate j, X = V_j^dag G - (V_j^dag L) R^dag (r x D) gives message j's
+    success ||X A_j||^2, and appending V_j to L and X^dag to R takes B to
+    B - V_j X.  With s the columns of L, a step costs O(D (r_G + s) r) and
+    forms no D x D matrix; the gate is read as its columns, W^dag formed
+    once.  Once s exceeds D the pair is folded in place: L R^dag becomes one
+    D x D term, which every later step extends by V_j X at the dense
+    O(D^2 r), so no step costs more than that.
 
     Each floor is ``seq_success_lower_bound`` read from a factor G: A, or
     the gated factor W (W^dag A) with a gate W.  Its total is ||G||^2, its
-    hostile leaks are ||V_i^dag G||^2 over the earlier candidates and its
-    target leak is ||G - V (V^dag G)||^2.  An ungated row whose leak is
-    below ``DENSE_FLOOR_LEAK`` re-reads its total and target leak from the
-    dense state, Tr rho and Tr rho - Tr[P rho], whose rounding is pinned:
+    hostile leak is the sum of ||V_i^dag G||^2 over the earlier non-empty
+    candidates, each V_i conjugated once, and its target leak is
+    ||G - V (V^dag G)||^2.  The floor moves by |d leak| / sqrt(leak), so the
+    hostile sum keeps its per-candidate products and their order, which
+    reference floors pin: one stacked product rounds differently.  An
+    ungated row whose leak is below ``DENSE_FLOOR_LEAK`` re-reads its total
+    and target leak from the dense state, Tr rho and Tr rho - Tr[P rho]:
     ``ent.state()`` is formed for that row only, and P for its one D^3
-    product, then dropped, so the chain holds O(D^2) memory whatever the
-    message count.  The last message's factor is collapsed once through the
-    gate and the complements, A <- A - V (V^dag A), and must agree to 1e-8.
+    product, then dropped.  The last message's factor is collapsed once
+    through the gate and the complements, A <- A - V (V^dag A), and must
+    agree to 1e-8.
 
     With ``group_of`` set, the reported error counts a halt at any candidate
     of the sent message's group as a success, and the exact own-chain
@@ -332,8 +343,15 @@ def _run_sequential(
     """
     details = dict(details or {})
     dim = entries[0].projector.dim
-    failure = np.eye(dim, dtype=np.complex128) if gate is None else gate.dense()
+    ranks = [ent.projector.rank for ent in entries]
     gate_cols = None if gate is None else gate.support_columns()
+    gate_rows = None if gate is None else gate_cols.conj().T
+    # L^dag and R^dag as rows: the first `low` rows of each hold the
+    # candidates passed since the last fold
+    lh = np.empty((min(sum(ranks), dim + max(ranks)), dim), dtype=np.complex128)
+    rh = np.empty_like(lh)
+    low = 0
+    folded = None  # the folded L R^dag, once s has exceeded D
     peers: dict = {}  # message -> every entry of its group, itself included
     if group_of is not None:
         by_group: dict = {}
@@ -343,34 +361,45 @@ def _run_sequential(
     success: dict = {}
     grouped: dict = {ent.message: 0.0 for ent in entries}
     bounds: dict = {}
-    hostile: list[np.ndarray] = []  # columns of the non-empty candidates passed so far
-    for ent in entries:
+    hostile: list[np.ndarray] = []  # conj V_i of the non-empty candidates passed
+    for ent, r in zip(entries, ranks):
         own = ent.projector
         cols = own.support_columns()
+        vh = cols.conj().T
         success[ent.message] = 0.0
-        if own.rank > 0:
-            x = cols.conj().T @ failure
+        if r > 0:
+            x = vh if gate is None else (vh @ gate_cols) @ gate_rows
+            if low:
+                x = x - (lh[:low] @ cols).conj().T @ rh[:low]
+            if folded is not None:
+                x = x - vh @ folded
             success[ent.message] = _sq(x @ ent.factor)
             for peer in peers.get(ent.message, ()):
                 grouped[peer.message] += _sq(x @ peer.factor)
-            failure = failure - cols @ x
-        base = ent.factor if gate is None else gate_cols @ (gate_cols.conj().T @ ent.factor)
+        base = ent.factor if gate is None else gate_cols @ (gate_rows @ ent.factor)
         total = _sq(base)
-        target = _sq(base - cols @ (cols.conj().T @ base))
-        hostile_leak = sum(_sq(v.conj().T @ base) for v in hostile)
+        target = _sq(base - cols @ (vh @ base))
+        hostile_leak = sum(_sq(vc.T @ base) for vc in hostile)
         if gate is None and hostile_leak + target < DENSE_FLOOR_LEAK:
             rho = ent.state()
             total = float(np.real(np.trace(rho)))
-            target = total - own.trace_with(rho) if own.rank > 0 else total
+            target = total - own.trace_with(rho) if r > 0 else total
         leak = hostile_leak + target
         bounds[ent.message] = total - 2.0 * math.sqrt(max(0.0, leak))
-        if own.rank > 0:
-            hostile.append(cols)
+        if r > 0:
+            hostile.append(vh.T)
+            lh[low : low + r] = vh
+            rh[low : low + r] = x
+            low += r
+            if folded is not None or low > dim:
+                pair = lh[:low].conj().T @ rh[:low]
+                folded = pair if folded is None else folded + pair
+                low = 0
 
     last = entries[-1]
     live = base  # the last message's factor, gated when a gate is present
-    for v in hostile[:-1] if last.projector.rank > 0 else hostile:
-        live = live - v @ (v.conj().T @ live)
+    for vc in hostile[:-1] if last.projector.rank > 0 else hostile:
+        live = live - vc.conj() @ (vc.T @ live)
     collapsed = _sq(last.projector.support_columns().conj().T @ live)
     if abs(collapsed - success[last.message]) > 1e-8:
         raise RuntimeError("failure-operator chain disagrees with the collapsed chain")
@@ -486,7 +515,7 @@ def _states(channel, codebook: Codebook, state_fn: Callable | None) -> tuple[Cal
     if state_fn is None:
         name, picks = _family(channel).output
         ens = getattr(channel, name)()
-        local = functools.cache(lambda s: _factor(*hermitian_eig(ens.state(s))))
+        local = functools.cache(lambda s: _factor(*ens.eig(s)))
 
         def received(seqs: tuple) -> np.ndarray:
             return ens.sequence_state(_zipped(seqs, picks))

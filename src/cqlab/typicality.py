@@ -323,11 +323,13 @@ def typical_projector(rho, n: int, delta: float) -> Projector:
 @dataclass(frozen=True)
 class CqEnsemble:
     """Finite family of density operators indexed by classical symbols,
-    each checked by ``as_matrix`` once, at construction."""
+    each checked by ``as_matrix`` once, at construction, and decomposed by
+    ``hermitian_eig`` at most once, on first request."""
 
     dist: ClassicalDistribution
     states: Mapping
     _checked: dict = field(init=False, repr=False, compare=False)
+    _eigs: dict = field(init=False, repr=False, compare=False)
 
     def __post_init__(self):
         checked = {s: as_matrix(m) for s, m in self.states.items()}
@@ -337,6 +339,7 @@ class CqEnsemble:
         if len({checked[s].shape[0] for s in self.dist.support}) != 1:
             raise ValueError("ensemble states have inconsistent dimensions")
         object.__setattr__(self, "_checked", checked)
+        object.__setattr__(self, "_eigs", {})
 
     @property
     def dim(self) -> int:
@@ -344,6 +347,16 @@ class CqEnsemble:
 
     def state(self, symbol) -> np.ndarray:
         return self._checked[symbol]
+
+    def eig(self, symbol) -> tuple[np.ndarray, np.ndarray]:
+        """``hermitian_eig`` of the symbol's state, as read-only arrays
+        shared by every caller of this ensemble."""
+        if symbol not in self._eigs:
+            w, v = hermitian_eig(self._checked[symbol])
+            w.flags.writeable = False
+            v.flags.writeable = False
+            self._eigs[symbol] = (w, v)
+        return self._eigs[symbol]
 
     def average_state(self) -> np.ndarray:
         out = np.zeros((self.dim, self.dim), dtype=np.complex128)
@@ -402,7 +415,7 @@ def _conditional_basis(ensemble: CqEnsemble, seq: Sequence) -> tuple[list, list]
     factors: list = [None] * len(seq)
     groups = []
     for s, pos in positions.items():
-        w, v = hermitian_eig(ensemble.state(s))
+        w, v = ensemble.eig(s)
         for j in pos:
             factors[j] = v
         groups.append((pos, _snap_eigenvalues(w)))

@@ -1,12 +1,14 @@
 """Differential tests of the decoders' fast paths against dense oracles.
 
-The sequential chain carries one failure operator and reads each success
-and leak as a squared norm of a state factor; the square-root measurement
-reads its success, own and cross terms from a thin SVD of the stacked
-element factors.  Each test recomputes those numbers the slow way, with
-``sequential_collapse``, ``seq_success_lower_bound`` or ``np.trace`` of
-dense products, on random channels with pure, rank-deficient, mixed and
-degenerate-spectrum states and with empty candidates.
+The sequential chain carries its failure operator in low-rank form,
+B = G - L R^dag, folded into one D x D term once the candidates' ranks pass
+D, and reads each success and leak as a squared norm of a state factor; the
+square-root measurement reads its success, own and cross terms from a thin
+SVD of the stacked element factors.  Each test recomputes those numbers the
+slow way, with ``sequential_collapse``, ``seq_success_lower_bound``, a dense
+D x D failure operator or ``np.trace`` of dense products, on random
+channels with pure, rank-deficient, mixed and degenerate-spectrum states
+and with empty candidates.
 """
 
 import math
@@ -386,12 +388,13 @@ def sq(a: np.ndarray) -> float:
     return float(np.vdot(a, a).real)
 
 
-def dense_floor_chain(entries, gate, group_of) -> list[tuple[float, float, float]]:
-    """(error, floor, factor leak) per message from the failure-operator
-    chain, with every ungated floor's total and target leak read from the
-    dense state: Tr rho and Tr rho - Tr[P rho].  The hostile leaks are
-    ||V_i^dag G||^2, and a gated floor reads G = W (W^dag A) throughout.
-    The factor leak is the hostile sum plus ||G - V (V^dag G)||^2."""
+def dense_floor_chain(entries, gate, group_of) -> list[tuple[float, float, float, float]]:
+    """(error, own success, floor, factor leak) per message from a dense
+    D x D failure operator B, with every ungated floor's total and target
+    leak read from the dense state: Tr rho and Tr rho - Tr[P rho].  The
+    hostile leaks are ||V_i^dag G||^2, and a gated floor reads
+    G = W (W^dag A) throughout.  The factor leak is the hostile sum plus
+    ||G - V (V^dag G)||^2."""
     dim = entries[0].projector.dim
     failure = np.eye(dim, dtype=complex) if gate is None else gate.dense()
     w = None if gate is None else gate.support_columns()
@@ -421,7 +424,9 @@ def dense_floor_chain(entries, gate, group_of) -> list[tuple[float, float, float
         if v.shape[1]:
             hostile.append(v)
     success = grouped if group_of is not None else own
-    return [(1.0 - clip(success[e.message]), floor, leak) for e, (floor, leak) in zip(entries, rows)]
+    return [
+        (1.0 - clip(success[e.message]), clip(own[e.message]), floor, leak) for e, (floor, leak) in zip(entries, rows)
+    ]
 
 
 @st.composite
@@ -458,13 +463,8 @@ def floor_cases(draw):
     return (lambda: decode(list(reversed(decode(None).details["order"])) if reverse else None)), gated
 
 
-@settings(max_examples=60, deadline=None)
-@given(floor_cases())
-def test_floors_from_factors_match_the_dense_floor_chain(case):
-    # errors are bit-equal to the dense-floor chain; a floor whose factor
-    # leak is below DENSE_FLOOR_LEAK reads densely and is bit-equal too,
-    # every other floor reads the factors and lies within 1e-12
-    decode, gated = case
+def captured_chain(decode) -> tuple:
+    """(report, entries, keyword arguments) of the last chain ``decode`` walks."""
     seen = []
     run = decoders._run_sequential
 
@@ -474,12 +474,78 @@ def test_floors_from_factors_match_the_dense_floor_chain(case):
 
     with mock.patch.object(decoders, "_run_sequential", capture):
         report = decode()
-    entries, kwargs = seen[-1]
+    return (report, *seen[-1])
+
+
+@settings(max_examples=60, deadline=None)
+@given(floor_cases())
+def test_floors_from_factors_match_the_dense_floor_chain(case):
+    # the low-rank chain against the dense-floor chain's one D x D failure
+    # operator B, on cq (gated or not), ccq-mac and cmg region 1 (grouped)
+    # and 2 draws, all-empty books among them: errors and successes lie
+    # within 1e-12, as B and L R^dag round differently; a floor whose factor
+    # leak is below DENSE_FLOOR_LEAK reads densely and is bit-equal, as is
+    # every gated floor; every other floor reads the factors and lies within
+    # 1e-12
+    decode, gated = case
+    report, entries, kwargs = captured_chain(decode)
     oracle = dense_floor_chain(entries, kwargs.get("gate"), kwargs.get("group_of"))
     assert [o.message for o in report.outcomes] == [e.message for e in entries]
-    for outcome, (error, floor, leak) in zip(report.outcomes, oracle):
-        assert outcome.error == error
+    for outcome, (error, success, floor, leak) in zip(report.outcomes, oracle):
+        assert abs(outcome.error - error) <= TOL
+        assert abs(outcome.success - success) <= TOL
         if gated or leak < DENSE_FLOOR_LEAK:
             assert outcome.bound == floor
         else:
             assert abs(outcome.bound - floor) <= TOL
+
+
+def assert_matches_dense_failure_operator(report, entries, kwargs) -> None:
+    oracle = dense_floor_chain(entries, kwargs.get("gate"), kwargs.get("group_of"))
+    assert [o.message for o in report.outcomes] == [e.message for e in entries]
+    for outcome, (error, success, floor, _) in zip(report.outcomes, oracle):
+        assert abs(outcome.error - error) <= TOL
+        assert abs(outcome.success - success) <= TOL
+        assert abs(outcome.bound - floor) <= TOL
+
+
+def test_multi_sender_chains_match_the_dense_failure_operator():
+    # non-empty candidates at n = 6 (D = 64) on every multi-sender row,
+    # region 1 with its grouped halts
+    ket0, plus = np.diag([1.0, 0.0]).astype(complex), np.full((2, 2), 0.5, dtype=complex)
+    minus = np.array([[0.5, -0.5], [-0.5, 0.5]], dtype=complex)
+    bit = ClassicalDistribution((0, 1), (0.5, 0.5))
+    mac = CcqMac(bit, bit, {(0, 0): ket0, (0, 1): plus, (1, 0): minus, (1, 1): np.eye(2) / 2})
+    cmg = CoupledMac(
+        bit,
+        {0: ClassicalDistribution((0, 1), (0.8, 0.2)), 1: ClassicalDistribution((0, 1), (0.2, 0.8))},
+        ClassicalDistribution(("y",), (1.0,)),
+        {(0, "y"): ket0, (1, "y"): plus},
+    )
+    mac_book = sample_codebook(mac, (0.35, 0.35), 6, (0, 0))
+    cmg_book = sample_codebook(cmg, (0.35, 0.35, 0.0), 6, (0, 0))
+    decodes = [lambda: sequential_decode(mac, mac_book, 0.99)] + [
+        lambda region=region: sequential_decode(cmg, cmg_book, 0.99, region=region) for region in (1, 2)
+    ]
+    for decode in decodes:
+        report, entries, kwargs = captured_chain(decode)
+        assert max(report.details["candidate_ranks"].values()) > 0
+        assert_matches_dense_failure_operator(report, entries, kwargs)
+
+
+def test_low_rank_chain_folds_once_its_ranks_exceed_the_dimension():
+    # I/2 and |+><+| outputs at n = 4 (D = 16) and R = 1: the candidates'
+    # ranks pass D at the eighth message, where the chain folds L R^dag into
+    # one D x D term, and five non-empty candidates follow the fold
+    chan = CqChannel(
+        ClassicalDistribution((0, 1), (0.5, 0.5)),
+        {0: np.eye(2, dtype=complex) / 2, 1: np.full((2, 2), 0.5, dtype=complex)},
+    )
+    book = sample_codebook(chan, 1.0, 4, 0)
+    for gated in (False, True):
+        report, entries, kwargs = captured_chain(lambda: sequential_decode(chan, book, 0.99, gated=gated))
+        ranks = [e.projector.rank for e in entries]
+        folded_at = int(np.argmax(np.cumsum(ranks) > 2**4))
+        assert sum(ranks[: folded_at + 1]) > 2**4
+        assert sum(r > 0 for r in ranks[folded_at + 1 :]) == 5
+        assert_matches_dense_failure_operator(report, entries, kwargs)

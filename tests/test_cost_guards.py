@@ -3,7 +3,9 @@
 The sequential chain and the square-root measurement work on state and
 element factors; a dense D x D product, eigendecomposition or chain
 conjugation creeping back in would keep every output but cost O(D^3) per
-message again.  Smoothing measures each typical joint type once at build,
+message again.  The chain holds its failure operator as B = G - L R^dag and
+reads the gate as its columns, so a gated decode forms no projector's dense
+matrix and no D x D operator while the candidates' ranks sum to at most D.  Smoothing measures each typical joint type once at build,
 sandwiches each (xs, zs) key's marginal part once and reads a maximally
 mixed record's trace distance off the symbols' spectra, so verification
 builds no product state, and no record keeps a dense state.  Multi-sender
@@ -185,6 +187,35 @@ def test_ungated_chain_keeps_no_dense_projector_per_message():
         tracemalloc.stop()
     assert max(report.details["candidate_ranks"].values()) > 0
     assert peak < 8 * 256**2 * 16
+
+
+def test_gated_decode_forms_no_dense_matrix(monkeypatch):
+    """At n = 8 (D = 256, M = 16) the gated decode calls no
+    ``Projector.dense`` and peaks below two D x D complex matrices: the
+    gate's columns, their conjugate transpose and the chain's thin stacks.
+    A dense gate and a dense failure operator alone would fill the bound.
+    A short decode first loads what numpy imports on first use, so the
+    peak counts the decode alone."""
+    sequential_decode(CQ, sample_codebook(CQ, 0.5, 4, (0, 0)), 0.99, gated=True)
+    book = sample_codebook(CQ, 0.5, 8, (0, 0))
+    assert len(book.messages()) == 16
+    calls = []
+    dense = Projector.dense
+
+    def counted_dense(self):
+        calls.append(self.dim)
+        return dense(self)
+
+    monkeypatch.setattr(Projector, "dense", counted_dense)
+    tracemalloc.start()
+    try:
+        report = sequential_decode(CQ, book, 0.99, gated=True)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert max(report.details["candidate_ranks"].values()) > 0
+    assert calls == []
+    assert peak < 2 * 256**2 * 16
 
 
 def test_dense_oracles_read_raw_matrices_without_an_eigendecomposition(monkeypatch):
