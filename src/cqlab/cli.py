@@ -88,16 +88,7 @@ def cmd_regions(args) -> int:
         boundary = sample_boundary(region, rng)
         doc["regions"][name] = {
             "rate_names": list(region.rate_names),
-            "constraints": [
-                {
-                    "part": r["part"],
-                    "label": r["label"],
-                    "coeffs": list(r["coeffs"]),
-                    "relation": r["relation"],
-                    "bound": r["bound"],
-                }
-                for r in rows
-            ],
+            "constraints": [{**r, "coeffs": list(r["coeffs"])} for r in rows],
             "boundary_samples": {
                 part: [list(p) for p in pts] for part, pts in boundary.items()
             },
@@ -154,22 +145,27 @@ def _simulate_result(args, channel):
     )
 
 
+def _config(args, n_key: str, n) -> dict:
+    """The experiment flags as written into summary.json and sweep.json."""
+    return {
+        n_key: n,
+        "delta": args.delta,
+        "epsilon": args.epsilon,
+        "rates": list(args.rate),
+        "trials": args.trials,
+        "seed": args.seed,
+        "decoder": args.decoder,
+        "region": args.region,
+        "order": args.order,
+    }
+
+
 def _summary_doc(args, channel, result) -> dict:
     return {
         "schema": "cqlab-simulate/1",
         "tool": TOOL_VERSION,
         "kind": _kind(channel),
-        "config": {
-            "n": args.n,
-            "delta": args.delta,
-            "epsilon": args.epsilon,
-            "rates": list(args.rate),
-            "trials": args.trials,
-            "seed": args.seed,
-            "decoder": args.decoder,
-            "region": args.region,
-            "order": args.order,
-        },
+        "config": _config(args, "n", args.n),
         "result": {
             "variant": result["variant"],
             "bound_kind": result["bound_kind"],
@@ -251,17 +247,7 @@ def cmd_sweep(args) -> int:
         "schema": "cqlab-sweep/1",
         "tool": TOOL_VERSION,
         "kind": _kind(channel),
-        "config": {
-            "n_values": list(args.n),
-            "delta": args.delta,
-            "epsilon": args.epsilon,
-            "rates": list(args.rate),
-            "trials": args.trials,
-            "seed": args.seed,
-            "decoder": args.decoder,
-            "region": args.region,
-            "order": args.order,
-        },
+        "config": _config(args, "n_values", list(args.n)),
         "result": {
             "mean_errors": means,
             "standard_errors": [r["standard_error"] for r in results],
@@ -349,13 +335,10 @@ def main(argv=None) -> int:
         args.suite = ["all"]
     try:
         return args.func(args)
-    except SpecError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return EXIT_PARSE
     except DimensionCapError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_CAP
-    except ValueError as exc:
+    except ValueError as exc:  # SpecError among them
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_PARSE
 

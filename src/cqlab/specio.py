@@ -9,6 +9,7 @@ document, which is the bit-exact interchange contract for the CLI.
 from __future__ import annotations
 
 import json
+import math
 from collections.abc import Callable, Mapping, Sequence
 from typing import NamedTuple
 
@@ -39,8 +40,25 @@ def _need(doc: Mapping, key: str, where: str):
     return doc[key]
 
 
+def _is_array(obj) -> bool:
+    """A JSON array: any sequence but a string."""
+    return isinstance(obj, Sequence) and not isinstance(obj, str)
+
+
+def _is_number(v, kind=(int, float)) -> bool:
+    """A JSON number of the given kind (booleans are not numbers)."""
+    return isinstance(v, kind) and not isinstance(v, bool)
+
+
+def _keyed(obj, keys, where: str, what: str, parse: Callable) -> dict:
+    """``{k: parse(obj[k], "<where>.<k>")}`` over ``keys``, in order."""
+    if not isinstance(obj, Mapping):
+        raise SpecError(where, f"expected an object keyed by {what}")
+    return {k: parse(_need(obj, k, where), f"{where}.{k}") for k in keys}
+
+
 def _string_list(obj, where: str) -> tuple[str, ...]:
-    if not isinstance(obj, Sequence) or isinstance(obj, str):
+    if not _is_array(obj):
         raise SpecError(where, "expected a list of symbol names")
     out = []
     for i, s in enumerate(obj):
@@ -54,17 +72,32 @@ def _string_list(obj, where: str) -> tuple[str, ...]:
     return tuple(out)
 
 
+def _pair_list(obj, where: str) -> tuple[tuple[str, str], ...]:
+    if not _is_array(obj):
+        raise SpecError(where, "expected a list of [first, second] pairs")
+    pairs = []
+    for i, entry in enumerate(obj):
+        if not (_is_array(entry) and len(entry) == 2 and all(isinstance(v, str) for v in entry)):
+            raise SpecError(f"{where}[{i}]", "expected a [first, second] pair of strings")
+        pairs.append((entry[0], entry[1]))
+    if len(set(pairs)) != len(pairs):
+        raise SpecError(where, "duplicate symbol pair")
+    return tuple(pairs)
+
+
 def _prob_list(obj, where: str, count: int) -> tuple[float, ...]:
-    if not isinstance(obj, Sequence) or isinstance(obj, str):
+    if not _is_array(obj):
         raise SpecError(where, "expected a list of probabilities")
     if len(obj) != count:
         raise SpecError(where, f"expected {count} probabilities, got {len(obj)}")
     out = []
     for i, v in enumerate(obj):
-        if not isinstance(v, (int, float)) or isinstance(v, bool):
+        if not _is_number(v):
             raise SpecError(f"{where}[{i}]", "probabilities must be numbers")
         if v < -1e-12:
             raise SpecError(f"{where}[{i}]", f"negative probability {v}")
+        if not math.isfinite(v):
+            raise SpecError(f"{where}[{i}]", f"non-finite probability {v}")
         out.append(max(0.0, float(v)))
     total = sum(out)
     if abs(total - 1.0) > ROW_TOL:
@@ -72,18 +105,22 @@ def _prob_list(obj, where: str, count: int) -> tuple[float, ...]:
     return tuple(out)
 
 
-def _parse_dist(obj, where: str) -> ClassicalDistribution:
-    symbols = _string_list(_need(obj, "symbols", where), f"{where}.symbols")
-    probs = _prob_list(_need(obj, "probs", where), f"{where}.probs", len(symbols))
-    return ClassicalDistribution(symbols, probs)
+def _parse_dist(obj, where: str, symbols: Callable = _string_list) -> ClassicalDistribution:
+    names = symbols(_need(obj, "symbols", where), f"{where}.symbols")
+    probs = _prob_list(_need(obj, "probs", where), f"{where}.probs", len(names))
+    return ClassicalDistribution(names, probs)
 
 
 def _dump_dist(dist: ClassicalDistribution) -> dict:
     return {"symbols": list(dist.symbols), "probs": [float(p) for p in dist.probs]}
 
 
+def _dump_pair_dist(dist: ClassicalDistribution) -> dict:
+    return {**_dump_dist(dist), "symbols": [list(pair) for pair in dist.symbols]}
+
+
 def _parse_matrix(obj, where: str, dim: int | None = None) -> np.ndarray:
-    if not isinstance(obj, Sequence) or isinstance(obj, str):
+    if not _is_array(obj):
         raise SpecError(where, "expected a matrix (list of rows)")
     d = len(obj)
     if d == 0:
@@ -92,16 +129,10 @@ def _parse_matrix(obj, where: str, dim: int | None = None) -> np.ndarray:
         raise SpecError(where, f"expected a {dim}x{dim} matrix, got {d} rows")
     out = np.zeros((d, d), dtype=complex)
     for i, row in enumerate(obj):
-        if not isinstance(row, Sequence) or isinstance(row, str) or len(row) != d:
+        if not _is_array(row) or len(row) != d:
             raise SpecError(f"{where}[{i}]", f"expected a row of {d} entries")
         for j, entry in enumerate(row):
-            ok = (
-                isinstance(entry, Sequence)
-                and not isinstance(entry, str)
-                and len(entry) == 2
-                and all(isinstance(v, (int, float)) and not isinstance(v, bool) for v in entry)
-            )
-            if not ok:
+            if not (_is_array(entry) and len(entry) == 2 and all(_is_number(v) for v in entry)):
                 raise SpecError(f"{where}[{i}][{j}]", "entries must be [re, im] pairs")
             out[i, j] = complex(entry[0], entry[1])
     try:
@@ -114,33 +145,32 @@ def _dump_matrix(m: np.ndarray) -> list:
     return [[[float(v.real), float(v.imag)] for v in row] for row in np.asarray(m, dtype=complex)]
 
 
-def _state_table(obj, rows: Sequence[str], cols: Sequence[str], where: str) -> dict:
-    """Nested mapping row-symbol -> col-symbol -> density matrix."""
-    if not isinstance(obj, Mapping):
-        raise SpecError(where, "expected an object keyed by symbol")
-    states: dict = {}
-    dim: int | None = None
-    for r in rows:
-        inner = _need(obj, r, where)
-        for c in cols:
-            m = _parse_matrix(_need(inner, c, f"{where}.{r}"), f"{where}.{r}.{c}", dim)
-            dim = m.shape[0]
-            states[(r, c)] = m
-    return states
+def _state_table(obj, rows: Sequence[str], where: str, cols: Sequence[str] | None = None,
+                 dim: int | None = None) -> dict:
+    """Density matrices keyed by row symbol, or by (row, col) when ``cols``
+    is given; all of the first one's dimension, or of ``dim`` when given."""
+
+    def matrix(raw, at: str) -> np.ndarray:
+        nonlocal dim
+        m = _parse_matrix(raw, at, dim)
+        dim = m.shape[0]
+        return m
+
+    if cols is None:
+        return _keyed(obj, rows, where, "symbol", matrix)
+    table = _keyed(
+        obj, rows, where, "symbol", lambda row, at: {c: matrix(_need(row, c, at), f"{at}.{c}") for c in cols}
+    )
+    return {(r, c): m for r, row in table.items() for c, m in row.items()}
+
+
+def _dump_table(states: Mapping, rows: Sequence, cols: Sequence) -> dict:
+    return {r: {c: _dump_matrix(states[(r, c)]) for c in cols} for r in rows}
 
 
 def _parse_cq(doc: Mapping) -> CqChannel:
     prior = _parse_dist(_need(doc, "input", "spec"), "spec.input")
-    raw = _need(doc, "states", "spec")
-    if not isinstance(raw, Mapping):
-        raise SpecError("spec.states", "expected an object keyed by symbol")
-    states: dict = {}
-    dim: int | None = None
-    for s in prior.symbols:
-        m = _parse_matrix(_need(raw, s, "spec.states"), f"spec.states.{s}", dim)
-        dim = m.shape[0]
-        states[s] = m
-    return CqChannel(prior, states)
+    return CqChannel(prior, _state_table(_need(doc, "states", "spec"), prior.symbols, "spec.states"))
 
 
 def _dump_cq(model: CqChannel) -> dict:
@@ -153,7 +183,7 @@ def _dump_cq(model: CqChannel) -> dict:
 def _parse_ccq_mac(doc: Mapping) -> CcqMac:
     x = _parse_dist(_need(doc, "x", "spec"), "spec.x")
     y = _parse_dist(_need(doc, "y", "spec"), "spec.y")
-    states = _state_table(_need(doc, "states", "spec"), x.symbols, y.symbols, "spec.states")
+    states = _state_table(_need(doc, "states", "spec"), x.symbols, "spec.states", y.symbols)
     return CcqMac(x, y, states)
 
 
@@ -161,27 +191,20 @@ def _dump_ccq_mac(model: CcqMac) -> dict:
     return {
         "x": _dump_dist(model.x_prior),
         "y": _dump_dist(model.y_prior),
-        "states": {
-            x: {y: _dump_matrix(model.states[(x, y)]) for y in model.y_prior.symbols}
-            for x in model.x_prior.symbols
-        },
+        "states": _dump_table(model.states, model.x_prior.symbols, model.y_prior.symbols),
     }
 
 
 def _parse_cmg_mac(doc: Mapping) -> CoupledMac:
     x = _parse_dist(_need(doc, "x", "spec"), "spec.x")
     z_symbols = _string_list(_need(doc, "z_symbols", "spec"), "spec.z_symbols")
-    table = _need(doc, "z_given_x", "spec")
-    if not isinstance(table, Mapping):
-        raise SpecError("spec.z_given_x", "expected an object keyed by x symbol")
-    rows: dict = {}
-    for s in x.symbols:
-        row = _prob_list(
-            _need(table, s, "spec.z_given_x"), f"spec.z_given_x.{s}", len(z_symbols)
-        )
-        rows[s] = ClassicalDistribution(z_symbols, row)
+
+    def z_row(raw, at: str) -> ClassicalDistribution:
+        return ClassicalDistribution(z_symbols, _prob_list(raw, at, len(z_symbols)))
+
+    rows = _keyed(_need(doc, "z_given_x", "spec"), x.symbols, "spec.z_given_x", "x symbol", z_row)
     y = _parse_dist(_need(doc, "y", "spec"), "spec.y")
-    states = _state_table(_need(doc, "states", "spec"), z_symbols, y.symbols, "spec.states")
+    states = _state_table(_need(doc, "states", "spec"), z_symbols, "spec.states", y.symbols)
     return CoupledMac(x, rows, y, states)
 
 
@@ -195,84 +218,35 @@ def _dump_cmg_mac(model: CoupledMac) -> dict:
             for x in model.x_prior.symbols
         },
         "y": _dump_dist(model.y_prior),
-        "states": {
-            z: {y: _dump_matrix(model.states[(z, y)]) for y in model.y_prior.symbols}
-            for z in z_symbols
-        },
+        "states": _dump_table(model.states, z_symbols, model.y_prior.symbols),
     }
-
-
-def _parse_pair_dist(obj, where: str) -> ClassicalDistribution:
-    raw = _need(obj, "symbols", where)
-    if not isinstance(raw, Sequence) or isinstance(raw, str):
-        raise SpecError(f"{where}.symbols", "expected a list of [first, second] pairs")
-    pairs = []
-    for i, entry in enumerate(raw):
-        ok = (
-            isinstance(entry, Sequence)
-            and not isinstance(entry, str)
-            and len(entry) == 2
-            and all(isinstance(v, str) for v in entry)
-        )
-        if not ok:
-            raise SpecError(f"{where}.symbols[{i}]", "expected a [first, second] pair of strings")
-        pairs.append((entry[0], entry[1]))
-    if len(set(pairs)) != len(pairs):
-        raise SpecError(f"{where}.symbols", "duplicate symbol pair")
-    probs = _prob_list(_need(obj, "probs", where), f"{where}.probs", len(pairs))
-    return ClassicalDistribution(tuple(pairs), probs)
-
-
-def _dump_pair_dist(dist: ClassicalDistribution) -> dict:
-    return {**_dump_dist(dist), "symbols": [list(pair) for pair in dist.symbols]}
 
 
 def _parse_ccqq_ic(doc: Mapping) -> InterferenceChannel:
     q = _parse_dist(_need(doc, "q", "spec"), "spec.q")
-    dims_raw = _need(doc, "output_dims", "spec")
-    ok = (
-        isinstance(dims_raw, Sequence)
-        and not isinstance(dims_raw, str)
-        and len(dims_raw) == 2
-        and all(isinstance(v, int) and not isinstance(v, bool) and v >= 1 for v in dims_raw)
-    )
-    if not ok:
+    dims = _need(doc, "output_dims", "spec")
+    if not (_is_array(dims) and len(dims) == 2 and all(_is_number(v, int) and v >= 1 for v in dims)):
         raise SpecError("spec.output_dims", "expected a pair of positive integers")
-    dims = (int(dims_raw[0]), int(dims_raw[1]))
+    dims = (int(dims[0]), int(dims[1]))
 
-    def rows(field: str) -> dict:
-        table = _need(doc, field, "spec")
-        if not isinstance(table, Mapping):
-            raise SpecError(f"spec.{field}", "expected an object keyed by q symbol")
-        return {
-            s: _parse_pair_dist(_need(table, s, f"spec.{field}"), f"spec.{field}.{s}")
-            for s in q.symbols
-        }
+    def pair_dist(raw, at: str) -> ClassicalDistribution:
+        return _parse_dist(raw, at, _pair_list)
 
-    ux = rows("ux_given_q")
-    vy = rows("vy_given_q")
+    ux = _keyed(_need(doc, "ux_given_q", "spec"), q.symbols, "spec.ux_given_q", "q symbol", pair_dist)
+    vy = _keyed(_need(doc, "vy_given_q", "spec"), q.symbols, "spec.vy_given_q", "q symbol", pair_dist)
     xs = sorted({pair[1] for row in ux.values() for pair in row.symbols})
     ys = sorted({pair[1] for row in vy.values() for pair in row.symbols})
-    raw_states = _need(doc, "states", "spec")
-    states: dict = {}
-    for x in xs:
-        inner = _need(raw_states, x, "spec.states")
-        for y in ys:
-            states[(x, y)] = _parse_matrix(
-                _need(inner, y, f"spec.states.{x}"), f"spec.states.{x}.{y}", dims[0] * dims[1]
-            )
+    states = _state_table(_need(doc, "states", "spec"), xs, "spec.states", ys, dims[0] * dims[1])
     return InterferenceChannel(q, ux, vy, dims, states)
 
 
 def _dump_ccqq_ic(model: InterferenceChannel) -> dict:
-    xs = sorted(model.alphabet("x"))
-    ys = sorted(model.alphabet("y"))
     return {
         "q": _dump_dist(model.q_prior),
         "ux_given_q": {q: _dump_pair_dist(model.ux_given_q[q]) for q in model.q_prior.symbols},
         "vy_given_q": {q: _dump_pair_dist(model.vy_given_q[q]) for q in model.q_prior.symbols},
         "output_dims": list(model.output_dims),
-        "states": {x: {y: _dump_matrix(model.states[(x, y)]) for y in ys} for x in xs},
+        "states": _dump_table(model.states, sorted(model.alphabet("x")), sorted(model.alphabet("y"))),
     }
 
 

@@ -15,7 +15,7 @@ import functools
 import math
 from dataclasses import dataclass, field
 from itertools import product as cartesian
-from typing import Hashable, Iterable, Mapping, Sequence
+from typing import Iterable, Mapping, Sequence
 
 import numpy as np
 
@@ -42,8 +42,6 @@ WINDOW_SLACK = 1e-12
 #: Ceiling on brute-force sequence enumeration.
 SEQUENCE_CAP = 2**20
 
-Symbol = Hashable
-
 
 def entropy_bits(probs: Iterable[float]) -> float:
     """Shannon entropy in bits, ignoring entries <= 1e-14."""
@@ -69,6 +67,8 @@ class ClassicalDistribution:
         p = np.asarray(self.probs, dtype=float)
         if p.size == 0:
             raise ValueError("empty distribution")
+        if not np.isfinite(p).all():
+            raise ValueError("probabilities must be finite")
         if np.any(p < -1e-12):
             raise ValueError("negative probability")
         if abs(float(p.sum()) - 1.0) > 1e-9:
@@ -172,10 +172,6 @@ def sequence_probability(dist: ClassicalDistribution, seq: Iterable) -> float:
 def _ordered_total(masses: Sequence[float]) -> float:
     """Sum of the masses, added one at a time in the given order."""
     return float(np.add.accumulate(masses)[-1]) if len(masses) else 0.0
-
-
-def typical_mass(dist: ClassicalDistribution, n: int, delta: float) -> float:
-    return _ordered_total([sequence_probability(dist, seq) for seq in typical_set(dist, n, delta)])
 
 
 @dataclass(frozen=True)
@@ -420,11 +416,6 @@ def _conditional_basis(ensemble: CqEnsemble, seq: Sequence) -> tuple[list, list]
             factors[j] = v
         groups.append((pos, _snap_eigenvalues(w)))
     return factors, groups
-
-
-def eigen_probs_along(ensemble: CqEnsemble, seq: Sequence) -> list[np.ndarray]:
-    """Per-position snapped eigenvalue vectors of the states along ``seq``."""
-    return _by_position(_conditional_basis(ensemble, seq)[1])
 
 
 # ---------------------------------------------------------------------------

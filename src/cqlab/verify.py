@@ -54,11 +54,21 @@ def _planes_with_angles(dim: int, angles: list[float], rng: np.random.Generator)
     return pa, pb, a_lines
 
 
+def _numbered(name: str, seed: int, stream: int, count: int, draw) -> list[dict]:
+    """Rows ``<name>-0000`` onward, one per ``draw(rng) -> (holds, slack)``
+    call on the suite's own stream ``(seed, stream)``."""
+    rng = np.random.default_rng((seed, stream))
+    rows = []
+    for i in range(count):
+        holds, slack = draw(rng)
+        rows.append({"id": f"{name}-{i:04d}", "holds": bool(holds), "slack": slack})
+    return rows
+
+
 def suite_lemma_key(seed: int = DEFAULT_SEED) -> list[dict]:
     """Vector defect under a projector chain never beats the overlap sum."""
-    rng = np.random.default_rng((seed, 1))
-    rows = []
-    for i in range(1000):
+
+    def draw(rng):
         dim = int(rng.integers(2, 33))
         k = int(rng.integers(1, 6))
         v = rng.normal(size=dim) + 1j * rng.normal(size=dim)
@@ -67,21 +77,15 @@ def suite_lemma_key(seed: int = DEFAULT_SEED) -> list[dict]:
             _random_projector(rng, dim, int(rng.integers(1, dim + 1))) for _ in range(k)
         ]
         res = _geometry.key_inequality_check(v, projs)
-        rows.append(
-            {
-                "id": f"lemma-key-{i:04d}",
-                "holds": bool(res["holds"]),
-                "slack": res["rhs"] - res["lhs"],
-            }
-        )
-    return rows
+        return res["holds"], res["rhs"] - res["lhs"]
+
+    return _numbered("lemma-key", seed, 1, 1000, draw)
 
 
 def suite_lemma_chain(seed: int = DEFAULT_SEED) -> list[dict]:
     """Exact chained success against the square-root floor."""
-    rng = np.random.default_rng((seed, 2))
-    rows = []
-    for i in range(500):
+
+    def draw(rng):
         dim = int(rng.integers(2, 17))
         k = int(rng.integers(0, 5))
         rho = _random_density(rng, dim)
@@ -90,21 +94,15 @@ def suite_lemma_chain(seed: int = DEFAULT_SEED) -> list[dict]:
         steps = [(p, "failure") for p in hostile] + [(target, "success")]
         success = _geometry.sequential_collapse(rho, steps).success_probability
         bound = _geometry.seq_success_lower_bound(rho, hostile, target)
-        rows.append(
-            {
-                "id": f"lemma-chain-{i:04d}",
-                "holds": bool(success >= bound - 1e-9),
-                "slack": success - bound,
-            }
-        )
-    return rows
+        return success >= bound - 1e-9, success - bound
+
+    return _numbered("lemma-chain", seed, 2, 500, draw)
 
 
 def suite_blocks(seed: int = DEFAULT_SEED) -> list[dict]:
     """Two-subspace decomposition: block sizes and exact reconstruction."""
-    rng = np.random.default_rng((seed, 3))
-    rows = []
-    for i in range(300):
+
+    def draw(rng):
         dim = int(rng.integers(3, 33))
         pa = _random_projector(rng, dim, int(rng.integers(1, dim)))
         pb = _random_projector(rng, dim, int(rng.integers(1, dim)))
@@ -121,14 +119,9 @@ def suite_blocks(seed: int = DEFAULT_SEED) -> list[dict]:
             gram_dev = 0.0
             span_dev = float(np.abs(pa).max())
         dev = max(dev_a, dev_b, gram_dev, span_dev)
-        rows.append(
-            {
-                "id": f"blocks-{i:04d}",
-                "holds": bool(sizes_ok and dev <= 1e-8),
-                "slack": 1e-8 - dev,
-            }
-        )
-    return rows
+        return sizes_ok and dev <= 1e-8, 1e-8 - dev
+
+    return _numbered("blocks", seed, 3, 300, draw)
 
 
 def suite_intersection(seed: int = DEFAULT_SEED) -> list[dict]:
@@ -163,23 +156,17 @@ def suite_intersection(seed: int = DEFAULT_SEED) -> list[dict]:
 
 def suite_gentle(seed: int = DEFAULT_SEED) -> list[dict]:
     """Collapse disturbance against twice the root of the lost mass."""
-    rng = np.random.default_rng((seed, 5))
-    rows = []
-    for i in range(500):
+
+    def draw(rng):
         dim = int(rng.integers(2, 17))
         rho = _random_density(rng, dim)
         g = rng.normal(size=(dim, dim)) + 1j * rng.normal(size=(dim, dim))
         h = g @ g.conj().T
         m = h / (float(np.linalg.eigvalsh(h).max()) + float(rng.uniform(0.0, 1.0)))
         res = _geometry.gentle_measurement_check(rho, m)
-        rows.append(
-            {
-                "id": f"gentle-{i:04d}",
-                "holds": bool(res["holds"]),
-                "slack": res["bound"] - res["l1"],
-            }
-        )
-    return rows
+        return res["holds"], res["bound"] - res["l1"]
+
+    return _numbered("gentle", seed, 5, 500, draw)
 
 
 def _rows_from_checks(prefix: str, checks: dict) -> list[dict]:
@@ -295,11 +282,15 @@ SUITES = {
 }
 
 
-def run_suite(name: str, seed: int = DEFAULT_SEED) -> dict:
-    """Run one named suite and summarise its rows."""
+def _known(name: str) -> str:
     if name not in SUITES:
         raise ValueError(f"unknown suite {name!r}; expected one of {sorted(SUITES)} or 'all'")
-    rows = SUITES[name](seed)
+    return name
+
+
+def run_suite(name: str, seed: int = DEFAULT_SEED) -> dict:
+    """Run one named suite and summarise its rows."""
+    rows = SUITES[_known(name)](seed)
     failures = sum(1 for r in rows if not r["holds"])
     return {
         "suite": name,
@@ -313,16 +304,8 @@ def run_suite(name: str, seed: int = DEFAULT_SEED) -> dict:
 
 def run_suites(names, seed: int = DEFAULT_SEED) -> dict:
     """Run several suites ('all' expands to every registered suite)."""
-    expanded: list[str] = []
-    for name in names:
-        if name == "all":
-            expanded.extend(k for k in SUITES if k not in expanded)
-        elif name not in expanded:
-            if name not in SUITES:
-                raise ValueError(
-                    f"unknown suite {name!r}; expected one of {sorted(SUITES)} or 'all'"
-                )
-            expanded.append(name)
+    # every name is checked before any suite runs; repeats run once, first place kept
+    expanded = dict.fromkeys(k for name in names for k in (SUITES if name == "all" else [_known(name)]))
     reports = [run_suite(name, seed) for name in expanded]
     return {
         "seed": seed,

@@ -140,10 +140,36 @@ class TestSpecIO:
         doc = cmg_doc()
         doc["z_given_x"]["0"] = [0.9, 0.0]
         cases.append((doc, "spec.z_given_x.0"))
+        # paths only the cmg and ccqq-ic readers reach: (document, field path, bad value, expected error)
+        for make, path, value, fragment in (
+            (cmg_doc, ("z_given_x",), [[1.0, 0.0]], "spec.z_given_x: expected an object keyed by x symbol"),
+            (ic_doc, ("output_dims",), [2, 0], "spec.output_dims: expected a pair of positive integers"),
+            (ic_doc, ("ux_given_q", "q", "symbols", 1), ["u1"], "spec.ux_given_q.q.symbols[1]: expected a [first"),
+            (ic_doc, ("states", "0", "1"), I2, "spec.states.0.1: expected a 4x4 matrix, got 2 rows"),
+            (ic_doc, ("states",), [], "spec.states: expected an object keyed by symbol"),
+        ):
+            doc = make()
+            node = doc
+            for key in path[:-1]:
+                node = node[key]
+            node[path[-1]] = value
+            cases.append((doc, fragment))
         for bad, fragment in cases:
             with pytest.raises(SpecError) as exc_info:
                 parse_channel(bad)
             assert fragment in str(exc_info.value)
+
+    def test_non_finite_probabilities_are_refused_at_their_element(self):
+        # json.loads reads NaN and Infinity as floats
+        doc = bb84_doc()
+        doc["input"]["probs"] = [math.nan, 1.0]
+        with pytest.raises(SpecError, match="non-finite probability nan") as exc_info:
+            parse_channel(doc)
+        assert exc_info.value.location == "spec.input.probs[0]"
+        doc = json.loads(json.dumps(cmg_doc()).replace("[0.0, 1.0]", "[0.0, Infinity]"))
+        with pytest.raises(SpecError, match="non-finite probability inf") as exc_info:
+            parse_channel(doc)
+        assert exc_info.value.location == "spec.z_given_x.1[1]"
 
     def test_negative_eigenvalue_rejected(self):
         bad = {
@@ -493,6 +519,26 @@ class TestCliSweep:
         doc = json.loads((out / "sweep.json").read_text())
         assert isinstance(doc["result"]["monotone_decreasing"], bool)
         assert len(doc["result"]["mean_errors"]) == 3
+
+
+def test_artifact_key_sets_are_pinned(tmp_path):
+    spec = write_doc(tmp_path, bb84_doc())
+    flags = ["--spec", spec, "--delta", "0.99", "--rate", "0.25", "--seed", "1"]
+    assert main(["simulate", "--out", str(tmp_path / "s"), "--n", "3", *flags]) == 0
+    assert main(["sweep", "--out", str(tmp_path / "w"), "--n", "3", "--n", "4", *flags]) == 0
+    mac = write_doc(tmp_path, xor_mac_doc(), "mac.json")
+    assert main(["regions", "--spec", mac, "--out", str(tmp_path / "r")]) == 0
+    shared = {"delta", "epsilon", "rates", "trials", "seed", "decoder", "region", "order"}
+    summary = json.loads((tmp_path / "s" / "summary.json").read_text())
+    assert set(summary["config"]) == shared | {"n"} and summary["config"]["n"] == 3
+    sweep = json.loads((tmp_path / "w" / "sweep.json").read_text())
+    assert set(sweep["config"]) == shared | {"n_values"} and sweep["config"]["n_values"] == [3, 4]
+    regions = json.loads((tmp_path / "r" / "regions.json").read_text())
+    constraints = regions["regions"]["ccq-mac"]["constraints"]
+    assert constraints
+    for row in constraints:
+        assert set(row) == {"part", "label", "coeffs", "relation", "bound"}
+        assert isinstance(row["coeffs"], list)
 
 
 class TestCliVerify:

@@ -1,5 +1,6 @@
-"""Package-wide checks: the source imports only what it uses and reads every
-private name it defines, forms Kronecker products through one kernel, reads
+"""Package-wide checks: the source imports only what it uses, reads every
+private name it defines and every public one outside ``cqlab.__all__`` (or the
+benchmark reads it), forms Kronecker products through one kernel, reads
 the typicality window slack and the state tolerance in one function each,
 smooths without the dense trace_with, keeps one table row per channel kind,
 the resource guards are fixed constants, every dense entry point enforces
@@ -36,6 +37,7 @@ from cqlab.typicality import (
 )
 
 SRC = pathlib.Path(cqlab.__file__).parent
+BENCH = pathlib.Path(__file__).resolve().parents[1] / "bench"
 MODULES = sorted(p for p in SRC.glob("*.py") if p.name != "__init__.py")
 
 
@@ -70,33 +72,57 @@ def test_module_has_no_unused_imports(path):
     assert unused_imports(path.read_text()) == []
 
 
+def defined_names(tree: ast.Module) -> list[str]:
+    """Module-level function, class and constant names of a parsed module."""
+    names = []
+    for node in tree.body:
+        if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef)):
+            names.append(node.name)
+        elif isinstance(node, ast.Assign):
+            names.extend(t.id for t in node.targets if isinstance(t, ast.Name))
+        elif isinstance(node, ast.AnnAssign) and isinstance(node.target, ast.Name):
+            names.append(node.target.id)
+    return names
+
+
+def read_names(tree: ast.Module) -> set[str]:
+    """Names a parsed module reads, calls or imports; an attribute counts by its own name."""
+    used = set()
+    for node in ast.walk(tree):
+        if isinstance(node, ast.Name) and isinstance(node.ctx, ast.Load):
+            used.add(node.id)
+        elif isinstance(node, ast.Attribute):
+            used.add(node.attr)
+        elif isinstance(node, ast.ImportFrom):
+            used.update(alias.name for alias in node.names)
+    return used
+
+
 def unreferenced_private_names(sources: dict[str, str]) -> list[str]:
     """Private (``_``-prefixed, not dunder) module-level functions, classes and
     constants that no module of ``sources`` reads, calls or imports."""
-    defined: dict[str, str] = {}
-    used: set[str] = set()
-    for fname, source in sources.items():
-        tree = ast.parse(source)
-        for node in tree.body:
-            if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef)):
-                names = [node.name]
-            elif isinstance(node, ast.Assign):
-                names = [t.id for t in node.targets if isinstance(t, ast.Name)]
-            elif isinstance(node, ast.AnnAssign) and isinstance(node.target, ast.Name):
-                names = [node.target.id]
-            else:
-                names = []
-            for name in names:
-                if name.startswith("_") and not name.startswith("__"):
-                    defined[name] = fname
-        for node in ast.walk(tree):
-            if isinstance(node, ast.Name) and isinstance(node.ctx, ast.Load):
-                used.add(node.id)
-            elif isinstance(node, ast.Attribute):
-                used.add(node.attr)
-            elif isinstance(node, ast.ImportFrom):
-                used.update(alias.name for alias in node.names)
+    trees = {fname: ast.parse(source) for fname, source in sources.items()}
+    used = set().union(*map(read_names, trees.values()))
+    defined = {
+        name: fname
+        for fname, tree in trees.items()
+        for name in defined_names(tree)
+        if name.startswith("_") and not name.startswith("__")
+    }
     return sorted(f"{fname}: {name}" for name, fname in defined.items() if name not in used)
+
+
+def unreferenced_public_names(sources: dict[str, str], readers: dict[str, str], exported) -> list[str]:
+    """Public module-level names of ``sources`` outside ``exported`` that no
+    module of ``sources`` or ``readers`` reads, calls or imports."""
+    trees = {fname: ast.parse(source) for fname, source in sources.items()}
+    used = set().union(*map(read_names, trees.values()), *(read_names(ast.parse(s)) for s in readers.values()))
+    return sorted(
+        f"{fname}: {name}"
+        for fname, tree in trees.items()
+        for name in defined_names(tree)
+        if not name.startswith("_") and name not in exported and name not in used
+    )
 
 
 def test_unreferenced_private_check_sees_every_form():
@@ -124,6 +150,49 @@ def test_source_has_no_unreferenced_private_names():
     # dead private helpers are deleted, not kept beside their replacement
     sources = {path.name: path.read_text() for path in sorted(SRC.glob("*.py"))}
     assert unreferenced_private_names(sources) == []
+
+
+def test_unreferenced_public_check_sees_every_form():
+    sources = {
+        "a.py": (
+            "LIMIT = 4\n"
+            "TABLE: dict = {}\n"
+            "Alias = int\n"
+            "def exported():\n"
+            "    return LIMIT\n"
+            "def dead():\n"
+            "    return 0\n"
+            "class Row:\n"
+            "    pass\n"
+            "def by_attribute():\n"
+            "    pass\n"
+        ),
+        "b.py": "from .a import Row\n",
+    }
+    readers = {"bench.py": "import a\na.by_attribute()\n"}
+    assert unreferenced_public_names(sources, readers, {"exported"}) == [
+        "a.py: Alias", "a.py: TABLE", "a.py: dead",
+    ]
+
+
+# The ccqq-ic region API and its averaged-state overlap report: the paper's
+# headline region, kept public though no module of the package reads it.
+KEPT_PUBLIC = {
+    "ccqq_ic_region",
+    "fawzi_first_part_witness",
+    "classical_cmg_region",
+    "disinterested_region",
+    "sample_points_inside",
+    "verify_averaged_state_overlaps",
+}
+
+
+def test_source_has_no_unreferenced_public_names():
+    # a public name outside cqlab.__all__ that neither the package nor the
+    # benchmark reads is dead code, and is deleted
+    sources = {path.name: path.read_text() for path in sorted(SRC.glob("*.py"))}
+    readers = {str(path): path.read_text() for path in sorted(BENCH.rglob("*.py"))}
+    assert unreferenced_public_names(sources, readers, {*cqlab.__all__, *KEPT_PUBLIC}) == []
 
 
 def kron_uses(source: str) -> list[str]:

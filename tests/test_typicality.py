@@ -22,9 +22,7 @@ from cqlab.typicality import (
     CqEnsemble,
     TypicalityParams,
     cond_typical_projector,
-    eigen_probs_along,
     is_typical,
-    typical_mass,
     typical_projector,
     typical_set,
     typicality_threshold_n,
@@ -78,7 +76,6 @@ def test_typical_boundary_kept():
 def test_point_mass_all_checks_trivial():
     d = ClassicalDistribution(("z", "w"), (1.0, 0.0))
     assert typical_set(d, 5, 0.4) == [("z",) * 5]
-    assert typical_mass(d, 5, 0.4) == 1.0
     assert not is_typical(d, ("z", "w", "z"), 0.4)
 
 
@@ -441,7 +438,7 @@ def test_state_report_rank_is_the_typical_projector_rank():
             assert checks["rank"].value == typical_projector(rho, n, params.delta).rank
 
 
-def test_eigen_probs_along_reads_the_conditional_groups():
+def test_conditional_basis_snaps_degenerate_labels():
     # degenerate spectra: the near-equal pair is snapped to one shared label
     dist = ClassicalDistribution((0, 1, 2), (0.25, 0.25, 0.5))
     states = {
@@ -451,14 +448,11 @@ def test_eigen_probs_along_reads_the_conditional_groups():
     }
     ens = CqEnsemble(dist, states)
     seq = (2, 0, 1, 0, 2)
-    probs = eigen_probs_along(ens, seq)
-    _, groups = _conditional_basis(ens, seq)
-    assert len(probs) == len(seq)
-    for pos, q in groups:
-        for j in pos:
-            assert np.array_equal(probs[j], q)
-    assert np.array_equal(probs[1], [0.5, 0.5])
-    assert np.allclose(probs[2], [1.0, 0.0], atol=1e-12)
+    factors, groups = _conditional_basis(ens, seq)
+    assert len(factors) == len(seq)
+    assert [pos for pos, _ in groups] == [[0, 4], [1, 3], [2]]
+    assert np.array_equal(groups[1][1], [0.5, 0.5])
+    assert np.allclose(groups[2][1], [1.0, 0.0], atol=1e-12)
 
 
 def test_averaged_state_overlap_report():
@@ -484,13 +478,6 @@ def test_averaged_state_overlap_report():
     assert 0.0 <= checks["conditional_overlap"].value <= 1.0 + 1e-12
 
 
-def test_eigen_probs_along():
-    ens = bb84_ensemble()
-    probs = eigen_probs_along(ens, (0, 1))
-    assert np.allclose(probs[0], [1.0, 0.0])
-    assert np.allclose(probs[1], [1.0, 0.0])
-
-
 def test_distribution_validation():
     with pytest.raises(ValueError):
         ClassicalDistribution((0, 1), (0.6, 0.6))
@@ -498,3 +485,7 @@ def test_distribution_validation():
         ClassicalDistribution((0, 0), (0.5, 0.5))
     with pytest.raises(ValueError):
         ClassicalDistribution((0, 1), (1.2, -0.2))
+    # NaN compares false against every bound, so it needs its own check
+    for probs in ((math.nan, 1.0), (math.inf, 1.0)):
+        with pytest.raises(ValueError, match="finite"):
+            ClassicalDistribution((0, 1), probs)
