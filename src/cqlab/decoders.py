@@ -148,7 +148,23 @@ def _lex(counts: Sequence[int]) -> list:
 
 
 def _conditional_sequence(rows: Mapping, xs: Sequence, rng: np.random.Generator) -> tuple:
-    return tuple(rows[x].sample_sequence(1, rng)[0] for x in xs)
+    """z drawn positionwise from the law ``rows[x]`` along ``xs``.
+
+    Bit-identical to one ``rng.choice(size=1, p=rows[x].probs)`` per
+    position: that call draws one uniform and reads it off the cdf formed
+    below, so one ``rng.random(n)`` serves every position.  A negative
+    probability is refused, as ``choice`` refuses it.
+    """
+    cdfs = {}
+    for x in dict.fromkeys(xs):
+        p = np.asarray(rows[x].probs, dtype=float)
+        if np.any(p < 0):
+            raise ValueError("probabilities are not non-negative")
+        cdf = p.cumsum()
+        cdf /= cdf[-1]
+        cdfs[x] = cdf
+    u = rng.random(len(xs))
+    return tuple(rows[x].symbols[int(cdfs[x].searchsorted(uj, side="right"))] for x, uj in zip(xs, u))
 
 
 def _rate_tuple(rates) -> tuple[float, ...]:
@@ -563,13 +579,16 @@ def _leaks(parts: dict, factors: Mapping, labels: Sequence[str]) -> list[list[fl
     typical messages, in message order, from the state factor A_m and the
     layer's columns V, so a layer holding the whole state reads about 0."""
     out: list[list[float]] = [[] for _ in labels]
+    conj: dict = {}  # each distinct layer's conjugate columns, formed once
     for m, p in parts.items():
         if p is None:
             continue
         a = factors[m]
         for leaks, outer, what in zip(out, p[1:], labels):
             v = outer.support_columns()
-            leaks.append(_clip01(_sq(a - v @ (v.conj().T @ a)), what))
+            if outer not in conj:
+                conj[outer] = v.conj()
+            leaks.append(_clip01(_sq(a - v @ (conj[outer].T @ a)), what))
     return out
 
 

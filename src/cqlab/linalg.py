@@ -220,6 +220,23 @@ class DensityOperator:
         return hermitian_eig(self.matrix)
 
 
+def _product_columns(factors: Sequence[np.ndarray], flat: np.ndarray) -> np.ndarray:
+    """The product-basis vectors f_1[:, i_1] x ... x f_n[:, i_n] as columns,
+    one per flat index of the grid of the factors' dimensions.
+
+    ``flat`` must hold valid indices; the columns follow its order, so
+    ascending indices give the lexicographic order of the multi-indices.
+    Columns are gathered one position at a time in the left-to-right order
+    of ``np.kron``, row-major: BLAS products of a column-major V differ in
+    the last bits.
+    """
+    picks = np.unravel_index(flat, tuple(f.shape[0] for f in factors))
+    cols = np.ones((1, len(flat)), dtype=np.complex128)
+    for f, column in zip(factors, picks):
+        cols = np.multiply(cols[:, None, :], f[None, :, column], order="C").reshape(len(cols) * len(f), len(flat))
+    return cols
+
+
 def require_projector(m) -> np.ndarray:
     """``m`` as a projector matrix: Hermitian by the one ``require_hermitian``
     rule, and idempotent within PROJECTOR_TOL * D."""
@@ -262,8 +279,8 @@ class Projector:
 
         ``factors[j]`` holds position j's local basis as columns; each row of
         ``indices`` picks one column per position.  Rows are deduplicated and
-        sorted, and the columns are gathered one position at a time in the
-        left-to-right order of ``np.kron``.
+        sorted through their flat indices, and the columns are gathered by
+        ``_product_columns``.
         """
         facs = [as_matrix(f) for f in factors]
         n = len(facs)
@@ -271,18 +288,13 @@ class Projector:
             idx = np.asarray(indices, dtype=np.intp).reshape(len(indices), n)
         except ValueError:  # ragged rows, or rows of another length
             raise ValueError("multi-index length does not match the factor count") from None
-        idx = np.unique(idx, axis=0)
         dims = np.array([f.shape[0] for f in facs], dtype=np.intp)
         bad = np.argwhere((idx < 0) | (idx >= dims))
         if bad.size:
             row, j = bad[0]
             raise ValueError(f"multi-index entry {idx[row, j]} out of range for dimension {dims[j]}")
-        r = len(idx)
-        cols = np.ones((1, r), dtype=np.complex128)
-        # row-major output: BLAS products of a column-major V differ in the last bits
-        for f, column in zip(facs, idx.T):
-            cols = np.multiply(cols[:, None, :], f[None, :, column], order="C").reshape(len(cols) * len(f), r)
-        return cls(cols)
+        flat = np.unique(np.ravel_multi_index(tuple(idx.T), tuple(dims)))
+        return cls(_product_columns(facs, flat))
 
     @classmethod
     def zero(cls, dim: int) -> "Projector":

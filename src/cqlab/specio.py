@@ -46,8 +46,15 @@ def _is_array(obj) -> bool:
 
 
 def _is_number(v, kind=(int, float)) -> bool:
-    """A JSON number of the given kind (booleans are not numbers)."""
-    return isinstance(v, kind) and not isinstance(v, bool)
+    """A JSON number of the given kind that fits a float (booleans are not
+    numbers, and an integer beyond the float range is refused)."""
+    if not isinstance(v, kind) or isinstance(v, bool):
+        return False
+    try:
+        float(v)
+    except OverflowError:
+        return False
+    return True
 
 
 def _keyed(obj, keys, where: str, what: str, parse: Callable) -> dict:

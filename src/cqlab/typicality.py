@@ -22,6 +22,7 @@ import numpy as np
 from .linalg import (
     Projector,
     _kron,
+    _product_columns,
     as_matrix,
     check_dim_cap,
     hermitian_eig,
@@ -265,36 +266,52 @@ def _typical_count_windows(q: tuple[float, ...], n: int, delta: float) -> tuple[
     )
 
 
-def _typical_indices(groups, d: int, n: int, delta: float) -> np.ndarray:
-    """Kept multi-indices of the d^n eigenbasis grid, as lexicographic rows.
+@functools.lru_cache(maxsize=1024)
+def _group_mask(labels: tuple[float, ...], g: int, delta: float) -> np.ndarray:
+    """Kept cells of one symbol group's d^g eigenbasis grid (d = len(labels)),
+    read-only: each label's count lies in its window at length g.
+
+    The one place where count windows meet an index grid.  The mask depends
+    on counts alone, so it is symmetric in its g axes.
+    """
+    d = len(labels)
+    grid = np.indices((d,) * g).reshape(g, d**g)
+    keep = np.ones(d**g, dtype=bool)
+    for label, (lo, hi) in enumerate(_typical_count_windows(labels, g, delta)):
+        count = np.count_nonzero(grid == label, axis=0)
+        keep &= (lo <= count) & (count <= hi)
+    keep = keep.reshape((d,) * g)
+    keep.flags.writeable = False
+    return keep
+
+
+def _kept_flat(groups, d: int, n: int, delta: float) -> np.ndarray:
+    """Kept flat indices of the d^n eigenbasis grid, ascending, which is the
+    lexicographic order of their multi-indices.
 
     ``groups`` pairs positions with the snapped eigenvalue labels used
-    there; a row is kept when, inside every group, each label's count lies
-    in its window at that group's length.
+    there.  The layer's mask is the AND of its groups' masks, each placed on
+    its positions by singleton axes; a group mask is symmetric in its axes,
+    so the order of the positions does not matter.
     """
-    grid = np.indices((d,) * n).reshape(n, d**n).T
-    keep = np.ones(len(grid), dtype=bool)
+    keep = np.ones((d,) * n, dtype=bool)
     for pos, q in groups:
-        sub = grid[:, list(pos)]
-        for label, (lo, hi) in enumerate(_typical_count_windows(tuple(q), len(pos), delta)):
-            count = np.count_nonzero(sub == label, axis=1)
-            keep &= (lo <= count) & (count <= hi)
-    return grid[keep]
+        shape = [1] * n
+        for j in pos:
+            shape[j] = d
+        keep &= _group_mask(tuple(q), len(pos), delta).reshape(shape)
+    return np.flatnonzero(keep)
 
 
-def _by_position(groups) -> list[np.ndarray]:
-    """Each position's labels from (positions, labels) groups, in position order."""
+def _kept_masses(groups, n: int, flat: np.ndarray) -> tuple[list[float], float]:
+    """Product weight of each kept basis vector under the groups' labels,
+    multiplied in position order, and their total summed in index order
+    (Tr[P rho] for rho diagonal in that basis)."""
     at = {j: q for pos, q in groups for j in pos}
-    return [at[j] for j in sorted(at)]
-
-
-def _kept_masses(groups, kept: np.ndarray) -> tuple[list[float], float]:
-    """Product weight of each kept row under the groups' labels, multiplied in
-    position order, and their total summed in row order (Tr[P rho] for rho
-    diagonal in that basis)."""
-    masses = np.ones(len(kept))
-    for j, q in enumerate(_by_position(groups)):
-        masses = masses * np.asarray(q, dtype=float)[kept[:, j]]
+    d = len(at[0])
+    masses = np.ones(len(flat))
+    for j, picks in enumerate(np.unravel_index(flat, (d,) * n)):
+        masses = masses * np.asarray(at[j], dtype=float)[picks]
     return masses.tolist(), _ordered_total(masses)
 
 
@@ -312,8 +329,8 @@ def typical_projector(rho, n: int, delta: float) -> Projector:
     d = a.shape[0]
     check_dim_cap(d**n)
     w, v = hermitian_eig(a)
-    kept = _typical_indices([(range(n), _snap_eigenvalues(w))], d, n, delta)
-    return Projector.from_product_basis([v] * n, kept)
+    flat = _kept_flat([(range(n), _snap_eigenvalues(w))], d, n, delta)
+    return Projector(_product_columns([v] * n, flat))
 
 
 @dataclass(frozen=True)
@@ -399,7 +416,7 @@ def cond_typical_projector(ensemble: CqEnsemble, seq: Sequence, delta: float) ->
     d = ensemble.dim
     check_dim_cap(d**n)
     factors, groups = _conditional_basis(ensemble, seq)
-    return Projector.from_product_basis(factors, _typical_indices(groups, d, n, delta))
+    return Projector(_product_columns(factors, _kept_flat(groups, d, n, delta)))
 
 
 def _conditional_basis(ensemble: CqEnsemble, seq: Sequence) -> tuple[list, list]:
@@ -509,9 +526,9 @@ def verify_state_typicality(rho, n: int, params: TypicalityParams) -> dict:
     w, v = hermitian_eig(a)
     q = _snap_eigenvalues(w)
     groups = [(range(n), q)]
-    kept = _typical_indices(groups, len(q), n, params.delta)
-    proj = Projector.from_product_basis([v] * n, kept)
-    masses, total = _kept_masses(groups, kept)
+    flat = _kept_flat(groups, len(q), n, params.delta)
+    proj = Projector(_product_columns([v] * n, flat))
+    masses, total = _kept_masses(groups, n, flat)
     threshold = typicality_threshold_n(params, q_min=float(min(x for x in q if x > 0)))
     checks = _typical_set_checks(masses, total, proj.rank, "rank", n, float(entropy_bits(q)), params, threshold)
     commutes = True
@@ -533,12 +550,12 @@ def verify_conditional_typicality(ensemble: CqEnsemble, seq: Sequence, params: T
     n = len(seq)
     check_dim_cap(ensemble.dim**n)
     _, groups = _conditional_basis(ensemble, seq)
-    kept = _typical_indices(groups, ensemble.dim, n, params.delta)
-    masses, mass = _kept_masses(groups, kept)
+    flat = _kept_flat(groups, ensemble.dim, n, params.delta)
+    masses, mass = _kept_masses(groups, n, flat)
     seq_typical = is_typical(ensemble.dist, seq, params.delta)
     threshold = typicality_threshold_n(params, p_min=ensemble.dist.p_min, q_min=ensemble.q_min())
     return _typical_set_checks(
-        masses, mass, len(kept), "rank", n, ensemble.conditional_entropy(), params, threshold,
+        masses, mass, len(flat), "rank", n, ensemble.conditional_entropy(), params, threshold,
         typical=seq_typical, note=f"; input typical: {seq_typical}",
     )
 

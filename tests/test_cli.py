@@ -304,6 +304,26 @@ class TestCliRegions:
         assert main(["regions", "--spec", spec, "--out", str(tmp_path / "o")]) == 2
         assert "missing field 'states'" in capsys.readouterr().err
 
+    @pytest.mark.parametrize(
+        "field, value, where",
+        [
+            ("probs", [10**400, 0], "spec.input.probs[0]"),
+            ("state", [[[10**400, 0], [0, 0]], [[0, 0], [0, 0]]], "spec.states.0[0][0]"),
+        ],
+    )
+    def test_number_beyond_the_float_range_exits_2_and_names_it(self, tmp_path, capsys, field, value, where):
+        # JSON integers are unbounded; one that no float holds is refused at its field
+        doc = bb84_doc()
+        if field == "probs":
+            doc["input"]["probs"] = value
+        else:
+            doc["states"]["0"] = value
+        spec = write_doc(tmp_path, doc)
+        assert main(["regions", "--spec", spec, "--out", str(tmp_path / "o")]) == 2
+        err = capsys.readouterr().err
+        assert err.startswith(f"error: {where}:")
+        assert "Traceback" not in err
+
 
 class TestCliSimulate:
     def test_single_message_summary_matches_direct_decode(self, tmp_path):

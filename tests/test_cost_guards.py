@@ -10,7 +10,9 @@ sandwiches each (xs, zs) key's marginal part once and reads a maximally
 mixed record's trace distance off the symbols' spectra, so verification
 builds no product state, and no record keeps a dense state.  Multi-sender
 candidates and their guarantees are checked in the candidates' own span, so
-building them forms no D x D matrix, and no projector keeps one.  These
+building them forms no D x D matrix, and no projector keeps one.  A typical
+layer's kept set is the AND of cached per-group masks, so a decode builds
+each mask once and sorts no rows.  These
 tests count such calls through monkeypatching, and live memory through
 tracemalloc.
 """
@@ -36,7 +38,7 @@ from cqlab.decoders import (
 from cqlab.geometry import key_inequality_check, seq_success_lower_bound, sequential_collapse
 from cqlab.linalg import Projector
 from cqlab.smoothing import smoothed_states, verify_smoothing_bounds
-from cqlab.typicality import ClassicalDistribution, CqEnsemble
+from cqlab.typicality import ClassicalDistribution, CqEnsemble, _group_mask, _snap_eigenvalues
 
 KET0 = np.diag([1.0, 0.0]).astype(complex)
 PLUS = np.full((2, 2), 0.5, dtype=complex)
@@ -259,6 +261,33 @@ def test_no_decoder_runs_a_dense_collapse(calls):
     book = sample_codebook(CMG, (0.35, 0.35, 0.0), N, (0, 0))
     for region in (1, 2):
         sequential_decode(CMG, book, 0.99, region=region)
+
+
+def test_cq_layers_read_cached_group_masks_and_sort_no_rows(monkeypatch):
+    """At n = 8 (16 codewords under one symbol law) each layer's kept set is
+    the AND of cached per-group masks: at most one mask is built per
+    distinct (labels, group size, delta), and no layer sorts its kept rows
+    (``np.unique`` with an axis)."""
+    book = sample_codebook(CQ, 0.5, 8, (0, 0))
+    assert len(book.messages()) == 16
+    unique = np.unique
+
+    def no_row_sort(*args, **kwargs):
+        if kwargs.get("axis") is not None:
+            raise AssertionError("a layer sorted its kept rows")
+        return unique(*args, **kwargs)
+
+    monkeypatch.setattr(np, "unique", no_row_sort)
+    ens = CQ.ensemble()
+    keys = {
+        (tuple(_snap_eigenvalues(ens.eig(s)[0])), size, 0.99)
+        for (xs,) in map(book.sequences, book.messages())
+        for s, size in Counter(xs).items()
+    }
+    _group_mask.cache_clear()
+    report = sequential_decode(CQ, book, 0.99)
+    assert max(report.details["candidate_ranks"].values()) > 0
+    assert 0 < _group_mask.cache_info().misses <= len(keys)
 
 
 def test_pgm_over_built_elements_runs_no_dense_eigendecomposition(calls):

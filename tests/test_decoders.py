@@ -12,6 +12,7 @@ import pytest
 from cqlab.channels import CcqMac, CoupledMac, CqChannel
 from cqlab.decoders import (
     Codebook,
+    _conditional_sequence,
     monte_carlo_avg_error,
     pgm_decode,
     pgm_elements,
@@ -139,6 +140,30 @@ class TestCodebookSampling:
         for (m1, _), zw in book.codewords[1].items():
             xw = book.codewords[0][m1]
             assert zw == tuple(1 - x for x in xw)
+
+    def test_coupled_draw_matches_one_choice_per_position(self):
+        # oracle: one rng.choice(size=1, p=row) per position, the draw's definition
+        def choice_loop(rows, xs, rng):
+            return tuple(
+                rows[x].symbols[rng.choice(len(rows[x].symbols), size=1, p=np.asarray(rows[x].probs))[0]] for x in xs
+            )
+
+        rows = {
+            0: ClassicalDistribution((0, 1), (0.3, 0.7)),
+            1: ClassicalDistribution(("a", "b", "c"), (0.2, 0.0, 0.8)),
+            2: ClassicalDistribution(("a", "b", "c"), (1 / 3, 1 / 3, 1 / 3)),
+            3: ClassicalDistribution((0, 1), (1.0, 0.0)),
+        }
+        for seed in range(300):
+            xs = tuple(np.random.default_rng(seed).integers(0, 4, size=1 + seed % 12))
+            fast = _conditional_sequence(rows, xs, np.random.default_rng(seed))
+            assert fast == choice_loop(rows, xs, np.random.default_rng(seed))
+            assert all(z != "b" for x, z in zip(xs, fast) if x == 1)
+        # a row admitted with an entry just below zero is refused, as choice refuses it
+        bad = {0: ClassicalDistribution((0, 1, 2), (0.5, 0.5 + 1e-13, -1e-13))}
+        for draw in (_conditional_sequence, choice_loop):
+            with pytest.raises(ValueError, match="non-negative"):
+                draw(bad, (0, 0), np.random.default_rng(0))
 
     def test_sequences_for_pair_message_on_three_senders(self):
         flip = {0: UNIF, 1: UNIF}

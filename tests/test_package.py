@@ -2,7 +2,8 @@
 private name it defines and every public one outside ``cqlab.__all__`` (or the
 benchmark reads it), forms Kronecker products through one kernel, reads
 the typicality window slack and the state tolerance in one function each,
-smooths without the dense trace_with, keeps one table row per channel kind,
+forms an index grid only in the per-group typical mask, smooths without the
+dense trace_with, keeps one table row per channel kind,
 the resource guards are fixed constants, every dense entry point enforces
 DIM_CAP, and only the rate-region sampler loads scipy."""
 
@@ -283,6 +284,53 @@ def test_each_tolerance_is_read_by_its_one_rule(name, owner):
     # dense re-read are each written once
     found = [(path.name, fn) for path in sorted(SRC.glob("*.py")) for fn in constant_readers(path.read_text(), name)]
     assert found == [owner]
+
+
+def numpy_readers(source: str, attr: str) -> list[str]:
+    """Functions that reach ``numpy.<attr>``, "<module>" for uses outside any
+    function; importing it from numpy counts as a module-level use."""
+    tree = ast.parse(source)
+    numpy_names = {"numpy"}
+    for node in ast.walk(tree):
+        if isinstance(node, ast.Import):
+            numpy_names.update(a.asname or a.name for a in node.names if a.name == "numpy")
+    readers = set()
+
+    def visit(node, where):
+        for child in ast.iter_child_nodes(node):
+            if isinstance(child, (ast.FunctionDef, ast.AsyncFunctionDef)):
+                visit(child, child.name)
+                continue
+            if isinstance(child, ast.Attribute) and child.attr == attr:
+                if isinstance(child.value, ast.Name) and child.value.id in numpy_names:
+                    readers.add(where)
+            elif isinstance(child, ast.ImportFrom) and child.module == "numpy":
+                if any(a.name == attr for a in child.names):
+                    readers.add("<module>")
+            visit(child, where)
+
+    visit(tree, "<module>")
+    return sorted(readers)
+
+
+def test_numpy_reader_check_sees_every_form_but_other_names():
+    source = (
+        "import numpy as np\n"
+        "from numpy import indices\n"
+        "def grid(d, g):\n"
+        "    return np.indices((d,) * g)\n"
+        "def rows(indices, s):\n"
+        "    return s.indices(3), indices\n"
+        "GRID = np.indices((2,))\n"
+    )
+    assert numpy_readers(source, "indices") == ["<module>", "grid"]
+
+
+def test_only_the_group_mask_forms_an_index_grid():
+    # a layer's kept set is built from cached per-group masks; a d^n index
+    # grid formed anywhere else would cost O(n d^n) per layer again
+    found = [(path.name, fn) for path in sorted(SRC.glob("*.py")) for fn in numpy_readers(path.read_text(), "indices")]
+    assert found == [("typicality.py", "_group_mask")]
 
 
 def test_smoothing_reads_no_overlap_through_trace_with():

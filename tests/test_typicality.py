@@ -16,8 +16,10 @@ from hypothesis import strategies as st
 from cqlab.linalg import DimensionCapError, Projector, hermitian_eig, psd_leq, tensor_product
 from cqlab.typicality import (
     _conditional_basis,
+    _group_mask,
+    _kept_flat,
+    _snap_eigenvalues,
     _typical_count_windows,
-    _typical_indices,
     ClassicalDistribution,
     CqEnsemble,
     TypicalityParams,
@@ -326,14 +328,77 @@ def test_typical_indices_match_the_tuple_enumeration(d, n, delta, weights, data)
         labels.append(q)
     owner = data.draw(st.lists(st.integers(0, len(labels) - 1), min_size=n, max_size=n))
     groups = [([j for j in range(n) if owner[j] == g], labels[g]) for g in sorted(set(owner))]
-    kept = _typical_indices(groups, d, n, delta)
+    flat = _kept_flat(groups, d, n, delta)
+    assert np.all(np.diff(flat) > 0)
+    kept = np.array(np.unravel_index(flat, (d,) * n), dtype=np.intp).T.reshape(len(flat), n)
     assert [tuple(int(i) for i in row) for row in kept] == old_typical_indices(groups, n, delta)
+    # each group's mask is its own tuple enumeration, read-only
+    for pos, q in groups:
+        mask = _group_mask(tuple(q), len(pos), delta)
+        assert not mask.flags.writeable
+        assert [tuple(int(i) for i in t) for t in np.argwhere(mask)] == old_typical_indices([(range(len(pos)), q)], len(pos), delta)
     # in the computational basis the projector is diagonal on exactly the kept rows
     p = Projector.from_product_basis([np.eye(d)] * n, kept)
     diag = np.zeros(d**n)
-    diag[[np.ravel_multi_index(tuple(row), (d,) * n) for row in kept]] = 1.0
+    diag[flat] = 1.0
     assert p.rank == len(kept)
     assert np.array_equal(p.dense(), np.diag(diag).astype(complex))
+
+
+def grid_layer_columns(factors, groups, d, n, delta) -> np.ndarray:
+    """The earlier layer build: the full d^n x n index grid counted per group,
+    its kept rows sorted and deduplicated, and the columns gathered one
+    position at a time in the order of ``np.kron``."""
+    grid = np.indices((d,) * n).reshape(n, d**n).T
+    keep = np.ones(len(grid), dtype=bool)
+    for pos, q in groups:
+        sub = grid[:, list(pos)]
+        for label, (lo, hi) in enumerate(_typical_count_windows(tuple(q), len(pos), delta)):
+            count = np.count_nonzero(sub == label, axis=1)
+            keep &= (lo <= count) & (count <= hi)
+    idx = np.unique(grid[keep], axis=0)
+    cols = np.ones((1, len(idx)), dtype=np.complex128)
+    for f, column in zip(factors, idx.T):
+        cols = np.multiply(cols[:, None, :], f[None, :, column], order="C").reshape(len(cols) * len(f), len(idx))
+    return cols
+
+
+def spectrum_state(rng, d: int, kind: str) -> np.ndarray:
+    """A d x d density matrix: pure, rank-deficient (rank d - 1), degenerate
+    (I/d) or of full rank with a random spectrum."""
+    if kind == "degenerate":
+        return np.eye(d, dtype=complex) / d
+    u = np.linalg.qr(rng.normal(size=(d, d)) + 1j * rng.normal(size=(d, d)))[0]
+    w = {"pure": [1.0] + [0.0] * (d - 1), "rank-deficient": list(rng.uniform(0.1, 1.0, d - 1)) + [0.0]}.get(
+        kind, list(rng.uniform(0.1, 1.0, d))
+    )
+    w = np.asarray(w) / np.sum(w)
+    return (u * w) @ u.conj().T
+
+
+SPECTRUM_KINDS = ("pure", "rank-deficient", "degenerate", "full")
+
+
+@given(
+    d=st.integers(2, 3),
+    n=st.integers(1, 6),
+    delta=st.sampled_from((0.05, 0.3, 0.99, 2.0 * 0.99, 6.0 * 0.99)),
+    kinds=st.lists(st.sampled_from(SPECTRUM_KINDS), min_size=1, max_size=3),
+    seed=st.integers(0, 2**32 - 1),
+    data=st.data(),
+)
+def test_layers_are_bit_identical_to_the_grid_build(d, n, delta, kinds, seed, data):
+    rng = np.random.default_rng(seed)
+    states = {s: spectrum_state(rng, d, kind) for s, kind in enumerate(kinds)}
+    ens = CqEnsemble(ClassicalDistribution(tuple(states), (1.0 / len(states),) * len(states)), states)
+    seq = tuple(data.draw(st.lists(st.sampled_from(sorted(states)), min_size=n, max_size=n)))
+    factors, groups = _conditional_basis(ens, seq)
+    cols = cond_typical_projector(ens, seq, delta).support_columns()
+    assert cols.shape[0] == d**n
+    assert np.array_equal(cols, grid_layer_columns(factors, groups, d, n, delta))
+    w, v = hermitian_eig(states[0])
+    cols = typical_projector(states[0], n, delta).support_columns()
+    assert np.array_equal(cols, grid_layer_columns([v] * n, [(range(n), _snap_eigenvalues(w))], d, n, delta))
 
 
 def test_empty_typical_set_gives_the_zero_projector():
