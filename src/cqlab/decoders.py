@@ -151,20 +151,11 @@ def _conditional_sequence(rows: Mapping, xs: Sequence, rng: np.random.Generator)
     """z drawn positionwise from the law ``rows[x]`` along ``xs``.
 
     Bit-identical to one ``rng.choice(size=1, p=rows[x].probs)`` per
-    position: that call draws one uniform and reads it off the cdf formed
-    below, so one ``rng.random(n)`` serves every position.  A negative
-    probability is refused, as ``choice`` refuses it.
+    position: that call draws one uniform and reads it off the law's cdf,
+    so one ``rng.random(n)`` serves every position.
     """
-    cdfs = {}
-    for x in dict.fromkeys(xs):
-        p = np.asarray(rows[x].probs, dtype=float)
-        if np.any(p < 0):
-            raise ValueError("probabilities are not non-negative")
-        cdf = p.cumsum()
-        cdf /= cdf[-1]
-        cdfs[x] = cdf
     u = rng.random(len(xs))
-    return tuple(rows[x].symbols[int(cdfs[x].searchsorted(uj, side="right"))] for x, uj in zip(xs, u))
+    return tuple(rows[x].symbols_at(u[j : j + 1])[0] for j, x in enumerate(xs))
 
 
 def _rate_tuple(rates) -> tuple[float, ...]:

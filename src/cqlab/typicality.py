@@ -112,9 +112,27 @@ class ClassicalDistribution:
                 probs.append(pa * pb)
         return ClassicalDistribution(tuple(syms), tuple(probs))
 
+    @functools.cached_property
+    def _cdf(self) -> np.ndarray:
+        """The cdf ``Generator.choice(p=probs)`` forms on every call, formed
+        once.  A negative entry (admitted down to -1e-12) is refused, as
+        ``choice`` refuses it."""
+        p = np.asarray(self.probs, dtype=float)
+        if np.any(p < 0):
+            raise ValueError("probabilities are not non-negative")
+        cdf = p.cumsum()
+        cdf /= cdf[-1]
+        cdf.flags.writeable = False
+        return cdf
+
+    def symbols_at(self, u: np.ndarray) -> tuple:
+        """The symbols ``rng.choice(size, p=probs)`` returns when its uniform
+        draws are ``u``: it reads each off the cdf, right side."""
+        return tuple(self.symbols[i] for i in self._cdf.searchsorted(u, side="right"))
+
     def sample_sequence(self, n: int, rng: np.random.Generator) -> tuple:
-        idx = rng.choice(len(self.symbols), size=n, p=np.asarray(self.probs))
-        return tuple(self.symbols[i] for i in idx)
+        """n i.i.d. symbols, bit-identical to ``rng.choice(size=n, p=probs)``."""
+        return self.symbols_at(rng.random(n))
 
 
 def sequence_counts(seq: Sequence) -> dict:
@@ -337,12 +355,14 @@ def typical_projector(rho, n: int, delta: float) -> Projector:
 class CqEnsemble:
     """Finite family of density operators indexed by classical symbols,
     each checked by ``as_matrix`` once, at construction, and decomposed by
-    ``hermitian_eig`` at most once, on first request."""
+    ``hermitian_eig`` and its eigenvalues snapped at most once, on first
+    request."""
 
     dist: ClassicalDistribution
     states: Mapping
     _checked: dict = field(init=False, repr=False, compare=False)
     _eigs: dict = field(init=False, repr=False, compare=False)
+    _labels: dict = field(init=False, repr=False, compare=False)
 
     def __post_init__(self):
         checked = {s: as_matrix(m) for s, m in self.states.items()}
@@ -353,6 +373,7 @@ class CqEnsemble:
             raise ValueError("ensemble states have inconsistent dimensions")
         object.__setattr__(self, "_checked", checked)
         object.__setattr__(self, "_eigs", {})
+        object.__setattr__(self, "_labels", {})
 
     @property
     def dim(self) -> int:
@@ -370,6 +391,15 @@ class CqEnsemble:
             v.flags.writeable = False
             self._eigs[symbol] = (w, v)
         return self._eigs[symbol]
+
+    def labels(self, symbol) -> np.ndarray:
+        """Snapped eigenvalue labels of ``eig(symbol)``, read-only, in its
+        eigenvector order."""
+        if symbol not in self._labels:
+            q = _snap_eigenvalues(self.eig(symbol)[0])
+            q.flags.writeable = False
+            self._labels[symbol] = q
+        return self._labels[symbol]
 
     def average_state(self) -> np.ndarray:
         out = np.zeros((self.dim, self.dim), dtype=np.complex128)
@@ -428,10 +458,10 @@ def _conditional_basis(ensemble: CqEnsemble, seq: Sequence) -> tuple[list, list]
     factors: list = [None] * len(seq)
     groups = []
     for s, pos in positions.items():
-        w, v = ensemble.eig(s)
+        v = ensemble.eig(s)[1]
         for j in pos:
             factors[j] = v
-        groups.append((pos, _snap_eigenvalues(w)))
+        groups.append((pos, ensemble.labels(s)))
     return factors, groups
 
 

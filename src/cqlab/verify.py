@@ -6,11 +6,17 @@ emission.  A row records the instance id, whether the inequality holds,
 and the measured slack (negative slack means violated).  The suites call
 the library through module attributes so a corrupted core is observable
 from here.
+
+Suites draw from disjoint streams ``(seed, 1..8)`` and share no state, so
+``run_suites`` runs them in forked worker processes, one per available CPU,
+and reports them in order; the output is the same as one suite after
+another.  Rows within a suite share one stream and stay serial.
 """
 
 from __future__ import annotations
 
 import math
+import os
 
 import numpy as np
 
@@ -302,11 +308,39 @@ def run_suite(name: str, seed: int = DEFAULT_SEED) -> dict:
     }
 
 
+def _run_each(names: list[str], seed: int) -> list[dict]:
+    """``run_suite`` of each name, reports in the order of ``names``.
+
+    With two or more suites and CPUs, the suites run in a pool of forked
+    workers, one per CPU up to one per suite.  ``fork`` keeps the parent's
+    module state (a patched core stays patched) and skips re-importing numpy;
+    the pool forks every worker before it starts its manager thread, so no
+    thread of its own is copied.  With one CPU, one suite or no ``fork``, they run inline; the pool's
+    modules are imported only when it is used.  A suite's exception is
+    raised here, after the pool has shut down.
+    """
+    cpus = len(os.sched_getaffinity(0)) if hasattr(os, "sched_getaffinity") else 1
+    workers = min(len(names), cpus)
+    if workers > 1:
+        import multiprocessing
+
+        if "fork" in multiprocessing.get_all_start_methods():
+            from concurrent.futures import ProcessPoolExecutor
+
+            pool = ProcessPoolExecutor(workers, mp_context=multiprocessing.get_context("fork"))
+            try:
+                futures = [pool.submit(run_suite, name, seed) for name in names]
+                return [future.result() for future in futures]
+            finally:
+                pool.shutdown(wait=True, cancel_futures=True)
+    return [run_suite(name, seed) for name in names]
+
+
 def run_suites(names, seed: int = DEFAULT_SEED) -> dict:
     """Run several suites ('all' expands to every registered suite)."""
     # every name is checked before any suite runs; repeats run once, first place kept
     expanded = dict.fromkeys(k for name in names for k in (SUITES if name == "all" else [_known(name)]))
-    reports = [run_suite(name, seed) for name in expanded]
+    reports = _run_each(list(expanded), seed)
     return {
         "seed": seed,
         "suites": reports,

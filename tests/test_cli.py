@@ -2,6 +2,8 @@
 
 import json
 import math
+import multiprocessing
+import os
 
 import numpy as np
 import pytest
@@ -207,6 +209,29 @@ class TestSpecIO:
         )
 
 
+@pytest.fixture
+def cpus(monkeypatch):
+    """``cpus(k)`` makes ``run_suites`` see k CPUs and returns the list of
+    processes it forks from then on."""
+    forks = []
+    fork = os.fork
+
+    def counted_fork():
+        pid = fork()
+        if pid:
+            forks.append(pid)
+        return pid
+
+    monkeypatch.setattr(os, "fork", counted_fork)
+
+    def use(k: int) -> list:
+        monkeypatch.setattr(os, "sched_getaffinity", lambda pid: set(range(k)), raising=False)
+        forks.clear()
+        return forks
+
+    return use
+
+
 class TestVerifySuites:
     def test_all_suites_pass_with_expected_sizes(self):
         report = run_suites(["all"])
@@ -247,6 +272,39 @@ class TestVerifySuites:
         report = run_suite("lemma-chain")
         assert report["failures"] == report["total"]
         assert not run_suites(["all"])["ok"]
+
+    @pytest.mark.parametrize("seed", [0, 2024])
+    def test_pool_and_inline_loop_give_equal_reports(self, cpus, seed):
+        forks = cpus(2)
+        pooled = run_suites(["all"], seed)
+        assert len(forks) == 2 and multiprocessing.active_children() == []
+        forks = cpus(1)
+        assert run_suites(["all"], seed) == pooled
+        assert forks == []
+
+    def test_pool_and_inline_loop_write_equal_files(self, tmp_path, cpus):
+        for k in (2, 1):
+            cpus(k)
+            assert main(["verify", "--suite", "all", "--seed", "0", "--out", str(tmp_path / str(k))]) == 0
+        assert (tmp_path / "2" / "verify.json").read_bytes() == (tmp_path / "1" / "verify.json").read_bytes()
+
+    def test_a_raising_suite_propagates_and_leaves_no_worker(self, monkeypatch, cpus):
+        def boom(pa, pb):
+            raise RuntimeError("boom")
+
+        monkeypatch.setattr(cqlab.geometry, "jordan_decompose", boom)
+        forks = cpus(2)
+        with pytest.raises(RuntimeError, match="boom"):
+            run_suites(["all"])
+        assert len(forks) == 2
+        assert multiprocessing.active_children() == []
+
+    def test_suites_run_inline_without_fork(self, monkeypatch, cpus):
+        forks = cpus(2)
+        monkeypatch.setattr(multiprocessing, "get_all_start_methods", lambda: ["spawn"])
+        report = run_suites(["typicality", "decoders"])
+        assert [r["suite"] for r in report["suites"]] == ["typicality", "decoders"]
+        assert forks == []
 
 
 class TestCliRegions:

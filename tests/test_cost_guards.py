@@ -12,7 +12,8 @@ builds no product state, and no record keeps a dense state.  Multi-sender
 candidates and their guarantees are checked in the candidates' own span, so
 building them forms no D x D matrix, and no projector keeps one.  A typical
 layer's kept set is the AND of cached per-group masks, so a decode builds
-each mask once and sorts no rows.  These
+each mask once and sorts no rows, and an ensemble snaps each symbol's
+eigenvalues once.  These
 tests count such calls through monkeypatching, and live memory through
 tracemalloc.
 """
@@ -27,6 +28,7 @@ import pytest
 import cqlab.decoders
 import cqlab.geometry
 import cqlab.smoothing
+import cqlab.typicality
 from cqlab.channels import CcqMac, CoupledMac, CqChannel
 from cqlab.decoders import (
     DENSE_FLOOR_LEAK,
@@ -38,7 +40,7 @@ from cqlab.decoders import (
 from cqlab.geometry import key_inequality_check, seq_success_lower_bound, sequential_collapse
 from cqlab.linalg import Projector
 from cqlab.smoothing import smoothed_states, verify_smoothing_bounds
-from cqlab.typicality import ClassicalDistribution, CqEnsemble, _group_mask, _snap_eigenvalues
+from cqlab.typicality import ClassicalDistribution, CqEnsemble, _group_mask
 
 KET0 = np.diag([1.0, 0.0]).astype(complex)
 PLUS = np.full((2, 2), 0.5, dtype=complex)
@@ -280,7 +282,7 @@ def test_cq_layers_read_cached_group_masks_and_sort_no_rows(monkeypatch):
     monkeypatch.setattr(np, "unique", no_row_sort)
     ens = CQ.ensemble()
     keys = {
-        (tuple(_snap_eigenvalues(ens.eig(s)[0])), size, 0.99)
+        (tuple(ens.labels(s)), size, 0.99)
         for (xs,) in map(book.sequences, book.messages())
         for s, size in Counter(xs).items()
     }
@@ -288,6 +290,35 @@ def test_cq_layers_read_cached_group_masks_and_sort_no_rows(monkeypatch):
     report = sequential_decode(CQ, book, 0.99)
     assert max(report.details["candidate_ranks"].values()) > 0
     assert 0 < _group_mask.cache_info().misses <= len(keys)
+
+
+def test_layers_snap_each_symbol_once_per_ensemble(monkeypatch):
+    """Every layer reads its groups' snapped labels from the ensemble, which
+    snaps each symbol's eigenvalues once: one ``_snap_eigenvalues`` call per
+    (ensemble, symbol) whose labels any layer read."""
+    snaps = 0
+    read = set()
+    held = []  # keeps every ensemble alive, so no two share an id
+    snap, labels = cqlab.typicality._snap_eigenvalues, CqEnsemble.labels
+
+    def counted_snap(w):
+        nonlocal snaps
+        snaps += 1
+        return snap(w)
+
+    def recorded_labels(self, symbol):
+        held.append(self)
+        read.add((id(self), symbol))
+        return labels(self, symbol)
+
+    monkeypatch.setattr(cqlab.typicality, "_snap_eigenvalues", counted_snap)
+    monkeypatch.setattr(CqEnsemble, "labels", recorded_labels)
+    sequential_decode(CQ, sample_codebook(CQ, 0.5, 8, (0, 0)), 0.99)
+    sequential_decode(MAC, sample_codebook(MAC, (0.35, 0.35), N, (0, 0)), 0.99)
+    book = sample_codebook(CMG, (0.35, 0.35, 0.0), N, (0, 0))
+    for region in (1, 2):
+        sequential_decode(CMG, book, 0.99, region=region)
+    assert read and snaps == len(read)
 
 
 def test_pgm_over_built_elements_runs_no_dense_eigendecomposition(calls):

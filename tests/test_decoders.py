@@ -165,6 +165,28 @@ class TestCodebookSampling:
             with pytest.raises(ValueError, match="non-negative"):
                 draw(bad, (0, 0), np.random.default_rng(0))
 
+    def test_sequence_draw_matches_one_choice_call(self):
+        # oracle: rng.choice(size=n, p=probs), the draw's definition
+        def choice(dist, n, rng):
+            return tuple(dist.symbols[i] for i in rng.choice(len(dist.symbols), size=n, p=np.asarray(dist.probs)))
+
+        laws = [
+            ClassicalDistribution((0, 1), (0.3, 0.7)),
+            ClassicalDistribution(("a", "b", "c"), (0.2, 0.0, 0.8)),
+            ClassicalDistribution(("a", "b", "c"), (1 / 3, 1 / 3, 1 / 3)),
+        ]
+        for seed in range(300):
+            for dist in laws:
+                n = 1 + seed % 12
+                drawn = dist.sample_sequence(n, np.random.default_rng((seed, 1)))
+                assert drawn == choice(dist, n, np.random.default_rng((seed, 1)))
+            assert "b" not in laws[1].sample_sequence(8, np.random.default_rng(seed))
+        # a law admitted with an entry just below zero is refused, as choice refuses it
+        bad = ClassicalDistribution((0, 1, 2), (0.5, 0.5 + 1e-13, -1e-13))
+        for draw in (bad.sample_sequence, functools.partial(choice, bad)):
+            with pytest.raises(ValueError, match="non-negative"):
+                draw(2, np.random.default_rng(0))
+
     def test_sequences_for_pair_message_on_three_senders(self):
         flip = {0: UNIF, 1: UNIF}
         ydist = ClassicalDistribution(("y",), (1.0,))

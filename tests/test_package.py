@@ -87,13 +87,25 @@ def defined_names(tree: ast.Module) -> list[str]:
 
 
 def read_names(tree: ast.Module) -> set[str]:
-    """Names a parsed module reads, calls or imports; an attribute counts by its own name."""
+    """Names a parsed module reads, calls or imports.  An attribute counts by
+    its own name only when its chain starts at a name the module imports
+    (``mod.f``, ``pkg.mod.f``), so ``self.f`` reads no module-level ``f``."""
+    imported = set()
+    for node in ast.walk(tree):
+        if isinstance(node, ast.Import):
+            imported.update(alias.asname or alias.name.split(".")[0] for alias in node.names)
+        elif isinstance(node, ast.ImportFrom):
+            imported.update(alias.asname or alias.name for alias in node.names)
     used = set()
     for node in ast.walk(tree):
         if isinstance(node, ast.Name) and isinstance(node.ctx, ast.Load):
             used.add(node.id)
         elif isinstance(node, ast.Attribute):
-            used.add(node.attr)
+            root = node.value
+            while isinstance(root, ast.Attribute):
+                root = root.value
+            if isinstance(root, ast.Name) and root.id in imported:
+                used.add(node.attr)
         elif isinstance(node, ast.ImportFrom):
             used.update(alias.name for alias in node.names)
     return used
@@ -167,12 +179,17 @@ def test_unreferenced_public_check_sees_every_form():
             "    pass\n"
             "def by_attribute():\n"
             "    pass\n"
+            "def by_chain():\n"
+            "    pass\n"
+            "def shadowed():\n"
+            "    pass\n"
         ),
-        "b.py": "from .a import Row\n",
+        # an attribute of the same name on an instance reads nothing of a.py
+        "b.py": "from .a import Row\nclass _Other:\n    def f(self):\n        return self.shadowed\n",
     }
-    readers = {"bench.py": "import a\na.by_attribute()\n"}
+    readers = {"bench.py": "import a\nimport pkg.a\na.by_attribute()\npkg.a.by_chain()\n"}
     assert unreferenced_public_names(sources, readers, {"exported"}) == [
-        "a.py: Alias", "a.py: TABLE", "a.py: dead",
+        "a.py: Alias", "a.py: TABLE", "a.py: dead", "a.py: shadowed",
     ]
 
 
@@ -449,10 +466,14 @@ import math, sys
 import cqlab
 from cqlab import cli, regions
 
+pool = ("multiprocessing", "concurrent.futures")
+assert not any(name in sys.modules for name in pool), "importing cqlab loaded the pool"
 spec, out = sys.argv[1], sys.argv[2]
 assert cli.main(["simulate", "--spec", spec, "--out", out + "/sim", "--n", "4",
                  "--delta", "0.99", "--rate", "0.5"]) == 0
+assert not any(name in sys.modules for name in pool), "decoding loaded the pool"
 assert cli.main(["verify", "--suite", "typicality", "--out", out + "/verify"]) == 0
+assert not any(name in sys.modules for name in pool), "one verify suite loaded the pool"
 assert "scipy" not in sys.modules, "decoding or verifying loaded scipy"
 
 # the triangle R1 + R2 <= 1 in the first quadrant: its incentre, r = 1/(2 + sqrt 2)
