@@ -14,29 +14,38 @@ Cost: no record holds a dense state of its own.  Every maximally mixed
 record (the atypical ones, and typical ones whose sandwich annihilates the
 state) shares one read-only I/D matrix, enters the marginals as a scalar
 mass and has its trace distance to the product state read off the symbols'
-spectra, O(D) per record with D = d^n.  A typical record's scalars are
-those of its joint type (its symbol counts): permuting the n positions
-conjugates the product state and both conditional projectors by one
-permutation unitary and leaves the average-state projector fixed, so the
-denominator, the three overlap failures and the trace distance are the same
-for every record of a type.  They are measured once per type, on its first
-record in enumeration order: the overlaps elementwise against the dense
-projectors (O(D^2) each), the sandwich and the trace distance (one D x D
-eigendecomposition).  The type's denominator decides ``zero_denominator``
-for all of its records.  The marginals use linearity: each (xs, zs) key
-sums p rho_t / denominator over its sandwiched records and is sandwiched
-once, and the x-marginals and the average add up those per-key parts.  A
-sandwiched record keeps its key's shared sandwich and forms its state on
-read.  Verification reads the measured distances and builds no product
-state.
+spectra, O(D) per record with D = d^n.  Every triple's probability,
+typicality flag, joint type (its symbol counts) and key type (the counts of
+its (x, z) pairs) is read off one integer index array over the product
+grid, so the per-record loop only builds records.
+
+Permuting the n positions conjugates the product state and both
+conditional projectors by one permutation unitary U and leaves the
+average-state projector fixed.  So a typical record's denominator, overlap
+failures and trace distance are those of its joint type, and a key's
+sandwich, summed marginal and mixed mass are U (...) U^dag of those of its
+key type's representative, the first key seen of the type.  Applying U to a
+D x D matrix is pure data movement: reshape to 2n axes of size d, transpose
+both halves, reshape back, O(D^2).  The build forms one layer pair and one
+sandwich m = Pi_avg Pi_x Pi_xz per key type, and a product state only for
+the typical records of the representatives: each joint type is measured on
+its first such record (the overlaps elementwise, O(D^2) each, the sandwich
+and the trace distance, one D x D eigendecomposition), and by linearity the
+representative's sandwiched records sum to m (sum_t p_t rho_t / den_t)
+m^dag.  The x-marginals sum the permuted pair parts once per x type, and
+the average symmetrizes them with n(n-1)/2 transpositions.  A sandwiched
+record keeps its representative's m and its permutation and forms its
+state on read; ``pair_marginals`` and ``x_marginals`` form a key's matrix
+on read.  Verification reads the measured distances, builds no product
+state and takes one operator norm per typical key type.
 """
 
 from __future__ import annotations
 
 import itertools
 import math
+from collections.abc import Mapping, Sequence
 from dataclasses import dataclass, field
-from typing import Mapping, Sequence
 
 import numpy as np
 
@@ -46,10 +55,11 @@ from .typicality import (
     ClassicalDistribution,
     CqEnsemble,
     TypicalityParams,
+    _ordered_total,
+    _typical_count_windows,
     cond_typical_projector,
     entropy_bits,
     is_typical,
-    sequence_counts,
     sequence_probability,
     typical_projector,
     typicality_threshold_n,
@@ -169,6 +179,104 @@ def _overlap(p: np.ndarray, rho: np.ndarray) -> float:
     return float(np.real(np.vdot(p, rho)))
 
 
+def _permuted(mat: np.ndarray, perm: tuple | None, d: int) -> np.ndarray:
+    """U mat U^dag for the permutation unitary U that puts tensor factor
+    ``perm[j]`` of ``mat`` at position j.
+
+    Pure data movement, O(D^2): reshape to 2n axes of size d, move the
+    positions on the row and the column half alike, reshape back.  ``None``
+    is the identity and returns ``mat`` itself.
+    """
+    if perm is None:
+        return mat
+    n = len(perm)
+    dim = mat.shape[0]
+    axes = perm + tuple(n + j for j in perm)
+    return mat.reshape((d,) * (2 * n)).transpose(axes).reshape(dim, dim)
+
+
+def _symmetrized(mat: np.ndarray, n: int, d: int) -> np.ndarray:
+    """The sum of U mat U^dag over all n! position permutations U, from
+    n(n-1)/2 transpositions: with T_k the sum of the identity and the
+    transpositions (j k), j < k, the sum over all permutations is
+    T_{n-1} ... T_1, applied from T_1 on."""
+    total = mat
+    for k in range(1, n):
+        acc = total
+        for j in range(k):
+            swap = tuple(k if i == j else j if i == k else i for i in range(n))
+            acc = acc + _permuted(total, swap, d)
+        total = acc
+    return total
+
+
+def _alignments(rows: np.ndarray, reps: np.ndarray) -> list:
+    """Per row i the permutation s with ``rows[i][j] == reps[i][s[j]]``, as
+    a tuple, or None where it is the identity; equal entries are matched in
+    position order."""
+    s = np.empty_like(rows)
+    np.put_along_axis(s, np.argsort(rows, axis=1, kind="stable"), np.argsort(reps, axis=1, kind="stable"), axis=1)
+    identity = np.all(s == np.arange(rows.shape[1]), axis=1)
+    return [None if same else tuple(p) for same, p in zip(identity.tolist(), s.tolist())]
+
+
+def _first_seen(table: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """Ids of the distinct rows of ``table``, numbered in order of first
+    appearance, and the first row holding each id."""
+    codes = np.zeros(len(table), dtype=np.intp)
+    for column in table.T:
+        # fold one column in and renumber, so that codes stay below len(table)
+        codes = np.unique(codes * (int(column.max(initial=0)) + 1) + column, return_inverse=True)[1]
+    _, first, inverse = np.unique(codes, return_index=True, return_inverse=True)
+    order = np.argsort(first)
+    rank = np.empty_like(order)
+    rank[order] = np.arange(len(order))
+    return rank[inverse], first[order]
+
+
+def _ids(values) -> np.ndarray:
+    """Index of each value among the distinct values, numbered in order of
+    first appearance."""
+    seen: dict = {}
+    return np.array([seen.setdefault(v, len(seen)) for v in values], dtype=np.intp)
+
+
+def _counts(rows: np.ndarray, size: int) -> np.ndarray:
+    """Per row, how often each of the values 0..size-1 occurs."""
+    flat = (np.arange(len(rows))[:, None] * size + rows).reshape(-1)
+    return np.bincount(flat, minlength=len(rows) * size).reshape(len(rows), size)
+
+
+@dataclass(frozen=True)
+class _Orbits:
+    """The distinct sequences among rows of symbol indices, grouped into
+    types (their symbol counts), each numbered in order of first appearance.
+
+    ``of_row`` is each row's sequence and ``first`` each sequence's first
+    row; ``type_of`` is each sequence's type and ``reps`` each type's
+    representative, its first sequence; ``stabilizers`` holds the order of
+    the group of position permutations that fixes a representative, and
+    ``perms`` the permutation that carries each sequence's representative
+    to it (None for the representative itself).
+    """
+
+    of_row: np.ndarray
+    first: np.ndarray
+    type_of: np.ndarray
+    reps: np.ndarray
+    stabilizers: list
+    perms: list
+
+
+def _orbits(rows: np.ndarray) -> _Orbits:
+    of_row, first = _first_seen(rows)
+    seqs = rows[first]
+    counts = _counts(seqs, int(rows.max(initial=0)) + 1)
+    type_of, reps = _first_seen(counts)
+    stabilizers = [math.prod(math.factorial(c) for c in row) for row in counts[reps].tolist()]
+    return _Orbits(of_row, first, type_of, reps, stabilizers, _alignments(seqs, seqs[reps[type_of]]))
+
+
 @dataclass(frozen=True)
 class TripleRecord:
     """Outcome of smoothing one (x^n, z^n, y^n) sequence triple.
@@ -180,13 +288,15 @@ class TripleRecord:
     the maximally mixed state and the ``zero_denominator`` flag.
     ``distance`` is ||state - rho||_1 against the product state rho, None for
     a maximally mixed record.  These scalars are per joint type: a typical
-    record carries those measured on the first record of its type, which
-    agree with its own to rounding.
+    record carries those measured on one record of its type, which agree
+    with its own to rounding.
 
     A record holds no dense state: ``state`` is the shared read-only I/D of a
-    maximally mixed record, and a sandwiched record forms
-    (m rho m^dag) / denominator on each read from its (xs, zs) key's shared
-    sandwich m, its own product state rho and its type's denominator.
+    maximally mixed record.  A sandwiched record holds the sandwich m of its
+    key type's representative and the permutation that carries that key to
+    its own (None when it is the representative); each read forms its
+    key's m by that permutation and returns (m rho m^dag) / denominator
+    with its own product state rho and its type's denominator.
     """
 
     xs: tuple
@@ -198,17 +308,19 @@ class TripleRecord:
     overlap_failures: tuple | None = None
     zero_denominator: bool = False
     distance: float | None = None
-    # the shared I/D of a maximally mixed record, the sandwich m of a smoothed one
+    # the shared I/D of a maximally mixed record, the representative's sandwich m of a smoothed one
     _matrix: np.ndarray | None = field(default=None, repr=False, compare=False)
     _system: CqEnsemble | None = field(default=None, repr=False, compare=False)
+    _perm: tuple | None = field(default=None, repr=False, compare=False)
 
     @property
     def state(self) -> np.ndarray:
         """The smoothed state; a sandwiched record forms a new array per read."""
         if self.distance is None:
             return self._matrix
+        m = _permuted(self._matrix, self._perm, self._system.dim)
         rho = self._system.sequence_state(self.zipped)
-        return _normalized(_sandwiched(self._matrix, rho), self.denominator)
+        return _normalized(_sandwiched(m, rho), self.denominator)
 
     @property
     def zipped(self) -> tuple:
@@ -222,12 +334,56 @@ class TripleRecord:
         return max(self.overlap_failures)
 
 
+class _TypeMarginals(Mapping):
+    """Read-only marginals of one layer, stored once per key type.
+
+    ``keys`` maps each key to its type and the permutation that carries the
+    type's representative to it; ``parts`` holds per type the representative's
+    sandwiched sum (None when it has none) and its maximally mixed mass.  A
+    key's matrix is formed on read as (U part U^dag + mass I/D) / p(key).
+    """
+
+    def __init__(self, law: ClassicalDistribution, d: int, keys: dict, parts: list):
+        self._law, self._d, self._keys, self._parts = law, d, keys, parts
+        self._types: dict = {}
+        for key, (t, _) in keys.items():
+            first, count = self._types.get(t, (key, 0))
+            self._types[t] = (first, count + 1)
+
+    def __getitem__(self, key) -> np.ndarray:
+        t, perm = self._keys[key]
+        part, mass = self._parts[t]
+        dim = self._d ** len(key)
+        total = (0.0 if part is None else _permuted(part, perm, self._d)) + (mass / dim) * np.eye(
+            dim, dtype=np.complex128
+        )
+        return total / sequence_probability(self._law, key)
+
+    def __contains__(self, key) -> bool:
+        return key in self._keys
+
+    def __iter__(self):
+        return iter(self._keys)
+
+    def __len__(self) -> int:
+        return len(self._keys)
+
+    def types(self) -> list:
+        """(representative key, number of keys) per key type; every key's
+        matrix is its representative's up to a permutation unitary."""
+        return list(self._types.values())
+
+
 @dataclass(frozen=True)
 class SmoothedEnsemble:
     """Primed state family with its declared-probability marginals.
 
     Marginals exist only after a complete enumeration; a caller-supplied
     triple list yields ``complete=False`` with the marginal fields None.
+    ``pair_marginals`` and ``x_marginals`` are read-only Mappings that form
+    each key's matrix on read; ``average`` is a dense matrix.
+    ``symbol_rows`` holds each record's symbols as indices into
+    ``system.dist.symbols``, one row per record.
     """
 
     system: CqEnsemble
@@ -241,6 +397,7 @@ class SmoothedEnsemble:
     pair_marginals: Mapping | None = None
     x_marginals: Mapping | None = None
     average: np.ndarray | None = None
+    symbol_rows: np.ndarray | None = field(default=None, repr=False, compare=False)
 
     def record_for(self, xs: Sequence, zs: Sequence, ys: Sequence) -> TripleRecord:
         key = (tuple(xs), tuple(zs), tuple(ys))
@@ -280,6 +437,35 @@ def _normalized_triple(triple, n: int, known: frozenset) -> tuple:
     return zipped
 
 
+def _symbol_rows(dist: ClassicalDistribution, n: int, triples: Sequence | None) -> np.ndarray:
+    """One row of indices into ``dist.symbols`` per triple: every sequence
+    over the support in ``itertools.product`` order, or the given triples."""
+    if triples is None:
+        support = np.flatnonzero(np.asarray(dist.probs) > 0)
+        count = len(support) ** n
+        if count > TRIPLE_CAP:
+            raise ValueError(
+                f"{count} sequence triples exceed the cap {TRIPLE_CAP}; "
+                "pass an explicit triple list"
+            )
+        flat = np.arange(count)
+        digits = [(flat // len(support) ** (n - 1 - j)) % len(support) for j in range(n)]
+        return support[np.stack(digits, axis=1)]
+    known = frozenset(dist.symbols)
+    where = {s: i for i, s in enumerate(dist.symbols)}
+    zipped = [_normalized_triple(t, n, known) for t in triples]
+    return np.array([[where[s] for s in z] for z in zipped], dtype=np.intp).reshape(len(zipped), n)
+
+
+def _ordered_sum(terms) -> np.ndarray | None:
+    """Left-to-right sum of the matrices, None for none; a lone term is
+    returned as it is."""
+    total = None
+    for term in terms:
+        total = term if total is None else total + term
+    return total
+
+
 def smoothed_states(
     system: CqEnsemble,
     n: int,
@@ -292,7 +478,8 @@ def smoothed_states(
     With ``triples=None`` every sequence triple over the support alphabet is
     enumerated (count bounded by ``TRIPLE_CAP``) and the marginals are
     assembled exactly; otherwise only the supplied (xs, zs, ys) triples are
-    processed and the marginal fields stay empty.
+    processed and the marginal fields stay empty.  Either way the first key
+    seen of each key type is its representative.
     """
     if n < 1:
         raise ValueError("n must be at least 1")
@@ -303,60 +490,57 @@ def smoothed_states(
     dim = d**n
     check_dim_cap(dim)
     dist = system.dist
-
+    symbols = dist.symbols
     complete = triples is None
-    if complete:
-        count = len(dist.support) ** n
-        if count > TRIPLE_CAP:
-            raise ValueError(
-                f"{count} sequence triples exceed the cap {TRIPLE_CAP}; "
-                "pass an explicit triple list"
-            )
-        zipped_iter = itertools.product(dist.support, repeat=n)
-    else:
-        known = frozenset(dist.symbols)
-        zipped_iter = [_normalized_triple(t, n, known) for t in triples]
+    rows = _symbol_rows(dist, n, triples)
+    rows.setflags(write=False)
 
-    # shared by every maximally mixed record, so no caller may write into it
-    mixed = np.eye(dim, dtype=np.complex128) / float(dim)
-    mixed.setflags(write=False)
+    # every triple's probability (its symbols' in-order product), typicality
+    # flag, joint type, key, key type and y-sequence, read off the index rows
+    prob = np.ones(len(rows))
+    for column in rows.T:
+        prob = prob * np.asarray(dist.probs)[column]
+    counts = _counts(rows, len(symbols))
+    lo, hi = np.array(_typical_count_windows(dist.probs, n, delta), dtype=int).T
+    typical = np.all((lo <= counts) & (counts <= hi), axis=1)
+    joint, _ = _first_seen(counts)
+    keys = _orbits(_ids(s[:2] for s in symbols)[rows])
+    key_type = keys.type_of[keys.of_row]
+    y_seq, y_first = _first_seen(_ids(s[2] for s in symbols)[rows])
+    xs_of, zs_of = ([tuple(symbols[s][part] for s in r) for r in rows[keys.first].tolist()] for part in (0, 1))
+    ys_of = [tuple(symbols[s][2] for s in r) for r in rows[y_first].tolist()]
+
+    # Typical triples are measured key type by key type, each on its
+    # representative key: a complete build reads every typical triple of
+    # the representative in order (their sum makes up its marginal part), a
+    # partial one the first triple of each joint type, carried back onto
+    # the representative.
+    if complete:
+        todo = np.flatnonzero(typical & (keys.reps[key_type] == keys.of_row))
+    else:
+        candidates = np.flatnonzero(typical)
+        todo = np.sort(candidates[np.unique(joint[candidates], return_index=True)[1]])
+    todo = todo[np.argsort(key_type[todo], kind="stable")]
+
     pi_avg_dense = typical_projector(layers.rho_bar, n, 2.0 * delta).dense()
-    x_cache: dict = {}
-    sandwich_cache: dict = {}
+    # key type -> its representative's sandwich m; its sum of p rho_t / den
+    sandwiches: dict = {}
+    sums: dict = {}
     # joint type -> (denominator, overlap failures, trace distance or None)
     type_scalars: dict = {}
-
-    records: list = []
-    index: dict = {}
-    # per marginal: [sum over the sandwiched records, mass of the mixed ones];
-    # a pair slot first sums p rho_t / den over its key and is sandwiched once
-    pair_acc: dict = {}
-    x_acc: dict = {}
-    avg_acc = [0.0, 0.0]
-    typical_mass = 0.0
-
-    for zipped in zipped_iter:
-        zipped = tuple(zipped)
-        xs = tuple(s[0] for s in zipped)
-        zs = tuple(s[1] for s in zipped)
-        ys = tuple(s[2] for s in zipped)
-        prob = sequence_probability(dist, zipped)
-        typical = is_typical(dist, zipped, delta)
-        rho_t = None
-
-        if typical:
-            key = (xs, zs)
-            if key not in sandwich_cache:
-                if xs not in x_cache:
-                    x_cache[xs] = cond_typical_projector(layers.x_ens, xs, 6.0 * delta).dense()
-                p_x = x_cache[xs]
-                p_xz = cond_typical_projector(layers.pair_ens, tuple(zip(xs, zs)), 6.0 * delta).dense()
-                sandwich_cache[key] = (p_x, p_xz, pi_avg_dense @ p_x @ p_xz)
-            p_x, p_xz, m = sandwich_cache[key]
-            joint_type = frozenset(sequence_counts(zipped).items())
-            if joint_type not in type_scalars:
-                # the type's first record stands for all of its permutations
-                rho_t = system.sequence_state(zipped)
+    for t, group in itertools.groupby(todo.tolist(), key=lambda i: int(key_type[i])):
+        xs, zs = xs_of[keys.reps[t]], zs_of[keys.reps[t]]
+        p_x = cond_typical_projector(layers.x_ens, xs, 6.0 * delta).dense()
+        p_xz = cond_typical_projector(layers.pair_ens, tuple(zip(xs, zs)), 6.0 * delta).dense()
+        m = pi_avg_dense @ p_x @ p_xz
+        m.setflags(write=False)
+        sandwiches[t] = m
+        for i in group:
+            seq = np.empty(n, dtype=np.intp)
+            seq[list(keys.perms[keys.of_row[i]] or range(n))] = rows[i]
+            rho_t = system.sequence_state(tuple(symbols[s] for s in seq))
+            j = int(joint[i])
+            if j not in type_scalars:
                 failures = tuple(
                     min(1.0, max(0.0, 1.0 - _overlap(proj, rho_t)))
                     for proj in (pi_avg_dense, p_x, p_xz)
@@ -366,11 +550,27 @@ def smoothed_states(
                 distance = None
                 if denominator > DENOMINATOR_TOL:
                     distance = trace_distance(_normalized(sand, denominator), rho_t)
-                type_scalars[joint_type] = (denominator, failures, distance)
-            denominator, failures, distance = type_scalars[joint_type]
+                type_scalars[j] = (denominator, failures, distance)
+            denominator, _, distance = type_scalars[j]
+            if complete and distance is not None:
+                sums[t] = sums.get(t, 0.0) + (prob[i] / denominator) * rho_t
+
+    # shared by every maximally mixed record, so no caller may write into it
+    mixed = np.eye(dim, dtype=np.complex128) / float(dim)
+    mixed.setflags(write=False)
+    records: list = []
+    index: dict = {}
+    for i, (k, t, y, p, flag, j) in enumerate(
+        zip(keys.of_row.tolist(), key_type.tolist(), y_seq.tolist(), prob.tolist(), typical.tolist(), joint.tolist())
+    ):
+        xs, zs, ys = xs_of[k], zs_of[k], ys_of[y]
+        if not flag:
+            record = TripleRecord(xs, zs, ys, p, False, _matrix=mixed)
+        else:
+            denominator, failures, distance = type_scalars[j]
             if distance is None:
                 record = TripleRecord(
-                    xs, zs, ys, prob, True,
+                    xs, zs, ys, p, True,
                     denominator=denominator,
                     overlap_failures=failures,
                     zero_denominator=True,
@@ -378,52 +578,69 @@ def smoothed_states(
                 )
             else:
                 record = TripleRecord(
-                    xs, zs, ys, prob, True,
+                    xs, zs, ys, p, True,
                     denominator=denominator,
                     overlap_failures=failures,
                     distance=distance,
-                    _matrix=m,
+                    _matrix=sandwiches[t],
                     _system=system,
+                    _perm=keys.perms[k],
                 )
-            typical_mass += prob
-        else:
-            record = TripleRecord(xs, zs, ys, prob, False, _matrix=mixed)
-
-        index[(xs, zs, ys)] = len(records)
+        index[(xs, zs, ys)] = i
         records.append(record)
-        if complete and prob > 0:
-            pair = pair_acc.setdefault((xs, zs), [0.0, 0.0])
-            x_part = x_acc.setdefault(xs, [0.0, 0.0])
-            if record.distance is None:
-                for acc in (pair, x_part, avg_acc):
-                    acc[1] += prob
-            else:
-                if rho_t is None:
-                    rho_t = system.sequence_state(zipped)
-                pair[0] = pair[0] + (prob / denominator) * rho_t
 
     if not complete:
         return SmoothedEnsemble(
-            system, n, delta, layers, tuple(records), index, False
+            system, n, delta, layers, tuple(records), index, False, symbol_rows=rows
         )
 
-    # by linearity, a key's sandwiched records sum to m (sum_t p_t rho_t / den_t) m^dag
-    for (xs, zs), acc in pair_acc.items():
-        if isinstance(acc[0], np.ndarray):
-            acc[0] = _normalized(_sandwiched(sandwich_cache[(xs, zs)][2], acc[0]), 1.0)
-            for part in (x_acc[xs], avg_acc):
-                part[0] = part[0] + acc[0]
+    # A key's marginal part is its type representative's, permuted: by
+    # linearity the representative's sandwiched records sum to
+    # m (sum_t p_t rho_t / den_t) m^dag, and its maximally mixed records
+    # enter as their mass, which is the same on every key of the type.
+    sandwiched = np.zeros(int(joint.max()) + 1, dtype=bool)
+    for j, (_, _, distance) in type_scalars.items():
+        sandwiched[j] = distance is not None
+    mixed_rows = ~sandwiched[joint]
 
-    def total(acc: list) -> np.ndarray:
-        # the mixed records' shared I/D enters once, as their mass over D
-        return acc[0] + (acc[1] / dim) * np.eye(dim, dtype=np.complex128)
+    def mass(where: np.ndarray) -> float:
+        return _ordered_total(prob[mixed_rows & where])
 
-    pair_marginals = {}
-    for (xs, zs), acc in pair_acc.items():
-        pairs = tuple(zip(xs, zs))
-        pair_marginals[pairs] = total(acc) / sequence_probability(layers.p_xz, pairs)
-    x_marginals = {xs: total(acc) / sequence_probability(layers.p_x, xs) for xs, acc in x_acc.items()}
+    pair_parts = []
+    for t, k in enumerate(keys.reps.tolist()):
+        part = None
+        if t in sums:
+            part = _normalized(_sandwiched(sandwiches[t], sums[t]), 1.0)
+            part.setflags(write=False)
+        pair_parts.append((part, mass(keys.of_row == k)))
 
+    # the x-marginals likewise: one part per x type, summed over the keys of
+    # its representative x-sequence in the order they were first seen
+    xseqs = _orbits(_ids(s[0] for s in symbols)[rows])
+    key_x = xseqs.of_row[keys.first]
+    x_parts = []
+    for r in xseqs.reps.tolist():
+        terms = [(pair_parts[keys.type_of[k]][0], keys.perms[k]) for k in np.flatnonzero(key_x == r).tolist()]
+        part = _ordered_sum(_permuted(mat, perm, d) for mat, perm in terms if mat is not None)
+        if part is not None:
+            part.setflags(write=False)
+        x_parts.append((part, mass(xseqs.of_row == r)))
+
+    # The average adds up every x-sequence's part.  An x type's parts are its
+    # representative's permuted over the type, which the representative's
+    # stabilizer fixes, so they sum to its symmetrization over all n!
+    # permutations divided by the stabilizer's order.  The mixed records'
+    # shared I/D enters once, as their mass over D.
+    weighted = _ordered_sum(
+        part / order for (part, _), order in zip(x_parts, xseqs.stabilizers) if part is not None
+    )
+    average = 0.0 if weighted is None else _symmetrized(weighted, n, d)
+    average = average + (mass(True) / dim) * np.eye(dim, dtype=np.complex128)
+
+    pair_keys = {tuple(zip(xs_of[k], zs_of[k])): (int(keys.type_of[k]), keys.perms[k]) for k in range(len(keys.first))}
+    x_keys = {
+        xs_of[keys.of_row[row]]: (int(xseqs.type_of[x]), xseqs.perms[x]) for x, row in enumerate(xseqs.first.tolist())
+    }
     return SmoothedEnsemble(
         system,
         n,
@@ -432,10 +649,11 @@ def smoothed_states(
         tuple(records),
         index,
         True,
-        typical_mass=typical_mass,
-        pair_marginals=pair_marginals,
-        x_marginals=x_marginals,
-        average=total(avg_acc),
+        typical_mass=_ordered_total(prob[typical]),
+        pair_marginals=_TypeMarginals(layers.p_xz, d, pair_keys, pair_parts),
+        x_marginals=_TypeMarginals(layers.p_x, d, x_keys, x_parts),
+        average=average,
+        symbol_rows=rows,
     )
 
 
@@ -444,21 +662,22 @@ def smoothed_states(
 MIXED_BATCH = 2**14
 
 
-def _mixed_distances(system: CqEnsemble, seqs: Sequence) -> np.ndarray:
-    """``||I/D - system.sequence_state(z)||_1`` for each symbol sequence z, O(D) apiece.
+def _mixed_distances(system: CqEnsemble, rows: np.ndarray) -> np.ndarray:
+    """``||I/D - rho_z||_1`` for the product state rho_z of each row z of
+    indices into ``system.dist.symbols``, O(D) apiece.
 
     I/D commutes with the product state, so the difference is diagonal in
     the product eigenbasis with entries 1/D - prod_i lambda_{z_i, k_i}.
     Each symbol's spectrum is taken once; the products are formed for a
-    block of sequences at a time, in the left-to-right order of the
-    Kronecker product.
+    block of rows at a time, in the left-to-right order of the Kronecker
+    product.
     """
-    symbols = list(dict.fromkeys(s for z in seqs for s in z))
-    if not symbols:
-        return np.zeros(len(seqs))
-    spectra = np.array([np.linalg.eigvalsh(require_hermitian(system.state(s))) for s in symbols])
-    where = {s: i for i, s in enumerate(symbols)}
-    rows = np.array([[where[s] for s in z] for z in seqs], dtype=np.intp)
+    if len(rows) == 0:
+        return np.zeros(0)
+    used, inverse = np.unique(rows, return_inverse=True)
+    rows = inverse.reshape(np.shape(rows))
+    symbols = system.dist.symbols
+    spectra = np.array([np.linalg.eigvalsh(require_hermitian(system.state(symbols[s]))) for s in used.tolist()])
     dim = spectra.shape[1] ** rows.shape[1]
     out = np.empty(len(rows))
     step = max(1, MIXED_BATCH // dim)
@@ -491,8 +710,10 @@ def verify_smoothing_bounds(se: SmoothedEnsemble, epsilon: float | None = None) 
     no dense trace distance runs here.
 
     Rows, in order: ``denominator`` and ``l1-triple`` over the typical
-    records, ``linf-pair``, ``linf-x`` and ``linf-average`` from one loop,
-    and ``l1-global``; a row that cannot be evaluated is an informative
+    records, ``linf-pair``, ``linf-x`` and ``linf-average`` from one loop
+    (one operator norm per typical key type, since every key's marginal is
+    its type representative's up to a permutation unitary), and
+    ``l1-global``; a row that cannot be evaluated is an informative
     placeholder.  ``vacuous`` marks a bound outside its quantity's range
     (denominator <= 0, trace distance >= 2, operator norm >= 1).
     """
@@ -525,8 +746,7 @@ def verify_smoothing_bounds(se: SmoothedEnsemble, epsilon: float | None = None) 
         for i, r in enumerate(se.records)
         if r.distance is None and (r.typical or (se.complete and r.probability > 0))
     ]
-    zipped = [se.records[i].zipped for i in mixed]
-    for i, dist in zip(mixed, _mixed_distances(se.system, zipped)):
+    for i, dist in zip(mixed, _mixed_distances(se.system, se.symbol_rows[mixed])):
         distances[i] = float(dist)
     typical = [r for r in se.records if r.typical]
     if typical:
@@ -547,21 +767,23 @@ def verify_smoothing_bounds(se: SmoothedEnsemble, epsilon: float | None = None) 
         checks.update(_unavailable(("denominator", "l1-triple"), "no typical triples"))
 
     if se.complete:
-        # (name, marginals, law whose typical keys are checked or None for all, entropy, c)
+        # (name, marginals or None for the average, law whose typical keys are checked, entropy, c)
         rows = (
             ("linf-pair", se.pair_marginals, layers.p_xz, layers.pair_ens.conditional_entropy(), c6),
             ("linf-x", se.x_marginals, layers.p_x, layers.x_ens.conditional_entropy(), c6),
-            ("linf-average", {(): se.average}, None, entropy_bits(np.linalg.eigvalsh(layers.rho_bar)), c2),
+            ("linf-average", None, None, entropy_bits(np.linalg.eigvalsh(layers.rho_bar)), c2),
         )
         for name, marginals, mdist, h, c in rows:
-            vals = [
-                operator_norm(mat)
-                for key, mat in marginals.items()
-                if mdist is None or is_typical(mdist, key, delta)
-            ]
+            if marginals is None:
+                vals, note = [operator_norm(se.average)], ""
+            else:
+                # a key's marginal is its type representative's, permuted by a
+                # unitary: one norm per typical key type
+                kinds = [(key, size) for key, size in marginals.types() if is_typical(mdist, key, delta)]
+                vals = [operator_norm(marginals[key]) for key, _ in kinds]
+                note = f"{sum(size for _, size in kinds)} typical marginals"
             bound = 4.0 * 2.0 ** (-n * (h - c))
             value = max(vals) if vals else 0.0
-            note = "" if mdist is None else f"{len(vals)} typical marginals"
             check(name, value, bound, value <= bound * (1.0 + 1e-9), bound >= 1.0, note)
         total = 0.0
         for r, dist in zip(se.records, distances):

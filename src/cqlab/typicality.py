@@ -408,11 +408,11 @@ class CqEnsemble:
         return out
 
     def conditional_entropy(self) -> float:
-        """Average output entropy sum_x p(x) H(rho_x), in bits."""
+        """Average output entropy sum_x p(x) H(rho_x), in bits, read off the
+        spectra ``eig`` keeps."""
         total = 0.0
         for s in self.dist.support:
-            w = np.linalg.eigvalsh(self.state(s))
-            total += self.dist.prob(s) * entropy_bits(w)
+            total += self.dist.prob(s) * entropy_bits(self.eig(s)[0])
         return total
 
     def sequence_state(self, seq: Sequence) -> np.ndarray:
@@ -422,11 +422,11 @@ class CqEnsemble:
         return functools.reduce(_kron, mats) if mats else np.ones((1, 1), dtype=np.complex128)
 
     def q_min(self) -> float:
-        """Smallest positive eigenvalue across the ensemble states."""
+        """Smallest positive eigenvalue across the ensemble states, read off
+        the spectra ``eig`` keeps."""
         vals = []
         for s in self.dist.support:
-            w = np.linalg.eigvalsh(self.state(s))
-            vals.extend(x for x in w if x > ZERO_EIGENVALUE_TOL)
+            vals.extend(x for x in self.eig(s)[0] if x > ZERO_EIGENVALUE_TOL)
         return float(min(vals))
 
 
@@ -494,7 +494,8 @@ def _mass_check(name: str, value: float, params: TypicalityParams, informative: 
 
 
 def _sandwich_check(masses: list[float], n: int, entropy: float, c: float, informative: bool) -> Check:
-    """Every kept weight within [2^{-n(entropy + c)}, 2^{-n(entropy - c)}]."""
+    """Every kept weight within [2^{-n(entropy + c)}, 2^{-n(entropy - c)}];
+    vacuous when the ceiling is at least 1, which no weight exceeds."""
     if not masses:
         return Check("sandwich", 0.0, 0.0, True, informative=True, note="empty support")
     lo = 2.0 ** (-n * (entropy + c))
@@ -507,6 +508,7 @@ def _sandwich_check(masses: list[float], n: int, entropy: float, c: float, infor
         lo * (1 - 1e-9) <= worst_lo and worst_hi <= hi * (1 + 1e-9),
         informative=informative,
         note=f"probabilities in [{worst_lo:.3e}, {worst_hi:.3e}], sandwich [{lo:.3e}, {hi:.3e}]",
+        vacuous=hi >= 1.0,
     )
 
 
@@ -515,6 +517,7 @@ def _typical_set_checks(
     total: float,
     size: int,
     size_name: str,
+    space: int,
     n: int,
     h: float,
     params: TypicalityParams,
@@ -525,17 +528,20 @@ def _typical_set_checks(
     """The mass, sandwich and size checks of one typical set.
 
     ``masses`` are the kept sequences' or basis vectors' weights and
-    ``total`` their ordered sum; ``size`` of them are kept, against
-    2^{n(h + c)}.  The mass is promised from ``threshold`` on, and nothing
-    is promised for an atypical input (``typical=False``), which makes all
-    three checks informative.  ``note`` is appended to the mass check's note.
+    ``total`` their ordered sum; ``size`` of them are kept out of ``space``,
+    against 2^{n(h + c)}, a bound that is vacuous from ``space`` on.  The
+    mass is promised from ``threshold`` on, and nothing is promised for an
+    atypical input (``typical=False``), which makes all three checks
+    informative.  ``note`` is appended to the mass check's note.
     """
     c = params.c()
     bound = 2.0 ** (n * (h + c))
     return {
         "mass": _mass_check("mass", total, params, n < threshold or not typical, f"threshold n >= {threshold}{note}"),
         "sandwich": _sandwich_check(masses, n, h, c, informative=not typical),
-        size_name: Check(size_name, float(size), bound, size <= bound * (1 + 1e-9), informative=not typical),
+        size_name: Check(
+            size_name, float(size), bound, size <= bound * (1 + 1e-9), informative=not typical, vacuous=bound >= space
+        ),
     }
 
 
@@ -545,7 +551,8 @@ def verify_sequence_typicality(dist: ClassicalDistribution, n: int, params: Typi
     masses = [sequence_probability(dist, seq) for seq in seqs]
     threshold = typicality_threshold_n(params, p_min=dist.p_min)
     return _typical_set_checks(
-        masses, _ordered_total(masses), len(seqs), "cardinality", n, dist.entropy(), params, threshold
+        masses, _ordered_total(masses), len(seqs), "cardinality", len(dist.support) ** n, n, dist.entropy(), params,
+        threshold,
     )
 
 
@@ -560,7 +567,9 @@ def verify_state_typicality(rho, n: int, params: TypicalityParams) -> dict:
     proj = Projector(_product_columns([v] * n, flat))
     masses, total = _kept_masses(groups, n, flat)
     threshold = typicality_threshold_n(params, q_min=float(min(x for x in q if x > 0)))
-    checks = _typical_set_checks(masses, total, proj.rank, "rank", n, float(entropy_bits(q)), params, threshold)
+    checks = _typical_set_checks(
+        masses, total, proj.rank, "rank", proj.dim, n, float(entropy_bits(q)), params, threshold
+    )
     commutes = True
     if proj.dim <= 256:
         dense = proj.dense()
@@ -585,7 +594,7 @@ def verify_conditional_typicality(ensemble: CqEnsemble, seq: Sequence, params: T
     seq_typical = is_typical(ensemble.dist, seq, params.delta)
     threshold = typicality_threshold_n(params, p_min=ensemble.dist.p_min, q_min=ensemble.q_min())
     return _typical_set_checks(
-        masses, mass, len(flat), "rank", n, ensemble.conditional_entropy(), params, threshold,
+        masses, mass, len(flat), "rank", ensemble.dim**n, n, ensemble.conditional_entropy(), params, threshold,
         typical=seq_typical, note=f"; input typical: {seq_typical}",
     )
 

@@ -5,10 +5,13 @@ element factors; a dense D x D product, eigendecomposition or chain
 conjugation creeping back in would keep every output but cost O(D^3) per
 message again.  The chain holds its failure operator as B = G - L R^dag and
 reads the gate as its columns, so a gated decode forms no projector's dense
-matrix and no D x D operator while the candidates' ranks sum to at most D.  Smoothing measures each typical joint type once at build,
-sandwiches each (xs, zs) key's marginal part once and reads a maximally
-mixed record's trace distance off the symbols' spectra, so verification
-builds no product state, and no record keeps a dense state.  Multi-sender
+matrix and no D x D operator while the candidates' ranks sum to at most D.
+Smoothing measures each typical joint type once at build, builds one
+layer pair and one marginal part per (xs, zs) key type and reads every
+other key through a permutation, and reads a maximally mixed record's
+trace distance off the symbols' spectra, so verification builds no product
+state and takes one norm per typical key type, and no record or key keeps
+a dense matrix of its own.  Multi-sender
 candidates and their guarantees are checked in the candidates' own span, so
 building them forms no D x D matrix, and no projector keeps one.  A typical
 layer's kept set is the AND of cached per-group masks, so a decode builds
@@ -40,7 +43,7 @@ from cqlab.decoders import (
 from cqlab.geometry import key_inequality_check, seq_success_lower_bound, sequential_collapse
 from cqlab.linalg import Projector
 from cqlab.smoothing import smoothed_states, verify_smoothing_bounds
-from cqlab.typicality import ClassicalDistribution, CqEnsemble, _group_mask
+from cqlab.typicality import ClassicalDistribution, CqEnsemble, _group_mask, is_typical
 
 KET0 = np.diag([1.0, 0.0]).astype(complex)
 PLUS = np.full((2, 2), 0.5, dtype=complex)
@@ -342,10 +345,16 @@ def diagonal_triple_system() -> CqEnsemble:
     return CqEnsemble(ClassicalDistribution(tuple(states), (0.25,) * 4), states)
 
 
+def key_type(record) -> frozenset:
+    """The (x, z) symbol counts of a record's key."""
+    return frozenset(Counter(zip(record.xs, record.zs)).items())
+
+
 def test_smoothing_builds_product_states_for_typical_records_only(monkeypatch):
     """The build runs one trace distance per sandwiched joint type and at
-    most one sandwich per joint type and per (xs, zs) key, forms each typical
-    record's product state once and reads no overlap through
+    most one sandwich per joint type and per key type, forms a product state
+    only for the typical records of each key type's representative (the
+    first key seen of its type), and reads no overlap through
     ``Projector.trace_with``; verification builds no product state and runs
     no dense trace distance."""
     system = diagonal_triple_system()
@@ -379,17 +388,59 @@ def test_smoothing_builds_product_states_for_typical_records_only(monkeypatch):
     typical = [r for r in se.records if r.typical]
     sandwiched_types = {frozenset(Counter(r.zipped).items()) for r in typical if not r.zero_denominator}
     types = {frozenset(Counter(r.zipped).items()) for r in typical}
-    keys = {(r.xs, r.zs) for r in typical}
+    representatives: dict = {}
+    for r in se.records:
+        representatives.setdefault(key_type(r), (r.xs, r.zs))
+    at_representatives = [r.zipped for r in typical if representatives[key_type(r)] == (r.xs, r.zs)]
+    key_types = {key_type(r) for r in typical}
     assert 0 < len(sandwiched_types) < len(typical) < len(se.records)
     assert calls["trace_distance"] == len(sandwiched_types)
-    assert calls["sandwiched"] <= len(types) + len(keys) < len(typical)
+    assert calls["sandwiched"] <= len(types) + len(key_types) < len(typical)
     assert calls["trace_with"] == 0
-    assert calls["sequence_state"] == [r.zipped for r in typical]
+    assert sorted(calls["sequence_state"]) == sorted(at_representatives)
+    assert len(at_representatives) < len(typical)
 
     calls.update(sequence_state=[], trace_distance=0, sandwiched=0)
     report = verify_smoothing_bounds(se)
     assert all(c.passed for c in report["checks"].values())
     assert calls == {"sequence_state": [], "trace_distance": 0, "sandwiched": 0, "trace_with": 0}
+
+
+def test_smoothing_takes_one_layer_pair_and_one_norm_per_key_type(monkeypatch):
+    """On the bench system at n = 6 (64 keys in 7 key types) the build forms
+    one conditional layer pair per key type with a typical record, not one
+    per key, and verification takes one operator norm per typical key type
+    of the pair and the x-marginals, and one for the average."""
+    system = diagonal_triple_system()
+    calls = {"layers": 0, "norms": 0}
+    cond_typical_projector = cqlab.smoothing.cond_typical_projector
+    operator_norm = cqlab.smoothing.operator_norm
+
+    def counted_layer(ensemble, seq, delta):
+        calls["layers"] += 1
+        return cond_typical_projector(ensemble, seq, delta)
+
+    def counted_norm(m):
+        calls["norms"] += 1
+        return operator_norm(m)
+
+    monkeypatch.setattr(cqlab.smoothing, "cond_typical_projector", counted_layer)
+    monkeypatch.setattr(cqlab.smoothing, "operator_norm", counted_norm)
+    delta = 0.35
+    se = smoothed_states(system, N, delta)
+    typical = [r for r in se.records if r.typical]
+    key_types = {key_type(r) for r in typical}
+    assert len({(r.xs, r.zs) for r in typical}) == 50 and len({key_type(r) for r in se.records}) == 7
+    assert calls["layers"] == 2 * len(key_types) < 50
+
+    report = verify_smoothing_bounds(se)
+    rows = ((se.pair_marginals, se.layers.p_xz, "linf-pair"), (se.x_marginals, se.layers.p_x, "linf-x"))
+    norms = 1
+    for marginals, law, name in rows:
+        keys = [key for key in marginals if is_typical(law, key, delta)]
+        assert report["checks"][name].note == f"{len(keys)} typical marginals"
+        norms += len({frozenset(Counter(key).items()) for key in keys})
+    assert calls["norms"] == norms < len(se.pair_marginals)
 
 
 def test_smoothed_records_hold_no_dense_state():
@@ -405,6 +456,26 @@ def test_smoothed_records_hold_no_dense_state():
         tracemalloc.stop()
     assert sum(r.typical for r in se.records) == 1080
     assert live < 20e6
+
+
+def test_smoothing_stores_marginals_per_key_type():
+    """Live memory after building a 2-symbol system with singleton z and y
+    at n = 8 (256 keys, D = 256): one sandwich and one marginal part per key
+    type.  A matrix per key would take 256 MB for each of the pair and the
+    x-marginals."""
+    states = {(0, "z", "y"): np.diag([0.8, 0.2]).astype(complex), (1, "z", "y"): 0.7 * PLUS + 0.3 * MINUS}
+    system = CqEnsemble(ClassicalDistribution(tuple(states), (0.5, 0.5)), states)
+    tracemalloc.start()
+    try:
+        se = smoothed_states(system, 8, 0.5)
+        live, _ = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert len(se.pair_marginals) == len(se.x_marginals) == 256
+    assert sum(r.typical for r in se.records) > 200
+    assert live < 40e6
+    report = verify_smoothing_bounds(se)
+    assert all(c.passed for c in report["checks"].values())
 
 
 def test_candidate_checks_form_no_dense_matrix(monkeypatch):

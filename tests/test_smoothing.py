@@ -284,8 +284,9 @@ def test_closed_form_mixed_distance_matches_dense_oracle(d, kinds, seed, data):
     seqs = data.draw(st.lists(st.tuples(*[st.sampled_from(symbols)] * n), min_size=1, max_size=4), label="seqs")
     # one sequence per block, or all of them in one block
     batch = data.draw(st.sampled_from((1, smoothing.MIXED_BATCH)), label="batch")
+    rows = np.array([[system.dist.symbols.index(s) for s in z] for z in seqs])
     with mock.patch.object(smoothing, "MIXED_BATCH", batch):
-        got = _mixed_distances(system, seqs)
+        got = _mixed_distances(system, rows)
     mixed = np.eye(d**n) / d**n
     for z, dist in zip(seqs, got, strict=True):
         assert abs(dist - trace_distance(mixed, system.sequence_state(z))) < 1e-12
@@ -325,31 +326,70 @@ def test_scalar_mass_marginals_match_per_record_accumulation(d, kinds, seed, n, 
     assert np.max(np.abs(avg - se.average)) < 1e-12
 
 
-def eager_records(system, n, delta):
-    """The eager build, kept as the oracle: per typical triple, its sandwiched
-    state formed and kept (None when the sandwich annihilates it), its
-    denominator and its overlap failures read through ``Projector.trace_with``."""
+def eager_family(system, n, delta, triples=None):
+    """The eager per-key build, kept as the differential oracle.
+
+    Every record is formed on its own: a typical triple's layer pair and
+    sandwich are built for its own key, its overlaps read through
+    ``Projector.trace_with``, and every record's trace distance is taken
+    densely.  A complete enumeration also sums every pair, x and average
+    marginal record by record.  Returns ({zipped: record fields}, marginals
+    or None).
+    """
     layers = triple_layers(system)
     pi_avg = typical_projector(layers.rho_bar, n, 2.0 * delta)
-    out = {}
-    for zipped in itertools.product(system.dist.support, repeat=n):
-        if not is_typical(system.dist, zipped, delta):
-            continue
+    dim = system.dim**n
+    mixed = np.eye(dim) / dim
+    if triples is None:
+        seqs = list(itertools.product(system.dist.support, repeat=n))
+    else:
+        seqs = [tuple(zip(*t)) for t in triples]
+    records = {}
+    pair, xm = {}, {}
+    avg = np.zeros((dim, dim), dtype=np.complex128)
+    for zipped in seqs:
         xs = tuple(s[0] for s in zipped)
         pairs = tuple((s[0], s[1]) for s in zipped)
-        p_x = cond_typical_projector(layers.x_ens, xs, 6.0 * delta)
-        p_xz = cond_typical_projector(layers.pair_ens, pairs, 6.0 * delta)
-        m = pi_avg.dense() @ p_x.dense() @ p_xz.dense()
+        prob = math.prod(system.dist.prob(s) for s in zipped)
         rho = system.sequence_state(zipped)
-        failures = tuple(min(1.0, max(0.0, 1.0 - p.trace_with(rho))) for p in (pi_avg, p_x, p_xz))
-        sand = m @ rho @ m.conj().T
-        denominator = float(np.real(np.trace(sand)))
-        state = None
-        if denominator > smoothing.DENOMINATOR_TOL:
-            state = sand / denominator
-            state = (state + state.conj().T) / 2.0
-        out[zipped] = (state, denominator, failures)
-    return out
+        rec = {"probability": prob, "typical": is_typical(system.dist, zipped, delta), "state": mixed}
+        if rec["typical"]:
+            p_x = cond_typical_projector(layers.x_ens, xs, 6.0 * delta)
+            p_xz = cond_typical_projector(layers.pair_ens, pairs, 6.0 * delta)
+            m = pi_avg.dense() @ p_x.dense() @ p_xz.dense()
+            sand = m @ rho @ m.conj().T
+            rec["denominator"] = float(np.real(np.trace(sand)))
+            rec["overlap_failures"] = tuple(min(1.0, max(0.0, 1.0 - p.trace_with(rho))) for p in (pi_avg, p_x, p_xz))
+            rec["zero_denominator"] = rec["denominator"] <= smoothing.DENOMINATOR_TOL
+            if not rec["zero_denominator"]:
+                state = sand / rec["denominator"]
+                rec["state"] = (state + state.conj().T) / 2.0
+        rec["distance"] = trace_distance(rec["state"], rho)
+        records[zipped] = rec
+        if triples is None:
+            pair[pairs] = pair.get(pairs, 0.0) + prob * rec["state"]
+            xm[xs] = xm.get(xs, 0.0) + prob * rec["state"]
+            avg += prob * rec["state"]
+    if triples is not None:
+        return records, None
+    marginals = {
+        "pair": {k: v / math.prod(layers.p_xz.prob(p) for p in k) for k, v in pair.items()},
+        "x": {k: v / math.prod(layers.p_x.prob(x) for x in k) for k, v in xm.items()},
+        "average": avg,
+    }
+    return records, marginals
+
+
+def eager_records(system, n, delta):
+    """The oracle's typical records: per typical triple its sandwiched state
+    (None when the sandwich annihilates it), its denominator and its
+    overlap failures."""
+    records, _ = eager_family(system, n, delta)
+    return {
+        z: (None if r["zero_denominator"] else r["state"], r["denominator"], r["overlap_failures"])
+        for z, r in records.items()
+        if r["typical"]
+    }
 
 
 @settings(max_examples=40)
@@ -388,6 +428,116 @@ def test_records_match_the_eager_build(d, kinds, seed, layered, n, delta):
             assert not r.zero_denominator
             assert np.max(np.abs(r.state - state)) <= 1e-12
             assert abs(r.distance - trace_distance(state, system.sequence_state(r.zipped))) <= 1e-12
+
+
+def eager_check_values(records, marginals, layers, delta):
+    """The report's check values, from the oracle's records and marginals."""
+    typical = [r for r in records.values() if r["typical"]]
+    values = {}
+    if typical:
+        values["denominator"] = min(r["denominator"] for r in typical)
+        values["l1-triple"] = max(r["distance"] for r in typical)
+    if marginals is not None:
+        for name, law in (("pair", layers.p_xz), ("x", layers.p_x)):
+            norms = [np.linalg.norm(m, 2) for k, m in marginals[name].items() if is_typical(law, k, delta)]
+            values[f"linf-{name}"] = max(norms, default=0.0)
+        values["linf-average"] = np.linalg.norm(marginals["average"], 2)
+        values["l1-global"] = sum(r["probability"] * r["distance"] for r in records.values() if r["probability"] > 0)
+    return values
+
+
+#: Each row's pass rule and the bounds outside its quantity's range.
+CHECK_RULES = {
+    "denominator": (lambda v, b: v >= b - 1e-12, lambda b: b <= 0.0),
+    "l1-triple": (lambda v, b: v <= b + 1e-12, lambda b: b >= 2.0),
+    "linf-pair": (lambda v, b: v <= b * (1.0 + 1e-9), lambda b: b >= 1.0),
+    "linf-x": (lambda v, b: v <= b * (1.0 + 1e-9), lambda b: b >= 1.0),
+    "linf-average": (lambda v, b: v <= b * (1.0 + 1e-9), lambda b: b >= 1.0),
+    "l1-global": (lambda v, b: v <= b + 1e-12, lambda b: b >= 2.0),
+}
+
+
+#: (x values, whether z splits given x = 0, y values): two to four support
+#: symbols, so that typical triples exist from n = 4 on.
+SHAPES = ((2, False, 1), (3, False, 1), (2, True, 1), (3, True, 1), (2, False, 2))
+
+
+@st.composite
+def triple_systems(draw):
+    """A p(x)p(z|x)p(y) system on qubits or qutrits, of one of ``SHAPES``,
+    whose states are each pure, rank-deficient, degenerate, diagonal or
+    generic in a random eigenbasis of their own, and a block length from
+    the support size up to 5 that keeps D <= 81 and the triple count <= 256."""
+    d = draw(st.sampled_from((2, 3)), label="d")
+    x_size, layered, y_size = draw(st.sampled_from(SHAPES), label="shape")
+    z_rows = {x: {x: 1.0} for x in range(x_size)}
+    if layered:
+        z_rows[0] = {0: 0.5, x_size: 0.5}
+    p_y = {y: 1.0 / y_size for y in range(y_size)}
+    triples = [(x, z, y) for x in z_rows for z in z_rows[x] for y in p_y]
+    kinds = draw(st.lists(st.sampled_from(STATE_KINDS + ("diagonal",)), min_size=len(triples), max_size=len(triples)))
+    seed = draw(st.integers(0, 2**32 - 1), label="seed")
+    states = {t: kind_state(d, kind, (seed, i)) for i, (t, kind) in enumerate(zip(triples, kinds))}
+    system = triple_system({x: 1.0 / x_size for x in z_rows}, z_rows, p_y, lambda *t: states[t])
+    longest = max(k for k in range(1, 6) if d**k <= 81 and len(triples) ** k <= 256)
+    n = draw(st.integers(len(triples), longest), label="n")
+    return system, n
+
+
+@settings(max_examples=80)
+@given(
+    case=triple_systems(),
+    delta=st.sampled_from((0.35, 0.5, 0.9)),
+    partial=st.booleans(),
+    data=st.data(),
+)
+def test_family_matches_the_eager_per_key_oracle(case, delta, partial, data):
+    # Keys of one type are carried onto each other by a position
+    # permutation; every record, marginal and check value read through it
+    # must equal the one built for the key itself.
+    system, n = case
+    triples = None
+    if partial:
+        # typical triples and any others, each with a shuffled copy, so that
+        # keys of one type other than its first come up
+        every = list(itertools.product(system.dist.support, repeat=n))
+        typical = [z for z in every if is_typical(system.dist, z, delta)] or every
+        picks = data.draw(st.lists(st.sampled_from(typical), min_size=1, max_size=3), label="typical picks")
+        picks += data.draw(st.lists(st.sampled_from(every), max_size=1), label="other picks")
+        orders = data.draw(st.lists(st.permutations(range(n)), min_size=len(picks), max_size=len(picks)))
+        zipped = picks + [tuple(z[i] for i in order) for z, order in zip(picks, orders)]
+        triples = [tuple(zip(*z)) for z in zipped]
+    se = smoothed_states(system, n, delta, triples=triples)
+    records, marginals = eager_family(system, n, delta, triples)
+    assert len(se.records) == len(triples if partial else records)
+    for r in se.records:
+        rec = records[r.zipped]
+        assert r.typical == rec["typical"]
+        assert r.probability == pytest.approx(rec["probability"], rel=1e-12, abs=0.0)
+        assert np.max(np.abs(r.state - rec["state"])) <= 1e-12
+        if r.typical:
+            assert abs(r.denominator - rec["denominator"]) <= 1e-12
+            assert np.max(np.abs(np.subtract(r.overlap_failures, rec["overlap_failures"]))) <= 1e-12
+            assert r.zero_denominator == rec["zero_denominator"]
+        if r.distance is not None:
+            assert abs(r.distance - rec["distance"]) <= 1e-12
+    if not partial:
+        for name, got in (("pair", se.pair_marginals), ("x", se.x_marginals)):
+            assert set(got) == set(marginals[name])
+            for key, mat in marginals[name].items():
+                assert np.max(np.abs(got[key] - mat)) <= 1e-12
+        assert np.max(np.abs(se.average - marginals["average"])) <= 1e-12
+
+    report = verify_smoothing_bounds(se)
+    expected = eager_check_values(records, marginals, se.layers, delta)
+    for name, check in report["checks"].items():
+        if name not in expected:
+            assert check.informative and not check.vacuous
+            continue
+        assert abs(check.value - expected[name]) <= 1e-12
+        passes, vacuous = CHECK_RULES[name]
+        assert check.passed == passes(expected[name], check.bound)
+        assert check.vacuous == vacuous(check.bound)
 
 
 def joint_type(zipped):

@@ -492,6 +492,36 @@ def test_conditional_report_informative_flags(params, seq, typical):
     assert checks["mass"].note == f"threshold n >= {threshold}; input typical: {typical}"
 
 
+def test_typicality_bounds_outside_their_range_are_vacuous():
+    # at delta = 0.3 over (2, 2) contexts c = 1.12 exceeds the entropy of a
+    # fair coin, of I/2 and of pure branch states, so each sandwich ceiling
+    # 2^{-n(h - c)} is at least 1 and each size bound 2^{n(h + c)} at least 2^n
+    params = TypicalityParams(0.3, 0.1, (2, 2))
+    reports = (
+        (verify_typicality_bounds(ClassicalDistribution((0, 1), (0.5, 0.5)), 8, params), "cardinality"),
+        (verify_typicality_bounds(np.eye(2, dtype=complex) / 2, 6, params), "rank"),
+        (verify_conditional_typicality(bb84_ensemble(), (0, 1, 0, 1, 0, 1), params), "rank"),
+    )
+    for checks, size in reports:
+        assert checks["sandwich"].vacuous and checks[size].vacuous and not checks["mass"].vacuous
+        assert checks["sandwich"].passed and checks[size].passed
+        assert checks[size].bound >= 2.0**6
+
+
+def test_typicality_bounds_inside_their_range_bind():
+    # a 0.9/0.1 law at delta = 0.05 over one binary context: h = 0.469 and
+    # c = 0.266, so the ceiling 2^{-n(h - c)} < 1 and the bound 2^{n(h + c)} < 2^n
+    params = TypicalityParams(0.05, 0.1, (2,))
+    reports = (
+        (verify_typicality_bounds(ClassicalDistribution((0, 1), (0.9, 0.1)), 20, params), "cardinality", 2**20),
+        (verify_typicality_bounds(np.diag([0.9, 0.1]).astype(complex), 10, params), "rank", 2**10),
+    )
+    for checks, size, space in reports:
+        assert not any(c.vacuous for c in checks.values())
+        assert checks["sandwich"].passed and checks[size].passed
+        assert checks[size].value < checks[size].bound < space
+
+
 def test_state_report_rank_is_the_typical_projector_rank():
     rng = np.random.default_rng(3)
     g = rng.normal(size=(3, 3)) + 1j * rng.normal(size=(3, 3))
