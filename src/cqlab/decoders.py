@@ -44,7 +44,7 @@ import numpy as np
 
 from .channels import CcqMac, CoupledMac, CqChannel, _row_for
 from .geometry import intersection_projector, sequential_collapse
-from .linalg import Projector, _kron, as_matrix, check_dim_cap, hermitian_eig, psd_leq_factors, require_hermitian
+from .linalg import Projector, _eig, _kron, as_matrix, check_dim_cap, hermitian_eig, psd_leq_factors, require_hermitian
 from .smoothing import SmoothedEnsemble
 from .typicality import cond_typical_projector, is_typical, typical_projector
 
@@ -774,7 +774,7 @@ def _element_factor(m, op) -> np.ndarray:
         return op.support_columns()
     if isinstance(op, FactoredElement):
         return op.factor
-    w, v = hermitian_eig(require_hermitian(as_matrix(op), what="element"))
+    w, v = _eig(require_hermitian(op, what="element"))
     if w.size and w[-1] < -1e-9:
         raise ValueError(f"element for message {m!r} is not positive semidefinite (min eig {w[-1]:.3g})")
     return _factor(w, v)

@@ -34,12 +34,12 @@ import numpy as np
 
 from .linalg import (
     Projector,
+    _trace_norm,
     as_matrix,
     psd_leq_factors,
     require_hermitian,
     require_projector,
     require_state,
-    trace_distance,
 )
 
 #: Singular values at least this close to 1 mean the two lines coincide.
@@ -79,48 +79,37 @@ class Block:
 
 @dataclass
 class CanonicalDecomposition:
+    """Blocks of a two-subspace decomposition over their stacked lines.
+
+    ``basis`` holds every block's basis side by side in block order (each
+    block's ``basis`` is a column slice of it); ``first_lines`` and
+    ``second_lines`` hold each subspace's lines in block order.
+    """
+
     dim: int
     blocks: list[Block]
+    basis: np.ndarray
+    first_lines: np.ndarray
+    second_lines: np.ndarray
 
     def blocks_of_kind(self, kind: int) -> list[Block]:
         return [b for b in self.blocks if b.kind == kind]
 
     def first_subspace_lines(self) -> list[np.ndarray]:
         """Orthonormal basis of the first subspace read off the blocks."""
-        lines = []
-        for b in self.blocks:
-            if b.kind in (BLOCK_IN_BOTH, BLOCK_FIRST_ONLY):
-                lines.append(b.basis[:, 0])
-            elif b.kind == BLOCK_TILTED_PLANE:
-                lines.append(b.a_line)
-        return lines
+        return list(self.first_lines.T)
 
     def second_subspace_lines(self) -> list[np.ndarray]:
-        lines = []
-        for b in self.blocks:
-            if b.kind == BLOCK_SECOND_ONLY:
-                lines.append(b.basis[:, 0])
-            elif b.kind in (BLOCK_IN_BOTH, BLOCK_TILTED_PLANE):
-                lines.append(b.b_line)
-        return lines
+        return list(self.second_lines.T)
 
     def reconstruct_first(self) -> np.ndarray:
-        return _sum_outer(self.first_subspace_lines(), self.dim)
+        return self.first_lines @ self.first_lines.conj().T
 
     def reconstruct_second(self) -> np.ndarray:
-        return _sum_outer(self.second_subspace_lines(), self.dim)
+        return self.second_lines @ self.second_lines.conj().T
 
     def full_basis(self) -> np.ndarray:
-        cols = [b.basis for b in self.blocks if b.dim > 0]
-        return np.column_stack(cols) if cols else np.zeros((self.dim, 0), dtype=complex)
-
-
-def _sum_outer(vectors: list[np.ndarray], dim: int) -> np.ndarray:
-    """Sum of |v><v| over the vectors, as one product L L^dag of their stack."""
-    if not vectors:
-        return np.zeros((dim, dim), dtype=np.complex128)
-    lines = np.column_stack(vectors)
-    return lines @ lines.conj().T
+        return self.basis
 
 
 def _as_projector(p) -> Projector:
@@ -196,11 +185,11 @@ def _check_pairing(gram: np.ndarray, u: np.ndarray, sigma: np.ndarray, w: np.nda
     place of a D x D reconstruction.
     """
     ra, k = u.shape[0], w.shape[1]
-    if np.max(np.abs(u.conj().T @ u - np.eye(ra))) > 1e-8:
+    if np.abs(u.conj().T @ u - np.eye(ra)).max() > 1e-8:
         raise RuntimeError("first projector does not reconstruct from its lines")
-    if np.max(np.abs(w.conj().T @ w - np.eye(k))) > 1e-8:
+    if np.abs(w.conj().T @ w - np.eye(k)).max() > 1e-8:
         raise RuntimeError("paired second-subspace lines are not orthonormal")
-    if np.max(np.abs(u.conj().T @ gram @ w - np.eye(ra, k) * sigma)) > 1e-8:
+    if np.abs(u.conj().T @ gram @ w - np.eye(ra, k) * sigma).max() > 1e-8:
         raise RuntimeError("line pairs are not jointly orthonormal")
 
 
@@ -217,63 +206,69 @@ def jordan_decompose(pa, pb) -> CanonicalDecomposition:
     orthonormal and that each projector is the sum of its lines (1e-8 in
     every entry).  That is O(D^3); ``intersection_projector`` needs none of
     it.
+
+    The block bases are column slices of one stack in block order, filled
+    from the pairing's arrays; the checks read that stack and each
+    subspace's stack of lines.
     """
     pa, pb = _support_pair(pa, pb)
     d = pa.dim
-    a = pa.support_columns()
     b = pb.support_columns()
-    pairs = _pair(a, b, full=True)
+    pairs = _pair(pa.support_columns(), b, full=True)
     k = len(pairs.cosines)
+    first = pairs.a_lines  # A's lines in block order: the paired, then the unpaired
+    ra = first.shape[1]
+    shared, tilted = pairs.shared, pairs.tilted
+    orthogonal = ~(shared | tilted)
+    # B's lines in block order: those paired with a line of A, then the second-only ones
+    lone = np.hstack([pairs.b_lines[:, orthogonal], b @ pairs.w[:, k:]])
+    second = np.hstack([pairs.b_lines[:, ~orthogonal], lone])
+
+    # each line of A takes a column, and a tilted plane a second one for the
+    # a-line's in-plane complement; the second-only lines follow
+    kinds = np.full(ra, BLOCK_FIRST_ONLY)
+    kinds[:k][shared] = BLOCK_IN_BOTH
+    kinds[:k][tilted] = BLOCK_TILTED_PLANE
+    planes = np.flatnonzero(tilted)
+    ortho = pairs.b_lines.T[planes] - pairs.cosines[planes, None] * first.T[planes]
+    for row in ortho:  # a row at a time: norm's axis form rounds differently
+        row /= np.linalg.norm(row)
+    in_plane = kinds == BLOCK_TILTED_PLANE
+    slot = np.arange(ra) + np.cumsum(in_plane) - in_plane
+    span = np.empty((d, ra + len(planes) + lone.shape[1]), dtype=np.complex128)
+    span[:, slot] = first
+    span[:, slot[planes] + 1] = ortho.T
+    span[:, ra + len(planes) :] = lone
 
     blocks: list[Block] = []
-    for i, (s, shared, tilted) in enumerate(zip(pairs.cosines, pairs.shared, pairs.tilted)):
-        av = pairs.a_lines[:, i]
-        bv = pairs.b_lines[:, i]
-        if shared:
-            blocks.append(Block(BLOCK_IN_BOTH, av.reshape(-1, 1), b_line=bv))
-        elif tilted:
-            # orthonormal plane basis: the a-line and its in-plane complement
-            ortho = bv - s * av
-            ortho = ortho / np.linalg.norm(ortho)
-            basis = np.column_stack([av, ortho])
-            blocks.append(Block(BLOCK_TILTED_PLANE, basis, angle=float(math.acos(s)), a_line=av, b_line=bv))
+    for i, (kind, j) in enumerate(zip(kinds.tolist(), slot.tolist())):
+        if kind == BLOCK_TILTED_PLANE:
+            angle = float(math.acos(pairs.cosines[i]))
+            blocks.append(Block(kind, span[:, j : j + 2], angle, first[:, i], pairs.b_lines[:, i]))
         else:
-            blocks.append(Block(BLOCK_FIRST_ONLY, av.reshape(-1, 1)))
-    for i in range(k, a.shape[1]):
-        blocks.append(Block(BLOCK_FIRST_ONLY, pairs.a_lines[:, i].reshape(-1, 1)))
-    orthogonal = ~(pairs.shared | pairs.tilted)
-    unpaired = b @ pairs.w[:, k:]
-    for line in np.column_stack([pairs.b_lines[:, orthogonal], unpaired]).T:
-        blocks.append(Block(BLOCK_SECOND_ONLY, line.reshape(-1, 1)))
+            blocks.append(Block(kind, span[:, j : j + 1], b_line=pairs.b_lines[:, i] if kind == BLOCK_IN_BOTH else None))
+    blocks.extend(Block(BLOCK_SECOND_ONLY, span[:, j : j + 1]) for j in range(ra + len(planes), span.shape[1]))
 
-    occupied = [blk.basis for blk in blocks]
-    span = np.column_stack(occupied) if occupied else np.zeros((d, 0), dtype=complex)
+    full = span
     if span.shape[1] < d:
         # complement of everything seen so far
         u, s, _ = np.linalg.svd(
             np.eye(d, dtype=complex) - span @ span.conj().T if span.shape[1] else np.eye(d, dtype=complex)
         )
         comp = u[:, s > 0.5]
-        for j in range(comp.shape[1]):
-            blocks.append(Block(BLOCK_OUTSIDE_BOTH, comp[:, j].reshape(-1, 1)))
+        blocks.extend(Block(BLOCK_OUTSIDE_BOTH, comp[:, j : j + 1]) for j in range(comp.shape[1]))
+        full = np.hstack([span, comp])
 
-    decomp = CanonicalDecomposition(dim=d, blocks=blocks)
-    _validate_decomposition(decomp, pa, pb)
-    return decomp
-
-
-def _validate_decomposition(decomp: CanonicalDecomposition, pa: Projector, pb: Projector) -> None:
-    d = decomp.dim
-    full = decomp.full_basis()
+    decomp = CanonicalDecomposition(d, blocks, full, first, second)
     if full.shape[1] != d:
         raise RuntimeError("block bases do not fill the space")
-    gram = full.conj().T @ full
-    if np.max(np.abs(gram - np.eye(d))) > 1e-8:
+    if np.abs(full.conj().T @ full - np.eye(d)).max() > 1e-8:
         raise RuntimeError("block bases are not jointly orthonormal")
-    if np.max(np.abs(decomp.reconstruct_first() - pa.dense())) > 1e-8:
+    if np.abs(decomp.reconstruct_first() - pa.dense()).max() > 1e-8:
         raise RuntimeError("first projector does not reconstruct from its lines")
-    if np.max(np.abs(decomp.reconstruct_second() - pb.dense())) > 1e-8:
+    if np.abs(decomp.reconstruct_second() - pb.dense()).max() > 1e-8:
         raise RuntimeError("second projector does not reconstruct from its lines")
+    return decomp
 
 
 def intersection_projector(pa, pb, tau: float) -> Projector:
@@ -358,11 +353,11 @@ def sequential_collapse(rho, steps: Sequence[SeqStep | tuple]) -> SeqOutcome:
             step = SeqStep(*step) if isinstance(step, tuple) else SeqStep(step)
         e = step.effective()
         current = e @ current @ e
-        traces.append(float(np.real(np.trace(current))))
+        traces.append(float(current.trace().real))
     return SeqOutcome(
         step_traces=traces,
         final_operator=current,
-        success_probability=traces[-1] if traces else float(np.real(np.trace(current))),
+        success_probability=traces[-1] if traces else float(current.trace().real),
     )
 
 
@@ -383,12 +378,12 @@ def seq_success_lower_bound(rho, hostile: Sequence, target) -> float:
     read as given.
     """
     r = as_matrix(rho)
+    total = float(r.trace().real)
     leak = 0.0
     for p in hostile:
-        leak += float(np.real(np.trace(_dense(p) @ r)))
-    leak += float(np.real(np.trace(r))) - float(np.real(np.trace(_dense(target) @ r)))
-    leak = max(0.0, leak)
-    return float(np.real(np.trace(r))) - 2.0 * math.sqrt(leak)
+        leak += float((_dense(p) @ r).trace().real)
+    leak += total - float((_dense(target) @ r).trace().real)
+    return total - 2.0 * math.sqrt(max(0.0, leak))
 
 
 def key_inequality_check(v, projectors: Sequence) -> dict:
@@ -398,13 +393,15 @@ def key_inequality_check(v, projectors: Sequence) -> dict:
     overlaps sum_i ||(I - P_i) v||^2.
     """
     vec = np.asarray(v, dtype=np.complex128).reshape(-1)
-    chained = vec.copy()
+    norm2 = np.vdot(vec, vec)
+    chained = vec
     rhs = 0.0
     for p in projectors:
         dense = _dense(p)
-        rhs += float(np.real(np.vdot(vec, vec) - np.vdot(vec, dense @ vec)))
+        rhs += float((norm2 - np.vdot(vec, dense @ vec)).real)
         chained = dense @ chained
-    lhs = float(np.real(np.vdot(vec - chained, vec - chained)))
+    defect = vec - chained
+    lhs = float(np.vdot(defect, defect).real)
     return {"lhs": lhs, "rhs": rhs, "holds": lhs <= rhs + 1e-9}
 
 
@@ -421,8 +418,9 @@ def gentle_measurement_check(rho, m) -> dict:
     if w.size and (float(np.min(w)) < -1e-9 or float(np.max(w)) > 1.0 + 1e-9):
         raise ValueError("measurement operator must satisfy 0 <= M <= I")
     collapsed = op @ r @ op
-    kept = float(np.real(np.trace(collapsed)))
-    total = float(np.real(np.trace(r)))
-    l1 = trace_distance(r, collapsed)
+    kept = float(collapsed.trace().real)
+    total = float(r.trace().real)
+    # rho passed the Hermitian rule in require_state; only the collapse is checked here
+    l1 = _trace_norm(r, require_hermitian(collapsed, what="second operand"))
     bound = 2.0 * math.sqrt(max(0.0, total - kept))
     return {"l1": l1, "bound": bound, "kept": kept, "holds": l1 <= bound + 1e-9}

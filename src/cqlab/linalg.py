@@ -56,29 +56,36 @@ def as_matrix(m) -> np.ndarray:
     a = np.asarray(getattr(m, "matrix", m), dtype=np.complex128)
     if a.ndim != 2 or a.shape[0] != a.shape[1]:
         raise ValueError(f"expected a square matrix, got shape {a.shape}")
-    if not np.all(np.isfinite(a.view(np.float64))):
+    if not np.isfinite(a).all():
         raise ValueError("matrix contains non-finite entries")
     return a
+
+
+def _is_hermitian(a: np.ndarray) -> bool:
+    """The one Hermitian rule, on a matrix ``as_matrix`` already returned:
+    every entry of a - a^dag within HERMITIAN_RTOL * max(1, max |a|).
+
+    A defect within HERMITIAN_RTOL passes whatever max |a| is, so the scale
+    is only read for a larger one.
+    """
+    if not a.size:
+        return True
+    defect = float(np.abs(a - a.conj().T).max())
+    return defect <= HERMITIAN_RTOL or defect <= HERMITIAN_RTOL * max(1.0, float(np.abs(a).max()))
 
 
 def operator_norm(m) -> float:
     """Spectral norm.  Uses the Hermitian fast path when applicable."""
     a = as_matrix(m)
-    if is_hermitian(a):
+    if _is_hermitian(a):
         w = np.linalg.eigvalsh(a)
-        return float(np.max(np.abs(w))) if w.size else 0.0
+        return float(np.abs(w).max()) if w.size else 0.0
     return float(np.linalg.norm(a, 2))
-
-
-def is_hermitian(m) -> bool:
-    a = as_matrix(m)
-    scale = max(1.0, float(np.max(np.abs(a)))) if a.size else 1.0
-    return bool(np.max(np.abs(a - a.conj().T)) <= HERMITIAN_RTOL * scale) if a.size else True
 
 
 def require_hermitian(m, what: str = "matrix") -> np.ndarray:
     a = as_matrix(m)
-    if not is_hermitian(a):
+    if not _is_hermitian(a):
         raise ValueError(f"{what} is not Hermitian within tolerance {HERMITIAN_RTOL}")
     return a
 
@@ -87,26 +94,36 @@ def require_state(m, what: str = "state", subnormalized: bool = False) -> np.nda
     """``m`` as a density-operator matrix: Hermitian within HERMITIAN_RTOL, no
     eigenvalue below -STATE_TOL, trace within STATE_TOL of 1 (or at most 1)."""
     a = require_hermitian(m, what)
-    low = float(np.min(np.linalg.eigvalsh((a + a.conj().T) / 2.0), initial=0.0))
+    low = float(np.linalg.eigvalsh((a + a.conj().T) / 2.0).min(initial=0.0))
     if low < -STATE_TOL:
         raise ValueError(f"{what} is not positive semidefinite (min eig {low:.3g})")
-    tr = float(np.real(np.trace(a)))
+    tr = float(a.trace().real)
     if tr > 1.0 + STATE_TOL or (not subnormalized and tr < 1.0 - STATE_TOL):
         raise ValueError(f"{what} trace is {tr!r}, expected {'at most 1' if subnormalized else '1'}")
     return a
 
 
 def _fix_phases(vecs: np.ndarray) -> np.ndarray:
-    """Rotate each column so its largest-|entry| component is real positive."""
+    """Rotate each column so its largest-|entry| component is real positive.
+
+    The pivot is the first maximum of |entry| in its column; its magnitude
+    is ``hypot(re, im)``, the value the scalar ``abs`` gives (the array
+    ``abs`` can differ in the last bit).  All-zero columns are left alone.
+    """
     out = vecs.copy()
-    for k in range(out.shape[1]):
-        col = out[:, k]
-        idx = int(np.argmax(np.abs(col)))  # first maximum on ties
-        pivot = col[idx]
-        mag = abs(pivot)
-        if mag > 0:
-            out[:, k] = col * (pivot.conjugate() / mag)
+    if not out.size:
+        return out
+    pivots = out[np.argmax(np.abs(out), axis=0), np.arange(out.shape[1])]
+    mag = np.hypot(pivots.real, pivots.imag)
+    live = mag > 0
+    np.multiply(out, pivots.conj() / np.where(live, mag, 1.0), out=out, where=live)
     return out
+
+
+def _eig(a: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """``hermitian_eig`` of a matrix that already passed the Hermitian rule."""
+    w, v = np.linalg.eigh((a + a.conj().T) / 2.0)
+    return w[::-1].copy(), _fix_phases(v[:, ::-1])
 
 
 def hermitian_eig(m) -> tuple[np.ndarray, np.ndarray]:
@@ -116,38 +133,39 @@ def hermitian_eig(m) -> tuple[np.ndarray, np.ndarray]:
     ``v`` unitary, columns being the matching eigenvectors with the phase
     convention applied.  ``m`` must be Hermitian within tolerance.
     """
-    a = require_hermitian(m)
-    h = (a + a.conj().T) / 2.0
-    w, v = np.linalg.eigh(h)
-    w = w[::-1].copy()
-    v = _fix_phases(v[:, ::-1].copy())
-    return w, v
+    return _eig(require_hermitian(m))
 
 
 def trace_distance(a, b) -> float:
     """Trace norm ||a - b||_1 of the difference of two Hermitian operators."""
-    x = require_hermitian(a, what="first operand")
-    y = require_hermitian(b, what="second operand")
+    return _trace_norm(require_hermitian(a, what="first operand"), require_hermitian(b, what="second operand"))
+
+
+def _trace_norm(x: np.ndarray, y: np.ndarray) -> float:
+    """``trace_distance`` of two matrices that already passed the Hermitian rule."""
     if x.shape != y.shape:
         raise ValueError(f"dimension mismatch: {x.shape} vs {y.shape}")
     diff = (x - y + (x - y).conj().T) / 2.0
-    return float(np.sum(np.abs(np.linalg.eigvalsh(diff))))
+    return float(np.abs(np.linalg.eigvalsh(diff)).sum())
 
 
 def psd_leq(a, b, tol: float = 1e-9) -> bool:
     """Loewner comparison ``a <= b`` up to ``tol``.
 
     True when the smallest eigenvalue of ``b - a`` is at least
-    ``-tol * max(1, ||b||)``.  ||b|| is read off one ``eigvalsh`` of the
-    already checked ``b``, the value ``operator_norm(b)`` gives.
+    ``-tol * max(1, ||b||)``.  A gap at least ``-tol`` passes whatever ||b||
+    is, so ||b|| is only read for a smaller gap, off one ``eigvalsh`` of the
+    already checked ``b``: the value ``operator_norm(b)`` gives.
     """
     x = require_hermitian(a, what="first operand")
     y = require_hermitian(b, what="second operand")
     if x.shape != y.shape:
         raise ValueError(f"dimension mismatch: {x.shape} vs {y.shape}")
     gap = (y - x + (y - x).conj().T) / 2.0
-    lo = float(np.min(np.linalg.eigvalsh(gap))) if gap.size else 0.0
-    return lo >= -tol * max(1.0, float(np.max(np.abs(np.linalg.eigvalsh(y)), initial=0.0)))
+    lo = float(np.linalg.eigvalsh(gap).min()) if gap.size else 0.0
+    if tol >= 0.0 and lo >= -tol:
+        return True  # max(1, ||b||) >= 1 only widens the allowance
+    return lo >= -tol * max(1.0, float(np.abs(np.linalg.eigvalsh(y)).max(initial=0.0)))
 
 
 def psd_leq_factors(x: np.ndarray, y: np.ndarray) -> bool:
@@ -241,7 +259,7 @@ def require_projector(m) -> np.ndarray:
     """``m`` as a projector matrix: Hermitian by the one ``require_hermitian``
     rule, and idempotent within PROJECTOR_TOL * D."""
     a = require_hermitian(m, "projector matrix")
-    if np.max(np.abs(a @ a - a)) > PROJECTOR_TOL * a.shape[0]:
+    if np.abs(a @ a - a).max() > PROJECTOR_TOL * a.shape[0]:
         raise ValueError("projector matrix is not idempotent within tolerance")
     return a
 
@@ -263,7 +281,7 @@ class Projector:
     @classmethod
     def from_matrix(cls, p) -> "Projector":
         """The eigenvectors of a checked projector matrix with eigenvalue above 1/2."""
-        w, v = hermitian_eig(require_projector(p))
+        w, v = _eig(require_projector(p))
         return cls(v[:, w > 0.5])
 
     @classmethod

@@ -37,7 +37,8 @@ the average symmetrizes them with n(n-1)/2 transpositions.  A sandwiched
 record keeps its representative's m and its permutation and forms its
 state on read; ``pair_marginals`` and ``x_marginals`` form a key's matrix
 on read.  Verification reads the measured distances, builds no product
-state and takes one operator norm per typical key type.
+state and takes one operator norm per typical key type, shared by the
+pair and x rows where their matrices are bitwise equal.
 """
 
 from __future__ import annotations
@@ -712,7 +713,9 @@ def verify_smoothing_bounds(se: SmoothedEnsemble, epsilon: float | None = None) 
     Rows, in order: ``denominator`` and ``l1-triple`` over the typical
     records, ``linf-pair``, ``linf-x`` and ``linf-average`` from one loop
     (one operator norm per typical key type, since every key's marginal is
-    its type representative's up to a permutation unitary), and
+    its type representative's up to a permutation unitary, and one per
+    distinct matrix, since with z = x or a single z the pair and x rows
+    form equal ones), and
     ``l1-global``; a row that cannot be evaluated is an informative
     placeholder.  ``vacuous`` marks a bound outside its quantity's range
     (denominator <= 0, trace distance >= 2, operator norm >= 1).
@@ -773,14 +776,26 @@ def verify_smoothing_bounds(se: SmoothedEnsemble, epsilon: float | None = None) 
             ("linf-x", se.x_marginals, layers.p_x, layers.x_ens.conditional_entropy(), c6),
             ("linf-average", None, None, entropy_bits(np.linalg.eigvalsh(layers.rho_bar)), c2),
         )
+        from hashlib import blake2b  # imported here: only verification reads it
+
+        norms: dict = {}
+
+        def norm(m: np.ndarray) -> float:
+            # one norm per distinct matrix: with z = x or a single z the pair
+            # and x rows form equal matrices, found by the digest of their bytes
+            digest = (m.shape, blake2b(np.ascontiguousarray(m)).digest())
+            if digest not in norms:
+                norms[digest] = operator_norm(m)
+            return norms[digest]
+
         for name, marginals, mdist, h, c in rows:
             if marginals is None:
-                vals, note = [operator_norm(se.average)], ""
+                vals, note = [norm(se.average)], ""
             else:
                 # a key's marginal is its type representative's, permuted by a
                 # unitary: one norm per typical key type
                 kinds = [(key, size) for key, size in marginals.types() if is_typical(mdist, key, delta)]
-                vals = [operator_norm(marginals[key]) for key, _ in kinds]
+                vals = [norm(marginals[key]) for key, _ in kinds]
                 note = f"{sum(size for _, size in kinds)} typical marginals"
             bound = 4.0 * 2.0 ** (-n * (h - c))
             value = max(vals) if vals else 0.0

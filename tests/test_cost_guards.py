@@ -409,8 +409,10 @@ def test_smoothing_builds_product_states_for_typical_records_only(monkeypatch):
 def test_smoothing_takes_one_layer_pair_and_one_norm_per_key_type(monkeypatch):
     """On the bench system at n = 6 (64 keys in 7 key types) the build forms
     one conditional layer pair per key type with a typical record, not one
-    per key, and verification takes one operator norm per typical key type
-    of the pair and the x-marginals, and one for the average."""
+    per key, and verification takes one operator norm per distinct matrix
+    among the typical key types' pair and x-marginals and the average.  With
+    z = x each x-marginal equals a pair marginal bit for bit, so the x row
+    takes no norm of its own."""
     system = diagonal_triple_system()
     calls = {"layers": 0, "norms": 0}
     cond_typical_projector = cqlab.smoothing.cond_typical_projector
@@ -435,12 +437,15 @@ def test_smoothing_takes_one_layer_pair_and_one_norm_per_key_type(monkeypatch):
 
     report = verify_smoothing_bounds(se)
     rows = ((se.pair_marginals, se.layers.p_xz, "linf-pair"), (se.x_marginals, se.layers.p_x, "linf-x"))
-    norms = 1
+    kinds, formed = 1, {se.average.tobytes()}
     for marginals, law, name in rows:
         keys = [key for key in marginals if is_typical(law, key, delta)]
         assert report["checks"][name].note == f"{len(keys)} typical marginals"
-        norms += len({frozenset(Counter(key).items()) for key in keys})
-    assert calls["norms"] == norms < len(se.pair_marginals)
+        reps = [key for key, _ in marginals.types() if is_typical(law, key, delta)]
+        assert len(reps) == len({frozenset(Counter(key).items()) for key in keys})
+        kinds += len(reps)
+        formed |= {marginals[key].tobytes() for key in reps}
+    assert calls["norms"] == len(formed) < kinds < len(se.pair_marginals)
 
 
 def test_smoothed_records_hold_no_dense_state():

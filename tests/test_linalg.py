@@ -6,17 +6,21 @@ layer.
 """
 
 import functools
+import re
 
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+import cqlab.linalg
 from cqlab.linalg import (
     DIM_CAP,
+    HERMITIAN_RTOL,
     DensityOperator,
     DimensionCapError,
     Projector,
+    _fix_phases,
     _kron,
     hermitian_eig,
     operator_norm,
@@ -24,6 +28,7 @@ from cqlab.linalg import (
     psd_leq,
     require_hermitian,
     require_projector,
+    require_state,
     tensor_product,
     trace_distance,
 )
@@ -168,6 +173,28 @@ def test_psd_leq_verdicts_equal_the_operator_norm_expression():
     verdicts = [(psd_leq(a, b, tol=1e-9), psd_leq_through_operator_norm(a, b, 1e-9)) for a, b in psd_leq_pairs()]
     assert all(got == want for got, want in verdicts)
     assert {want for _, want in verdicts} == {True, False}
+
+
+def test_psd_leq_reads_the_norm_only_below_minus_tol(monkeypatch):
+    """A gap at least -tol passes on one eigvalsh; a gap in
+    (-tol * ||b||, -tol) with ||b|| > 1 passes through the norm path, and one
+    just below -tol * max(1, ||b||) fails."""
+    eigvalsh = np.linalg.eigvalsh
+    calls = []
+    monkeypatch.setattr(np.linalg, "eigvalsh", lambda m: calls.append(m.shape) or eigvalsh(m))
+    zero = np.zeros((2, 2))
+    cases = (
+        (np.diag([4.0, -0.5e-9]), True, 1),  # gap above -tol: ||b|| is not read
+        (np.diag([4.0, -2e-9]), True, 2),  # in (-4e-9, -1e-9): passes by ||b|| = 4
+        (np.diag([4.0, -4e-9 * (1.0 - 1e-6)]), True, 2),
+        (np.diag([4.0, -4e-9 * (1.0 + 1e-6)]), False, 2),  # just below -tol * ||b||
+        (np.diag([0.5, -1e-9 * (1.0 + 1e-6)]), False, 2),  # ||b|| < 1: the bound is -tol
+    )
+    for b, verdict, eigs in cases:
+        calls.clear()
+        assert psd_leq(zero, b, tol=1e-9) is verdict
+        assert len(calls) == eigs
+        assert psd_leq_through_operator_norm(zero, b, 1e-9) is verdict
 
 
 def test_tensor_product_values_and_cap():
@@ -407,3 +434,132 @@ def test_density_operator_and_channel_share_the_hermitian_tolerance():
                 DensityOperator(a)
             with pytest.raises(ValueError, match=message):
                 CqChannel(prior, {0: a})
+
+
+def fix_phases_loop(vecs: np.ndarray) -> np.ndarray:
+    """The per-column phase convention, one column at a time: the oracle for
+    the vectorised ``_fix_phases``."""
+    out = vecs.copy()
+    for k in range(out.shape[1]):
+        col = out[:, k]
+        idx = int(np.argmax(np.abs(col)))  # first maximum on ties
+        pivot = col[idx]
+        mag = abs(pivot)
+        if mag > 0:
+            out[:, k] = col * (pivot.conjugate() / mag)
+    return out
+
+
+def phase_cases():
+    rng = np.random.default_rng(37)
+    for d in (1, 2, 3, 5, 8, 16, 33):
+        yield np.linalg.eigh(random_hermitian(rng, d))[1]
+        yield np.linalg.eigh(random_projector(rng, d, max(1, d // 2)))[1]
+        # degenerate spectrum: three eigenvalues, each repeated, in a random basis
+        u = np.linalg.qr(rng.normal(size=(d, d)) + 1j * rng.normal(size=(d, d)))[0]
+        yield np.linalg.eigh(u @ np.diag(np.arange(d) % 3).astype(complex) @ u.conj().T)[1]
+        yield rng.normal(size=(d, 3)) * 10.0 ** rng.integers(-200, 200) + 1j * rng.normal(size=(d, 3))
+    # ties in |entry|: the first maximum is the pivot
+    yield np.array([[3 + 4j, 1.0, 1j], [5.0, -1.0, -1j], [-4 + 3j, 1j, 1.0]])
+    yield np.eye(4, dtype=complex)[:, ::-1] * np.array([1.0, -1.0, 1j, -1j])
+    yield np.full((3, 2), -1.0 + 0j)
+    # an all-zero column (kept, signs of zero included), exact +-0.0 parts
+    yield np.array([[0.0, complex(-0.0, 2.0)], [complex(-0.0, -0.0), complex(0.5, -0.0)], [complex(0.0, -0.0), -0.0]])
+    yield np.array([[complex(-0.0, 0.0)], [complex(-1.0, -0.0)]])
+    yield np.zeros((4, 0), dtype=complex)
+    yield np.zeros((0, 0), dtype=complex)
+
+
+def test_fix_phases_is_bit_identical_to_the_per_column_loop():
+    cases = list(phase_cases())
+    for vecs in cases:
+        got, want = _fix_phases(vecs), fix_phases_loop(vecs)
+        assert got.shape == want.shape and got.dtype == want.dtype
+        assert got.tobytes() == want.tobytes()
+    assert sum(v.size == 0 for v in cases) == 2
+
+
+def test_validators_reject_with_unchanged_types_and_messages():
+    bad = []
+    for value in (np.nan, np.inf, -np.inf):
+        for entry in (complex(value, 0.0), complex(0.0, value)):
+            m = np.eye(3, dtype=complex) / 3
+            m[1, 2] = entry
+            bad.append((m, "matrix contains non-finite entries"))
+    bad.append((np.ones((2, 3)), "expected a square matrix, got shape (2, 3)"))
+    bad.append((np.ones((2, 2, 2)), "expected a square matrix, got shape (2, 2, 2)"))
+    one_operand = (require_hermitian, require_projector, require_state, hermitian_eig, Projector.from_matrix, operator_norm)
+    for m, message in bad:
+        for check in one_operand:
+            with pytest.raises(ValueError, match=re.escape(message)):
+                check(m)
+        for pair_check in (trace_distance, psd_leq):
+            for a, b in ((m, np.eye(2)), (np.eye(2), m)):
+                with pytest.raises(ValueError, match=re.escape(message)):
+                    pair_check(a, b)
+
+    # the Hermitian rule: a defect within HERMITIAN_RTOL * max(1, max |a|),
+    # just inside and just outside it, at scale 1 and at scale 4
+    for scale in (1.0, 4.0):
+        for step, ok in ((1.0 - 1e-6, True), (1.0 + 1e-6, False)):
+            m = np.diag([scale, 0.0]).astype(complex)
+            m[0, 1] = HERMITIAN_RTOL * scale * step
+            checks = [
+                (require_hermitian, "matrix"),
+                (hermitian_eig, "matrix"),
+                (lambda a: trace_distance(a, a), "first operand"),
+                (lambda a: psd_leq(np.eye(2), a), "second operand"),
+            ]
+            if scale == 1.0:  # diag(1, 0) plus the defect stays idempotent
+                checks += [(require_projector, "projector matrix"), (Projector.from_matrix, "projector matrix")]
+            for check, what in checks:
+                if ok:
+                    check(m)
+                else:
+                    with pytest.raises(ValueError, match=re.escape(f"{what} is not Hermitian within tolerance 1e-09")):
+                        check(m)
+            assert operator_norm(m) == pytest.approx(scale)
+
+    with pytest.raises(ValueError, match=re.escape("projector matrix is not idempotent within tolerance")):
+        require_projector(np.diag([1.0, 0.5]))
+    with pytest.raises(ValueError, match=re.escape("state is not positive semidefinite (min eig -0.01)")):
+        require_state(np.diag([1.01, -0.01]))
+    with pytest.raises(ValueError, match=re.escape("state trace is 0.9, expected 1")):
+        require_state(np.diag([0.5, 0.4]))
+    with pytest.raises(ValueError, match=re.escape("density operator trace is 1.1, expected at most 1")):
+        DensityOperator(np.diag([0.6, 0.5]), subnormalized=True)
+
+
+def test_each_public_check_coerces_each_operand_once(monkeypatch):
+    coerced, cores = [], []
+    as_matrix, is_hermitian = cqlab.linalg.as_matrix, cqlab.linalg._is_hermitian
+    monkeypatch.setattr(cqlab.linalg, "as_matrix", lambda m: coerced.append(1) or as_matrix(m))
+    monkeypatch.setattr(cqlab.linalg, "_is_hermitian", lambda a: cores.append(1) or is_hermitian(a))
+    p = proj(KETP)
+    rho = np.diag([0.75, 0.25]).astype(complex)
+    calls = (
+        (lambda: require_hermitian(p), 1),
+        (lambda: require_projector(p), 1),
+        (lambda: require_state(rho), 1),
+        (lambda: hermitian_eig(rho), 1),
+        (lambda: Projector.from_matrix(p), 1),
+        (lambda: operator_norm(rho), 1),
+        (lambda: trace_distance(rho, p), 2),
+        (lambda: psd_leq(rho, p), 2),
+        (lambda: DensityOperator(rho), 1),
+    )
+    for call, operands in calls:
+        coerced.clear()
+        cores.clear()
+        call()
+        assert len(coerced) == operands
+        assert len(cores) == operands
+
+
+def test_a_transposed_matrix_is_coerced_like_its_copy():
+    # the finiteness check reads the complex entries, so a view whose last
+    # axis is strided (a transpose, a reversed slice) is accepted as it is
+    m = np.array([[0.5, 0.25j], [-0.25j, 0.5]])
+    for view in (m.T, m[::-1, ::-1]):
+        assert np.array_equal(require_hermitian(view), view.copy())
+        assert operator_norm(view) == operator_norm(view.copy())
