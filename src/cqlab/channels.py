@@ -24,13 +24,14 @@ from typing import Mapping, Sequence
 
 import numpy as np
 
-from .linalg import as_matrix, require_state
+from .linalg import _state_spectrum, as_matrix, require_state
 from .typicality import ClassicalDistribution, CqEnsemble, entropy_bits
 
 
 def von_neumann_entropy(rho) -> float:
-    """Entropy in bits of a density operator, ignoring eigenvalues <= 1e-14."""
-    return entropy_bits(np.linalg.eigvalsh(require_state(rho)))
+    """Entropy in bits of a density operator, ignoring eigenvalues <= 1e-14,
+    read off the spectrum that the state check takes."""
+    return entropy_bits(_state_spectrum(rho)[1])
 
 
 def holevo_information(ensemble: CqEnsemble) -> float:
@@ -239,8 +240,7 @@ class CqChannel:
 class CcqMac:
     """Two-sender multiple access channel (x, y) -> rho_{x,y}.
 
-    The senders are independent by construction; use ``from_joint`` when
-    starting from a joint input distribution, which must factorise.
+    The senders are independent by construction: each has its own prior.
     """
 
     x_prior: ClassicalDistribution
@@ -253,26 +253,6 @@ class CcqMac:
             for y in self.y_prior.support:
                 if (x, y) not in self.states:
                     raise ValueError(f"missing channel state for input {(x, y)!r}")
-
-    @classmethod
-    def from_joint(cls, joint: ClassicalDistribution, states: Mapping) -> "CcqMac":
-        xs, ys = [], []
-        for (x, y) in joint.symbols:
-            if x not in xs:
-                xs.append(x)
-            if y not in ys:
-                ys.append(y)
-        px = [sum(joint.prob((x, y)) for y in ys) for x in xs]
-        py = [sum(joint.prob((x, y)) for x in xs) for y in ys]
-        for i, x in enumerate(xs):
-            for j, y in enumerate(ys):
-                if abs(joint.prob((x, y)) - px[i] * py[j]) > 1e-9:
-                    raise ValueError("input distribution does not factorise; senders must be independent")
-        return cls(
-            ClassicalDistribution(tuple(xs), tuple(px)),
-            ClassicalDistribution(tuple(ys), tuple(py)),
-            states,
-        )
 
     @property
     def dim(self) -> int:

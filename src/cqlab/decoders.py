@@ -568,18 +568,25 @@ def _combine(parts: dict, build: Callable, empty) -> dict:
 def _leaks(parts: dict, factors: Mapping, labels: Sequence[str]) -> list[list[float]]:
     """Per outer layer, Tr[rho_m (I - Pi)] = ||A_m - V (V^dag A_m)||^2 over the
     typical messages, in message order, from the state factor A_m and the
-    layer's columns V, so a layer holding the whole state reads about 0."""
-    out: list[list[float]] = [[] for _ in labels]
-    conj: dict = {}  # each distinct layer's conjugate columns, formed once
-    for m, p in parts.items():
-        if p is None:
-            continue
-        a = factors[m]
-        for leaks, outer, what in zip(out, p[1:], labels):
+    layer's columns V, so a layer holding the whole state reads about 0.
+
+    The messages are grouped by their outer layer, whose conjugate columns
+    are formed once and dropped before the next layer's: one D x r copy is
+    alive at a time.  Each leak is written into its message's slot."""
+    typical = [(m, p) for m, p in parts.items() if p is not None]
+    out: list[list[float]] = []
+    for i, what in enumerate(labels, start=1):
+        by_layer: dict = {}
+        for slot, (m, p) in enumerate(typical):
+            by_layer.setdefault(p[i], []).append((slot, factors[m]))
+        leaks = [0.0] * len(typical)
+        for outer, members in by_layer.items():
             v = outer.support_columns()
-            if outer not in conj:
-                conj[outer] = v.conj()
-            leaks.append(_clip01(_sq(a - v @ (conj[outer].T @ a)), what))
+            vc = v.conj()
+            for slot, a in members:
+                leaks[slot] = _clip01(_sq(a - v @ (vc.T @ a)), what)
+            del vc  # before the next layer's copy is formed
+        out.append(leaks)
     return out
 
 
@@ -783,19 +790,17 @@ def _element_factor(m, op) -> np.ndarray:
 def pgm_decode(
     channel,
     codebook: Codebook,
-    elements,
+    elements: Mapping,
     *,
     state_fn: Callable | None = None,
 ) -> DecodeReport:
     """Square-root measurement over per-message positive operators.
 
-    ``elements`` is a mapping from message to an element, or a callable
-    (message, sequences) -> element evaluated over the codebook's message
-    space.  An element is a ``Projector``, a ``FactoredElement`` or a dense
-    PSD matrix (checked, then factored).  Measurement operators are
-    S^{-1/2} E_m S^{-1/2} with S the element sum inverted on its support;
-    the reported bound is the two-plus-four-fold pairwise-overlap error
-    ceiling, checked per message.
+    ``elements`` maps each message to its element: a ``Projector``, a
+    ``FactoredElement`` or a dense PSD matrix (checked, then factored).
+    Measurement operators are S^{-1/2} E_m S^{-1/2} with S the element sum
+    inverted on its support; the reported bound is the two-plus-four-fold
+    pairwise-overlap error ceiling, checked per message.
 
     The element factors are stacked, F = [F_1 ... F_M] = U Sigma W^dag
     (thin SVD), and singular values with Sigma^2 at or below
@@ -809,16 +814,11 @@ def pgm_decode(
     n = codebook.n
     check_dim_cap(channel.dim**n)
 
-    if isinstance(elements, Mapping):
-        messages = list(elements.keys())
-        ops = {m: elements[m] for m in messages}
-    else:
-        messages = codebook.messages()
-        ops = {m: elements(m, codebook.sequences(m)) for m in messages}
+    messages = list(elements)
     if not messages:
         raise ValueError("no messages to decode")
 
-    factors = [_element_factor(m, ops[m]) for m in messages]
+    factors = [_element_factor(m, elements[m]) for m in messages]
     stacked = np.concatenate(factors, axis=1)
     u, sigma, wh = np.linalg.svd(stacked, full_matrices=False)
     power = sigma**2

@@ -28,7 +28,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from typing import Sequence
+from typing import Iterable, Sequence
 
 import numpy as np
 
@@ -92,24 +92,11 @@ class CanonicalDecomposition:
     first_lines: np.ndarray
     second_lines: np.ndarray
 
-    def blocks_of_kind(self, kind: int) -> list[Block]:
-        return [b for b in self.blocks if b.kind == kind]
-
-    def first_subspace_lines(self) -> list[np.ndarray]:
-        """Orthonormal basis of the first subspace read off the blocks."""
-        return list(self.first_lines.T)
-
-    def second_subspace_lines(self) -> list[np.ndarray]:
-        return list(self.second_lines.T)
-
     def reconstruct_first(self) -> np.ndarray:
         return self.first_lines @ self.first_lines.conj().T
 
     def reconstruct_second(self) -> np.ndarray:
         return self.second_lines @ self.second_lines.conj().T
-
-    def full_basis(self) -> np.ndarray:
-        return self.basis
 
 
 def _as_projector(p) -> Projector:
@@ -317,41 +304,28 @@ def intersection_projector(pa, pb, tau: float) -> Projector:
 
 
 @dataclass
-class SeqStep:
-    """One projective step: pass on the projector or on its complement."""
-
-    projector: Projector | np.ndarray
-    pass_on: str = "success"
-
-    def effective(self) -> np.ndarray:
-        p = _dense(self.projector)
-        if self.pass_on == "success":
-            return p
-        if self.pass_on == "failure":
-            return np.eye(len(p), dtype=np.complex128) - p
-        raise ValueError(f"pass_on must be 'success' or 'failure', got {self.pass_on!r}")
-
-
-@dataclass
 class SeqOutcome:
     step_traces: list[float]
     final_operator: np.ndarray
     success_probability: float
 
 
-def sequential_collapse(rho, steps: Sequence[SeqStep | tuple]) -> SeqOutcome:
+def sequential_collapse(rho, steps: Iterable[tuple]) -> SeqOutcome:
     """Conjugate ``rho`` through the steps in order, without renormalising.
 
-    ``steps`` may contain SeqStep instances or (projector, pass_on) tuples.
-    The trace after each conjugation is recorded; the final trace is the
-    probability that every step passes.
+    Each step is a (projector, pass_on) pair: ``pass_on`` "success" passes
+    on the projector and "failure" on its complement.  The trace after each
+    conjugation is recorded; the final trace is the probability that every
+    step passes.
     """
     current = as_matrix(rho).copy()
     traces: list[float] = []
-    for step in steps:
-        if not isinstance(step, SeqStep):
-            step = SeqStep(*step) if isinstance(step, tuple) else SeqStep(step)
-        e = step.effective()
+    for projector, pass_on in steps:
+        e = _dense(projector)
+        if pass_on == "failure":
+            e = np.eye(len(e), dtype=np.complex128) - e
+        elif pass_on != "success":
+            raise ValueError(f"pass_on must be 'success' or 'failure', got {pass_on!r}")
         current = e @ current @ e
         traces.append(float(current.trace().real))
     return SeqOutcome(

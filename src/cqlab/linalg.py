@@ -90,17 +90,27 @@ def require_hermitian(m, what: str = "matrix") -> np.ndarray:
     return a
 
 
-def require_state(m, what: str = "state", subnormalized: bool = False) -> np.ndarray:
-    """``m`` as a density-operator matrix: Hermitian within HERMITIAN_RTOL, no
-    eigenvalue below -STATE_TOL, trace within STATE_TOL of 1 (or at most 1)."""
+def _state_spectrum(m, what: str = "state", subnormalized: bool = False) -> tuple[np.ndarray, np.ndarray]:
+    """The one density-operator rule: ``m`` Hermitian within HERMITIAN_RTOL, no
+    eigenvalue below -STATE_TOL, trace within STATE_TOL of 1 (or at most 1).
+
+    Returns the checked matrix and the ascending spectrum of its symmetrised
+    form, which the check has taken anyway.
+    """
     a = require_hermitian(m, what)
-    low = float(np.linalg.eigvalsh((a + a.conj().T) / 2.0).min(initial=0.0))
+    w = np.linalg.eigvalsh((a + a.conj().T) / 2.0)
+    low = float(w.min(initial=0.0))
     if low < -STATE_TOL:
         raise ValueError(f"{what} is not positive semidefinite (min eig {low:.3g})")
     tr = float(a.trace().real)
     if tr > 1.0 + STATE_TOL or (not subnormalized and tr < 1.0 - STATE_TOL):
         raise ValueError(f"{what} trace is {tr!r}, expected {'at most 1' if subnormalized else '1'}")
-    return a
+    return a, w
+
+
+def require_state(m, what: str = "state", subnormalized: bool = False) -> np.ndarray:
+    """``m`` as a density-operator matrix, checked by ``_state_spectrum``."""
+    return _state_spectrum(m, what, subnormalized)[0]
 
 
 def _fix_phases(vecs: np.ndarray) -> np.ndarray:
@@ -292,35 +302,8 @@ class Projector:
         return cls(np.column_stack(vecs))
 
     @classmethod
-    def from_product_basis(cls, factors, indices) -> "Projector":
-        """Span of the product-basis vectors named by the kept multi-indices.
-
-        ``factors[j]`` holds position j's local basis as columns; each row of
-        ``indices`` picks one column per position.  Rows are deduplicated and
-        sorted through their flat indices, and the columns are gathered by
-        ``_product_columns``.
-        """
-        facs = [as_matrix(f) for f in factors]
-        n = len(facs)
-        try:
-            idx = np.asarray(indices, dtype=np.intp).reshape(len(indices), n)
-        except ValueError:  # ragged rows, or rows of another length
-            raise ValueError("multi-index length does not match the factor count") from None
-        dims = np.array([f.shape[0] for f in facs], dtype=np.intp)
-        bad = np.argwhere((idx < 0) | (idx >= dims))
-        if bad.size:
-            row, j = bad[0]
-            raise ValueError(f"multi-index entry {idx[row, j]} out of range for dimension {dims[j]}")
-        flat = np.unique(np.ravel_multi_index(tuple(idx.T), tuple(dims)))
-        return cls(_product_columns(facs, flat))
-
-    @classmethod
     def zero(cls, dim: int) -> "Projector":
         return cls(np.zeros((dim, 0), dtype=np.complex128))
-
-    @classmethod
-    def identity(cls, dim: int) -> "Projector":
-        return cls(np.eye(dim, dtype=np.complex128))
 
     # -- inspection ---------------------------------------------------
     @property

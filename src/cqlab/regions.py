@@ -53,11 +53,6 @@ class Constraint:
         if not math.isfinite(self.bound) or not all(math.isfinite(c) for c in self.coeffs):
             raise ValueError("constraint coefficients and bound must be finite")
 
-    def evaluate(self, point: Sequence[float]) -> float:
-        if len(point) != len(self.coeffs):
-            raise ValueError("rate point has the wrong number of coordinates")
-        return float(sum(c * r for c, r in zip(self.coeffs, point)))
-
     def mask(self, pts: np.ndarray, margin: float = 1e-9, zero_vacuous: bool = False) -> np.ndarray:
         """Which rows of the (N, k) rate points satisfy the constraint."""
         lhs = pts @ np.asarray(self.coeffs)
@@ -102,10 +97,6 @@ class RateRegion:
             for c in part.constraints:
                 if len(c.coeffs) != len(self.rate_names):
                     raise ValueError("constraint arity does not match the rate names")
-
-    @property
-    def is_disjunctive(self) -> bool:
-        return len(self.parts) > 1
 
     def contains(self, point: Sequence[float], margin: float = 1e-9, zero_vacuous: bool = False) -> bool:
         return bool(region_mask(self, [point], margin, zero_vacuous)[0])

@@ -625,17 +625,3 @@ def verify_averaged_state_overlaps(
     info = (n < threshold) or not jointly_typical
     note = f"threshold n >= {threshold}; pair typical: {jointly_typical}"
     return {name: _mass_check(name, p.trace_with(rho_pair), params, info, note) for name, p in projs.items()}
-
-
-def verify_typicality_bounds(subject, n_or_seq, params: TypicalityParams) -> dict:
-    """Dispatch to the matching report builder.
-
-    * ClassicalDistribution + block length: sequence-typicality checks.
-    * density matrix + block length: typical-projector checks.
-    * CqEnsemble + input sequence: conditional-projector checks.
-    """
-    if isinstance(subject, ClassicalDistribution):
-        return verify_sequence_typicality(subject, int(n_or_seq), params)
-    if isinstance(subject, CqEnsemble):
-        return verify_conditional_typicality(subject, n_or_seq, params)
-    return verify_state_typicality(subject, int(n_or_seq), params)

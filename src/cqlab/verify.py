@@ -116,14 +116,9 @@ def suite_blocks(seed: int = DEFAULT_SEED) -> list[dict]:
         dev_a = float(np.abs(decomp.reconstruct_first() - pa).max())
         dev_b = float(np.abs(decomp.reconstruct_second() - pb).max())
         sizes_ok = all(b.dim <= 2 for b in decomp.blocks)
-        lines = decomp.first_subspace_lines()
-        if lines:
-            basis = np.column_stack(lines)
-            gram_dev = float(np.abs(basis.conj().T @ basis - np.eye(len(lines))).max())
-            span_dev = float(np.abs(basis @ basis.conj().T - pa).max())
-        else:
-            gram_dev = 0.0
-            span_dev = float(np.abs(pa).max())
+        lines = decomp.first_lines
+        gram_dev = float(np.abs(lines.conj().T @ lines - np.eye(lines.shape[1])).max())
+        span_dev = float(np.abs(lines @ lines.conj().T - pa).max())
         dev = max(dev_a, dev_b, gram_dev, span_dev)
         return sizes_ok and dev <= 1e-8, 1e-8 - dev
 
@@ -201,11 +196,11 @@ def suite_typicality(seed: int = DEFAULT_SEED) -> list[dict]:
     for i in range(4):
         p = float(rng.uniform(0.2, 0.8))
         dist = _typicality.ClassicalDistribution((0, 1), (p, 1.0 - p))
-        checks = _typicality.verify_typicality_bounds(dist, 8, params)
+        checks = _typicality.verify_sequence_typicality(dist, 8, params)
         rows.extend(_rows_from_checks(f"typicality-seq-{i}", checks))
     for i in range(4):
         rho = _random_density(rng, 2)
-        checks = _typicality.verify_typicality_bounds(rho, 6, params)
+        checks = _typicality.verify_state_typicality(rho, 6, params)
         rows.extend(_rows_from_checks(f"typicality-state-{i}", checks))
     for i in range(2):
         dist = _typicality.ClassicalDistribution((0, 1), (0.5, 0.5))
@@ -213,7 +208,7 @@ def suite_typicality(seed: int = DEFAULT_SEED) -> list[dict]:
             dist, {0: _random_density(rng, 2), 1: _random_density(rng, 2)}
         )
         seq = tuple(int(b) for b in rng.integers(0, 2, size=6))
-        checks = _typicality.verify_typicality_bounds(ens, seq, params)
+        checks = _typicality.verify_conditional_typicality(ens, seq, params)
         rows.extend(_rows_from_checks(f"typicality-cond-{i}", checks))
     return rows
 

@@ -47,7 +47,9 @@ from cqlab.typicality import (
     TypicalityParams,
     is_typical,
     verify_averaged_state_overlaps,
-    verify_typicality_bounds,
+    verify_conditional_typicality,
+    verify_sequence_typicality,
+    verify_state_typicality,
 )
 
 SEED = 20260817
@@ -145,16 +147,12 @@ def test_criterion_03_two_subspace_blocks():
         )
         if any(b.dim > 2 for b in decomp.blocks):
             oversized += 1
-        lines = decomp.first_subspace_lines()
-        if lines:
-            basis = np.column_stack(lines)
-            dev = max(
-                dev,
-                float(np.abs(basis.conj().T @ basis - np.eye(len(lines))).max()),
-                float(np.abs(basis @ basis.conj().T - pa).max()),
-            )
-        else:
-            dev = max(dev, float(np.abs(pa).max()))
+        lines = decomp.first_lines  # ranks are at least 1
+        dev = max(
+            dev,
+            float(np.abs(lines.conj().T @ lines - np.eye(lines.shape[1])).max()),
+            float(np.abs(lines @ lines.conj().T - pa).max()),
+        )
         worst = max(worst, dev)
     verdict(
         3,
@@ -223,7 +221,7 @@ def test_criterion_05_typicality_by_full_enumeration():
     for p in (0.5, 0.3, 0.71):
         dist = ClassicalDistribution((0, 1), (p, 1.0 - p))
         for n in (4, 7, 10):
-            checks = verify_typicality_bounds(dist, n, params)
+            checks = verify_sequence_typicality(dist, n, params)
             lo0, hi0 = window(p, n)
             lo1, hi1 = window(1.0 - p, n)
             mass = sum(
@@ -242,7 +240,7 @@ def test_criterion_05_typicality_by_full_enumeration():
         rho = random_density(rng, 2)
         q = np.sort(np.linalg.eigvalsh(rho))[::-1]
         for n in (4, 7, 10):
-            checks = verify_typicality_bounds(rho, n, params)
+            checks = verify_state_typicality(rho, n, params)
             lo0, hi0 = window(float(q[0]), n)
             lo1, hi1 = window(float(q[1]), n)
             rank = sum(
@@ -264,7 +262,7 @@ def test_criterion_05_typicality_by_full_enumeration():
         )
         for n in (6, 10):
             seq = tuple(j % 2 for j in range(n))
-            for c in verify_typicality_bounds(ens, seq, params).values():
+            for c in verify_conditional_typicality(ens, seq, params).values():
                 if not c.informative:
                     asserted += 1
                     if not c.passed:

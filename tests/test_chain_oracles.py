@@ -8,15 +8,18 @@ SVD of the stacked element factors.  Each test recomputes those numbers the
 slow way, with ``sequential_collapse``, ``seq_success_lower_bound``, a dense
 D x D failure operator or ``np.trace`` of dense products, on random
 channels with pure, rank-deficient, mixed and degenerate-spectrum states
-and with empty candidates.
+and with empty candidates.  Where no dense oracle is needed, a decode is
+checked against itself: a local unitary on every output state and one
+permutation of positions on every codeword leave it unchanged.
 """
 
+import dataclasses
 import math
 import time
 from unittest import mock
 
 import numpy as np
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from cqlab import decoders
@@ -32,7 +35,7 @@ from cqlab.decoders import (
     sample_codebook,
     sequential_decode,
 )
-from cqlab.geometry import SeqStep, seq_success_lower_bound, sequential_collapse
+from cqlab.geometry import seq_success_lower_bound, sequential_collapse
 from cqlab.linalg import Projector, hermitian_eig
 from cqlab.typicality import ClassicalDistribution, cond_typical_projector, is_typical, typical_projector
 
@@ -114,10 +117,10 @@ def test_fast_chain_matches_collapse_of_every_message(case, gated):
     head = []
     if gated:
         gate = typical_projector(ens.average_state(), book.n, 2.0 * delta)
-        head = [SeqStep(gate, "success")]
+        head = [(gate, "success")]
     assert report.details["candidate_ranks"] == {m: p.rank for m, p in zip(book.messages(), cands)}
     for k, (m, outcome) in enumerate(zip(book.messages(), report.outcomes)):
-        steps = head + [SeqStep(p, "failure") for p in cands[:k]] + [SeqStep(cands[k], "success")]
+        steps = head + [(p, "failure") for p in cands[:k]] + [(cands[k], "success")]
         rho = ens.sequence_state(book.sequences(m)[0])
         exact = sequential_collapse(rho, steps).success_probability
         assert abs(outcome.success - clip(exact)) <= TOL
@@ -159,7 +162,7 @@ def test_grouped_halts_match_dense_halt_oracle(entries):
         stops = [
             sequential_collapse(
                 ent.state(),
-                [SeqStep(e.projector, "failure") for e in entries[:j]] + [SeqStep(entries[j].projector, "success")],
+                [(e.projector, "failure") for e in entries[:j]] + [(entries[j].projector, "success")],
             ).success_probability
             for j in range(len(entries))
         ]
@@ -549,3 +552,127 @@ def test_low_rank_chain_folds_once_its_ranks_exceed_the_dimension():
         assert sum(ranks[: folded_at + 1]) > 2**4
         assert sum(r > 0 for r in ranks[folded_at + 1 :]) == 5
         assert_matches_dense_failure_operator(report, entries, kwargs)
+
+
+
+INVARIANCE_SPECTRA = ("pure", "rank-deficient", "mixed", "degenerate")
+INVARIANCE_ROWS = ("cq", "cq-gated", "ccq-mac", "cmg-1", "cmg-2")
+
+
+@st.composite
+def invariance_cases(draw):
+    """(row, channel, codebook, delta, d x d unitary or None, permutation of positions).
+
+    Qubit or qutrit outputs that are pure, rank-deficient, of full rank or
+    I/d, at n <= 5 (n <= 4 for qutrits), on every sequential row: cq (gated
+    or not), ccq-mac with two binary senders, and cmg regions 1 and 2 with a
+    binary z and a constant y.  Block lengths and deltas are those at which
+    the input laws have typical tuples: n >= 4 for the four equally likely
+    input pairs and the (x, z) pairs of the coupled sender, n >= 2 for cq.
+
+    A channel with an I/d output gets no unitary.  Its spectrum leaves the
+    eigenbasis to the eigensolver, and a typical projector whose count
+    windows cut the eigenspace depends on that basis, so the decode does
+    too: it is blind to the permutation only.
+    """
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    dim = draw(st.sampled_from((2, 3)))
+    row = draw(st.sampled_from(INVARIANCE_ROWS))
+    n = draw(st.integers(2 if row.startswith("cq") else 4, 5 if dim == 2 else 4))
+    delta = draw(st.sampled_from((0.25, 0.5, 0.99)))
+    seed = draw(st.integers(0, 1000))
+
+    kinds = []
+
+    def state() -> np.ndarray:
+        kind = draw(st.sampled_from(INVARIANCE_SPECTRA))
+        kinds.append(kind)
+        if kind == "degenerate":
+            return np.eye(dim, dtype=complex) / dim
+        if kind == "mixed":
+            q = np.linalg.qr(rng.normal(size=(dim, dim)) + 1j * rng.normal(size=(dim, dim)))[0]
+            return (q * rng.dirichlet(np.ones(dim))) @ q.conj().T
+        return output_state(rng, dim, kind)
+
+    bit = ClassicalDistribution((0, 1), (0.5, 0.5))
+    if row.startswith("cq"):
+        chan = CqChannel(bit, {a: state() for a in (0, 1)})
+        book = sample_codebook(chan, draw(st.sampled_from((0.25, 0.5, 0.75))), n, seed)
+    elif row == "ccq-mac":
+        chan = CcqMac(bit, bit, {(x, y): state() for x in (0, 1) for y in (0, 1)})
+        book = sample_codebook(chan, (0.5, 0.5), n, seed)
+    else:
+        rows = {0: ClassicalDistribution((0, 1), (0.6, 0.4)), 1: ClassicalDistribution((0, 1), (0.4, 0.6))}
+        const = ClassicalDistribution(("y",), (1.0,))
+        chan = CoupledMac(bit, rows, const, {(z, "y"): state() for z in (0, 1)})
+        book = sample_codebook(chan, (0.5, 0.25, 0.0), n, seed)
+    unitary = np.linalg.qr(rng.normal(size=(dim, dim)) + 1j * rng.normal(size=(dim, dim)))[0]
+    return row, chan, book, delta, None if "degenerate" in kinds else unitary, tuple(rng.permutation(n).tolist())
+
+
+def near_degenerate_case() -> tuple:
+    """A ccq-mac case whose outer layer hangs on the eigenvalue snap.
+
+    The two outputs have spectra 0.55, 0.45 (and 5e-13, snapped to 0) and
+    average, over a uniform x and a constant y, to 0.5 + 2e-13, 0.5 - 7e-13
+    and 5e-13, in a random basis.  Snapped, the pair reads 0.5 - 2.5e-13,
+    and at slack 6 delta = 1 its count windows keep every count at n = 4, so
+    the outer layer is the pair's plane to the fourth power.  Unsnapped,
+    the lower label's window stops at 3; the layer then depends on that
+    label's own eigenvector, which rounding of order 1e-16 turns under a
+    unitary, as the pair is only 9e-13 apart: the errors move by about
+    1e-11.
+    """
+    rng = np.random.default_rng(12)
+    q = np.linalg.qr(rng.normal(size=(3, 3)) + 1j * rng.normal(size=(3, 3)))[0]
+    average = np.diag([0.5 + 2e-13, 0.5 - 7e-13, 5e-13])
+    tilt = np.zeros((3, 3))
+    tilt[0, 1] = tilt[1, 0] = 0.05
+    states = {(x, "y"): q @ (average + sign * tilt) @ q.conj().T for x, sign in ((0, 1.0), (1, -1.0))}
+    chan = CcqMac(ClassicalDistribution((0, 1), (0.5, 0.5)), ClassicalDistribution(("y",), (1.0,)), states)
+    book = sample_codebook(chan, (0.5, 0.0), 4, 3)
+    unitary = np.linalg.qr(rng.normal(size=(3, 3)) + 1j * rng.normal(size=(3, 3)))[0]
+    return "ccq-mac", chan, book, 1.0 / 6.0, unitary, (3, 1, 0, 2)
+
+
+def rotated(chan, u: np.ndarray):
+    """The channel with every output state conjugated by ``u``, priors kept."""
+    return dataclasses.replace(chan, states={k: u @ rho @ u.conj().T for k, rho in chan.states.items()})
+
+
+def permuted(book, order: tuple):
+    """The codebook with one permutation of positions applied to every codeword."""
+    return dataclasses.replace(
+        book, codewords=tuple({m: tuple(seq[j] for j in order) for m, seq in cw.items()} for cw in book.codewords)
+    )
+
+
+@settings(max_examples=60)
+@given(invariance_cases())
+@example(near_degenerate_case())
+def test_decodes_are_blind_to_local_unitaries_and_position_permutations(case):
+    # a decode depends on a channel only through its states up to a local
+    # unitary U (U^{(x)n} on the block), and on a codebook only up to a common
+    # permutation of positions; both leave every error, success and candidate
+    # rank unchanged, and every floor on the leak scale.  A fixed epsilon
+    # keeps the narrowings' tau off the measured rounding-level leaks.
+    row, chan, book, delta, u, order = case
+    kwargs = {"gated": row == "cq-gated", "region": int(row[-1]) if row.startswith("cmg") else None, "epsilon": 0.1}
+    base = sequential_decode(chan, book, delta, **kwargs)
+    if row == "cq-gated":
+        ens = chan.ensemble()
+        gate = typical_projector(ens.average_state(), book.n, 2.0 * delta).dense()
+        totals = [np.trace(gate @ ens.sequence_state(book.sequences(m)[0])).real for m in book.messages()]
+    else:
+        totals = [1.0] * len(base.outcomes)
+    reports = [sequential_decode(chan, permuted(book, order), delta, **kwargs)]
+    if u is not None:
+        other = rotated(chan, u)
+        reports.append(sequential_decode(other, sample_codebook(other, book.rates, book.n, book.seed), delta, **kwargs))
+    for report in reports:
+        assert report.details["candidate_ranks"] == base.details["candidate_ranks"]
+        assert [o.message for o in report.outcomes] == [o.message for o in base.outcomes]
+        for total, got, want in zip(totals, report.outcomes, base.outcomes):
+            assert abs(got.error - want.error) <= TOL
+            assert abs(got.success - want.success) <= TOL
+            assert_same_leak(total, got.bound, want.bound)

@@ -64,6 +64,27 @@ def test_bb84_average_state_entropy_frozen():
     assert von_neumann_entropy(avg) == pytest.approx(h2((2 + math.sqrt(2)) / 4), abs=1e-12)
 
 
+def test_entropy_takes_one_eigendecomposition(monkeypatch):
+    # the entropy reads the spectrum that the state check has taken, which
+    # for an exactly Hermitian state is the raw matrix's spectrum bit for bit
+    rng = np.random.default_rng(2)
+    g = rng.normal(size=(4, 4)) + 1j * rng.normal(size=(4, 4))
+    rho = g @ g.conj().T
+    rho = (rho + rho.conj().T) / (2.0 * np.trace(rho).real)
+    assert np.array_equal(rho, rho.conj().T)
+    expected = -sum(p * math.log2(p) for p in np.linalg.eigvalsh(rho) if p > 1e-14)
+    calls = []
+    eigvalsh = np.linalg.eigvalsh
+
+    def counted(a):
+        calls.append(a.shape)
+        return eigvalsh(a)
+
+    monkeypatch.setattr(np.linalg, "eigvalsh", counted)
+    assert von_neumann_entropy(rho) == expected
+    assert calls == [(4, 4)]
+
+
 def test_entropy_rejects_significantly_negative_eigenvalues():
     with pytest.raises(ValueError, match="not positive semidefinite"):
         von_neumann_entropy(np.diag([1.2, -0.2]))
@@ -197,16 +218,6 @@ def test_partial_trace_of_product():
     full = np.kron(a, b)
     assert np.allclose(partial_trace(full, (2, 3), keep=0), a, atol=1e-12)
     assert np.allclose(partial_trace(full, (2, 3), keep=1), b, atol=1e-12)
-
-
-def test_ccq_mac_from_joint_requires_independence():
-    states = {(x, y): KET[x ^ y] for x in (0, 1) for y in (0, 1)}
-    joint = ClassicalDistribution(((0, 0), (0, 1), (1, 0), (1, 1)), (0.25, 0.25, 0.25, 0.25))
-    mac = CcqMac.from_joint(joint, states)
-    assert mac.x_prior.probs == (0.5, 0.5)
-    correlated = ClassicalDistribution(((0, 0), (0, 1), (1, 0), (1, 1)), (0.4, 0.1, 0.1, 0.4))
-    with pytest.raises(ValueError):
-        CcqMac.from_joint(correlated, states)
 
 
 def copy_cmg() -> CoupledMac:

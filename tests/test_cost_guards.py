@@ -225,6 +225,27 @@ def test_gated_decode_forms_no_dense_matrix(monkeypatch):
     assert peak < 2 * 256**2 * 16
 
 
+def test_measured_leaks_keep_one_conjugate_layer_alive():
+    """The measured leaks conjugate each outer layer once and drop the copy
+    before the next layer's.  On the benchmark's ccq-mac channel at n = 9
+    (D = 512, 81 messages, every outer layer of rank up to D) the decode
+    peaks below 13 layer sizes of D x D complex entries; a conjugate kept
+    per distinct layer for the whole decode peaks at about 16."""
+    ket1 = np.diag([0.0, 1.0]).astype(complex)
+    bits = ClassicalDistribution(("0", "1"), (0.5, 0.5))
+    mac = CcqMac(bits, bits, {("0", "0"): KET0, ("0", "1"): PLUS, ("1", "0"): MINUS, ("1", "1"): ket1})
+    sequential_decode(mac, sample_codebook(mac, (0.35, 0.35), 4, (0, 0)), 0.99)
+    book = sample_codebook(mac, (0.35, 0.35), 9, (0, 0))
+    tracemalloc.start()
+    try:
+        report = sequential_decode(mac, book, 0.99)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert len(report.outcomes) == 81
+    assert peak < 13 * 512**2 * 16
+
+
 def test_dense_oracles_read_raw_matrices_without_an_eigendecomposition(monkeypatch):
     """A raw projector matrix is checked and read as given by the oracles,
     never turned into a Projector."""

@@ -15,7 +15,6 @@ from cqlab.geometry import (
     BLOCK_TILTED_PLANE,
     SIGMA_ONE_TOL,
     SIGMA_ZERO_TOL,
-    SeqStep,
     _check_pairing,
     _pair,
     gentle_measurement_check,
@@ -86,10 +85,10 @@ def test_jordan_orthogonal_lines():
 def test_jordan_tilted_plane_angle():
     pa, pb = planes_with_angles(4, [0.0, math.pi / 3])
     decomp = jordan_decompose(pa, pb)
-    planes = decomp.blocks_of_kind(BLOCK_TILTED_PLANE)
+    planes = [b for b in decomp.blocks if b.kind == BLOCK_TILTED_PLANE]
     assert len(planes) == 1
     assert planes[0].angle == pytest.approx(math.pi / 3, abs=1e-10)
-    assert len(decomp.blocks_of_kind(BLOCK_IN_BOTH)) == 1
+    assert [b.kind for b in decomp.blocks].count(BLOCK_IN_BOTH) == 1
 
 
 def test_jordan_random_reconstruction():
@@ -101,12 +100,11 @@ def test_jordan_random_reconstruction():
         assert np.max(np.abs(decomp.reconstruct_first() - pa)) < 1e-8
         assert np.max(np.abs(decomp.reconstruct_second() - pb)) < 1e-8
         assert all(b.dim <= 2 for b in decomp.blocks)
-        full = decomp.full_basis()
+        full = decomp.basis
         assert full.shape[1] == d
         assert np.max(np.abs(full.conj().T @ full - np.eye(d))) < 1e-8
         # the first subspace's lines are an orthonormal basis of it
-        lines = decomp.first_subspace_lines()
-        assert len(lines) == int(round(np.trace(pa).real))
+        assert decomp.first_lines.shape[1] == int(round(np.trace(pa).real))
 
 
 def test_intersection_projector_worked_example():
@@ -150,7 +148,7 @@ def test_intersection_projector_guarantee():
     angles = [0.0, math.acos(math.sqrt(1 - eps / 2)), math.acos(math.sqrt(0.3))]
     pa, pb = planes_with_angles(8, angles, rng)
     decomp = jordan_decompose(pa, pb)
-    lines = decomp.first_subspace_lines()
+    lines = decomp.first_lines.T
     weights = [1 - eps / 2 - eps / 2, eps / 2, eps / 2]
     rho = sum(w * proj(v) for w, v in zip(weights, lines))
     overlap = float(np.real(np.trace(rho @ pb)))
@@ -167,7 +165,7 @@ def test_near_coincident_lines_reconstruct_both_projectors(theta):
     a = e[:, 0]
     b = math.cos(theta) * e[:, 0] + math.sin(theta) * e[:, 1]
     decomp = jordan_decompose(proj(a), proj(b))
-    assert [blk.kind for blk in decomp.blocks_of_kind(BLOCK_IN_BOTH)] == [BLOCK_IN_BOTH]
+    assert [blk.kind for blk in decomp.blocks].count(BLOCK_IN_BOTH) == 1
     assert np.max(np.abs(decomp.reconstruct_first() - proj(a))) < 1e-8
     assert np.max(np.abs(decomp.reconstruct_second() - proj(b))) < 1e-8
     r = intersection_projector(proj(a, e[:, 2]), proj(b), 0.9)
@@ -343,7 +341,7 @@ def test_envelope_check_gives_the_dense_verdict(d, seed, tau1, tau2):
 
 def test_sequential_collapse_identity_step():
     rho = random_density(np.random.default_rng(1), 3) * 0.7
-    out = sequential_collapse(rho, [SeqStep(Projector.identity(3), "success")])
+    out = sequential_collapse(rho, [(Projector(np.eye(3, dtype=complex)), "success")])
     assert out.success_probability == pytest.approx(0.7)
 
 
@@ -381,7 +379,7 @@ def test_sequential_collapse_two_step_chain():
 def test_seq_success_lower_bound_edge_cases():
     rho = 0.8 * proj(KET0)
     # no hostile steps, target covering the support
-    assert seq_success_lower_bound(rho, [], Projector.identity(2)) == pytest.approx(0.8)
+    assert seq_success_lower_bound(rho, [], Projector(np.eye(2, dtype=complex))) == pytest.approx(0.8)
     # orthogonal target makes the bound vacuous
     b = seq_success_lower_bound(rho, [], Projector.from_matrix(proj(KET1)))
     assert b <= 0.8 - 2.0 * math.sqrt(0.8) + 1e-12
@@ -451,4 +449,9 @@ def test_gentle_measurement_check_refuses_an_invalid_state():
 
 def test_sequential_collapse_rejects_mismatched_dims():
     with pytest.raises(ValueError):
-        sequential_collapse(np.eye(2) / 2, [(Projector.identity(3), "success")])
+        sequential_collapse(np.eye(2) / 2, [(Projector(np.eye(3, dtype=complex)), "success")])
+
+
+def test_sequential_collapse_refuses_an_unknown_branch():
+    with pytest.raises(ValueError, match="pass_on must be 'success' or 'failure', got 'pass'"):
+        sequential_collapse(np.eye(2) / 2, [(Projector.from_matrix(proj(KET0)), "pass")])

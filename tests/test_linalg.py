@@ -22,6 +22,7 @@ from cqlab.linalg import (
     Projector,
     _fix_phases,
     _kron,
+    _product_columns,
     hermitian_eig,
     operator_norm,
     orthonormal_basis,
@@ -273,7 +274,7 @@ def test_projector_from_matrix_validation():
 def test_projector_structured_round_trip():
     # Two qubit positions, basis = computational at each, keep |01> and |10>.
     eye = np.eye(2, dtype=complex)
-    p = Projector.from_product_basis([eye, eye], [(0, 1), (1, 0)])
+    p = Projector(_product_columns([eye, eye], np.array([1, 2])))  # |01> and |10>
     assert p.rank == 2 and p.dim == 4
     d = p.dense()
     assert np.allclose(d, np.diag([0.0, 1.0, 1.0, 0.0]))
@@ -282,12 +283,16 @@ def test_projector_structured_round_trip():
     probs = [np.array([0.75, 0.25]), np.array([0.5, 0.5])]
     rho = np.kron(np.diag(probs[0]), np.diag(probs[1])).astype(complex)
     assert abs(p.trace_with(rho) - (0.75 * 0.5 + 0.25 * 0.5)) < 1e-15
+    # no kept index gives the zero projector
+    empty = Projector(_product_columns([eye, eye], np.array([], dtype=np.intp)))
+    assert empty.rank == 0 and empty.support_columns().shape == (4, 0)
+    assert not np.any(empty.dense())
 
 
 def test_projector_structured_nontrivial_basis():
     avg = 0.5 * proj(KET0) + 0.5 * proj(KETP)
     _, v = hermitian_eig(avg)
-    p = Projector.from_product_basis([v, v], [(0, 0), (1, 1)])
+    p = Projector(_product_columns([v, v], np.array([0, 3])))  # (0, 0) and (1, 1)
     d = p.dense()
     assert np.allclose(d @ d, d, atol=1e-12)
     assert abs(np.trace(d).real - 2.0) < 1e-12
@@ -303,8 +308,9 @@ def test_support_columns_are_built_once_and_read_only():
     # on the same factors and indices, and the kron-per-index oracle
     rng = np.random.default_rng(3)
     factors = [np.linalg.qr(rng.normal(size=(2, 2)) + 1j * rng.normal(size=(2, 2)))[0] for _ in range(3)]
-    indices = [(0, 1, 1), (1, 0, 1), (0, 0, 0)]
-    p = Projector.from_product_basis(factors, indices)
+    indices = [(0, 0, 0), (0, 1, 1), (1, 0, 1)]
+    flat = np.ravel_multi_index(tuple(np.array(indices).T), (2, 2, 2))
+    p = Projector(_product_columns(factors, flat))
     cols = p.support_columns()
     assert p.support_columns() is cols
     assert not cols.flags.writeable
@@ -312,11 +318,11 @@ def test_support_columns_are_built_once_and_read_only():
     assert cols.flags.c_contiguous
     with pytest.raises(ValueError):
         cols[0, 0] = 1.0
-    fresh = Projector.from_product_basis(factors, indices)
+    fresh = Projector(_product_columns(factors, flat))
     assert np.array_equal(p.dense(), fresh.dense())
     assert np.array_equal(cols, fresh.support_columns())
     oracle = np.column_stack(
-        [np.kron(np.kron(factors[0][:, a], factors[1][:, b]), factors[2][:, c]) for a, b, c in sorted(indices)]
+        [np.kron(np.kron(factors[0][:, a], factors[1][:, b]), factors[2][:, c]) for a, b, c in indices]
     )
     assert np.array_equal(cols, oracle)
     # a projector made from a matrix holds its eigenvectors with eigenvalue above 1/2
@@ -327,27 +333,11 @@ def test_support_columns_are_built_once_and_read_only():
     assert np.array_equal(qcols, v[:, w > 0.5])
 
 
-def test_from_product_basis_rejects_bad_multi_indices():
-    eye = np.eye(2, dtype=complex)
-    for bad in ([(0, 1, 0)], [(0, 1, 0, 1)], [(0,)], [(0, 1), (0,)]):
-        with pytest.raises(ValueError, match="multi-index length does not match the factor count"):
-            Projector.from_product_basis([eye, eye], bad)
-    with pytest.raises(ValueError, match="multi-index entry 2 out of range for dimension 2"):
-        Projector.from_product_basis([eye, eye], [(0, 1), (0, 2)])
-    with pytest.raises(ValueError, match="multi-index entry -1 out of range for dimension 3"):
-        Projector.from_product_basis([eye, np.eye(3)], [(1, -1)])
-    # repeated rows collapse, and no rows at all give the zero projector
-    assert Projector.from_product_basis([eye, eye], [(1, 0), (0, 1), (1, 0)]).rank == 2
-    empty = Projector.from_product_basis([eye, eye], [])
-    assert empty.rank == 0 and empty.support_columns().shape == (4, 0)
-    assert not np.any(empty.dense())
-
-
 def test_projector_zero_and_identity():
     z = Projector.zero(3)
     assert z.rank == 0 and z.dim == 3
     assert np.array_equal(z.dense(), np.zeros((3, 3)))
-    i = Projector.identity(3)
+    i = Projector(np.eye(3, dtype=complex))
     assert i.rank == 3 and i.dim == 3
     assert np.array_equal(i.dense(), np.eye(3))
 

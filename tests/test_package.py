@@ -1,6 +1,7 @@
 """Package-wide checks: the source imports only what it uses, reads every
 private name it defines and every public one outside ``cqlab.__all__`` (or the
-benchmark reads it), forms Kronecker products through one kernel, reads
+benchmark reads it), reads every public method and property of its classes,
+forms Kronecker products through one kernel, reads
 the typicality window slack and the state tolerance in one function each,
 forms an index grid only in the per-group typical mask, smooths without the
 dense trace_with, keeps one table row per channel kind,
@@ -213,6 +214,111 @@ def test_source_has_no_unreferenced_public_names():
     assert unreferenced_public_names(sources, readers, {*cqlab.__all__, *KEPT_PUBLIC}) == []
 
 
+def public_methods(tree: ast.Module) -> list[str]:
+    """``Class.name`` of every public method and property of the module-level
+    classes.  Dunders are not public, and dataclass fields are not methods."""
+    return [
+        f"{node.name}.{item.name}"
+        for node in tree.body
+        if isinstance(node, ast.ClassDef)
+        for item in node.body
+        if isinstance(item, (ast.FunctionDef, ast.AsyncFunctionDef)) and not item.name.startswith("_")
+    ]
+
+
+def read_attributes(tree: ast.Module) -> set[str]:
+    """Attribute names a parsed module reads, on any object.  A module that
+    reads an attribute by a computed name (``getattr(obj, name)``) is taken
+    to read every string constant it holds, since its tables name them."""
+    read = {node.attr for node in ast.walk(tree) if isinstance(node, ast.Attribute) and isinstance(node.ctx, ast.Load)}
+    computed = any(
+        isinstance(node, ast.Call)
+        and isinstance(node.func, ast.Name)
+        and node.func.id == "getattr"
+        and len(node.args) > 1
+        and not isinstance(node.args[1], ast.Constant)
+        for node in ast.walk(tree)
+    )
+    if computed:
+        read.update(node.value for node in ast.walk(tree) if isinstance(node, ast.Constant) and isinstance(node.value, str))
+    return read
+
+
+def unreferenced_methods(sources: dict[str, str], readers: dict[str, str], kept) -> list[str]:
+    """Public methods and properties of the classes of ``sources``, outside
+    ``kept``, whose name no module of ``sources`` or ``readers`` reads as an
+    attribute."""
+    trees = {fname: ast.parse(source) for fname, source in sources.items()}
+    read = set().union(*map(read_attributes, trees.values()), *(read_attributes(ast.parse(s)) for s in readers.values()))
+    return sorted(
+        f"{fname}: {name}"
+        for fname, tree in trees.items()
+        for name in public_methods(tree)
+        if name not in kept and name.split(".")[1] not in read
+    )
+
+
+def test_unreferenced_method_check_sees_every_form():
+    sources = {
+        "a.py": (
+            "from dataclasses import dataclass\n"
+            "@dataclass\n"
+            "class Row:\n"
+            "    field: int\n"
+            "    def __post_init__(self):\n"
+            "        self.stored = self.helper()\n"
+            "    def helper(self):\n"
+            "        return 1\n"
+            "    def dead(self):\n"
+            "        return 0\n"
+            "    @property\n"
+            "    def unread(self):\n"
+            "        return 2\n"
+            "    @classmethod\n"
+            "    def made(cls):\n"
+            "        return cls(0)\n"
+            "    def _private(self):\n"
+            "        return 3\n"
+            "    def by_table(self):\n"
+            "        return 4\n"
+            "    def stored(self):\n"
+            "        return 5\n"
+            "    def kept(self):\n"
+            "        return 6\n"
+        ),
+        # a table of names read through getattr counts as attribute reads
+        "b.py": "NAMES = ('by_table',)\ndef pick(row, i):\n    return getattr(row, NAMES[i])()\n",
+    }
+    readers = {"bench.py": "from a import Row\nRow.made()\n"}
+    assert unreferenced_methods(sources, readers, {"Row.kept"}) == [
+        "a.py: Row.dead", "a.py: Row.stored", "a.py: Row.unread",
+    ]
+
+
+# Deliberate API that only the tests read: the ccqq-ic region API (the
+# interference channel's achievability witnesses and the x ensemble its
+# averaged-state overlap report takes) and the decode report's per-message
+# views.
+KEPT_METHODS = {
+    "Constraint.satisfied",
+    "RateRegion.parts_containing",
+    "IcAchievability.quadruple_feasible",
+    "IcAchievability.pair",
+    "CcqMac.x_ensemble",
+    "DecodeReport.errors",
+    "DecodeReport.bounds",
+    "DecodeReport.vacuous_bounds",
+}
+
+
+def test_source_has_no_unreferenced_methods():
+    # a public method or property that neither the package nor the benchmark
+    # reads is a second way in that only the tests keep alive, and is deleted
+    sources = {path.name: path.read_text() for path in sorted(SRC.glob("*.py"))}
+    readers = {str(path): path.read_text() for path in sorted(BENCH.rglob("*.py"))}
+    assert unreferenced_methods(sources, readers, KEPT_METHODS) == []
+
+
 def kron_uses(source: str) -> list[str]:
     """Lines that reach ``numpy.kron`` as a callable rather than ``linalg._kron``."""
     tree = ast.parse(source)
@@ -291,7 +397,7 @@ def test_constant_reader_check_sees_every_form():
     "name, owner",
     [
         ("WINDOW_SLACK", ("typicality.py", "_typical_count_windows")),
-        ("STATE_TOL", ("linalg.py", "require_state")),
+        ("STATE_TOL", ("linalg.py", "_state_spectrum")),
         ("PROJECTOR_TOL", ("linalg.py", "require_projector")),
         ("DENSE_FLOOR_LEAK", ("decoders.py", "_run_sequential")),
     ],

@@ -139,7 +139,7 @@ def test_rate_correction_frozen_value():
 
 def test_disinterested_xor_parts():
     region = disinterested_region(xor_mac())
-    assert region.is_disjunctive
+    assert len(region.parts) > 1
     # I(X:B) = 0 makes part 2 empty on nonnegative rates
     assert region.contains((0.0, 0.0))
     assert region.contains((0.3, 0.5))
@@ -304,7 +304,7 @@ def test_boundary_sampler_lands_on_faces():
     assert len(pts) == 16
     part = region.parts[0]
     for p in pts:
-        slacks = [c.bound - c.evaluate(p) for c in part.constraints]
+        slacks = [c.bound - float(np.dot(c.coeffs, p)) for c in part.constraints]
         slacks += [p[0], p[1], 2.0 - p[0], 2.0 - p[1]]
         assert min(slacks) >= -1e-9
         assert min(slacks) <= 1e-7

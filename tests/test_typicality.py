@@ -13,7 +13,7 @@ import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
-from cqlab.linalg import DimensionCapError, Projector, hermitian_eig, psd_leq, tensor_product
+from cqlab.linalg import DimensionCapError, Projector, _product_columns, hermitian_eig, psd_leq, tensor_product
 from cqlab.typicality import (
     _conditional_basis,
     _group_mask,
@@ -30,7 +30,8 @@ from cqlab.typicality import (
     typicality_threshold_n,
     verify_averaged_state_overlaps,
     verify_conditional_typicality,
-    verify_typicality_bounds,
+    verify_sequence_typicality,
+    verify_state_typicality,
 )
 
 KET0 = np.array([1.0, 0.0], dtype=complex)
@@ -338,7 +339,7 @@ def test_typical_indices_match_the_tuple_enumeration(d, n, delta, weights, data)
         assert not mask.flags.writeable
         assert [tuple(int(i) for i in t) for t in np.argwhere(mask)] == old_typical_indices([(range(len(pos)), q)], len(pos), delta)
     # in the computational basis the projector is diagonal on exactly the kept rows
-    p = Projector.from_product_basis([np.eye(d)] * n, kept)
+    p = Projector(_product_columns([np.eye(d, dtype=complex)] * n, flat))
     diag = np.zeros(d**n)
     diag[flat] = 1.0
     assert p.rank == len(kept)
@@ -442,7 +443,7 @@ def test_cond_typical_projector_commutes_with_sequence_state():
 def test_verify_sequence_report():
     d = ClassicalDistribution((0, 1), (0.5, 0.5))
     params = TypicalityParams(0.8, 0.25, (2,))
-    checks = verify_typicality_bounds(d, 10, params)
+    checks = verify_sequence_typicality(d, 10, params)
     # delta = 0.8 keeps all counts 1..9; only the two constant words fall out
     assert checks["mass"].value == pytest.approx(1.0 - 2.0 / 1024.0)
     assert checks["mass"].passed
@@ -453,7 +454,7 @@ def test_verify_sequence_report():
 def test_verify_state_report():
     avg = 0.5 * proj(KET0) + 0.5 * proj(KETP)
     params = TypicalityParams(0.8, 0.3, (2,))
-    checks = verify_typicality_bounds(avg, 8, params)
+    checks = verify_state_typicality(avg, 8, params)
     assert checks["sandwich"].passed
     assert checks["rank"].passed
     assert checks["commutes"].passed
@@ -466,7 +467,7 @@ def test_verify_conditional_report_pure():
     ens = bb84_ensemble()
     seq = (0, 1, 0, 1)
     params = TypicalityParams(0.5, 0.2, (2, 2))
-    checks = verify_typicality_bounds(ens, seq, params)
+    checks = verify_conditional_typicality(ens, seq, params)
     # pure branch states make the conditional mass exactly 1
     assert checks["mass"].value == pytest.approx(1.0)
     assert checks["mass"].passed
@@ -498,8 +499,8 @@ def test_typicality_bounds_outside_their_range_are_vacuous():
     # 2^{-n(h - c)} is at least 1 and each size bound 2^{n(h + c)} at least 2^n
     params = TypicalityParams(0.3, 0.1, (2, 2))
     reports = (
-        (verify_typicality_bounds(ClassicalDistribution((0, 1), (0.5, 0.5)), 8, params), "cardinality"),
-        (verify_typicality_bounds(np.eye(2, dtype=complex) / 2, 6, params), "rank"),
+        (verify_sequence_typicality(ClassicalDistribution((0, 1), (0.5, 0.5)), 8, params), "cardinality"),
+        (verify_state_typicality(np.eye(2, dtype=complex) / 2, 6, params), "rank"),
         (verify_conditional_typicality(bb84_ensemble(), (0, 1, 0, 1, 0, 1), params), "rank"),
     )
     for checks, size in reports:
@@ -513,8 +514,8 @@ def test_typicality_bounds_inside_their_range_bind():
     # c = 0.266, so the ceiling 2^{-n(h - c)} < 1 and the bound 2^{n(h + c)} < 2^n
     params = TypicalityParams(0.05, 0.1, (2,))
     reports = (
-        (verify_typicality_bounds(ClassicalDistribution((0, 1), (0.9, 0.1)), 20, params), "cardinality", 2**20),
-        (verify_typicality_bounds(np.diag([0.9, 0.1]).astype(complex), 10, params), "rank", 2**10),
+        (verify_sequence_typicality(ClassicalDistribution((0, 1), (0.9, 0.1)), 20, params), "cardinality", 2**20),
+        (verify_state_typicality(np.diag([0.9, 0.1]).astype(complex), 10, params), "rank", 2**10),
     )
     for checks, size, space in reports:
         assert not any(c.vacuous for c in checks.values())
@@ -529,7 +530,7 @@ def test_state_report_rank_is_the_typical_projector_rank():
     params = TypicalityParams(0.4, 0.3, (3,))
     for rho in (generic, np.eye(3, dtype=complex) / 3, 0.5 * proj(KET0) + 0.5 * proj(KETP)):
         for n in (1, 3, 5):
-            checks = verify_typicality_bounds(rho, n, params)
+            checks = verify_state_typicality(rho, n, params)
             assert checks["rank"].value == typical_projector(rho, n, params.delta).rank
 
 
