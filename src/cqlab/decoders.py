@@ -35,7 +35,6 @@ from __future__ import annotations
 import functools
 import itertools
 import math
-import time
 import warnings
 from collections.abc import Callable, Mapping, Sequence
 from dataclasses import dataclass, field
@@ -44,7 +43,7 @@ import numpy as np
 
 from .channels import CcqMac, CoupledMac, CqChannel, _row_for
 from .geometry import intersection_projector, sequential_collapse
-from .linalg import Projector, _eig, _kron, as_matrix, check_dim_cap, hermitian_eig, psd_leq_factors, require_hermitian
+from .linalg import Projector, _kron, as_matrix, check_dim_cap, hermitian_eig, psd_leq_factors
 from .smoothing import SmoothedEnsemble
 from .typicality import cond_typical_projector, is_typical, typical_projector
 
@@ -260,7 +259,6 @@ class DecodeReport:
     bound_kind: str
     outcomes: tuple[MessageOutcome, ...]
     average_error: float
-    elapsed_seconds: float
     details: Mapping = field(default_factory=dict)
 
     @property
@@ -310,7 +308,6 @@ def _run_sequential(
     gate: Projector | None = None,
     group_of: Callable | None = None,
     details: dict | None = None,
-    started: float,
 ) -> DecodeReport:
     """Chain every sent message through the ordered candidate list.
 
@@ -444,7 +441,6 @@ def _run_sequential(
         bound_kind="success-floor",
         outcomes=tuple(outcomes),
         average_error=average,
-        elapsed_seconds=time.perf_counter() - started,
         details=details,
     )
 
@@ -610,7 +606,6 @@ def sequential_decode(
     region: int | None = None,
     order: Sequence | None = None,
     gated: bool = False,
-    tau: float | None = None,
     epsilon: float | None = None,
     state_fn: Callable | None = None,
 ) -> DecodeReport:
@@ -644,21 +639,20 @@ def sequential_decode(
       so region 2 there warns; details["r3_threshold"] holds I(Y:B|Z).
 
     Each narrowing is one ``intersection_projector`` at overlap threshold
-    tau, by default 1 - sqrt(measured epsilon), the measured value being
-    the mean leak Tr[rho (I - Pi)] of the outer layer over the typical
-    messages; ``epsilon`` switches to the closed-form tau and ``tau`` fixes
-    it.  Both are validated on every row and used where it narrows.
+    tau = 1 - sqrt(epsilon), by default with the measured epsilon, the mean
+    leak Tr[rho (I - Pi)] of the outer layer over the typical messages; a
+    given ``epsilon`` replaces the measured one.  It is validated on every
+    row and used where it narrows.
     ``region`` (1 or 2) is required for the coupled MAC and refused
     elsewhere, and ``gated`` is refused on a family without a gate.
     ``state_fn(*sequences)`` may replace the product sequence states, e.g.
     with smoothed ones.
     """
-    started = time.perf_counter()
     family = _family(channel)
     layout = family.layout(region)
     if gated and family.gate is None:
         raise ValueError("a gated decode is not available for this channel")
-    notes, tau_of = _resolve_taus(tau, epsilon)
+    notes, tau_of = _resolve_taus(epsilon)
     details: dict = {} if region is None else {"region": region}
     if layout.check_rates is not None:
         details.update(layout.check_rates(channel, codebook.rates))
@@ -706,7 +700,6 @@ def sequential_decode(
         gate=gate,
         group_of=(lambda m: (m[0], m[1])) if layout.grouped else None,
         details=details,
-        started=started,
     )
 
 
@@ -721,15 +714,10 @@ def _measured_tau(epsilons: list[float], warnings_out: list[str], stage: str) ->
     return tau
 
 
-def _resolve_taus(tau, epsilon) -> tuple[list[str], Callable]:
-    """Warning sink plus a (stage, leakages) -> tau resolver."""
-    if tau is not None and epsilon is not None:
-        raise ValueError("pass either tau or epsilon, not both")
+def _resolve_taus(epsilon) -> tuple[list[str], Callable]:
+    """Warning sink plus a (stage, leakages) -> tau resolver: the measured
+    tau, or 1 - sqrt(epsilon) for a given ``epsilon``."""
     notes: list[str] = []
-    if tau is not None:
-        if not 0.0 < tau <= 1.0:
-            raise ValueError("tau must lie in (0, 1]")
-        return notes, lambda stage, eps: tau
     if epsilon is not None:
         if not 0.0 < epsilon < 1.0:
             raise ValueError("epsilon must lie in (0, 1)")
@@ -738,31 +726,10 @@ def _resolve_taus(tau, epsilon) -> tuple[list[str], Callable]:
     return notes, lambda stage, eps: _measured_tau(eps, notes, stage)
 
 
-@dataclass(frozen=True, eq=False)
-class FactoredElement:
-    """Measurement element E = F F^dag held as its read-only factor F (D x r).
-
-    ``rank`` is the column count r, which bounds the rank of E; it is 0
-    only for the zero element.
-    """
-
-    factor: np.ndarray
-
-    def __post_init__(self):
-        self.factor.flags.writeable = False
-
-    @property
-    def rank(self) -> int:
-        return self.factor.shape[1]
-
-    def dense(self) -> np.ndarray:
-        return self.factor @ self.factor.conj().T
-
-
 def pgm_elements(channel, codebook: Codebook, delta: float, *, region: int | None = None) -> dict:
-    """Per message, its row's square-root element as a FactoredElement:
-    the row's layers nested from the candidate outward, or the zero element
-    when the codeword tuple is atypical.
+    """Per message, the read-only D x r factor F of its row's square-root
+    element E = F F^dag: the row's layers nested from the candidate outward,
+    or D x 0 (the zero element) when the codeword tuple is atypical.
 
     That is Pi_x for the cq channel, Pi_y Pi_xy Pi_y (slacks 6*delta and
     delta) for the ccq-MAC, Py Pxy Pzy Pxy Py per typical triple in region 1
@@ -770,21 +737,11 @@ def pgm_elements(channel, codebook: Codebook, delta: float, *, region: int | Non
     """
     layout = _family(channel).layout(region)
     parts = _parts(channel, codebook, layout.messages(codebook.counts), delta, layout)
-    empty = FactoredElement(np.zeros((channel.dim**codebook.n, 0), dtype=np.complex128))
-    return _combine(parts, lambda *layers: FactoredElement(_nested_factor(layers)), empty)
-
-
-def _element_factor(m, op) -> np.ndarray:
-    """F with E_m = F F^dag: a projector's columns, a FactoredElement's
-    factor, or a caller's dense matrix checked PSD and factored."""
-    if isinstance(op, Projector):
-        return op.support_columns()
-    if isinstance(op, FactoredElement):
-        return op.factor
-    w, v = _eig(require_hermitian(op, what="element"))
-    if w.size and w[-1] < -1e-9:
-        raise ValueError(f"element for message {m!r} is not positive semidefinite (min eig {w[-1]:.3g})")
-    return _factor(w, v)
+    empty = np.zeros((channel.dim**codebook.n, 0), dtype=np.complex128)
+    elements = _combine(parts, lambda *layers: _nested_factor(layers), empty)
+    for f in elements.values():
+        f.flags.writeable = False
+    return elements
 
 
 def pgm_decode(
@@ -796,11 +753,12 @@ def pgm_decode(
 ) -> DecodeReport:
     """Square-root measurement over per-message positive operators.
 
-    ``elements`` maps each message to its element: a ``Projector``, a
-    ``FactoredElement`` or a dense PSD matrix (checked, then factored).
-    Measurement operators are S^{-1/2} E_m S^{-1/2} with S the element sum
-    inverted on its support; the reported bound is the two-plus-four-fold
-    pairwise-overlap error ceiling, checked per message.
+    ``elements`` maps each message to the D x r factor F_m of its element
+    E_m = F_m F_m^dag, as ``pgm_elements`` returns them; a projector's
+    element is its ``support_columns()``.  Measurement operators are
+    S^{-1/2} E_m S^{-1/2} with S the element sum inverted on its support;
+    the reported bound is the two-plus-four-fold pairwise-overlap error
+    ceiling, checked per message.
 
     The element factors are stacked, F = [F_1 ... F_M] = U Sigma W^dag
     (thin SVD), and singular values with Sigma^2 at or below
@@ -810,7 +768,6 @@ def pgm_decode(
     and Tr[S rho_m] = ||F^dag A_m||^2.  That costs one SVD of a D x sum(r)
     matrix and no D x D product.
     """
-    started = time.perf_counter()
     n = codebook.n
     check_dim_cap(channel.dim**n)
 
@@ -818,7 +775,7 @@ def pgm_decode(
     if not messages:
         raise ValueError("no messages to decode")
 
-    factors = [_element_factor(m, elements[m]) for m in messages]
+    factors = [elements[m] for m in messages]
     stacked = np.concatenate(factors, axis=1)
     u, sigma, wh = np.linalg.svd(stacked, full_matrices=False)
     power = sigma**2
@@ -856,7 +813,6 @@ def pgm_decode(
         bound_kind="error-ceiling",
         outcomes=tuple(outcomes),
         average_error=float(np.mean([o.error for o in outcomes])),
-        elapsed_seconds=time.perf_counter() - started,
         details={"support_rank": q},
     )
 
@@ -1036,7 +992,6 @@ def monte_carlo_avg_error(
     region: int | None = None,
     order: Sequence | None = None,
     epsilon: float | None = None,
-    tau: float | None = None,
     keep_reports: bool = False,
 ) -> dict:
     """Average decode error over independently seeded codebooks.
@@ -1044,15 +999,15 @@ def monte_carlo_avg_error(
     Trial t redraws the codebook with seed (seed..., t) and runs the
     decoder named by ``variant``: "seq" for ``sequential_decode``,
     "seq-gated" for its gated chain (where the family has a gate), "pgm"
-    for ``pgm_decode`` over the ``pgm_elements``.  A bad region, tau or
-    epsilon is refused before any codebook is drawn, whichever decoder
-    runs.  ``keep_reports`` retains the per-trial DecodeReport objects.
+    for ``pgm_decode`` over the ``pgm_elements``.  A bad region or epsilon
+    is refused before any codebook is drawn, whichever decoder runs.
+    ``keep_reports`` retains the per-trial DecodeReport objects.
     """
     if trials < 1:
         raise ValueError("trials must be at least 1")
     key = _seed_key(seed)
     _family(channel).layout(region)
-    _resolve_taus(tau, epsilon)
+    _resolve_taus(epsilon)
     if variant not in ("seq", "seq-gated", "pgm"):
         raise ValueError(f"decoder variant {variant!r} is not available for this channel")
 
@@ -1060,7 +1015,7 @@ def monte_carlo_avg_error(
         if variant == "pgm":
             return pgm_decode(channel, book, pgm_elements(channel, book, delta, region=region))
         return sequential_decode(
-            channel, book, delta, region=region, order=order, gated=variant == "seq-gated", tau=tau, epsilon=epsilon,
+            channel, book, delta, region=region, order=order, gated=variant == "seq-gated", epsilon=epsilon,
         )
 
     averages: list[float] = []

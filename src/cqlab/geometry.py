@@ -60,17 +60,13 @@ class Block:
 
     ``basis`` holds orthonormal columns spanning the block (one column for
     kinds 1-4, two for kind 5).  For tilted planes ``angle`` is the principal
-    angle in (0, pi/2), ``a_line`` the unit vector spanning the block's
-    intersection with the first subspace and ``b_line`` with the second.  A
-    shared line (kind 2) is the first subspace's line; its ``b_line`` is the
-    second subspace's own line, within ``SIGMA_ONE_TOL`` of it in cosine.
+    angle in (0, pi/2).  The block's lines in each subspace are columns of
+    the decomposition's ``first_lines`` and ``second_lines``.
     """
 
     kind: int
     basis: np.ndarray
     angle: float | None = None
-    a_line: np.ndarray | None = None
-    b_line: np.ndarray | None = None
 
     @property
     def dim(self) -> int:
@@ -231,9 +227,9 @@ def jordan_decompose(pa, pb) -> CanonicalDecomposition:
     for i, (kind, j) in enumerate(zip(kinds.tolist(), slot.tolist())):
         if kind == BLOCK_TILTED_PLANE:
             angle = float(math.acos(pairs.cosines[i]))
-            blocks.append(Block(kind, span[:, j : j + 2], angle, first[:, i], pairs.b_lines[:, i]))
+            blocks.append(Block(kind, span[:, j : j + 2], angle))
         else:
-            blocks.append(Block(kind, span[:, j : j + 1], b_line=pairs.b_lines[:, i] if kind == BLOCK_IN_BOTH else None))
+            blocks.append(Block(kind, span[:, j : j + 1]))
     blocks.extend(Block(BLOCK_SECOND_ONLY, span[:, j : j + 1]) for j in range(ra + len(planes), span.shape[1]))
 
     full = span
@@ -306,7 +302,6 @@ def intersection_projector(pa, pb, tau: float) -> Projector:
 @dataclass
 class SeqOutcome:
     step_traces: list[float]
-    final_operator: np.ndarray
     success_probability: float
 
 
@@ -330,7 +325,6 @@ def sequential_collapse(rho, steps: Iterable[tuple]) -> SeqOutcome:
         traces.append(float(current.trace().real))
     return SeqOutcome(
         step_traces=traces,
-        final_operator=current,
         success_probability=traces[-1] if traces else float(current.trace().real),
     )
 

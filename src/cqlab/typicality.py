@@ -30,7 +30,9 @@ from .linalg import (
 )
 
 #: Eigenvalues closer than this are snapped to a common value before the
-#: frequency test, so exact degeneracies survive floating-point noise.
+#: frequency test, so exact degeneracies survive floating-point noise.  The
+#: merge defines a degenerate label; why it seldom moves a kept set is in
+#: ``_snap_eigenvalues``.
 EIGENVALUE_MERGE_TOL = 1e-12
 
 #: Eigenvalues at or below this count as zero-probability labels.
@@ -258,6 +260,13 @@ def _snap_eigenvalues(w: np.ndarray) -> np.ndarray:
 
     Keeps one probability label per eigenvector; only the numerical values
     are unified so the frequency window treats exact degeneracies uniformly.
+    The merge defines a degenerate label: eigenvalues within
+    ``EIGENVALUE_MERGE_TOL`` share one count window.  A merged label moves
+    by at most 5e-13, so a window bound moves by less than its slack
+    n * WINDOW_SLACK, except for splits of about 3e-13 to 1e-12 at a slack
+    multiple of delta above 1.  There, unmerged, the layer would hang on the
+    eigenvectors rounding picks inside the pair; ``near_degenerate_case`` in
+    the invariance tests pins that case.
     """
     snapped = w.astype(float).copy()
     i = 0
@@ -437,6 +446,13 @@ def cond_typical_projector(ensemble: CqEnsemble, seq: Sequence, delta: float) ->
     projector of the corresponding tensor-power state at slack ``delta``,
     and the factors are placed back at the group's original positions.  The
     result commutes with the product state by construction.
+
+    A state with a repeated nonzero eigenvalue (I/d, say) leaves its basis
+    of that eigenspace to ``hermitian_eig``.  Where the count windows cut the
+    eigenspace (I/2 on two positions keeps one of each label,
+    span{v1 (x) v2, v2 (x) v1}), the projector depends on that basis, so a
+    decode's simulated errors are not a function of the channel alone: a
+    unitary on its states can move them.  Its bounds still hold.
     """
     if delta <= 0:
         raise ValueError("delta must be positive")

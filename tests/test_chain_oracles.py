@@ -9,13 +9,13 @@ slow way, with ``sequential_collapse``, ``seq_success_lower_bound``, a dense
 D x D failure operator or ``np.trace`` of dense products, on random
 channels with pure, rank-deficient, mixed and degenerate-spectrum states
 and with empty candidates.  Where no dense oracle is needed, a decode is
-checked against itself: a local unitary on every output state and one
-permutation of positions on every codeword leave it unchanged.
+checked against itself: a local unitary on every output state, one
+permutation of positions on every codeword and a swap of two input symbols
+leave it unchanged.
 """
 
 import dataclasses
 import math
-import time
 from unittest import mock
 
 import numpy as np
@@ -26,7 +26,7 @@ from cqlab import decoders
 from cqlab.channels import CcqMac, CoupledMac, CqChannel
 from cqlab.decoders import (
     DENSE_FLOOR_LEAK,
-    FactoredElement,
+    Codebook,
     _Entry,
     _nested_factor,
     _run_sequential,
@@ -156,7 +156,7 @@ def assert_same_leak(total: float, floor: float, oracle: float) -> None:
 
 @given(grouped_chains())
 def test_grouped_halts_match_dense_halt_oracle(entries):
-    report = _run_sequential(entries, "grouped", group_of=lambda m: m[0], started=time.perf_counter())
+    report = _run_sequential(entries, "grouped", group_of=lambda m: m[0])
     for k, (ent, outcome) in enumerate(zip(entries, report.outcomes)):
         # halt at candidate j: fail every earlier candidate, pass candidate j
         stops = [
@@ -178,7 +178,7 @@ def test_reported_bounds_equal_the_bound_over_every_earlier_candidate(entries, g
     # the full list, zeros included, must carry the same leak
     dim = entries[0].projector.dim
     gate = random_projector(np.random.default_rng(dim), dim, max(1, dim // 2)) if gated else None
-    report = _run_sequential(entries, "bounds", gate=gate, started=time.perf_counter())
+    report = _run_sequential(entries, "bounds", gate=gate)
     for k, (ent, outcome) in enumerate(zip(entries, report.outcomes)):
         base = ent.state() if gate is None else gate.dense() @ ent.state() @ gate.dense()
         hostile = [e.projector for e in entries[:k]]
@@ -252,44 +252,45 @@ def test_pgm_traces_match_dense_products(case):
     chan, book, delta = case
     elements = pgm_elements(chan, book, delta)
     report = pgm_decode(chan, book, elements)
-    assert_pgm_matches_oracle(report, {m: e.dense() for m, e in elements.items()}, cq_states(chan, book))
+    assert_pgm_matches_oracle(report, {m: f @ f.conj().T for m, f in elements.items()}, cq_states(chan, book))
 
 
 ELEMENT_KINDS = ("projector", "nested-1", "mac", "cmg", "dense", "zero")
 
 
 def random_element(rng: np.random.Generator, dim: int, kind: str) -> tuple:
-    """(element as pgm_decode takes it, its dense matrix) of the given kind."""
+    """(element factor F as pgm_decode takes it, the dense element F F^dag of
+    the given kind, formed from its own operators rather than from F)."""
     def rank() -> int:
         return int(rng.integers(1, dim + 1))
 
     if kind == "projector":
         p = random_projector(rng, dim, rank())
-        return p, p.dense()
+        return p.support_columns(), p.dense()
     if kind == "nested-1":
         p = random_projector(rng, dim, rank())
-        return FactoredElement(_nested_factor((p,))), p.dense()
+        return _nested_factor((p,)), p.dense()
     if kind == "mac":
         p_xy, p_y = random_projector(rng, dim, rank()), random_projector(rng, dim, rank())
-        return FactoredElement(_nested_factor((p_xy, p_y))), p_y.dense() @ p_xy.dense() @ p_y.dense()
+        return _nested_factor((p_xy, p_y)), p_y.dense() @ p_xy.dense() @ p_y.dense()
     if kind == "cmg":
         p_zy, p_xy, p_y = (random_projector(rng, dim, rank()) for _ in range(3))
         yd, xyd = p_y.dense(), p_xy.dense()
-        return FactoredElement(_nested_factor((p_zy, p_xy, p_y))), yd @ xyd @ p_zy.dense() @ xyd @ yd
+        return _nested_factor((p_zy, p_xy, p_y)), yd @ xyd @ p_zy.dense() @ xyd @ yd
     if kind == "dense":
         k = rank()
         g = rng.normal(size=(dim, k)) + 1j * rng.normal(size=(dim, k))
-        e = g @ g.conj().T / np.linalg.norm(g) ** 2
-        return e, e
-    empty = (Projector.zero(dim), FactoredElement(np.zeros((dim, 0), dtype=complex)), np.zeros((dim, dim)))
+        return g / np.linalg.norm(g), g @ g.conj().T / np.linalg.norm(g) ** 2
+    empty = (Projector.zero(dim).support_columns(), np.zeros((dim, 0), dtype=complex), np.zeros((dim, rank())))
     return empty[int(rng.integers(3))], np.zeros((dim, dim), dtype=complex)
 
 
 @given(cq_cases(), st.lists(st.sampled_from(ELEMENT_KINDS), min_size=1, max_size=8), st.integers(0, 2**32 - 1))
 def test_factored_pgm_matches_dense_square_root_oracle(case, kinds, seed):
-    # pure, mixed and rank-deficient received states against elements of
-    # every form: projectors, one-, two- and three-layer nested factors,
-    # caller-supplied dense matrices and zeros, mixed in one measurement
+    # pure, mixed and rank-deficient received states against element
+    # factors of every kind: projector columns, one-, two- and three-layer
+    # nested factors, a random factor of a dense element, and zeros (no
+    # columns, or zero columns), mixed in one measurement
     chan, book, _ = case
     rng = np.random.default_rng(seed)
     dim = chan.dim**book.n
@@ -647,15 +648,56 @@ def permuted(book, order: tuple):
     )
 
 
+SWAP = {0: 1, 1: 0}
+
+
+def input_laws(chan) -> tuple:
+    """Each sender's input law; the coupled sender's is its law given x = 0."""
+    if isinstance(chan, CqChannel):
+        return (chan.prior,)
+    if isinstance(chan, CcqMac):
+        return (chan.x_prior, chan.y_prior)
+    return (chan.x_prior, chan.z_given_x[0], chan.y_prior)
+
+
+def swapped(chan, book, sender: int) -> tuple:
+    """The channel and a directly built codebook with the symbols 0 and 1 of
+    one sender exchanged in its law, the state table and every codeword."""
+    def law(dist):
+        return ClassicalDistribution(tuple(SWAP[s] for s in dist.symbols), dist.probs)
+
+    def states(at: int) -> dict:
+        return {tuple(SWAP[s] if j == at else s for j, s in enumerate(k)): rho for k, rho in chan.states.items()}
+
+    if isinstance(chan, CqChannel):
+        other = CqChannel(law(chan.prior), {SWAP[a]: rho for a, rho in chan.states.items()})
+    elif isinstance(chan, CcqMac):
+        prior = ("x_prior", "y_prior")[sender]
+        other = dataclasses.replace(chan, **{prior: law(getattr(chan, prior))}, states=states(sender))
+    elif sender == 0:
+        other = dataclasses.replace(
+            chan, x_prior=law(chan.x_prior), z_given_x={SWAP[x]: row for x, row in chan.z_given_x.items()}
+        )
+    else:
+        other = dataclasses.replace(chan, z_given_x={x: law(row) for x, row in chan.z_given_x.items()}, states=states(0))
+    codewords = tuple(
+        {m: tuple(SWAP[s] for s in seq) for m, seq in cw.items()} if i == sender else cw
+        for i, cw in enumerate(book.codewords)
+    )
+    return other, Codebook(other, book.n, book.rates, codewords, book.counts, book.seed)
+
+
 @settings(max_examples=60)
 @given(invariance_cases())
 @example(near_degenerate_case())
 def test_decodes_are_blind_to_local_unitaries_and_position_permutations(case):
     # a decode depends on a channel only through its states up to a local
-    # unitary U (U^{(x)n} on the block), and on a codebook only up to a common
-    # permutation of positions; both leave every error, success and candidate
-    # rank unchanged, and every floor on the leak scale.  A fixed epsilon
-    # keeps the narrowings' tau off the measured rounding-level leaks.
+    # unitary U (U^{(x)n} on the block), on a codebook only up to a common
+    # permutation of positions, and on neither through the names of input
+    # symbols; a unitary, a permutation and a swap of two symbols of one
+    # sender leave every error, success and candidate rank unchanged, and
+    # every floor on the leak scale.  A fixed epsilon keeps the narrowings'
+    # tau off the measured rounding-level leaks.
     row, chan, book, delta, u, order = case
     kwargs = {"gated": row == "cq-gated", "region": int(row[-1]) if row.startswith("cmg") else None, "epsilon": 0.1}
     base = sequential_decode(chan, book, delta, **kwargs)
@@ -669,6 +711,9 @@ def test_decodes_are_blind_to_local_unitaries_and_position_permutations(case):
     if u is not None:
         other = rotated(chan, u)
         reports.append(sequential_decode(other, sample_codebook(other, book.rates, book.n, book.seed), delta, **kwargs))
+    for sender, law in enumerate(input_laws(chan)):
+        if set(law.symbols) == {0, 1}:
+            reports.append(sequential_decode(*swapped(chan, book, sender), delta, **kwargs))
     for report in reports:
         assert report.details["candidate_ranks"] == base.details["candidate_ranks"]
         assert [o.message for o in report.outcomes] == [o.message for o in base.outcomes]

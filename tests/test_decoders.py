@@ -11,6 +11,7 @@ import pytest
 
 from cqlab.channels import CcqMac, CoupledMac, CqChannel
 from cqlab.decoders import (
+    TAU_FLOOR,
     Codebook,
     _conditional_sequence,
     monte_carlo_avg_error,
@@ -523,33 +524,13 @@ class TestMacSequentialDecoder:
             assert report.all_bounds_satisfied
             assert 0.0 < report.details["tau"] <= 1.0
 
-    def test_explicit_tau_and_epsilon_are_exclusive(self):
+    def test_explicit_epsilon_sets_tau(self):
         mac = crossover_mac()
         book = crafted_mac_codebook(mac)
-        with pytest.raises(ValueError, match="not both"):
-            sequential_decode(mac, book, 0.25, tau=0.5, epsilon=0.1)
-        with pytest.raises(ValueError, match="tau must lie"):
-            sequential_decode(mac, book, 0.25, tau=0.0)
         with pytest.raises(ValueError, match="epsilon must lie"):
             sequential_decode(mac, book, 0.25, epsilon=1.0)
         explicit = sequential_decode(mac, book, 0.25, epsilon=0.25)
         assert explicit.details["tau"] == pytest.approx(0.5, abs=1e-12)
-
-    def test_tiny_tau_keeps_no_line_outside_the_y_subspace(self):
-        # at slack 5 the pair projector of x = (0, 0, 1) allows the rare
-        # eigenvector at its last position, which the y projector (slack 30)
-        # excludes: a line of overlap 0, kept at tau <= 1e-12 without an image
-        x_law = ClassicalDistribution((0, 1), (0.94, 0.06))
-        states = {(0, 0): KET0, (1, 0): np.diag([0.83, 0.17]).astype(complex)}
-        mac = CcqMac(x_law, ClassicalDistribution((0,), (1.0,)), states)
-        book = Codebook(
-            channel=mac, n=3, rates=(0.5, 0.0), codewords=({1: (0, 0, 0), 2: (0, 0, 1)}, {1: (0, 0, 0)}),
-            counts=(2, 1), seed=(0,),
-        )
-        ranks = [
-            sequential_decode(mac, book, 5.0, tau=tau).details["candidate_ranks"] for tau in (0.5, 1e-13)
-        ]
-        assert ranks[0] == ranks[1] == {(1, 1): 1, (2, 1): 1}
 
 
 def coupled_channel_for_tests(seed: int = 2) -> CoupledMac:
@@ -662,15 +643,17 @@ class TestCoupledSenderDecoder:
 
     @pytest.mark.parametrize("region", [1, 2])
     def test_tau_and_epsilon_are_validated_in_both_regions(self, region):
-        # region 2 has no narrowing to tune, yet refuses the same bad values as region 1
+        # region 2 has no narrowing to tune, yet refuses the same bad epsilon
+        # as region 1; an epsilon just below 1 keeps each tau = 1 - sqrt(epsilon)
+        # at TAU_FLOOR, never at 0
         chan = coupled_channel_for_tests()
         book = crafted_cmg_codebook(chan)
-        with pytest.raises(ValueError, match="not both"):
-            sequential_decode(chan, book, 0.25, region=region, tau=0.5, epsilon=0.1)
-        with pytest.raises(ValueError, match="tau must lie"):
-            sequential_decode(chan, book, 0.25, region=region, tau=-3.0)
-        with pytest.raises(ValueError, match="epsilon must lie"):
-            sequential_decode(chan, book, 0.25, region=region, epsilon=5.0)
+        for bad in (5.0, 0.0, 1.0):
+            with pytest.raises(ValueError, match="epsilon must lie"):
+                sequential_decode(chan, book, 0.25, region=region, epsilon=bad)
+        report = sequential_decode(chan, book, 0.25, region=region, epsilon=math.nextafter(1.0, 0.0))
+        if region == 1:
+            assert report.details["tau"] == (TAU_FLOOR, TAU_FLOOR)
 
 
 def test_rows_refuse_what_their_family_does_not_take():
@@ -724,7 +707,7 @@ class TestPrettyGoodMeasurement:
         book = sample_codebook(chan, 0.25, 4, 7)
         elements = pgm_elements(chan, book, 0.99)
         report = pgm_decode(chan, book, elements)
-        dense = {m: e.dense() for m, e in elements.items()}
+        dense = {m: f @ f.conj().T for m, f in elements.items()}
         sigma = sum(dense.values())
         vals, vecs = hermitian_eig(sigma)
         keep = vals > max(vals.max() * 1e-10, 1e-14)
@@ -750,8 +733,8 @@ class TestPrettyGoodMeasurement:
         mac = crossover_mac()
         book = crafted_mac_codebook(mac)
         elements = pgm_elements(mac, book, 0.25)
-        for m, e in elements.items():
-            low = float(np.linalg.eigvalsh(e.dense()).min())
+        for m, f in elements.items():
+            low = float(np.linalg.eigvalsh(f @ f.conj().T).min())
             assert low > -1e-9
         report = pgm_decode(mac, book, elements)
         assert report.all_bounds_satisfied
@@ -764,13 +747,6 @@ class TestPrettyGoodMeasurement:
             elements = pgm_elements(chan, book, 0.25, region=region)
             report = pgm_decode(chan, book, elements)
             assert report.all_bounds_satisfied
-
-    def test_rejects_indefinite_elements(self):
-        chan = bb84_channel()
-        book = sample_codebook(chan, 0.0, 4, 3)
-        bad = {1: np.diag([1.0] * 15 + [-1.0]).astype(complex)}
-        with pytest.raises(ValueError, match="not positive semidefinite"):
-            pgm_decode(chan, book, bad)
 
 
 # [DERIVED] (message, error, bound) per family-table entry at delta = 0.99,
@@ -904,6 +880,8 @@ class TestMonteCarlo:
             report = decode(chan, sample_codebook(chan, rates, n, (seed, 0)))
             rows = [(o.message, o.error, o.bound) for o in report.outcomes]
             assert [(o.message, o.error, o.bound) for o in result["reports"][0].outcomes] == rows
+            # a decode report is a value: the same codebook gives an equal report
+            assert result["reports"][0] == report
             assert result["mean_error"] == report.average_error
             assert result["standard_error"] == 0.0
             assert result["trials"] == 1
@@ -946,9 +924,9 @@ class TestMonteCarlo:
             float(errs.std(ddof=1) / math.sqrt(len(errs))), abs=1e-15
         )
 
-    def test_out_of_range_tau_and_epsilon_are_refused_by_every_decoder(self):
+    def test_out_of_range_epsilon_is_refused_by_every_decoder(self):
         # validated on every call, also where no row narrows (cq, cmg region 2)
-        # and for the square-root decoder, which takes neither
+        # and for the square-root decoder, which does not take it
         coupled = coupled_channel_for_tests()
         cases = [
             (bb84_channel(), 0.25, None, ("seq", "seq-gated", "pgm")),
@@ -961,18 +939,13 @@ class TestMonteCarlo:
                 run = functools.partial(monte_carlo_avg_error, chan, rates, 4, 1, 0, variant, delta=0.25, region=region)
                 with pytest.raises(ValueError, match="epsilon must lie in"):
                     run(epsilon=5.0)
-                with pytest.raises(ValueError, match="tau must lie in"):
-                    run(tau=-3.0)
-                with pytest.raises(ValueError, match="not both"):
-                    run(tau=0.5, epsilon=0.1)
         chan = bb84_channel()
-        with pytest.raises(ValueError, match="tau must lie in"):
-            sequential_decode(chan, sample_codebook(chan, 0.25, 4, 1), 0.99, tau=-3.0)
-        # in range, a decode without a narrowing ignores them, as before
+        with pytest.raises(ValueError, match="epsilon must lie in"):
+            sequential_decode(chan, sample_codebook(chan, 0.25, 4, 1), 0.99, epsilon=-3.0)
+        # in range, a decode without a narrowing ignores it, as before
         for variant in ("seq", "pgm"):
             expected = monte_carlo_avg_error(chan, 0.25, 4, 2, 11, variant, delta=0.99)
-            for given in ({"epsilon": 0.25}, {"tau": 0.5}):
-                assert monte_carlo_avg_error(chan, 0.25, 4, 2, 11, variant, delta=0.99, **given) == expected
+            assert monte_carlo_avg_error(chan, 0.25, 4, 2, 11, variant, delta=0.99, epsilon=0.25) == expected
 
     def test_variant_dispatch(self):
         chan = bb84_channel()

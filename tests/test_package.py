@@ -1,6 +1,7 @@
 """Package-wide checks: the source imports only what it uses, reads every
 private name it defines and every public one outside ``cqlab.__all__`` (or the
-benchmark reads it), reads every public method and property of its classes,
+benchmark reads it), reads every public method and property of its classes
+and (with the tests) every public dataclass field,
 forms Kronecker products through one kernel, reads
 the typicality window slack and the state tolerance in one function each,
 forms an index grid only in the per-group typical mask, smooths without the
@@ -244,16 +245,34 @@ def read_attributes(tree: ast.Module) -> set[str]:
     return read
 
 
-def unreferenced_methods(sources: dict[str, str], readers: dict[str, str], kept) -> list[str]:
-    """Public methods and properties of the classes of ``sources``, outside
-    ``kept``, whose name no module of ``sources`` or ``readers`` reads as an
-    attribute."""
+def public_fields(tree: ast.Module) -> list[str]:
+    """``Class.name`` of every public field of the module-level dataclasses."""
+    def is_dataclass(node: ast.ClassDef) -> bool:
+        return any(
+            isinstance(d, ast.Name) and d.id == "dataclass"
+            or isinstance(d, ast.Call) and isinstance(d.func, ast.Name) and d.func.id == "dataclass"
+            for d in node.decorator_list
+        )
+
+    return [
+        f"{node.name}.{item.target.id}"
+        for node in tree.body
+        if isinstance(node, ast.ClassDef) and is_dataclass(node)
+        for item in node.body
+        if isinstance(item, ast.AnnAssign) and isinstance(item.target, ast.Name) and not item.target.id.startswith("_")
+    ]
+
+
+def unreferenced_members(sources: dict[str, str], readers: dict[str, str], kept, members=public_methods) -> list[str]:
+    """The ``members`` (public methods and properties, or dataclass fields)
+    of the classes of ``sources``, outside ``kept``, whose name no module of
+    ``sources`` or ``readers`` reads as an attribute."""
     trees = {fname: ast.parse(source) for fname, source in sources.items()}
     read = set().union(*map(read_attributes, trees.values()), *(read_attributes(ast.parse(s)) for s in readers.values()))
     return sorted(
         f"{fname}: {name}"
         for fname, tree in trees.items()
-        for name in public_methods(tree)
+        for name in members(tree)
         if name not in kept and name.split(".")[1] not in read
     )
 
@@ -290,7 +309,7 @@ def test_unreferenced_method_check_sees_every_form():
         "b.py": "NAMES = ('by_table',)\ndef pick(row, i):\n    return getattr(row, NAMES[i])()\n",
     }
     readers = {"bench.py": "from a import Row\nRow.made()\n"}
-    assert unreferenced_methods(sources, readers, {"Row.kept"}) == [
+    assert unreferenced_members(sources, readers, {"Row.kept"}) == [
         "a.py: Row.dead", "a.py: Row.stored", "a.py: Row.unread",
     ]
 
@@ -316,7 +335,54 @@ def test_source_has_no_unreferenced_methods():
     # reads is a second way in that only the tests keep alive, and is deleted
     sources = {path.name: path.read_text() for path in sorted(SRC.glob("*.py"))}
     readers = {str(path): path.read_text() for path in sorted(BENCH.rglob("*.py"))}
-    assert unreferenced_methods(sources, readers, KEPT_METHODS) == []
+    assert unreferenced_members(sources, readers, KEPT_METHODS) == []
+
+
+def test_unreferenced_field_check_sees_every_form():
+    sources = {
+        "a.py": (
+            "from dataclasses import dataclass\n"
+            "@dataclass(frozen=True)\n"
+            "class Report:\n"
+            "    read_here: int\n"
+            "    read_by_bench: int\n"
+            "    read_by_test: int\n"
+            "    by_table: int\n"
+            "    dead: float\n"
+            "    stored: int = 0\n"
+            "    _private: int = 0\n"
+            "    kept: int = 0\n"
+            "    def total(self):\n"
+            "        return self.read_here\n"
+            "@dataclass\n"
+            "class Block:\n"
+            "    line: object = None\n"
+            "class Plain:\n"
+            "    annotated: int\n"
+            "def fill(block):\n"
+            "    block.stored = 1\n"
+        ),
+        # a table of names read through getattr counts as attribute reads
+        "b.py": "NAMES = ('by_table',)\ndef pick(row, i):\n    return getattr(row, NAMES[i])\n",
+    }
+    readers = {"bench.py": "def f(r):\n    return r.read_by_bench\n", "test_a.py": "def g(r):\n    return r.read_by_test\n"}
+    assert unreferenced_members(sources, readers, {"Report.kept"}, public_fields) == [
+        "a.py: Block.line", "a.py: Report.dead", "a.py: Report.stored",
+    ]
+
+
+# The ccqq-ic region API, kept whole though nothing reads it: the grid step
+# that the achievability witnesses were sampled at.
+KEPT_FIELDS = {"IcAchievability.step"}
+
+
+def test_source_has_no_unreferenced_fields():
+    # a public dataclass field that neither the package, the benchmark nor the
+    # tests read is a result nobody looks at, and is deleted
+    sources = {path.name: path.read_text() for path in sorted(SRC.glob("*.py"))}
+    tests = pathlib.Path(__file__).parent
+    readers = {str(path): path.read_text() for path in sorted([*BENCH.rglob("*.py"), *tests.glob("*.py")])}
+    assert unreferenced_members(sources, readers, KEPT_FIELDS, public_fields) == []
 
 
 def kron_uses(source: str) -> list[str]:
