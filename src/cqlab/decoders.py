@@ -27,7 +27,7 @@ SVD of the stacked element factors.  The measured leaks that set tau and
 the success floors are squared norms of the state factors too.  A projector
 is read as a dense matrix in one place only: the target leak of an ungated
 floor whose leak lies below ``DENSE_FLOOR_LEAK``, one D^3 product per such
-row, kept because its rounding is pinned (see ``seq_success_lower_bound``).
+row, kept because its rounding is pinned (see ``_run_sequential``).
 """
 
 from __future__ import annotations

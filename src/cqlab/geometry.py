@@ -106,6 +106,25 @@ def _dense(p) -> np.ndarray:
     return p.dense() if isinstance(p, Projector) else require_projector(p)
 
 
+def _applier(p):
+    """x -> P x: V (V^dag x) on a Projector's columns, at O(D r) per vector,
+    or the product with a raw projector matrix checked and read as given."""
+    if isinstance(p, Projector):
+        v = p.support_columns()
+        vh = v.conj().T
+        return lambda x: v @ (vh @ x)
+    return require_projector(p).__matmul__
+
+
+def _trace_with(p, r: np.ndarray) -> float:
+    """Tr[P r]: Re<V, r V> on a Projector's columns, at O(D^2 r) with no D x D
+    product, or the trace of a raw projector matrix's product with r."""
+    if isinstance(p, Projector):
+        v = p.support_columns()
+        return float(np.vdot(v, r @ v).real)
+    return float((require_projector(p) @ r).trace().real)
+
+
 def _support_pair(pa, pb) -> tuple[Projector, Projector]:
     pa = _as_projector(pa)
     pb = _as_projector(pb)
@@ -335,22 +354,22 @@ def seq_success_lower_bound(rho, hostile: Sequence, target) -> float:
     Equals Tr[rho] - 2*sqrt(sum_i Tr[rho P_i] + Tr[rho (I - T)]); may be
     negative, in which case it is vacuous but still valid.
 
+    Each Tr[rho P] of a ``Projector`` is read off its columns V as
+    Re<V, rho V>, at O(D^2 r) with no D x D product.  A raw projector matrix
+    is checked and read as given, through the trace of its product with
+    rho.
+
     The floor is ill-conditioned near leak = 0, where its slope
     -1/sqrt(leak) is unbounded: with a leak of order 1e-16, which is pure
-    rounding, 1e-16 more rounding moves the floor by about 1e-8.  The
-    decoders read every term as a squared norm of the state factor, except
-    for an ungated floor whose leak is below ``DENSE_FLOOR_LEAK``: that
-    one keeps this function's dense total and target term,
-    Tr[rho] - Tr[T rho], since reference values pin its rounding.  A
-    projector may be a ``Projector`` or a raw matrix, which is checked and
-    read as given.
+    rounding, 1e-16 more rounding moves the floor by about 1e-8, so the two
+    forms of one projector give floors that agree on the leak scale only.
     """
     r = as_matrix(rho)
     total = float(r.trace().real)
     leak = 0.0
     for p in hostile:
-        leak += float((_dense(p) @ r).trace().real)
-    leak += total - float((_dense(target) @ r).trace().real)
+        leak += _trace_with(p, r)
+    leak += total - _trace_with(target, r)
     return total - 2.0 * math.sqrt(max(0.0, leak))
 
 
@@ -358,16 +377,18 @@ def key_inequality_check(v, projectors: Sequence) -> dict:
     """Defect of a vector under a chain of pass-through projectors.
 
     Compares ||v - P_k ... P_1 v||^2 against the sum of the complement
-    overlaps sum_i ||(I - P_i) v||^2.
+    overlaps sum_i ||(I - P_i) v||^2, each read as ||v||^2 - <v, P_i v>.  A
+    ``Projector`` is applied through its columns V as V (V^dag x), at O(D r)
+    per vector; a raw projector matrix is checked and applied as given.
     """
     vec = np.asarray(v, dtype=np.complex128).reshape(-1)
     norm2 = np.vdot(vec, vec)
     chained = vec
     rhs = 0.0
     for p in projectors:
-        dense = _dense(p)
-        rhs += float((norm2 - np.vdot(vec, dense @ vec)).real)
-        chained = dense @ chained
+        apply = _applier(p)
+        rhs += float((norm2 - np.vdot(vec, apply(vec))).real)
+        chained = apply(chained)
     defect = vec - chained
     lhs = float(np.vdot(defect, defect).real)
     return {"lhs": lhs, "rhs": rhs, "holds": lhs <= rhs + 1e-9}

@@ -669,14 +669,19 @@ def _mixed_distances(system: CqEnsemble, rows: np.ndarray) -> np.ndarray:
 
     I/D commutes with the product state, so the difference is diagonal in
     the product eigenbasis with entries 1/D - prod_i lambda_{z_i, k_i}.
-    Each symbol's spectrum is taken once; the products are formed for a
-    block of rows at a time, in the left-to-right order of the Kronecker
-    product.
+    A permutation of positions permutes those entries, so the distance
+    depends only on the row's joint type: rows are grouped by their sorted
+    form and one distance is taken per group.  Each symbol's spectrum is
+    taken once; the products are formed for a block of sorted rows at a
+    time, in the left-to-right order of the Kronecker product.
     """
     if len(rows) == 0:
         return np.zeros(0)
-    used, inverse = np.unique(rows, return_inverse=True)
-    rows = inverse.reshape(np.shape(rows))
+    sorted_rows = np.sort(rows, axis=1)
+    of_type, first = _first_seen(sorted_rows)
+    types = sorted_rows[first]
+    used, inverse = np.unique(types, return_inverse=True)
+    rows = inverse.reshape(types.shape)
     symbols = system.dist.symbols
     spectra = np.array([np.linalg.eigvalsh(require_hermitian(system.state(symbols[s]))) for s in used.tolist()])
     dim = spectra.shape[1] ** rows.shape[1]
@@ -688,7 +693,7 @@ def _mixed_distances(system: CqEnsemble, rows: np.ndarray) -> np.ndarray:
         for column in block.T[1:]:
             lam = (lam[:, :, None] * spectra[column][:, None, :]).reshape(len(block), -1)
         out[start : start + step] = np.sum(np.abs(1.0 / dim - lam), axis=1)
-    return out
+    return out[of_type]
 
 
 def _unavailable(names: Sequence[str], note: str) -> dict:

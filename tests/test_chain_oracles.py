@@ -636,6 +636,38 @@ def near_degenerate_case() -> tuple:
     return "ccq-mac", chan, book, 1.0 / 6.0, unitary, (3, 1, 0, 2)
 
 
+def bench_live_cases() -> list[tuple]:
+    """The benchmark's ccq-mac channel ({|0>, |+>, |->, |1>}, uniform
+    priors) and coupled MAC (x uniform, z given x by rows (0.8, 0.2) and
+    (0.2, 0.8), region 1) at n = 6, delta = 0.99 and rates 0.35 per sender,
+    codebook seed (0, 0): multi-sender decodes with live candidates, 3 and
+    4 of 25, where the drawn cases' candidates are nearly always empty."""
+    rng = np.random.default_rng(6)
+    bit = ClassicalDistribution((0, 1), (0.5, 0.5))
+    ket0, ket1 = np.diag([1.0, 0.0]).astype(complex), np.diag([0.0, 1.0]).astype(complex)
+    plus = np.full((2, 2), 0.5, dtype=complex)
+    minus = np.array([[0.5, -0.5], [-0.5, 0.5]], dtype=complex)
+    mac = CcqMac(bit, bit, {(0, 0): ket0, (0, 1): plus, (1, 0): minus, (1, 1): ket1})
+    rows = {0: ClassicalDistribution((0, 1), (0.8, 0.2)), 1: ClassicalDistribution((0, 1), (0.2, 0.8))}
+    cmg = CoupledMac(bit, rows, ClassicalDistribution(("y",), (1.0,)), {(0, "y"): ket0, (1, "y"): plus})
+    cases = []
+    for row, chan, rates in (("ccq-mac", mac, (0.35, 0.35)), ("cmg-1", cmg, (0.35, 0.35, 0.0))):
+        unitary = np.linalg.qr(rng.normal(size=(2, 2)) + 1j * rng.normal(size=(2, 2)))[0]
+        book = sample_codebook(chan, rates, 6, (0, 0))
+        cases.append((row, chan, book, 0.99, unitary, tuple(rng.permutation(6).tolist())))
+    return cases
+
+
+BENCH_LIVE_CASES = bench_live_cases()
+
+
+def test_bench_invariance_cases_have_live_candidates():
+    # the invariance examples below compare decodes that measure something
+    for row, chan, book, delta, _, _ in BENCH_LIVE_CASES:
+        report = sequential_decode(chan, book, delta, region=1 if row == "cmg-1" else None, epsilon=0.1)
+        assert max(report.details["candidate_ranks"].values()) > 0
+
+
 def rotated(chan, u: np.ndarray):
     """The channel with every output state conjugated by ``u``, priors kept."""
     return dataclasses.replace(chan, states={k: u @ rho @ u.conj().T for k, rho in chan.states.items()})
@@ -690,6 +722,8 @@ def swapped(chan, book, sender: int) -> tuple:
 @settings(max_examples=60)
 @given(invariance_cases())
 @example(near_degenerate_case())
+@example(BENCH_LIVE_CASES[0])
+@example(BENCH_LIVE_CASES[1])
 def test_decodes_are_blind_to_local_unitaries_and_position_permutations(case):
     # a decode depends on a channel only through its states up to a local
     # unitary U (U^{(x)n} on the block), on a codebook only up to a common

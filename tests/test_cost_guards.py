@@ -16,9 +16,11 @@ candidates and their guarantees are checked in the candidates' own span, so
 building them forms no D x D matrix, and no projector keeps one.  A typical
 layer's kept set is the AND of cached per-group masks, so a decode builds
 each mask once and sorts no rows, and an ensemble snaps each symbol's
-eigenvalues once.  These
-tests count such calls through monkeypatching, and live memory through
-tracemalloc.
+eigenvalues once.  The verify op's lemma suites hand the checks their
+drawn projectors as columns, so they validate and eigendecompose no raw
+projector matrix, and the key check and the floor form no dense projector.
+These tests count such calls through monkeypatching, and live memory
+through tracemalloc.
 """
 
 import sys
@@ -30,8 +32,10 @@ import pytest
 
 import cqlab.decoders
 import cqlab.geometry
+import cqlab.linalg
 import cqlab.smoothing
 import cqlab.typicality
+import cqlab.verify
 from cqlab.channels import CcqMac, CoupledMac, CqChannel
 from cqlab.decoders import (
     DENSE_FLOOR_LEAK,
@@ -270,6 +274,54 @@ def test_dense_oracles_read_raw_matrices_without_an_eigendecomposition(monkeypat
     success = sequential_collapse(rho, steps).success_probability
     assert success >= seq_success_lower_bound(rho, hostile, target) - 1e-9
     assert key_inequality_check(v / np.linalg.norm(v), hostile + [target])["holds"]
+
+
+def test_lemma_suites_validate_and_decompose_no_raw_projector(monkeypatch):
+    """The lemma-key, lemma-chain and blocks suites draw each projector as
+    its QR columns and hand the checks a Projector: no raw projector matrix
+    is validated (``require_projector``, under every module's name for it)
+    or eigendecomposed into a Projector (``Projector.from_matrix``)."""
+    counts = {"require_projector": 0, "from_matrix": 0}
+    require_projector = cqlab.linalg.require_projector
+    from_matrix = Projector.from_matrix.__func__
+
+    def counted_require_projector(m):
+        counts["require_projector"] += 1
+        return require_projector(m)
+
+    def counted_from_matrix(cls, p):
+        counts["from_matrix"] += 1
+        return from_matrix(cls, p)
+
+    for name, module in list(sys.modules.items()):
+        if name.startswith("cqlab") and getattr(module, "require_projector", None) is require_projector:
+            monkeypatch.setattr(module, "require_projector", counted_require_projector)
+    monkeypatch.setattr(Projector, "from_matrix", classmethod(counted_from_matrix))
+    for suite in ("lemma-key", "lemma-chain", "blocks"):
+        assert cqlab.verify.run_suite(suite, 0)["ok"]
+    assert counts == {"require_projector": 0, "from_matrix": 0}
+
+
+def test_key_check_and_floor_read_projectors_through_their_columns(monkeypatch):
+    """``key_inequality_check`` applies a Projector as V (V^dag x) and
+    ``seq_success_lower_bound`` reads Tr[P rho] as Re<V, rho V>: neither
+    forms a projector's dense matrix, at any rank from 0 to D."""
+    rng = np.random.default_rng(5)
+    d = 8
+    projs = [
+        Projector(np.linalg.qr(rng.normal(size=(d, r)) + 1j * rng.normal(size=(d, r)))[0]) for r in range(1, d + 1)
+    ]
+    projs.append(Projector.zero(d))
+    rho = np.eye(d, dtype=complex) / d
+    v = rng.normal(size=d) + 1j * rng.normal(size=d)
+
+    def refuse(self):
+        raise AssertionError("a column-form check formed a dense projector")
+
+    monkeypatch.setattr(Projector, "dense", refuse)
+    assert key_inequality_check(v / np.linalg.norm(v), projs)["holds"]
+    for k in range(len(projs)):
+        assert seq_success_lower_bound(rho, projs[:k], projs[k]) <= 1.0
 
 
 def test_gated_chain_reads_no_dense_trace(calls):

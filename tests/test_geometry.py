@@ -455,3 +455,49 @@ def test_sequential_collapse_rejects_mismatched_dims():
 def test_sequential_collapse_refuses_an_unknown_branch():
     with pytest.raises(ValueError, match="pass_on must be 'success' or 'failure', got 'pass'"):
         sequential_collapse(np.eye(2) / 2, [(Projector.from_matrix(proj(KET0)), "pass")])
+
+
+def suite_columns(rng, d, r):
+    """The QR columns of a complex Gaussian d x r draw, as the verify suites draw a projector."""
+    return np.linalg.qr(rng.normal(size=(d, r)) + 1j * rng.normal(size=(d, r)))[0]
+
+
+def leak_of(total, floor):
+    """The leak behind a floor total - 2 sqrt(leak)."""
+    return ((total - floor) / 2.0) ** 2
+
+
+@pytest.mark.parametrize("d", [2, 3, 4, 7, 16, 32])
+def test_column_and_raw_forms_give_the_same_checks(d):
+    # a Projector is read through its columns and a raw matrix q q^dag as
+    # given; on the suites' draws, at every rank 1..d of the first
+    # projector, both forms agree to 1e-12.  The floor is compared on its
+    # leak scale: its slope in the leak is unbounded near 0.
+    rng = np.random.default_rng(d)
+    for rank in range(1, d + 1):
+        qs = [suite_columns(rng, d, r) for r in (rank, *rng.integers(1, d + 1, size=3).tolist())]
+        cols = [Projector(q) for q in qs]
+        raws = [q @ q.conj().T for q in qs]
+        v = rng.normal(size=d) + 1j * rng.normal(size=d)
+        v /= np.linalg.norm(v)
+        rho = random_density(rng, d)
+
+        key_cols, key_raw = key_inequality_check(v, cols), key_inequality_check(v, raws)
+        assert abs(key_cols["lhs"] - key_raw["lhs"]) <= 1e-12
+        assert abs(key_cols["rhs"] - key_raw["rhs"]) <= 1e-12
+
+        traces = [
+            sequential_collapse(rho, [(h, "failure") for h in ps[1:]] + [(ps[0], "success")]).step_traces
+            for ps in (cols, raws)
+        ]
+        assert np.abs(np.subtract(*traces)).max() <= 1e-12
+        total = np.trace(rho).real
+        floors = [seq_success_lower_bound(rho, ps[1:], ps[0]) for ps in (cols, raws)]
+        assert abs(leak_of(total, floors[0]) - leak_of(total, floors[1])) <= 1e-12
+
+        by_cols, by_raw = jordan_decompose(cols[0], cols[1]), jordan_decompose(raws[0], raws[1])
+        assert [b.kind for b in by_cols.blocks] == [b.kind for b in by_raw.blocks]
+        angles = [np.array([b.angle or 0.0 for b in dec.blocks]) for dec in (by_cols, by_raw)]
+        assert np.abs(np.subtract(*angles)).max() <= 1e-12
+        assert np.abs(by_cols.reconstruct_first() - by_raw.reconstruct_first()).max() <= 1e-12
+        assert np.abs(by_cols.reconstruct_second() - by_raw.reconstruct_second()).max() <= 1e-12
