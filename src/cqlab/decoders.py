@@ -650,8 +650,7 @@ def sequential_decode(
     """
     family = _family(channel)
     layout = family.layout(region)
-    if gated and family.gate is None:
-        raise ValueError("a gated decode is not available for this channel")
+    family.check_gated(gated)
     notes, tau_of = _resolve_taus(epsilon)
     details: dict = {} if region is None else {"region": region}
     if layout.check_rates is not None:
@@ -912,6 +911,10 @@ class _Family:
             raise ValueError("a coupled three-sender channel needs region 1 or 2")
         return self.layouts[region]
 
+    def check_gated(self, gated: bool) -> None:
+        if gated and self.gate is None:
+            raise ValueError("a gated decode is not available for this channel")
+
 
 def _region2_rates(channel: CoupledMac, rates: tuple[float, ...]) -> dict:
     """Warns when R3 < I(Y:B|Z): such rate triples belong to region 1."""
@@ -999,17 +1002,20 @@ def monte_carlo_avg_error(
     Trial t redraws the codebook with seed (seed..., t) and runs the
     decoder named by ``variant``: "seq" for ``sequential_decode``,
     "seq-gated" for its gated chain (where the family has a gate), "pgm"
-    for ``pgm_decode`` over the ``pgm_elements``.  A bad region or epsilon
-    is refused before any codebook is drawn, whichever decoder runs.
+    for ``pgm_decode`` over the ``pgm_elements``.  A bad region or epsilon,
+    an unknown variant and "seq-gated" on a family without a gate are
+    refused before any codebook is drawn, whichever decoder runs.
     ``keep_reports`` retains the per-trial DecodeReport objects.
     """
     if trials < 1:
         raise ValueError("trials must be at least 1")
     key = _seed_key(seed)
-    _family(channel).layout(region)
+    family = _family(channel)
+    family.layout(region)
     _resolve_taus(epsilon)
     if variant not in ("seq", "seq-gated", "pgm"):
         raise ValueError(f"decoder variant {variant!r} is not available for this channel")
+    family.check_gated(variant == "seq-gated")
 
     def run(book: Codebook) -> DecodeReport:
         if variant == "pgm":

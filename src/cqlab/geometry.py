@@ -22,6 +22,10 @@ orthonormally and rebuild both projectors, at O(D^3) cost.
 The measurement side collapses a state through a chain of projective steps
 without renormalising, records the surviving trace at each step, and checks
 the closed-form lower bound on the final trace.
+
+Every projector argument is a ``Projector``, read through its orthonormal
+columns; a caller that holds a projector matrix wraps it in
+``Projector.from_matrix``, which checks it once.
 """
 
 from __future__ import annotations
@@ -38,7 +42,6 @@ from .linalg import (
     as_matrix,
     psd_leq_factors,
     require_hermitian,
-    require_projector,
     require_state,
 )
 
@@ -95,42 +98,9 @@ class CanonicalDecomposition:
         return self.second_lines @ self.second_lines.conj().T
 
 
-def _as_projector(p) -> Projector:
-    if isinstance(p, Projector):
-        return p
-    return Projector.from_matrix(p)
-
-
-def _dense(p) -> np.ndarray:
-    """V V^dag of a Projector, or a raw projector matrix checked and read as given."""
-    return p.dense() if isinstance(p, Projector) else require_projector(p)
-
-
-def _applier(p):
-    """x -> P x: V (V^dag x) on a Projector's columns, at O(D r) per vector,
-    or the product with a raw projector matrix checked and read as given."""
-    if isinstance(p, Projector):
-        v = p.support_columns()
-        vh = v.conj().T
-        return lambda x: v @ (vh @ x)
-    return require_projector(p).__matmul__
-
-
-def _trace_with(p, r: np.ndarray) -> float:
-    """Tr[P r]: Re<V, r V> on a Projector's columns, at O(D^2 r) with no D x D
-    product, or the trace of a raw projector matrix's product with r."""
-    if isinstance(p, Projector):
-        v = p.support_columns()
-        return float(np.vdot(v, r @ v).real)
-    return float((require_projector(p) @ r).trace().real)
-
-
-def _support_pair(pa, pb) -> tuple[Projector, Projector]:
-    pa = _as_projector(pa)
-    pb = _as_projector(pb)
+def _support_pair(pa: Projector, pb: Projector) -> None:
     if pa.dim != pb.dim:
         raise ValueError("projectors live on different dimensions")
-    return pa, pb
 
 
 @dataclass(frozen=True)
@@ -195,7 +165,7 @@ def _check_pairing(gram: np.ndarray, u: np.ndarray, sigma: np.ndarray, w: np.nda
         raise RuntimeError("line pairs are not jointly orthonormal")
 
 
-def jordan_decompose(pa, pb) -> CanonicalDecomposition:
+def jordan_decompose(pa: Projector, pb: Projector) -> CanonicalDecomposition:
     """Joint block decomposition of two projectors' ranges.
 
     Returns blocks of the five kinds; their bases together form an
@@ -213,7 +183,7 @@ def jordan_decompose(pa, pb) -> CanonicalDecomposition:
     from the pairing's arrays; the checks read that stack and each
     subspace's stack of lines.
     """
-    pa, pb = _support_pair(pa, pb)
+    _support_pair(pa, pb)
     d = pa.dim
     b = pb.support_columns()
     pairs = _pair(pa.support_columns(), b, full=True)
@@ -273,7 +243,7 @@ def jordan_decompose(pa, pb) -> CanonicalDecomposition:
     return decomp
 
 
-def intersection_projector(pa, pb, tau: float) -> Projector:
+def intersection_projector(pa: Projector, pb: Projector, tau: float) -> Projector:
     """Near-intersection projector built from the joint block structure.
 
     Take the orthonormal basis of the first subspace formed by its lines in
@@ -295,7 +265,7 @@ def intersection_projector(pa, pb, tau: float) -> Projector:
     """
     if not 0.0 < tau <= 1.0:
         raise ValueError("tau must lie in (0, 1]")
-    pa, pb = _support_pair(pa, pb)
+    _support_pair(pa, pb)
     b = pb.support_columns()
     pairs = _pair(pa.support_columns(), b)
     shared = pairs.shared
@@ -324,18 +294,18 @@ class SeqOutcome:
     success_probability: float
 
 
-def sequential_collapse(rho, steps: Iterable[tuple]) -> SeqOutcome:
+def sequential_collapse(rho, steps: Iterable[tuple[Projector, str]]) -> SeqOutcome:
     """Conjugate ``rho`` through the steps in order, without renormalising.
 
-    Each step is a (projector, pass_on) pair: ``pass_on`` "success" passes
-    on the projector and "failure" on its complement.  The trace after each
-    conjugation is recorded; the final trace is the probability that every
-    step passes.
+    Each step is a (``Projector``, pass_on) pair: ``pass_on`` "success"
+    passes on the projector and "failure" on its complement, each formed
+    densely as V V^dag or I - V V^dag.  The trace after each conjugation is
+    recorded; the final trace is the probability that every step passes.
     """
     current = as_matrix(rho).copy()
     traces: list[float] = []
     for projector, pass_on in steps:
-        e = _dense(projector)
+        e = projector.dense()
         if pass_on == "failure":
             e = np.eye(len(e), dtype=np.complex128) - e
         elif pass_on != "success":
@@ -348,47 +318,48 @@ def sequential_collapse(rho, steps: Iterable[tuple]) -> SeqOutcome:
     )
 
 
-def seq_success_lower_bound(rho, hostile: Sequence, target) -> float:
+def seq_success_lower_bound(rho, hostile: Sequence[Projector], target: Projector) -> float:
     """Closed-form floor for passing all hostile complements then the target.
 
     Equals Tr[rho] - 2*sqrt(sum_i Tr[rho P_i] + Tr[rho (I - T)]); may be
     negative, in which case it is vacuous but still valid.
 
-    Each Tr[rho P] of a ``Projector`` is read off its columns V as
-    Re<V, rho V>, at O(D^2 r) with no D x D product.  A raw projector matrix
-    is checked and read as given, through the trace of its product with
-    rho.
+    Each Tr[rho P] is read off the projector's columns V as Re<V, rho V>,
+    at O(D^2 r) with no D x D product.
 
     The floor is ill-conditioned near leak = 0, where its slope
     -1/sqrt(leak) is unbounded: with a leak of order 1e-16, which is pure
-    rounding, 1e-16 more rounding moves the floor by about 1e-8, so the two
-    forms of one projector give floors that agree on the leak scale only.
+    rounding, 1e-16 more rounding moves the floor by about 1e-8, so a dense
+    evaluation of the same traces agrees with it on the leak scale only.
     """
     r = as_matrix(rho)
     total = float(r.trace().real)
     leak = 0.0
     for p in hostile:
-        leak += _trace_with(p, r)
-    leak += total - _trace_with(target, r)
+        v = p.support_columns()
+        leak += float(np.vdot(v, r @ v).real)
+    v = target.support_columns()
+    leak += total - float(np.vdot(v, r @ v).real)
     return total - 2.0 * math.sqrt(max(0.0, leak))
 
 
-def key_inequality_check(v, projectors: Sequence) -> dict:
+def key_inequality_check(v, projectors: Sequence[Projector]) -> dict:
     """Defect of a vector under a chain of pass-through projectors.
 
     Compares ||v - P_k ... P_1 v||^2 against the sum of the complement
-    overlaps sum_i ||(I - P_i) v||^2, each read as ||v||^2 - <v, P_i v>.  A
-    ``Projector`` is applied through its columns V as V (V^dag x), at O(D r)
-    per vector; a raw projector matrix is checked and applied as given.
+    overlaps sum_i ||(I - P_i) v||^2, each read as ||v||^2 - <v, P_i v>.
+    Each projector is applied through its columns V as V (V^dag x), at
+    O(D r) per vector.
     """
     vec = np.asarray(v, dtype=np.complex128).reshape(-1)
     norm2 = np.vdot(vec, vec)
     chained = vec
     rhs = 0.0
     for p in projectors:
-        apply = _applier(p)
-        rhs += float((norm2 - np.vdot(vec, apply(vec))).real)
-        chained = apply(chained)
+        cols = p.support_columns()
+        rows = cols.conj().T
+        rhs += float((norm2 - np.vdot(vec, cols @ (rows @ vec))).real)
+        chained = cols @ (rows @ chained)
     defect = vec - chained
     lhs = float(np.vdot(defect, defect).real)
     return {"lhs": lhs, "rhs": rhs, "holds": lhs <= rhs + 1e-9}

@@ -53,7 +53,7 @@ def check_dim_cap(required: int) -> None:
 
 def as_matrix(m) -> np.ndarray:
     """Coerce ``m`` to a square complex128 matrix."""
-    a = np.asarray(getattr(m, "matrix", m), dtype=np.complex128)
+    a = np.asarray(m, dtype=np.complex128)
     if a.ndim != 2 or a.shape[0] != a.shape[1]:
         raise ValueError(f"expected a square matrix, got shape {a.shape}")
     if not np.isfinite(a).all():

@@ -7,11 +7,13 @@ and the measured slack (negative slack means violated).  The suites call
 the library through module attributes so a corrupted core is observable
 from here.
 
-The lemma suites (``lemma-key``, ``lemma-chain``, ``blocks``) draw each
-projector as the QR columns of a complex Gaussian draw and hand it to the
-checks as a ``Projector``: the checks read its columns, so no q q^dag is
-formed for them, no raw matrix is validated and none is eigendecomposed.
-``intersection`` feeds ``intersection_projector`` raw matrices, and
+Every geometry check takes its projectors as ``Projector``s.  The lemma
+suites (``lemma-key``, ``lemma-chain``, ``blocks``) draw each projector as
+the QR columns of a complex Gaussian draw and hand the checks
+``Projector(q)``: the checks read its columns, so no q q^dag is formed for
+them, no raw matrix is validated and none is eigendecomposed.
+``intersection`` builds its pairs as matrices, for its own dense sandwich
+and trace checks, and wraps each in ``Projector.from_matrix`` at the call;
 ``gentle`` draws no projector.
 
 Suites draw from disjoint streams ``(seed, 1..8)`` and share no state, so
@@ -146,7 +148,9 @@ def suite_intersection(seed: int = DEFAULT_SEED) -> list[dict]:
             weights = [1.0 - eps, eps / 2.0, eps / 2.0]
             rho = sum(w * np.outer(v, v.conj()) for w, v in zip(weights, a_lines))
             overlap_b = float(np.real(np.trace(rho @ pb)))
-            r = _geometry.intersection_projector(pa, pb, tau).dense()
+            r = _geometry.intersection_projector(
+                _linalg.Projector.from_matrix(pa), _linalg.Projector.from_matrix(pb), tau
+            ).dense()
             sandwich = _linalg.psd_leq(r, pb @ pa @ pb / tau, tol=1e-8)
             kept = float(np.real(np.trace(rho @ r)))
             floor = 1.0 - 2.0 * math.sqrt(eps)

@@ -67,10 +67,10 @@ def verdict(number: int, ok: bool, detail: str, elapsed: float, limit: float) ->
     assert elapsed < limit, f"criterion {number} exceeded {limit:.0f}s: {elapsed:.1f}s"
 
 
-def random_projector(rng: np.random.Generator, dim: int, rank: int) -> np.ndarray:
+def random_projector(rng: np.random.Generator, dim: int, rank: int) -> Projector:
     g = rng.normal(size=(dim, rank)) + 1j * rng.normal(size=(dim, rank))
     q, _ = np.linalg.qr(g)
-    return q @ q.conj().T
+    return Projector(q)
 
 
 def random_density(rng: np.random.Generator, dim: int) -> np.ndarray:
@@ -111,11 +111,8 @@ def test_criterion_02_chained_success_floor():
         dim = int(rng.integers(2, 17))
         k = int(rng.integers(0, 5))
         rho = random_density(rng, dim)
-        hostile = [
-            Projector.from_matrix(random_projector(rng, dim, int(rng.integers(1, dim + 1))))
-            for _ in range(k)
-        ]
-        target = Projector.from_matrix(random_projector(rng, dim, int(rng.integers(1, dim + 1))))
+        hostile = [random_projector(rng, dim, int(rng.integers(1, dim + 1))) for _ in range(k)]
+        target = random_projector(rng, dim, int(rng.integers(1, dim + 1)))
         steps = [(p, "failure") for p in hostile] + [(target, "success")]
         success = sequential_collapse(rho, steps).success_probability
         slacks.append(success - seq_success_lower_bound(rho, hostile, target))
@@ -141,9 +138,10 @@ def test_criterion_03_two_subspace_blocks():
         pa = random_projector(rng, dim, int(rng.integers(1, dim)))
         pb = random_projector(rng, dim, int(rng.integers(1, dim)))
         decomp = jordan_decompose(pa, pb)
+        dense_a = pa.dense()
         dev = max(
-            float(np.abs(decomp.reconstruct_first() - pa).max()),
-            float(np.abs(decomp.reconstruct_second() - pb).max()),
+            float(np.abs(decomp.reconstruct_first() - dense_a).max()),
+            float(np.abs(decomp.reconstruct_second() - pb.dense()).max()),
         )
         if any(b.dim > 2 for b in decomp.blocks):
             oversized += 1
@@ -151,7 +149,7 @@ def test_criterion_03_two_subspace_blocks():
         dev = max(
             dev,
             float(np.abs(lines.conj().T @ lines - np.eye(lines.shape[1])).max()),
-            float(np.abs(lines @ lines.conj().T - pa).max()),
+            float(np.abs(lines @ lines.conj().T - dense_a).max()),
         )
         worst = max(worst, dev)
     verdict(
@@ -193,7 +191,7 @@ def test_criterion_04_intersection_sandwich_and_floor():
             weights = [1.0 - eps, eps / 2.0, eps / 2.0]
             rho = sum(w * np.outer(v, v.conj()) for w, v in zip(weights, a_lines))
             assert float(np.real(np.trace(rho @ pb))) >= 1.0 - eps - 1e-9
-            r = intersection_projector(pa, pb, tau).dense()
+            r = intersection_projector(Projector.from_matrix(pa), Projector.from_matrix(pb), tau).dense()
             kept = float(np.real(np.trace(rho @ r)))
             ok = ok and psd_leq(r, pb @ pa @ pb / tau, tol=1e-8) and kept >= floor - 1e-9
             checked += 1

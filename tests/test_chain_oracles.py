@@ -673,6 +673,11 @@ def rotated(chan, u: np.ndarray):
     return dataclasses.replace(chan, states={k: u @ rho @ u.conj().T for k, rho in chan.states.items()})
 
 
+def padded(chan):
+    """The channel with every output state padded by a zero row and column (d -> d + 1)."""
+    return dataclasses.replace(chan, states={k: np.pad(rho, ((0, 1), (0, 1))) for k, rho in chan.states.items()})
+
+
 def permuted(book, order: tuple):
     """The codebook with one permutation of positions applied to every codeword."""
     return dataclasses.replace(
@@ -728,10 +733,12 @@ def test_decodes_are_blind_to_local_unitaries_and_position_permutations(case):
     # a decode depends on a channel only through its states up to a local
     # unitary U (U^{(x)n} on the block), on a codebook only up to a common
     # permutation of positions, and on neither through the names of input
-    # symbols; a unitary, a permutation and a swap of two symbols of one
-    # sender leave every error, success and candidate rank unchanged, and
-    # every floor on the leak scale.  A fixed epsilon keeps the narrowings'
-    # tau off the measured rounding-level leaks.
+    # symbols, nor on an output dimension no state reaches; a unitary, a
+    # permutation, a swap of two symbols of one sender and a qubit output
+    # padded to a qutrit by a zero row and column (the same codewords)
+    # leave every error, success and candidate rank unchanged, and every
+    # floor on the leak scale.  A fixed epsilon keeps the narrowings' tau
+    # off the measured rounding-level leaks.
     row, chan, book, delta, u, order = case
     kwargs = {"gated": row == "cq-gated", "region": int(row[-1]) if row.startswith("cmg") else None, "epsilon": 0.1}
     base = sequential_decode(chan, book, delta, **kwargs)
@@ -748,6 +755,9 @@ def test_decodes_are_blind_to_local_unitaries_and_position_permutations(case):
     for sender, law in enumerate(input_laws(chan)):
         if set(law.symbols) == {0, 1}:
             reports.append(sequential_decode(*swapped(chan, book, sender), delta, **kwargs))
+    if chan.dim == 2:
+        other = padded(chan)
+        reports.append(sequential_decode(other, dataclasses.replace(book, channel=other), delta, **kwargs))
     for report in reports:
         assert report.details["candidate_ranks"] == base.details["candidate_ranks"]
         assert [o.message for o in report.outcomes] == [o.message for o in base.outcomes]

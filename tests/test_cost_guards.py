@@ -250,23 +250,22 @@ def test_measured_leaks_keep_one_conjugate_layer_alive():
     assert peak < 13 * 512**2 * 16
 
 
-def test_dense_oracles_read_raw_matrices_without_an_eigendecomposition(monkeypatch):
-    """A raw projector matrix is checked and read as given by the oracles,
-    never turned into a Projector."""
+def test_chain_checks_on_projectors_run_no_eigendecomposition(monkeypatch):
+    """The collapse, the floor and the key check read each Projector through
+    its columns or its dense form V V^dag, and never eigendecompose."""
     rng = np.random.default_rng(11)
     d = 6
 
-    def projector_matrix(rank: int) -> np.ndarray:
-        q = np.linalg.qr(rng.normal(size=(d, d)) + 1j * rng.normal(size=(d, d)))[0][:, :rank]
-        return q @ q.conj().T
+    def projector(rank: int) -> Projector:
+        return Projector(np.linalg.qr(rng.normal(size=(d, d)) + 1j * rng.normal(size=(d, d)))[0][:, :rank])
 
-    hostile = [projector_matrix(r) for r in (1, 3)]
-    target = projector_matrix(4)
-    rho = projector_matrix(2) / 2
+    hostile = [projector(r) for r in (1, 3)]
+    target = projector(4)
+    rho = projector(2).dense() / 2
     v = rng.normal(size=d) + 1j * rng.normal(size=d)
 
     def refuse(*_, **__):
-        raise AssertionError("a dense oracle ran an eigendecomposition")
+        raise AssertionError("a chain check ran an eigendecomposition")
 
     monkeypatch.setattr(np.linalg, "eigh", refuse)
     monkeypatch.setattr(np.linalg, "eigvalsh", refuse)

@@ -676,6 +676,22 @@ def test_rows_refuse_what_their_family_does_not_take():
                 build(cmg, cmg_book, 0.25, region=region)
 
 
+def test_a_gated_average_on_a_family_without_a_gate_draws_no_codebook(monkeypatch):
+    # "seq-gated" is refused with sequential_decode's own message before the
+    # first codebook is drawn, as a bad region or epsilon is
+    import cqlab.decoders
+
+    def refuse(*_, **__):
+        raise AssertionError("a codebook was drawn")
+
+    monkeypatch.setattr(cqlab.decoders, "sample_codebook", refuse)
+    cases = [(crossover_mac(), (0.25, 0.25), None)]
+    cases += [(coupled_channel_for_tests(), (0.25, 0.25, 0.0), region) for region in (1, 2)]
+    for chan, rates, region in cases:
+        with pytest.raises(ValueError, match="^a gated decode is not available for this channel$"):
+            monte_carlo_avg_error(chan, rates, 4, 1, 0, "seq-gated", delta=0.25, region=region)
+
+
 class TestPrettyGoodMeasurement:
     def test_single_element_uses_support_projector(self):
         # [TRIVIAL] one message: Upsilon is the support projector of Pi

@@ -41,9 +41,10 @@ def proj(*vectors):
 
 
 def random_projector(rng, d, r):
+    """The projector q q^dag of a complex Gaussian draw's QR columns, held as its eigenvectors."""
     a = rng.normal(size=(d, r)) + 1j * rng.normal(size=(d, r))
     q, _ = np.linalg.qr(a)
-    return q @ q.conj().T
+    return Projector.from_matrix(q @ q.conj().T)
 
 
 def random_density(rng, d):
@@ -66,18 +67,18 @@ def planes_with_angles(d, angles, rng=None):
     if rng is not None:
         q, _ = np.linalg.qr(rng.normal(size=(d, d)) + 1j * rng.normal(size=(d, d)))
         a, b = q @ a, q @ b
-    return a @ a.conj().T, b @ b.conj().T
+    return Projector.from_matrix(a @ a.conj().T), Projector.from_matrix(b @ b.conj().T)
 
 
 def test_jordan_identical_projectors():
-    p = proj(KET0)
+    p = Projector.from_matrix(proj(KET0))
     decomp = jordan_decompose(p, p)
     kinds = sorted(b.kind for b in decomp.blocks)
     assert kinds == [BLOCK_OUTSIDE_BOTH, BLOCK_IN_BOTH]
 
 
 def test_jordan_orthogonal_lines():
-    decomp = jordan_decompose(proj(KET0), proj(KET1))
+    decomp = jordan_decompose(Projector.from_matrix(proj(KET0)), Projector.from_matrix(proj(KET1)))
     kinds = sorted(b.kind for b in decomp.blocks)
     assert kinds == [BLOCK_FIRST_ONLY, BLOCK_SECOND_ONLY]
 
@@ -97,14 +98,14 @@ def test_jordan_random_reconstruction():
         pa = random_projector(rng, d, int(rng.integers(1, d)))
         pb = random_projector(rng, d, int(rng.integers(1, d)))
         decomp = jordan_decompose(pa, pb)
-        assert np.max(np.abs(decomp.reconstruct_first() - pa)) < 1e-8
-        assert np.max(np.abs(decomp.reconstruct_second() - pb)) < 1e-8
+        assert np.max(np.abs(decomp.reconstruct_first() - pa.dense())) < 1e-8
+        assert np.max(np.abs(decomp.reconstruct_second() - pb.dense())) < 1e-8
         assert all(b.dim <= 2 for b in decomp.blocks)
         full = decomp.basis
         assert full.shape[1] == d
         assert np.max(np.abs(full.conj().T @ full - np.eye(d))) < 1e-8
         # the first subspace's lines are an orthonormal basis of it
-        assert decomp.first_lines.shape[1] == int(round(np.trace(pa).real))
+        assert decomp.first_lines.shape[1] == pa.rank
 
 
 def test_intersection_projector_worked_example():
@@ -116,7 +117,7 @@ def test_intersection_projector_worked_example():
 
 
 def test_intersection_projector_orthogonal_supports():
-    r = intersection_projector(proj(KET0), proj(KET1), tau=0.5)
+    r = intersection_projector(Projector.from_matrix(proj(KET0)), Projector.from_matrix(proj(KET1)), tau=0.5)
     assert r.rank == 0
 
 
@@ -136,7 +137,7 @@ def test_intersection_projector_operator_bound_random():
         pb = random_projector(rng, d, int(rng.integers(1, d)))
         tau = float(rng.uniform(0.2, 0.95))
         r = intersection_projector(pa, pb, tau)
-        assert psd_leq(r.dense(), pb @ pa @ pb / tau, tol=1e-8)
+        assert psd_leq(r.dense(), pb.dense() @ pa.dense() @ pb.dense() / tau, tol=1e-8)
 
 
 def test_intersection_projector_guarantee():
@@ -151,7 +152,7 @@ def test_intersection_projector_guarantee():
     lines = decomp.first_lines.T
     weights = [1 - eps / 2 - eps / 2, eps / 2, eps / 2]
     rho = sum(w * proj(v) for w, v in zip(weights, lines))
-    overlap = float(np.real(np.trace(rho @ pb)))
+    overlap = float(np.real(np.trace(rho @ pb.dense())))
     assert overlap >= 1 - eps - 1e-9
     r = intersection_projector(pa, pb, tau)
     assert float(np.real(np.trace(rho @ r.dense()))) >= 1 - 2 * math.sqrt(eps) - 1e-9
@@ -164,21 +165,23 @@ def test_near_coincident_lines_reconstruct_both_projectors(theta):
     e = np.eye(3, dtype=complex)
     a = e[:, 0]
     b = math.cos(theta) * e[:, 0] + math.sin(theta) * e[:, 1]
-    decomp = jordan_decompose(proj(a), proj(b))
+    pa, pb = Projector.from_matrix(proj(a)), Projector.from_matrix(proj(b))
+    decomp = jordan_decompose(pa, pb)
     assert [blk.kind for blk in decomp.blocks].count(BLOCK_IN_BOTH) == 1
     assert np.max(np.abs(decomp.reconstruct_first() - proj(a))) < 1e-8
     assert np.max(np.abs(decomp.reconstruct_second() - proj(b))) < 1e-8
-    r = intersection_projector(proj(a, e[:, 2]), proj(b), 0.9)
+    r = intersection_projector(Projector.from_matrix(proj(a, e[:, 2])), pb, 0.9)
     assert r.rank == 1
 
 
 def test_zero_overlap_lines_are_never_kept():
     # at tau <= 1e-12 the boundary slack reached overlap 0, a line with no image
     e = np.eye(3, dtype=complex)
-    r = intersection_projector(proj(e[:, 0], e[:, 1]), proj(e[:, 1]), 1e-13)
+    p0, p1, p01 = (Projector.from_matrix(m) for m in (proj(e[:, 0]), proj(e[:, 1]), proj(e[:, 0], e[:, 1])))
+    r = intersection_projector(p01, p1, 1e-13)
     assert r.rank == 1
     assert np.allclose(r.dense(), proj(e[:, 1]), atol=1e-12)
-    orthogonal = intersection_projector(proj(e[:, 0]), proj(e[:, 1]), 1e-13)
+    orthogonal = intersection_projector(p0, p1, 1e-13)
     assert orthogonal.rank == 0
 
 
@@ -189,7 +192,6 @@ def parent_intersection(pa, pb, tau):
     Returns (R dense, kept count, whether both checks hold).  Lines of zero
     overlap are never kept, as in the module.
     """
-    pa, pb = Projector.from_matrix(pa), Projector.from_matrix(pb)
     a, b = pa.support_columns(), pb.support_columns()
     left, sigma, right_h = np.linalg.svd(a.conj().T @ b)
     a_rot, b_rot = a @ left, b @ right_h.conj().T
@@ -223,7 +225,7 @@ EDGE_ANGLES = (0.0, math.pi / 2, 1.3e-5, 1.5e-5, math.pi / 2 - 0.5e-10, math.pi 
 
 @st.composite
 def subspace_pairs(draw):
-    """(PA, PB, tau) in C^D, D <= 16.
+    """(PA, PB, tau) in C^D, D <= 16, the projectors as ``from_matrix`` eigenvectors.
 
     Paired lines sit at the drawn principal angles, the exact edges of the
     classification included; extra lines of either subspace are orthogonal
@@ -257,7 +259,7 @@ def subspace_pairs(draw):
     else:
         tau = draw(st.sampled_from(overlaps)) + (1e-12 if kind == "edge+" else -1e-12)
         tau = min(1.0, max(tau, 1e-13))
-    return a @ a.conj().T, pb, tau
+    return Projector.from_matrix(a @ a.conj().T), Projector.from_matrix(pb), tau
 
 
 def dense_leq(x, y):
@@ -278,28 +280,28 @@ def test_intersection_matches_the_dense_reference(case):
     assert r.rank == kept_ref
     assert np.max(np.abs(r.dense() - r_ref)) <= 1e-12
     decomp = jordan_decompose(pa, pb)
-    assert np.max(np.abs(decomp.reconstruct_first() - pa)) < 1e-8
-    assert np.max(np.abs(decomp.reconstruct_second() - pb)) < 1e-8
+    assert np.max(np.abs(decomp.reconstruct_first() - pa.dense())) < 1e-8
+    assert np.max(np.abs(decomp.reconstruct_second() - pb.dense())) < 1e-8
 
 
 @settings(max_examples=200)
 @given(subspace_pairs(), st.integers(0, 2**32 - 1))
 def test_coordinate_checks_give_the_dense_verdicts(case, seed):
     pa, pb, tau = case
-    a = Projector.from_matrix(pa).support_columns()
-    b = Projector.from_matrix(pb).support_columns()
+    d = pa.dim
+    a, b = pa.support_columns(), pb.support_columns()
     bound = b @ (b.conj().T @ a) / math.sqrt(tau)
     try:
         x = intersection_projector(pa, pb, tau).support_columns()
     except RuntimeError:
-        x = np.zeros((len(pa), 0), dtype=complex)
+        x = np.zeros((d, 0), dtype=complex)
     rng = np.random.default_rng(seed)
     # the sandwich as built, with the check's tau scaled by 1.01, and with R
     # given a line outside range(PB): each verdict must be the dense one
     assert psd_leq_factors(x, bound) == dense_leq(x, bound)
     assert psd_leq_factors(x, bound / math.sqrt(1.01)) == dense_leq(x, bound / math.sqrt(1.01))
-    if b.shape[1] < len(pb):
-        v = rng.normal(size=len(pb)) + 1j * rng.normal(size=len(pb))
+    if b.shape[1] < d:
+        v = rng.normal(size=d) + 1j * rng.normal(size=d)
         v = v - b @ (b.conj().T @ v)
         outside = np.column_stack([x, v / np.linalg.norm(v)])
         assert not psd_leq_factors(outside, bound)
@@ -316,7 +318,7 @@ def test_coordinate_checks_give_the_dense_verdicts(case, seed):
     with pytest.raises(RuntimeError):
         _check_pairing(a.conj().T @ b, bent, sigma, w)
     lines = a @ bent
-    assert np.max(np.abs(lines @ lines.conj().T - pa)) > 1e-8
+    assert np.max(np.abs(lines @ lines.conj().T - pa.dense())) > 1e-8
 
 
 @settings(max_examples=100)
@@ -328,7 +330,7 @@ def test_envelope_check_gives_the_dense_verdict(d, seed, tau1, tau2):
     if inner.rank == 0:
         return
     tilde = intersection_projector(inner, p_y, tau2).support_columns()
-    vy, vxy, vzy = (Projector.from_matrix(p).support_columns() for p in (p_y, p_xy, p_zy))
+    vy, vxy, vzy = (p.support_columns() for p in (p_y, p_xy, p_zy))
     envelope = vy @ ((vy.conj().T @ vxy) @ (vxy.conj().T @ vzy)) / math.sqrt(tau1 * tau2)
     assert psd_leq_factors(tilde, envelope) and dense_leq(tilde, envelope)
     if vy.shape[1] < d:
@@ -393,12 +395,9 @@ def test_seq_bound_below_exact_random():
         k = int(rng.integers(1, 5))
         hostiles = [random_projector(rng, d, int(rng.integers(1, 3))) for _ in range(k)]
         target = random_projector(rng, d, int(rng.integers(d // 2, d)))
-        steps = [(Projector.from_matrix(h), "failure") for h in hostiles]
-        steps.append((Projector.from_matrix(target), "success"))
+        steps = [(h, "failure") for h in hostiles] + [(target, "success")]
         exact = sequential_collapse(rho, steps).success_probability
-        bound = seq_success_lower_bound(
-            rho, [Projector.from_matrix(h) for h in hostiles], Projector.from_matrix(target)
-        )
+        bound = seq_success_lower_bound(rho, hostiles, target)
         assert exact >= bound - 1e-9
 
 
@@ -408,7 +407,7 @@ def test_key_inequality_random():
         d = int(rng.integers(2, 16))
         v = rng.normal(size=d) + 1j * rng.normal(size=d)
         k = int(rng.integers(1, 6))
-        ps = [Projector.from_matrix(random_projector(rng, d, int(rng.integers(1, d)))) for _ in range(k)]
+        ps = [random_projector(rng, d, int(rng.integers(1, d))) for _ in range(k)]
         res = key_inequality_check(v, ps)
         assert res["holds"]
         assert res["lhs"] <= res["rhs"] + 1e-9
@@ -467,37 +466,66 @@ def leak_of(total, floor):
     return ((total - floor) / 2.0) ** 2
 
 
+def dense_key_check(v, mats):
+    """(lhs, rhs) of the key check on projector matrices: ||v - P_k ... P_1 v||^2
+    and the sum of ||v||^2 - <v, P_i v>, each product formed densely."""
+    norm2 = np.vdot(v, v)
+    chained, rhs = v, 0.0
+    for m in mats:
+        rhs += float((norm2 - np.vdot(v, m @ v)).real)
+        chained = m @ chained
+    defect = v - chained
+    return float(np.vdot(defect, defect).real), rhs
+
+
+def dense_collapse_traces(rho, hostile, target):
+    """Traces after failing each hostile matrix and then passing the target, conjugated densely."""
+    current, traces = rho, []
+    for e in [np.eye(len(rho)) - h for h in hostile] + [target]:
+        current = e @ current @ e
+        traces.append(float(np.trace(current).real))
+    return traces
+
+
+def dense_floor(rho, hostile, target):
+    """Tr rho - 2 sqrt(sum Tr[P_i rho] + Tr[(I - T) rho]), each trace of a dense product."""
+    total = float(np.trace(rho).real)
+    leak = sum(float(np.trace(h @ rho).real) for h in hostile) + total - float(np.trace(target @ rho).real)
+    return total - 2.0 * math.sqrt(max(0.0, leak))
+
+
 @pytest.mark.parametrize("d", [2, 3, 4, 7, 16, 32])
 def test_column_and_raw_forms_give_the_same_checks(d):
-    # a Projector is read through its columns and a raw matrix q q^dag as
-    # given; on the suites' draws, at every rank 1..d of the first
-    # projector, both forms agree to 1e-12.  The floor is compared on its
-    # leak scale: its slope in the leak is unbounded near 0.
+    # the checks read Projector(q) through its columns, and the references
+    # above read the raw form q q^dag through dense products; on the suites'
+    # draws, at every rank 1..d of the first projector, both agree to 1e-12.
+    # The floor is compared on its leak scale: its slope in the leak is
+    # unbounded near 0.  Projector(q) and the eigenvectors from_matrix finds
+    # for q q^dag, two forms of one subspace, decompose into the same blocks.
     rng = np.random.default_rng(d)
     for rank in range(1, d + 1):
         qs = [suite_columns(rng, d, r) for r in (rank, *rng.integers(1, d + 1, size=3).tolist())]
         cols = [Projector(q) for q in qs]
-        raws = [q @ q.conj().T for q in qs]
+        mats = [q @ q.conj().T for q in qs]
         v = rng.normal(size=d) + 1j * rng.normal(size=d)
         v /= np.linalg.norm(v)
         rho = random_density(rng, d)
 
-        key_cols, key_raw = key_inequality_check(v, cols), key_inequality_check(v, raws)
-        assert abs(key_cols["lhs"] - key_raw["lhs"]) <= 1e-12
-        assert abs(key_cols["rhs"] - key_raw["rhs"]) <= 1e-12
+        key = key_inequality_check(v, cols)
+        lhs, rhs = dense_key_check(v, mats)
+        assert abs(key["lhs"] - lhs) <= 1e-12
+        assert abs(key["rhs"] - rhs) <= 1e-12
 
-        traces = [
-            sequential_collapse(rho, [(h, "failure") for h in ps[1:]] + [(ps[0], "success")]).step_traces
-            for ps in (cols, raws)
-        ]
-        assert np.abs(np.subtract(*traces)).max() <= 1e-12
+        traces = sequential_collapse(rho, [(h, "failure") for h in cols[1:]] + [(cols[0], "success")]).step_traces
+        assert np.abs(np.subtract(traces, dense_collapse_traces(rho, mats[1:], mats[0]))).max() <= 1e-12
         total = np.trace(rho).real
-        floors = [seq_success_lower_bound(rho, ps[1:], ps[0]) for ps in (cols, raws)]
-        assert abs(leak_of(total, floors[0]) - leak_of(total, floors[1])) <= 1e-12
+        floor = seq_success_lower_bound(rho, cols[1:], cols[0])
+        assert abs(leak_of(total, floor) - leak_of(total, dense_floor(rho, mats[1:], mats[0]))) <= 1e-12
 
-        by_cols, by_raw = jordan_decompose(cols[0], cols[1]), jordan_decompose(raws[0], raws[1])
-        assert [b.kind for b in by_cols.blocks] == [b.kind for b in by_raw.blocks]
-        angles = [np.array([b.angle or 0.0 for b in dec.blocks]) for dec in (by_cols, by_raw)]
+        by_cols = jordan_decompose(cols[0], cols[1])
+        by_eig = jordan_decompose(Projector.from_matrix(mats[0]), Projector.from_matrix(mats[1]))
+        assert [b.kind for b in by_cols.blocks] == [b.kind for b in by_eig.blocks]
+        angles = [np.array([b.angle or 0.0 for b in dec.blocks]) for dec in (by_cols, by_eig)]
         assert np.abs(np.subtract(*angles)).max() <= 1e-12
-        assert np.abs(by_cols.reconstruct_first() - by_raw.reconstruct_first()).max() <= 1e-12
-        assert np.abs(by_cols.reconstruct_second() - by_raw.reconstruct_second()).max() <= 1e-12
+        assert np.abs(by_cols.reconstruct_first() - by_eig.reconstruct_first()).max() <= 1e-12
+        assert np.abs(by_cols.reconstruct_second() - by_eig.reconstruct_second()).max() <= 1e-12

@@ -5,7 +5,8 @@ and (with the tests) every public dataclass field,
 forms Kronecker products through one kernel, reads
 the typicality window slack and the state tolerance in one function each,
 forms an index grid only in the per-group typical mask, smooths without the
-dense trace_with, keeps one table row per channel kind,
+dense trace_with, branches on type only where it checks outside input or
+formats output, keeps one table row per channel kind,
 the resource guards are fixed constants, every dense entry point enforces
 DIM_CAP, and only the rate-region sampler loads scipy."""
 
@@ -526,6 +527,67 @@ def test_smoothing_reads_no_overlap_through_trace_with():
     # trace_with forms a dense D x D product; smoothing reads its overlaps
     # elementwise against the projectors' dense forms
     assert constant_readers((SRC / "smoothing.py").read_text(), "trace_with") == []
+
+
+def isinstance_readers(source: str) -> list[str]:
+    """Qualified names of the functions (``Class.method``, ``outer.inner``)
+    that read ``isinstance``, "<module>" for reads outside any function."""
+    readers = set()
+
+    def visit(node, where):
+        for child in ast.iter_child_nodes(node):
+            if isinstance(child, (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef)):
+                visit(child, f"{where}.{child.name}" if where else child.name)
+                continue
+            if isinstance(child, ast.Name) and child.id == "isinstance":
+                readers.add(where or "<module>")
+            visit(child, where)
+
+    visit(ast.parse(source), "")
+    return sorted(readers)
+
+
+def test_isinstance_reader_check_sees_every_form():
+    source = (
+        "OK = isinstance(1, int)\n"
+        "def plain(x):\n"
+        "    return isinstance(x, str)\n"
+        "class Row:\n"
+        "    def __post_init__(self):\n"
+        "        def inner(v):\n"
+        "            return all(map(isinstance, v, [int]))\n"
+        "        return inner\n"
+        "def clean(x):\n"
+        '    """Not ``isinstance``."""\n'
+        "    return x\n"
+    )
+    assert isinstance_readers(source) == ["<module>", "Row.__post_init__.inner", "plain"]
+
+
+# The functions that may branch on a type: each checks input from outside
+# (spec documents, seeds, rate arguments, a coupled sender's rows, the
+# smoothing triples) or formats output.  Inside the library each value has
+# one form, and a second form is a second code path.
+KEPT_ISINSTANCE = {
+    "channels.CoupledMac.__post_init__",
+    "cli._fmt",
+    "cli._message_columns",
+    "cli._simulate_result",
+    "decoders._rate_tuple",
+    "decoders._seed_key",
+    "smoothing.triple_layers",
+    "specio._is_array",
+    "specio._is_number",
+    "specio._keyed",
+    "specio._need",
+    "specio._pair_list",
+    "specio._string_list",
+}
+
+
+def test_only_input_checks_and_formatters_branch_on_type():
+    found = {f"{path.stem}.{fn}" for path in sorted(SRC.glob("*.py")) for fn in isinstance_readers(path.read_text())}
+    assert sorted(found - KEPT_ISINSTANCE) == []
 
 
 def test_row_lookup_takes_the_nearest_listed_class():
